@@ -24,6 +24,14 @@
 // DeterministicSummary bytes, which is what lets the result cache replay
 // verdicts verbatim. Wall-clock deadlines make runs nondeterministic, so
 // configs carrying one are not cacheable at all (CacheableConfig).
+//
+// One encoder produces the form. CanonicalProblemText collects its bytes
+// into a string; FingerprintProblem streams the very same bytes into an
+// incremental hash (util/hash.h::Hasher128) without building the text, so
+// every submission's cache consult skips the string. The fingerprint equals
+// HashBytes128 over the text, bit for bit, so fingerprints (and the cache
+// files and ring placements keyed on them) are the same as in builds that
+// hashed the rendered text.
 #ifndef TDLIB_CACHE_CANONICAL_H_
 #define TDLIB_CACHE_CANONICAL_H_
 
@@ -47,9 +55,10 @@ bool CacheableConfig(const DualSolverConfig& config);
 std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,
                                  const DualSolverConfig& config);
 
-/// Hashes the canonical form into a 128-bit content address
-/// (util/hash.h::HashBytes128). Returns an INVALID fingerprint when
-/// `config` is not cacheable, so callers can gate on `.valid` alone.
+/// Hashes the canonical form into a 128-bit content address, equal to
+/// HashBytes128 over CanonicalProblemText's bytes. Returns an INVALID
+/// fingerprint when `config` is not cacheable, so callers can gate on
+/// `.valid` alone.
 CacheFingerprint FingerprintProblem(const DependencySet& d,
                                     const Dependency& d0,
                                     const DualSolverConfig& config);

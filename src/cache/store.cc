@@ -1,5 +1,10 @@
 #include "cache/store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -7,6 +12,7 @@
 #include <string>
 
 #include "cache/fingerprint.h"
+#include "util/fault.h"
 
 namespace tdlib {
 namespace {
@@ -124,16 +130,42 @@ Result<int> LoadResultCacheFile(const std::string& path, ResultCache* cache) {
 
 Result<int> SaveResultCacheFile(const std::string& path,
                                 const ResultCache& cache) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
+  // Crash-safe replace: write a temp file beside `path`, fsync it, then
+  // rename it over `path`. rename(2) is atomic within a directory, so a
+  // crash at any point leaves either the old file or the new one, never a
+  // truncated mix; on any failure the temp file is removed.
+  std::ostringstream text;
+  SaveResultCache(text, cache);
+  const std::string bytes = text.str();
+  // The pid and a process-wide counter keep concurrent savers apart; the
+  // mode leaves permissions to the umask, as a plain create would.
+  static std::atomic<std::uint64_t> saves{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(saves.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return Result<int>::Error(ErrorCode::kNotFound,
                               "cannot write result-cache file: " + path);
   }
-  SaveResultCache(out, cache);
-  out.flush();
-  if (!out) {
+  bool ok = true;
+  for (std::size_t off = 0; ok && off < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) off += static_cast<std::size_t>(n);
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (ok && FaultInjectionEnabled() &&
+      ShouldInject(FaultSite::kStoreRename)) {
+    ok = false;  // the save dies after the fsync, before the rename
+  }
+  ok = ok && ::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    ::unlink(tmp.c_str());
     return Result<int>::Error(ErrorCode::kUnknown,
-                              "short write to result-cache file: " + path);
+                              "cannot save result-cache file: " + path);
   }
   const CacheStats stats = cache.Stats();
   return static_cast<int>(stats.entries);

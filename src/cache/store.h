@@ -44,7 +44,10 @@ void SaveResultCache(std::ostream& os, const ResultCache& cache);
 Result<int> LoadResultCache(std::istream& is, ResultCache* cache);
 
 /// File-path conveniences. Load returns kNotFound for an unopenable path
-/// (distinct from kCorrupt: "no warm-start file yet" is not damage).
+/// (distinct from kCorrupt: "no warm-start file yet" is not damage). Save
+/// is crash-safe: it writes and fsyncs a temp file in the same directory,
+/// then renames it over `path`, so a crash mid-save leaves the previous file
+/// intact. On failure the temp file is removed and `path` is untouched.
 Result<int> LoadResultCacheFile(const std::string& path, ResultCache* cache);
 Result<int> SaveResultCacheFile(const std::string& path,
                                 const ResultCache& cache);

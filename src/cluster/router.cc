@@ -186,6 +186,7 @@ class RouterImpl {
     s.worker_restarts = stats_worker_restarts_.load(std::memory_order_relaxed);
     s.heartbeat_timeouts =
         stats_heartbeat_timeouts_.load(std::memory_order_relaxed);
+    s.workers_up = stats_workers_up_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -386,6 +387,7 @@ class RouterImpl {
     slot.last_ping = slot.last_pong;
     ring_.Add(slot.index);
     workers_healthy_gauge_->Set(ring_.size());
+    stats_workers_up_.store(ring_.size(), std::memory_order_relaxed);
     // Keys that fell into the global pending pool while no worker was up
     // can be placed now.
     std::deque<std::shared_ptr<ClusterJobState>> pending;
@@ -420,6 +422,7 @@ class RouterImpl {
     Count("cluster.worker_crashes");
     ring_.Remove(slot.index);
     workers_healthy_gauge_->Set(ring_.size());
+    stats_workers_up_.store(ring_.size(), std::memory_order_relaxed);
     if (slot.reader.joinable()) slot.reader.join();
     if (slot.fd >= 0) {
       ::close(slot.fd);
@@ -834,6 +837,7 @@ class RouterImpl {
   std::atomic<std::int64_t> stats_worker_crashes_{0};
   std::atomic<std::int64_t> stats_worker_restarts_{0};
   std::atomic<std::int64_t> stats_heartbeat_timeouts_{0};
+  std::atomic<std::int64_t> stats_workers_up_{0};
 
   Histogram* job_seconds_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;

@@ -169,6 +169,7 @@ struct ClusterStats {
   std::int64_t worker_crashes = 0;
   std::int64_t worker_restarts = 0;
   std::int64_t heartbeat_timeouts = 0;
+  std::int64_t workers_up = 0;    ///< workers on the ring right now
 };
 
 class ClusterRouter {

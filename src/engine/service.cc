@@ -116,7 +116,6 @@ void ExecuteOnWorker(ServiceCore* core, const std::shared_ptr<JobState>& s,
   }
   GetServiceMetrics().inflight->Add(1);  // balanced in PublishTerminal
   const double elapsed = s->submit_timer.ElapsedSeconds();
-  r.queue_seconds = elapsed;
   GetServiceMetrics().queue_wait_seconds->Observe(elapsed);
   // The queue wait straddles threads, so it cannot be an RAII span; record
   // it as a pre-timed event under this job's id.
@@ -154,6 +153,8 @@ void ExecuteOnWorker(ServiceCore* core, const std::shared_ptr<JobState>& s,
       r.status = JobStatus::kCancelled;
     }
   }
+  // Stamped after the branches: RunJob returns a fresh JobResult.
+  r.queue_seconds = elapsed;
   // Provenance stamp: kMiss on cache-filling runs (the dedup runner's copy
   // is rewritten per waiter at fan-out anyway), kNone on uncached jobs.
   r.cache_source = s->cache_source;
@@ -227,8 +228,12 @@ void PublishTerminal(const std::shared_ptr<JobState>& state,
   }
 
   bool was_started;
+  double elapsed;
   {
     std::lock_guard<std::mutex> lock(state->mu);
+    // Read before done flips: a ResumeWithBudget that observes done resets
+    // the timer under this lock.
+    elapsed = state->submit_timer.ElapsedSeconds();
     state->result = result;
     state->done = true;
     was_started = state->started;
@@ -243,7 +248,6 @@ void PublishTerminal(const std::shared_ptr<JobState>& state,
   // the counts — so it skips the outcome partition and the latency
   // histogram; the in-flight gauge stays symmetric (the worker counted the
   // runner up when it picked it up).
-  const double elapsed = state->submit_timer.ElapsedSeconds();
   ServiceMetrics& m = GetServiceMetrics();
   if (!state->internal_runner) {
     switch (result.status) {

@@ -53,9 +53,11 @@ enum class FaultSite {
                        ///  (connection dropped under the sender)
   kFrameCorrupt,       ///< "cluster.frame-corrupt": outgoing cluster frame
                        ///  payload run through CorruptBytes before the wire
+  kStoreRename,        ///< "cache.store-rename": result-cache save fails
+                       ///  after the temp file is synced, before the rename
 };
 inline constexpr int kNumFaultSites =
-    static_cast<int>(FaultSite::kFrameCorrupt) + 1;
+    static_cast<int>(FaultSite::kStoreRename) + 1;
 
 /// Global gate. False until the first Arm*; DisarmAllFaults() restores it.
 bool FaultInjectionEnabled();

@@ -61,22 +61,46 @@ struct Hash128 {
   std::uint64_t lo = 0;
 };
 
-/// Hashes a byte range into 128 bits: two FNV-1a-style lanes walked over the
+/// Incremental form of HashBytes128: two FNV-1a-style lanes walked over the
 /// same bytes with different seeds and mixing orders, cross-finalized with
 /// SplitMix64 so each output word depends on both lanes and the length.
-inline Hash128 HashBytes128(const void* data, std::size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t a = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  std::uint64_t b = 0x9ae16a3b2f90404fULL;  // independent second seed
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;  // FNV-1a prime
-  for (std::size_t i = 0; i < len; ++i) {
-    a = (a ^ p[i]) * kPrime;
-    b = (b + p[i] + 1) * kPrime;
+/// The lanes carry across Update calls, so Update over any split of a buffer
+/// followed by Finish equals HashBytes128 over the whole buffer — callers can
+/// stream content through without ever materializing it.
+class Hasher128 {
+ public:
+  void Update(const void* data, std::size_t len) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    std::uint64_t a = a_;
+    std::uint64_t b = b_;
+    for (std::size_t i = 0; i < len; ++i) {
+      a = (a ^ p[i]) * kPrime;
+      b = (b + p[i] + 1) * kPrime;
+    }
+    a_ = a;
+    b_ = b;
+    len_ += len;
   }
-  Hash128 h;
-  h.hi = SplitMix64(a ^ (static_cast<std::uint64_t>(len) * kPrime));
-  h.lo = SplitMix64(b ^ (a << 32 | a >> 32));
-  return h;
+
+  Hash128 Finish() const {
+    Hash128 h;
+    h.hi = SplitMix64(a_ ^ (len_ * kPrime));
+    h.lo = SplitMix64(b_ ^ (a_ << 32 | a_ >> 32));
+    return h;
+  }
+
+ private:
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;  // FNV-1a prime
+  std::uint64_t a_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  std::uint64_t b_ = 0x9ae16a3b2f90404fULL;  // independent second seed
+  std::uint64_t len_ = 0;
+};
+
+/// Hashes a byte range into 128 bits (one Hasher128 pass).
+inline Hash128 HashBytes128(const void* data, std::size_t len) {
+  Hasher128 hasher;
+  hasher.Update(data, len);
+  return hasher.Finish();
 }
 
 }  // namespace tdlib

@@ -6,8 +6,12 @@
 #include "cache/canonical.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +29,8 @@
 #include "reduction/reduction.h"
 #include "semigroup/normalizer.h"
 #include "semigroup/presentation.h"
+#include "util/fault.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 
 namespace tdlib {
@@ -93,6 +99,96 @@ Job MakePumpingJob(const std::string& name, std::uint64_t max_steps) {
 std::string SummarySansName(const JobResult& result) {
   const std::string summary = result.DeterministicSummary();
   return summary.substr(summary.find('|'));
+}
+
+// An EID with a two-row head over a three-attribute schema; z and w are
+// existential, so both head rows introduce fresh canonical ids.
+Dependency MakeEid(const SchemaPtr& schema) {
+  Dependency::Builder b(schema);
+  const int x = b.Var(0, "x"), y = b.Var(0, "y"), z = b.Var(0, "z");
+  const int s = b.Var(1, "s"), t = b.Var(1, "t");
+  const int u = b.Var(2, "u"), w = b.Var(2, "w");
+  b.AddBodyRow({x, s, u});
+  b.AddBodyRow({y, t, u});
+  b.AddHeadRow({x, t, w});
+  b.AddHeadRow({z, s, w});
+  return std::move(b).Build().value();
+}
+
+// Premises {MakeEid, a three-attribute TD}; the goal is MakeEid again.
+void MakeEidProblem(DependencySet* d, Dependency* d0) {
+  SchemaPtr schema = MakeSchema({"A", "B", "C"});
+  d->Add(MakeEid(schema), "eid");
+  Dependency::Builder b(schema);
+  const int x = b.Var(0, "x"), y = b.Var(0, "y");
+  const int s = b.Var(1, "s"), t = b.Var(1, "t");
+  const int u = b.Var(2, "u"), w = b.Var(2, "w");
+  b.AddBodyRow({x, s, u});
+  b.AddBodyRow({y, t, w});
+  b.AddHeadRow({x, t, u});
+  d->Add(std::move(b).Build().value(), "td");
+  *d0 = MakeEid(schema);
+}
+
+// Every uint64 budget set to `budget` and the flags flipped off their
+// defaults, so the cfg line holds the widest and the narrowest numbers.
+DualSolverConfig ExtremeConfig(std::uint64_t budget) {
+  DualSolverConfig config;
+  config.rounds = 2;
+  config.resume_chase = false;
+  ChaseConfig& chase = config.base_chase;
+  chase.max_steps = budget;
+  chase.max_tuples = budget;
+  chase.hom_max_nodes = budget;
+  chase.max_fires_per_pass = budget;
+  chase.match_slice_ids = budget;
+  chase.record_trace = true;
+  chase.use_delta = false;
+  chase.auto_burst = false;
+  config.base_counterexample.max_candidates = budget;
+  return config;
+}
+
+// Gurevich–Lewis reduction instances over a family of word problems from
+// src/semigroup/: each presentation is normalized, then reduced.
+std::vector<Job> WordProblemFamily() {
+  const std::vector<std::vector<std::string>> family = {
+      {"A A0 = A0"},
+      {"A B = B A", "A A = A"},
+      {"A B = A0", "B A = B"},
+      {"A B C = A0", "C C = C", "A A = B"},
+  };
+  std::vector<Job> jobs;
+  for (const std::vector<std::string>& equations : family) {
+    Presentation p;
+    for (const char* symbol : {"A", "B", "C"}) p.AddSymbol(symbol);
+    for (const std::string& e : equations) {
+      EXPECT_TRUE(p.AddEquationFromText(e)) << e;
+    }
+    p.AddAbsorptionEquations();
+    NormalizationResult norm = NormalizeTo21(p);
+    Result<GurevichLewisReduction> red =
+        GurevichLewisReduction::Create(norm.normalized);
+    EXPECT_TRUE(red.ok());
+    if (!red.ok()) continue;
+    jobs.push_back(Job{equations.front(), red.value().dependencies(),
+                       red.value().goal(), SmallConfig(), 0});
+  }
+  return jobs;
+}
+
+// The streaming contract: hashing the canonical bytes as they are encoded
+// yields exactly the hash of the rendered text.
+void ExpectStreamedFingerprintMatchesText(const DependencySet& d,
+                                          const Dependency& d0,
+                                          const DualSolverConfig& config,
+                                          const std::string& label) {
+  const std::string text = CanonicalProblemText(d, d0, config);
+  const Hash128 h = HashBytes128(text.data(), text.size());
+  const CacheFingerprint fp = FingerprintProblem(d, d0, config);
+  ASSERT_TRUE(fp.valid) << label;
+  EXPECT_EQ(fp.hi, h.hi) << label;
+  EXPECT_EQ(fp.lo, h.lo) << label;
 }
 
 // ---- Canonicalizer ---------------------------------------------------------
@@ -180,6 +276,68 @@ TEST(Canonical, FuzzGeneratorCasesHaveDistinctFingerprints) {
           << "fingerprint collision on " << job.name;
     }
   }
+}
+
+TEST(Canonical, StreamedFingerprintEqualsHashOfTheText) {
+  const std::uint64_t kExtremes[] = {0,
+                                     std::numeric_limits<std::uint64_t>::max()};
+  FuzzOptions fuzz;
+  fuzz.cases_per_round = 6;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (const Job& job : GenerateFuzzCases(fuzz, round)) {
+      ExpectStreamedFingerprintMatchesText(job.dependencies, job.goal,
+                                           job.config, "fuzz " + job.name);
+    }
+  }
+
+  WorkloadOptions sweep;
+  sweep.size = 6;  // implied/refuted/gap at pads 0 and 1
+  std::vector<Job> jobs = ReductionSweepWorkload(sweep);
+  for (Job& job : WordProblemFamily()) jobs.push_back(std::move(job));
+  for (const Job& job : jobs) {
+    ExpectStreamedFingerprintMatchesText(job.dependencies, job.goal,
+                                         job.config, job.name);
+    for (std::uint64_t budget : kExtremes) {
+      ExpectStreamedFingerprintMatchesText(
+          job.dependencies, job.goal, ExtremeConfig(budget),
+          job.name + " budget " + std::to_string(budget));
+    }
+  }
+
+  DependencySet d;
+  Dependency goal = MakeEid(MakeSchema({"A", "B", "C"}));
+  MakeEidProblem(&d, &goal);
+  ExpectStreamedFingerprintMatchesText(d, goal, SmallConfig(), "eid");
+  for (std::uint64_t budget : kExtremes) {
+    ExpectStreamedFingerprintMatchesText(
+        d, goal, ExtremeConfig(budget), "eid budget " + std::to_string(budget));
+  }
+}
+
+// Fingerprints are persisted (warm-start files) and place jobs on the
+// router's ring, so the encoding must never drift without a version bump.
+// These values were recorded before the streaming encoder replaced the
+// text-building one.
+TEST(Canonical, GoldenFingerprintsAreStable) {
+  SchemaPtr schema = MakeSchema({"A", "B"});
+  DependencySet tiny;
+  Dependency tiny_goal = MakeDep(schema, false);
+  MakeProblem(schema, false, &tiny, &tiny_goal);
+  EXPECT_EQ(FingerprintProblem(tiny, tiny_goal, SmallConfig()).ToHex(),
+            "cbc9df628bf278cf1c74078b68a1abee");
+
+  Job pump = MakePumpingJob("golden", 400);
+  EXPECT_EQ(FingerprintProblem(pump.dependencies, pump.goal, pump.config)
+                .ToHex(),
+            "5de7595de2c1987eb17910e42aeadddc");
+
+  DependencySet eid;
+  Dependency eid_goal = MakeEid(MakeSchema({"A", "B", "C"}));
+  MakeEidProblem(&eid, &eid_goal);
+  const DualSolverConfig extreme =
+      ExtremeConfig(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(FingerprintProblem(eid, eid_goal, extreme).ToHex(),
+            "ae2ffea94547ca1d4c409dc1f57fca3d");
 }
 
 // ---- LRU -------------------------------------------------------------------
@@ -325,6 +483,50 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
                                             &scratch);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
+}
+
+TEST(ResultCacheStore, FailedSaveKeepsTheOldFileAndLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tdlib_cache_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "cache.bin").string();
+
+  CacheOptions options;
+  options.shards = 1;
+  ResultCache old_cache(options);
+  old_cache.Insert(Fp(1), Verdict(1));
+  old_cache.Insert(Fp(2), Verdict(2));
+  Result<int> saved = SaveResultCacheFile(path, old_cache);
+  ASSERT_TRUE(saved.ok()) << saved.error();
+  EXPECT_EQ(saved.value(), 2);
+
+  // The save dies between the fsync and the rename.
+  ResultCache new_cache(options);
+  new_cache.Insert(Fp(3), Verdict(3));
+  DisarmAllFaults();
+  ArmFault(FaultSite::kStoreRename, 1);
+  Result<int> failed = SaveResultCacheFile(path, new_cache);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(FaultInjectionCount(FaultSite::kStoreRename), 1u);
+  DisarmAllFaults();
+
+  ResultCache reloaded(options);
+  Result<int> loaded = LoadResultCacheFile(path, &reloaded);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(loaded.value(), 2);
+  CachedVerdict out;
+  EXPECT_TRUE(reloaded.Lookup(Fp(1), &out));
+  EXPECT_TRUE(reloaded.Lookup(Fp(2), &out));
+  EXPECT_FALSE(reloaded.Lookup(Fp(3), &out));
+
+  std::vector<std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"cache.bin"});
+  fs::remove_all(dir);
 }
 
 // ---- Service integration ---------------------------------------------------

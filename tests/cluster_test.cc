@@ -106,6 +106,15 @@ void ExpectLedgerBalances(const ClusterStats& stats) {
                                  stats.fallback);
 }
 
+// Polls until `n` workers are on the router's ring; false after 10 s.
+bool WaitForWorkersUp(const ClusterRouter& router, std::int64_t n) {
+  for (int i = 0; i < 1000; ++i) {
+    if (router.Stats().workers_up >= n) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 // ---- wire protocol ---------------------------------------------------------
 
 TEST(ClusterWireTest, FrameRoundTripsWithTrailingData) {
@@ -324,6 +333,9 @@ TEST(ClusterRouterTest, RepeatSubmissionIsServedFromTheWorkerCache) {
   SKIP_WITHOUT_WORKER();
   Job job = MakeSmallJob("repeat");
   ClusterRouter router(FastOptions(2));
+  // Ring placement is stable only once both workers have joined: a job
+  // submitted while one is still starting goes to the other one.
+  ASSERT_TRUE(WaitForWorkersUp(router, 2));
   const ClusterResult cold = router.Submit(job).Wait();
   ASSERT_EQ(cold.outcome, ClusterOutcome::kCompleted);
   const ClusterResult warm = router.Submit(job).Wait();
@@ -414,7 +426,7 @@ TEST(ClusterRouterTest, ParkedCheckpointMigratesAndResumesByteIdentically) {
   ClusterRouter router(options);
 
   const Job job = MakeGapJob("migrant", 0, /*max_steps=*/2000);
-  const ClusterResult& r = router.Submit(job).Wait();
+  const ClusterResult r = router.Submit(job).Wait();
   ASSERT_EQ(r.outcome, ClusterOutcome::kCompleted);
   EXPECT_TRUE(r.migrated);
   EXPECT_EQ(r.result.DeterministicSummary(),
@@ -430,7 +442,7 @@ TEST(ClusterRouterTest, UnspawnableWorkersExhaustRetriesWithoutFallback) {
   options.max_restarts = 1;
   options.fallback_when_down = false;
   ClusterRouter router(options);
-  const ClusterResult& r = router.Submit(MakeSmallJob("doomed")).Wait();
+  const ClusterResult r = router.Submit(MakeSmallJob("doomed")).Wait();
   EXPECT_EQ(r.outcome, ClusterOutcome::kRetriesExhausted);
   EXPECT_EQ(r.result.status, JobStatus::kSkipped);
   const ClusterStats stats = router.Stats();
@@ -481,7 +493,7 @@ TEST(ClusterRouterTest, LastWorkerDownDegradesToTheFallback) {
   options.fallback_when_down = true;  // the default, spelled out
   ClusterRouter router(options);
   const Job job = MakeSmallJob("fallback");
-  const ClusterResult& r = router.Submit(job).Wait();
+  const ClusterResult r = router.Submit(job).Wait();
   EXPECT_EQ(r.outcome, ClusterOutcome::kFallback);
   EXPECT_EQ(r.result.DeterministicSummary(),
             RunJob(job).DeterministicSummary());

@@ -7,11 +7,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "cache/result_cache.h"
 #include "engine/batch_solver.h"
 #include "engine/workload.h"
 #include "reduction/reduction.h"
@@ -238,6 +240,32 @@ TEST(SolverService, CancelSkippedJobIsAHarmlessNoOp) {
   EXPECT_EQ(handle.Wait().status, JobStatus::kSkipped);
   EXPECT_FALSE(handle.Cancel());
   EXPECT_EQ(handle.Wait().status, JobStatus::kSkipped);
+}
+
+TEST(SolverService, QueuedJobReportsItsQueueWaitAndACacheHitReportsNone) {
+  // One worker, occupied by a pumping job: the second submission waits in
+  // the queue until the pumping job is cancelled.
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.result_cache = std::make_shared<ResultCache>();
+  SolverService service(service_options);
+  JobHandle pumping = SubmitPinnedPumpingJob(&service, MakePumpingJob());
+
+  WorkloadOptions options;
+  options.size = 1;
+  const Job job = ReductionSweepWorkload(options)[0];
+  JobHandle queued = service.Submit(job);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(pumping.Cancel());
+  const JobResult ran = queued.Wait();
+  EXPECT_EQ(ran.status, JobStatus::kCompleted);
+  EXPECT_EQ(ran.cache_source, CacheSource::kMiss);
+  EXPECT_GT(ran.queue_seconds, 0.0);
+
+  // A hit is served inside Submit and never waits in the queue.
+  const JobResult hit = service.Submit(job).Wait();
+  EXPECT_EQ(hit.cache_source, CacheSource::kHit);
+  EXPECT_EQ(hit.queue_seconds, 0.0);
 }
 
 // ---- Per-submission deadlines ----------------------------------------------

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,6 +213,25 @@ TEST(Hash, VectorHashDistinguishes) {
   VectorHash h;
   EXPECT_NE(h(std::vector<int>{1, 2}), h(std::vector<int>{2, 1}));
   EXPECT_EQ(h(std::vector<int>{1, 2}), h(std::vector<int>{1, 2}));
+}
+
+TEST(Hash, Hasher128OverEverySplitEqualsHashBytes128) {
+  std::string buffer;
+  for (int i = 0; i < 97; ++i) buffer.push_back(static_cast<char>(i * 37 + 11));
+  const Hash128 whole = HashBytes128(buffer.data(), buffer.size());
+  for (std::size_t split = 0; split <= buffer.size(); ++split) {
+    Hasher128 hasher;
+    hasher.Update(buffer.data(), split);
+    hasher.Update(buffer.data() + split, buffer.size() - split);
+    const Hash128 streamed = hasher.Finish();
+    EXPECT_EQ(streamed.hi, whole.hi) << "split at " << split;
+    EXPECT_EQ(streamed.lo, whole.lo) << "split at " << split;
+  }
+  // Byte-at-a-time is the finest split of all.
+  Hasher128 bytewise;
+  for (char c : buffer) bytewise.Update(&c, 1);
+  EXPECT_EQ(bytewise.Finish().hi, whole.hi);
+  EXPECT_EQ(bytewise.Finish().lo, whole.lo);
 }
 
 TEST(Result, ValueAndError) {
