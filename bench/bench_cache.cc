@@ -14,6 +14,12 @@
 // identical_to_serial — a warm sweep that is fast but not byte-identical
 // to the serial reference is a bug, not a speedup. The run_benchmarks.sh
 // recap prints warm/cold and warns below the 10x target.
+//
+// BM_JobCopy and BM_JobTeardown time the two halves of a Job's lifecycle on
+// the submit path — copying the sweep's jobs, and destroying the copies —
+// each with the other half outside the timer. A warm hit pays the teardown
+// and a dedup miss the copy; both scale with the tableaux's allocations.
+// items_per_second is jobs per second.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -134,6 +140,34 @@ void BM_CacheWarmSweep(benchmark::State& state) {
       static_cast<double>(jobs_done), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CacheWarmSweep)->Arg(0)->Arg(1)->UseRealTime();
+
+void BM_JobCopy(benchmark::State& state) {
+  const std::vector<Job>& jobs = SweepJobs();
+  for (auto _ : state) {
+    std::vector<Job> copies(jobs);
+    benchmark::DoNotOptimize(copies.data());
+    state.PauseTiming();
+    copies.clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_JobCopy);
+
+void BM_JobTeardown(benchmark::State& state) {
+  const std::vector<Job>& jobs = SweepJobs();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Job> copies(jobs);
+    state.ResumeTiming();
+    copies.clear();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_JobTeardown);
 
 }  // namespace
 }  // namespace tdlib

@@ -1,15 +1,20 @@
 #include "cache/store.h"
 
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/types.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "cache/fingerprint.h"
 #include "util/fault.h"
@@ -43,6 +48,51 @@ bool ParseHex64(const std::string& token, std::uint64_t* out) {
   }
   *out = value;
   return true;
+}
+
+std::filesystem::path DirectoryOf(const std::string& path) {
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  return dir.empty() ? std::filesystem::path(".") : dir;
+}
+
+// fsyncs `dir`, so a rename into it survives a power loss.
+bool SyncDirectory(const std::filesystem::path& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
+}
+
+// The pid of a temp-file suffix "<pid>.<n>", or 0 when `suffix` has
+// another shape.
+pid_t TempFilePid(std::string_view suffix) {
+  const char* const end = suffix.data() + suffix.size();
+  pid_t pid = 0;
+  auto [dot, err] = std::from_chars(suffix.data(), end, pid);
+  if (err != std::errc() || dot == end || *dot != '.') return 0;
+  std::uint64_t n = 0;
+  auto [tail, n_err] = std::from_chars(dot + 1, end, n);
+  return n_err == std::errc() && tail == end ? pid : 0;
+}
+
+// Unlinks `<path>.tmp.<pid>.<n>` siblings whose saver died before its
+// rename: those whose pid names no live process. The temp files of live
+// savers, this process included, are left alone.
+void RemoveOrphanTempFiles(const std::string& path) {
+  namespace fs = std::filesystem;
+  const std::string prefix = fs::path(path).filename().string() + ".tmp.";
+  std::error_code ec;
+  for (fs::directory_iterator it(DirectoryOf(path), ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    const pid_t pid =
+        TempFilePid(std::string_view(name).substr(prefix.size()));
+    if (pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH) {
+      std::error_code ignored;
+      fs::remove(it->path(), ignored);
+    }
+  }
 }
 
 }  // namespace
@@ -130,10 +180,11 @@ Result<int> LoadResultCacheFile(const std::string& path, ResultCache* cache) {
 
 Result<int> SaveResultCacheFile(const std::string& path,
                                 const ResultCache& cache) {
-  // Crash-safe replace: write a temp file beside `path`, fsync it, then
-  // rename it over `path`. rename(2) is atomic within a directory, so a
-  // crash at any point leaves either the old file or the new one, never a
-  // truncated mix; on any failure the temp file is removed.
+  // Crash-safe replace: write a temp file beside `path`, fsync it, rename
+  // it over `path`, then fsync the directory so the rename itself is
+  // durable. rename(2) is atomic within a directory, so a crash at any
+  // point leaves either the old file or the new one, never a truncated mix;
+  // on any failure before the rename the temp file is removed.
   std::ostringstream text;
   SaveResultCache(text, cache);
   const std::string bytes = text.str();
@@ -167,6 +218,12 @@ Result<int> SaveResultCacheFile(const std::string& path,
     return Result<int>::Error(ErrorCode::kUnknown,
                               "cannot save result-cache file: " + path);
   }
+  if (!SyncDirectory(DirectoryOf(path))) {
+    return Result<int>::Error(
+        ErrorCode::kUnknown,
+        "result-cache file replaced but its directory not synced: " + path);
+  }
+  RemoveOrphanTempFiles(path);
   const CacheStats stats = cache.Stats();
   return static_cast<int>(stats.entries);
 }

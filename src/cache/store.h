@@ -46,8 +46,12 @@ Result<int> LoadResultCache(std::istream& is, ResultCache* cache);
 /// File-path conveniences. Load returns kNotFound for an unopenable path
 /// (distinct from kCorrupt: "no warm-start file yet" is not damage). Save
 /// is crash-safe: it writes and fsyncs a temp file in the same directory,
-/// then renames it over `path`, so a crash mid-save leaves the previous file
-/// intact. On failure the temp file is removed and `path` is untouched.
+/// renames it over `path` and fsyncs the directory, so a crash mid-save
+/// leaves the previous file intact. If the save fails before the rename,
+/// the temp file is removed and `path` is untouched; if only the directory
+/// fsync fails, the new file is in place but the error is still returned.
+/// After a successful save, temp files left beside `path` by savers that
+/// died (their pid names no live process) are removed.
 Result<int> LoadResultCacheFile(const std::string& path, ResultCache* cache);
 Result<int> SaveResultCacheFile(const std::string& path,
                                 const ResultCache& cache);

@@ -6,10 +6,9 @@
 
 namespace tdlib {
 
-int Dependency::Builder::Var(int attr, std::string name) {
+int Dependency::Builder::Var(int attr, std::string_view name) {
   int id = body_.NewVariable(attr, name);
-  int id2 = head_.NewVariable(attr, body_.VarName(attr, id));
-  (void)id2;
+  head_.NewVariable(attr, body_.VarName(attr, id));
   return id;
 }
 
@@ -26,13 +25,10 @@ Result<Dependency> Dependency::Builder::Build() && {
   if (std::string err = head_.CheckInvariants(); !err.empty()) {
     return Result<Dependency>::Error("head: " + err);
   }
-  std::vector<std::vector<bool>> universal(body_.schema().arity());
-  for (int attr = 0; attr < body_.schema().arity(); ++attr) {
-    universal[attr].assign(body_.NumVars(attr), false);
-  }
+  std::vector<unsigned char> universal(body_.TotalVars(), 0);
   for (const Row& r : body_.rows()) {
     for (int attr = 0; attr < body_.schema().arity(); ++attr) {
-      universal[attr][r[attr]] = true;
+      universal[body_.VarIndex(attr, r[attr])] = 1;
     }
   }
   return Dependency(std::move(body_), std::move(head_), std::move(universal));
@@ -41,7 +37,7 @@ Result<Dependency> Dependency::Builder::Build() && {
 bool Dependency::IsFull() const {
   for (const Row& r : head_.rows()) {
     for (int attr = 0; attr < schema().arity(); ++attr) {
-      if (!universal_[attr][r[attr]]) return false;
+      if (!IsUniversal(attr, r[attr])) return false;
     }
   }
   return true;
@@ -55,7 +51,7 @@ bool Dependency::IsTrivial() const {
   Valuation initial = Valuation::For(head_);
   for (int attr = 0; attr < schema().arity(); ++attr) {
     for (int v = 0; v < head_.NumVars(attr); ++v) {
-      if (universal_[attr][v]) initial.Set(attr, v, v);
+      if (IsUniversal(attr, v)) initial.Set(attr, v, v);
     }
   }
   search.SetInitial(initial);
@@ -106,7 +102,7 @@ Dependency Dependency::RenameVariables(const std::string& suffix) const {
   Builder b(schema_ptr());
   for (int attr = 0; attr < schema().arity(); ++attr) {
     for (int v = 0; v < body_.NumVars(attr); ++v) {
-      b.Var(attr, body_.VarName(attr, v) + suffix);
+      b.Var(attr, std::string(body_.VarName(attr, v)) + suffix);
     }
   }
   for (const Row& r : body_.rows()) b.AddBodyRow(r);

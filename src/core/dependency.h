@@ -16,6 +16,7 @@
 #define TDLIB_CORE_DEPENDENCY_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logic/tableau.h"
@@ -44,7 +45,9 @@ class Dependency {
   bool IsTd() const { return head_.num_rows() == 1; }
 
   /// True iff variable (attr, var) occurs in the body ("universal").
-  bool IsUniversal(int attr, int var) const { return universal_[attr][var]; }
+  bool IsUniversal(int attr, int var) const {
+    return universal_[body_.VarIndex(attr, var)] != 0;
+  }
 
   /// A dependency is *full* when every head variable is universal (the
   /// paper: "if a*, b*, ..., c* all appear among the antecedents, then the
@@ -68,15 +71,14 @@ class Dependency {
   Dependency RenameVariables(const std::string& suffix) const;
 
  private:
-  Dependency(Tableau body, Tableau head,
-             std::vector<std::vector<bool>> universal)
+  Dependency(Tableau body, Tableau head, std::vector<unsigned char> universal)
       : body_(std::move(body)),
         head_(std::move(head)),
         universal_(std::move(universal)) {}
 
   Tableau body_;
   Tableau head_;
-  std::vector<std::vector<bool>> universal_;  // [attr][var]
+  std::vector<unsigned char> universal_;  // [body_.VarIndex(attr, var)]
 };
 
 /// Incrementally assembles a Dependency. Typical use:
@@ -91,7 +93,7 @@ class Dependency::Builder {
   explicit Builder(SchemaPtr schema) : body_(schema), head_(std::move(schema)) {}
 
   /// Allocates a fresh typed variable; usable in body and head rows.
-  int Var(int attr, std::string name = "");
+  int Var(int attr, std::string_view name = {});
 
   /// Appends an antecedent atom.
   void AddBodyRow(Row row) { body_.AddRow(std::move(row)); }

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,7 @@ namespace {
 
 // True iff `name` is a token the parser grammar accepts:
 // [A-Za-z_][A-Za-z0-9_'*]*.
-bool ParseableName(const std::string& name) {
+bool ParseableName(std::string_view name) {
   if (name.empty()) return false;
   auto head = static_cast<unsigned char>(name[0]);
   if (!std::isalpha(head) && name[0] != '_') return false;
@@ -39,10 +40,10 @@ bool ParseableName(const std::string& name) {
 // silently unify two variables — worse than a parse error).
 bool RoundTripSafe(const Dependency& dep) {
   const Tableau& body = dep.body();
-  std::set<std::string> seen;
+  std::set<std::string_view> seen;
   for (int attr = 0; attr < dep.schema().arity(); ++attr) {
     for (int v = 0; v < body.NumVars(attr); ++v) {
-      const std::string& name = body.VarName(attr, v);
+      std::string_view name = body.VarName(attr, v);
       if (!ParseableName(name) || !seen.insert(name).second) return false;
     }
   }

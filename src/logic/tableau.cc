@@ -7,20 +7,34 @@
 namespace tdlib {
 
 Tableau::Tableau(SchemaPtr schema)
-    : schema_(std::move(schema)), var_names_(schema_->arity()) {}
+    : schema_(std::move(schema)), attr_begin_(schema_->arity() + 1, 0) {}
 
-int Tableau::NewVariable(int attr, std::string name) {
-  int id = static_cast<int>(var_names_[attr].size());
+Tableau::NameRef Tableau::AppendName(std::string_view name) {
+  const std::size_t begin = arena_.size();
+  arena_.append(name);  // safe even when `name` views this arena
+  return {static_cast<std::uint32_t>(begin),
+          static_cast<std::uint32_t>(arena_.size() - begin)};
+}
+
+int Tableau::NewVariable(int attr, std::string_view name) {
+  const int id = NumVars(attr);
+  std::string default_name;
   if (name.empty()) {
     // Default names are lowercase attribute name + index: a0, a1, ... This
     // matches the paper's convention of using the attribute letter for its
     // variables (a, a', a'', ...).
-    std::string base = schema_->name(attr);
-    for (auto& c : base) c = static_cast<char>(std::tolower(c));
-    name = base + std::to_string(id);
+    default_name = schema_->name(attr);
+    for (auto& c : default_name) c = static_cast<char>(std::tolower(c));
+    default_name += std::to_string(id);
+    name = default_name;
   }
-  var_names_[attr].push_back(std::move(name));
+  names_.insert(names_.begin() + attr_begin_[attr + 1], AppendName(name));
+  for (std::size_t a = attr + 1; a < attr_begin_.size(); ++a) ++attr_begin_[a];
   return id;
+}
+
+void Tableau::SetVarName(int attr, int v, std::string_view name) {
+  names_[VarIndex(attr, v)] = AppendName(name);
 }
 
 void Tableau::EnsureVariables(int attr, int count) {
@@ -28,12 +42,6 @@ void Tableau::EnsureVariables(int attr, int count) {
 }
 
 void Tableau::AddRow(Row row) { rows_.push_back(std::move(row)); }
-
-int Tableau::TotalVars() const {
-  int total = 0;
-  for (const auto& names : var_names_) total += static_cast<int>(names.size());
-  return total;
-}
 
 Instance Tableau::Freeze() const {
   Instance frozen(schema_);
@@ -44,7 +52,7 @@ Instance Tableau::Freeze() const {
   frozen.Reserve(rows_.size(), static_cast<std::size_t>(max_vars));
   for (int attr = 0; attr < schema_->arity(); ++attr) {
     for (int v = 0; v < NumVars(attr); ++v) {
-      frozen.AddValue(attr, var_names_[attr][v]);
+      frozen.AddValue(attr, std::string(VarName(attr, v)));
     }
   }
   for (const auto& r : rows_) frozen.AddTuple(r);
@@ -57,7 +65,7 @@ std::string Tableau::ToString() const {
     oss << "R(";
     for (int attr = 0; attr < schema_->arity(); ++attr) {
       if (attr > 0) oss << ", ";
-      oss << var_names_[attr][r[attr]];
+      oss << VarName(attr, r[attr]);
     }
     oss << ")\n";
   }
@@ -76,9 +84,9 @@ std::string Tableau::CheckInvariants() const {
     }
   }
   for (int attr = 0; attr < schema_->arity(); ++attr) {
-    std::unordered_set<std::string> seen;
-    for (const auto& n : var_names_[attr]) {
-      if (!seen.insert(n).second) {
+    std::unordered_set<std::string_view> seen;
+    for (int v = 0; v < NumVars(attr); ++v) {
+      if (!seen.insert(VarName(attr, v)).second) {
         return "duplicate variable name in attribute " + schema_->name(attr);
       }
     }

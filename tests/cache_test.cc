@@ -6,11 +6,13 @@
 #include "cache/canonical.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -526,6 +528,45 @@ TEST(ResultCacheStore, FailedSaveKeepsTheOldFileAndLeavesNoTempFile) {
     files.push_back(entry.path().filename().string());
   }
   EXPECT_EQ(files, std::vector<std::string>{"cache.bin"});
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheStore, SaveRemovesOrphanTempFilesOfDeadSavers) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tdlib_cache_orphans_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "cache.bin").string();
+
+  // A saver that died mid-save: its pid belongs to a reaped child.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  const std::string orphan = path + ".tmp." + std::to_string(child) + ".0";
+  const std::string own = path + ".tmp." + std::to_string(::getpid()) + ".77";
+  const std::string unrelated =
+      (dir / "other.bin.tmp.").string() + std::to_string(child) + ".0";
+  for (const std::string& file : {orphan, own, unrelated}) {
+    std::ofstream(file) << "partial";
+  }
+
+  CacheOptions options;
+  options.shards = 1;
+  ResultCache cache(options);
+  cache.Insert(Fp(1), Verdict(1));
+  Result<int> saved = SaveResultCacheFile(path, cache);
+  ASSERT_TRUE(saved.ok()) << saved.error();
+
+  EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_TRUE(fs::exists(own));
+  EXPECT_TRUE(fs::exists(unrelated));
+  ResultCache reloaded(options);
+  Result<int> loaded = LoadResultCacheFile(path, &reloaded);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(loaded.value(), 1);
   fs::remove_all(dir);
 }
 

@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/parser.h"
+#include "engine/workload.h"
+#include "fuzz/fuzz.h"
 
 namespace tdlib {
 namespace {
@@ -112,6 +120,97 @@ TEST(DependencySet, NamesTravelWithItems) {
   set.Add(Fig1(), "fig1");
   EXPECT_EQ(set.items.size(), 1u);
   EXPECT_NE(set.ToString().find("fig1:"), std::string::npos);
+}
+
+// ---- Flat variable storage -------------------------------------------------
+
+// The fuzz generator's programs (two rounds of six cases) and the reduction
+// sweep at pads 0-1 (implied/refuted/gap each).
+std::vector<Job> StorageCorpus() {
+  FuzzOptions fuzz;
+  fuzz.cases_per_round = 6;
+  std::vector<Job> jobs;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (Job& job : GenerateFuzzCases(fuzz, round)) {
+      jobs.push_back(std::move(job));
+    }
+  }
+  WorkloadOptions sweep;
+  sweep.size = 6;
+  for (Job& job : ReductionSweepWorkload(sweep)) jobs.push_back(std::move(job));
+  return jobs;
+}
+
+// Premises first, goal last.
+std::vector<const Dependency*> AllDependencies(const Job& job) {
+  std::vector<const Dependency*> deps;
+  for (const Dependency& d : job.dependencies.items) deps.push_back(&d);
+  deps.push_back(&job.goal);
+  return deps;
+}
+
+// Renders a parsed program back into the program grammar.
+std::string RenderProgram(const Schema& schema, const DependencySet& set) {
+  std::string out = "schema";
+  for (int attr = 0; attr < schema.arity(); ++attr) {
+    out += ' ' + schema.name(attr);
+  }
+  out += '\n';
+  for (std::size_t i = 0; i < set.items.size(); ++i) {
+    out += "td " + set.names[i] + ": " + FormatDependency(set.items[i]) + '\n';
+  }
+  return out;
+}
+
+TEST(DependencyStorage, IsUniversalMatchesBodyOccurrence) {
+  for (const Job& job : StorageCorpus()) {
+    for (const Dependency* d : AllDependencies(job)) {
+      const Tableau& body = d->body();
+      std::set<std::pair<int, int>> in_body;
+      for (const Row& r : body.rows()) {
+        for (int attr = 0; attr < d->schema().arity(); ++attr) {
+          in_body.emplace(attr, r[attr]);
+        }
+      }
+      for (int attr = 0; attr < d->schema().arity(); ++attr) {
+        for (int v = 0; v < body.NumVars(attr); ++v) {
+          EXPECT_EQ(d->IsUniversal(attr, v), in_body.count({attr, v}) > 0)
+              << job.name << " (" << attr << ", " << v << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(DependencyStorage, CopiesRenderIdentically) {
+  for (const Job& job : StorageCorpus()) {
+    const Job copy = job;
+    const std::vector<const Dependency*> originals = AllDependencies(job);
+    const std::vector<const Dependency*> copies = AllDependencies(copy);
+    ASSERT_EQ(copies.size(), originals.size());
+    for (std::size_t i = 0; i < originals.size(); ++i) {
+      EXPECT_EQ(copies[i]->ToString(), originals[i]->ToString()) << job.name;
+      EXPECT_EQ(copies[i]->CheckInvariants(), "") << job.name;
+    }
+  }
+}
+
+TEST(DependencyStorage, ProgramTextRoundTripsByteIdentically) {
+  const FuzzOptions options;
+  for (const Job& job : StorageCorpus()) {
+    SchemaPtr schema;
+    Result<DependencySet> first = ParseDependencyProgram(
+        FormatReproProgram(job, options, "storage"), &schema);
+    ASSERT_TRUE(first.ok()) << job.name << ": " << first.error();
+    const std::string text = RenderProgram(*schema, first.value());
+
+    SchemaPtr reparsed_schema;
+    Result<DependencySet> second =
+        ParseDependencyProgram(text, &reparsed_schema);
+    ASSERT_TRUE(second.ok()) << job.name << ": " << second.error();
+    EXPECT_EQ(RenderProgram(*reparsed_schema, second.value()), text)
+        << job.name;
+  }
 }
 
 }  // namespace

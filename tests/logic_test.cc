@@ -1,6 +1,9 @@
 // Unit tests for schemas, instances and tableaux.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "logic/instance.h"
 #include "logic/schema.h"
 #include "logic/tableau.h"
@@ -148,6 +151,76 @@ TEST(Tableau, TotalVarsSumsAttributes) {
   EXPECT_EQ(t.TotalVars(), 3);
   t.EnsureVariables(1, 2);
   EXPECT_EQ(t.TotalVars(), 5);
+}
+
+// ---- Flat variable storage -------------------------------------------------
+
+TEST(TableauStorage, InterleavedNewVariableKeepsIdsDensePerAttribute) {
+  Tableau t(MakeSchema({"A", "B", "C"}));
+  std::vector<std::vector<std::string>> expected(3);
+  // Later attributes first, then back and forth, so most inserts land in
+  // front of another attribute's slots.
+  const int kOrder[] = {2, 2, 0, 1, 2, 0, 0, 1, 2, 1, 0, 2};
+  for (int step = 0; step < 12; ++step) {
+    const int attr = kOrder[step];
+    // Every other variable keeps its default name.
+    const std::string name = step % 2 == 0 ? "" : "v" + std::to_string(step);
+    const int id = t.NewVariable(attr, name);
+    ASSERT_EQ(id, static_cast<int>(expected[attr].size()));
+    expected[attr].push_back(
+        name.empty() ? std::string(1, static_cast<char>('a' + attr)) +
+                           std::to_string(id)
+                     : name);
+    int total = 0;
+    for (int a = 0; a < 3; ++a) {
+      ASSERT_EQ(t.NumVars(a), static_cast<int>(expected[a].size()));
+      for (int v = 0; v < t.NumVars(a); ++v) {
+        EXPECT_EQ(t.VarIndex(a, v), total + v) << "step " << step;
+        EXPECT_EQ(t.VarName(a, v), expected[a][v]) << "step " << step;
+      }
+      total += t.NumVars(a);
+    }
+    EXPECT_EQ(t.TotalVars(), total);
+  }
+  EXPECT_EQ(t.CheckInvariants(), "");
+}
+
+TEST(TableauStorage, SetVarNameSurvivesLaterGrowth) {
+  Tableau t(MakeSchema({"A", "B"}));
+  t.NewVariable(1, "y");
+  t.NewVariable(1);
+  t.SetVarName(1, 0, "renamed");
+  // Growth of A shifts B's slots; growth of both reallocates the arena.
+  for (int i = 0; i < 50; ++i) {
+    t.NewVariable(0);
+    t.NewVariable(1);
+  }
+  EXPECT_EQ(t.VarName(1, 0), "renamed");
+  EXPECT_EQ(t.VarName(1, 1), "b1");
+  EXPECT_EQ(t.VarName(0, 49), "a49");
+  // A name viewed from the tableau's own arena is a valid source.
+  t.SetVarName(0, 3, t.VarName(1, 0));
+  EXPECT_EQ(t.VarName(0, 3), "renamed");
+  EXPECT_EQ(t.VarName(1, 0), "renamed");
+  EXPECT_EQ(t.CheckInvariants(), "");
+}
+
+TEST(TableauStorage, CopyRendersIdenticallyAndIsIndependent) {
+  Tableau t(MakeSchema({"A", "B"}));
+  const int b = t.NewVariable(1, "shared");
+  const int a0 = t.NewVariable(0);
+  const int a1 = t.NewVariable(0, "x");
+  t.AddRow({a0, b});
+  t.AddRow({a1, b});
+  Tableau copy = t;
+  EXPECT_EQ(copy.ToString(), t.ToString());
+  EXPECT_EQ(copy.TotalVars(), t.TotalVars());
+
+  copy.SetVarName(1, b, "other");
+  copy.NewVariable(0);
+  EXPECT_EQ(t.VarName(1, b), "shared");
+  EXPECT_EQ(t.NumVars(0), 2);
+  EXPECT_NE(copy.ToString(), t.ToString());
 }
 
 }  // namespace
