@@ -289,38 +289,19 @@ void BM_ChaseZigzagReachability(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaseZigzagReachability)->ArgsProduct({{8, 16, 32}, {0, 1}});
 
-// ---- Data layout axis: {row-major, SoA} x {intersection} x {simd} -----------
+// ---- Matching axis: {scalar, simd} ------------------------------------------
 //
-// The BM_Layout* family is split into BENCH_layout.json by run_benchmarks.sh
-// (filter: BM_Layout). Axes: arg0 = columnar (SoA) tuple store, arg1 =
-// posting-list intersection, arg2 = SIMD block evaluation. Determinism
-// contract on display: fired_steps and hom_nodes MUST be identical across
-// all eight combos — the layout is physical, the intersection is
-// node-invariant and the simd axis is byte-invariant on EVERY counter
-// including hom_candidates — while hom_candidates drops under intersection
-// (that is the pruning) and wall time is the payoff. A recap-script
-// failure on the parity fields is a correctness regression, not a perf
-// regression.
-
-// Scopes a default-layout override to one benchmark run (instances are
-// constructed inside the timed region, so the global must be set around it).
-class ScopedLayout {
- public:
-  explicit ScopedLayout(bool soa) {
-    SetDefaultTupleLayout(soa ? TupleLayout::kColumnar
-                              : TupleLayout::kRowMajor);
-  }
-  ~ScopedLayout() { SetDefaultTupleLayout(TupleLayout::kRowMajor); }
-};
+// The BM_Layout* family: one row-major matcher, arg0 = SIMD block
+// evaluation. Determinism contract on display: fired_steps, hom_nodes and
+// hom_candidates MUST be identical across the simd axis (the block
+// evaluator is byte-invariant on every counter); wall time is the payoff.
+// run_benchmarks.sh fails hard on any parity drift — that is a correctness
+// regression, not a perf regression.
 
 void BM_LayoutReductionSweep(benchmark::State& state) {
-  // The headline series: the paper's own gadget instances (arity = 2n + 2 —
-  // the wide-schema regime the columnar mode targets) in the capped
-  // production regime.
-  const bool soa = state.range(0) != 0;
-  const bool intersect = state.range(1) != 0;
-  const bool simd = state.range(2) != 0;
-  ScopedLayout layout(soa);
+  // The headline series: the paper's own gadget instances (arity = 2n + 2,
+  // a wide schema) in the capped production regime.
+  const bool simd = state.range(0) != 0;
   WorkloadOptions options;
   options.size = 12;
   std::vector<Job> jobs = ReductionSweepWorkload(options);
@@ -334,7 +315,6 @@ void BM_LayoutReductionSweep(benchmark::State& state) {
     for (const Job& job : jobs) {
       ChaseConfig config = job.config.base_chase;
       config.max_fires_per_pass = 64;
-      config.use_intersection = intersect;
       config.use_simd = simd;
       ImplicationResult r = ChaseImplies(job.dependencies, job.goal, config);
       benchmark::DoNotOptimize(r.verdict);
@@ -344,24 +324,18 @@ void BM_LayoutReductionSweep(benchmark::State& state) {
     }
   }
   state.counters["jobs"] = static_cast<double>(jobs.size());
-  state.counters["soa"] = soa ? 1 : 0;
-  state.counters["intersect"] = intersect ? 1 : 0;
   state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutReductionSweep)->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
+BENCHMARK(BM_LayoutReductionSweep)->Arg(0)->Arg(1);
 
 void BM_LayoutWideSchema(benchmark::State& state) {
   // The arity sweep's widest point, isolated: two-row join TD over 24
-  // attributes — rows span 96 bytes, so row-major candidate probes touch
-  // two cache lines where a columnar attribute scan touches a fraction of
-  // one.
-  const bool soa = state.range(0) != 0;
-  const bool intersect = state.range(1) != 0;
-  const bool simd = state.range(2) != 0;
-  ScopedLayout layout(soa);
+  // attributes — rows span 96 bytes, so candidate probes touch two cache
+  // lines.
+  const bool simd = state.range(0) != 0;
   const int arity = 24;
   SchemaPtr schema =
       std::make_shared<const Schema>(Schema::Numbered(arity, "X"));
@@ -388,7 +362,6 @@ void BM_LayoutWideSchema(benchmark::State& state) {
     Instance inst = SeedInstance(schema, 10, 3, 11);
     state.ResumeTiming();
     ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-    config.use_intersection = intersect;
     config.use_simd = simd;
     ChaseResult result = RunChase(&inst, deps, config);
     benchmark::DoNotOptimize(result.steps);
@@ -397,23 +370,18 @@ void BM_LayoutWideSchema(benchmark::State& state) {
     hom_candidates = result.hom_candidates;
   }
   state.counters["arity"] = arity;
-  state.counters["soa"] = soa ? 1 : 0;
-  state.counters["intersect"] = intersect ? 1 : 0;
   state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutWideSchema)->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
+BENCHMARK(BM_LayoutWideSchema)->Arg(0)->Arg(1);
 
 void BM_LayoutZigzag(benchmark::State& state) {
   // The fixpoint-heavy closure: many small partition members per pass, rows
   // with 2+ bound positions once the chain is under way — the shape the
-  // multi-list intersection prunes hardest.
-  const bool soa = state.range(0) != 0;
-  const bool intersect = state.range(1) != 0;
-  const bool simd = state.range(2) != 0;
-  ScopedLayout layout(soa);
+  // block filter's multi-position masks serve.
+  const bool simd = state.range(0) != 0;
   const int n = 32;
   SchemaPtr schema = MakeSchema({"A", "B"});
   DependencySet deps;
@@ -438,7 +406,6 @@ void BM_LayoutZigzag(benchmark::State& state) {
     }
     state.ResumeTiming();
     ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-    config.use_intersection = intersect;
     config.use_simd = simd;
     ChaseResult result = RunChase(&inst, deps, config);
     benchmark::DoNotOptimize(result.steps);
@@ -447,26 +414,21 @@ void BM_LayoutZigzag(benchmark::State& state) {
     hom_candidates = result.hom_candidates;
   }
   state.counters["path_length"] = n;
-  state.counters["soa"] = soa ? 1 : 0;
-  state.counters["intersect"] = intersect ? 1 : 0;
   state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutZigzag)->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
+BENCHMARK(BM_LayoutZigzag)->Arg(0)->Arg(1);
 
 void BM_LayoutColumnScan(benchmark::State& state) {
   // Wide-arity column-scan closure: two arity-10 body rows agreeing on the
   // six middle attributes (selectivity 4^-6 per pair), head drawn from both
   // rows so the closure actually fires. Once row 1 is bound, row 2's
   // surviving candidates are found by six equality filters over whole
-  // attribute columns — the block evaluator's home turf. With SoA those are
-  // stride-1/near-contiguous loads; row-major scalar pays a 40-byte row
+  // attribute columns — the block evaluator's home turf, at a 40-byte row
   // stride per probe.
-  const bool soa = state.range(0) != 0;
-  const bool simd = state.range(1) != 0;
-  ScopedLayout layout(soa);
+  const bool simd = state.range(0) != 0;
   const int arity = 10;
   SchemaPtr schema =
       std::make_shared<const Schema>(Schema::Numbered(arity, "X"));
@@ -502,14 +464,12 @@ void BM_LayoutColumnScan(benchmark::State& state) {
     hom_candidates = result.hom_candidates;
   }
   state.counters["arity"] = arity;
-  state.counters["soa"] = soa ? 1 : 0;
-  state.counters["intersect"] = 1;  // default config: intersection stays on
   state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutColumnScan)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_LayoutColumnScan)->Arg(0)->Arg(1);
 
 // ---- Parallel match phase: the threads axis ---------------------------------
 //

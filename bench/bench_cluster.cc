@@ -1,20 +1,15 @@
-// Throughput and tail latency of the multi-process sharded cluster.
+// Crash recovery of the multi-process sharded cluster. (End-to-end cluster
+// throughput and latency are perfbench's `cluster` workload.)
 //
-// BM_ClusterThroughput submits the reduction sweep to a router backed by
-// 1/2/4 real tdworker processes and reports jobs/sec plus the
-// submit→on_complete latency percentiles — the worker axis shows what
-// sharding buys (and on a 1-core container, what it costs: frame codec +
-// socket hops on every job). Every cluster verdict is checked byte-for-byte
-// against an in-process serial reference (identical_to_serial), because a
-// distributed speedup that changes answers is a bug, not a win.
+// BM_ClusterKillOneWorker submits the reduction sweep to a router backed by
+// two real tdworker processes and SIGKILLs one of them mid-run. The
+// interesting numbers are crashes/retries (the recovery machinery actually
+// fired) next to identical_to_serial=1: every cluster verdict is checked
+// byte-for-byte against an in-process serial reference, so the murder must
+// be invisible in the answers.
 //
-// BM_ClusterKillOneWorker is the robustness headline: the same sweep on two
-// workers with one of them SIGKILLed mid-run. The interesting numbers are
-// crashes/retries (the recovery machinery actually fired) next to
-// identical_to_serial=1 (the murder was invisible in the answers).
-//
-// Both benchmarks need the worker binary; point $TDLIB_TDWORKER at
-// build/examples/tdworker (bench/run_benchmarks.sh does this) or they skip.
+// It needs the worker binary; point $TDLIB_TDWORKER at
+// build/examples/tdworker (bench/run_benchmarks.sh does this) or it skips.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -68,11 +63,12 @@ double Percentile(std::vector<double>* sorted_values, double p) {
   return (*sorted_values)[lo] * (1 - frac) + (*sorted_values)[hi] * frac;
 }
 
-/// One sweep through a fresh router; appends per-job latencies, checks
-/// every verdict against the serial reference, and accumulates the run's
-/// stats. `kill_slot` >= 0 SIGKILLs that slot once, mid-run.
-bool RunSweep(const ClusterOptions& options, int kill_slot,
-              std::vector<double>* latencies_us, ClusterStats* totals) {
+/// One sweep through a fresh router with worker slot 0 SIGKILLed once,
+/// mid-run; appends per-job latencies, checks every verdict against the
+/// serial reference, and accumulates the run's stats.
+bool RunSweepKillingOneWorker(const ClusterOptions& options,
+                              std::vector<double>* latencies_us,
+                              ClusterStats* totals) {
   const std::vector<Job>& jobs = SweepJobs();
   ClusterRouter router(options);
 
@@ -91,10 +87,8 @@ bool RunSweep(const ClusterOptions& options, int kill_slot,
     submitted_at[i] = epoch.ElapsedSeconds();
     handles.push_back(router.Submit(jobs[i], submit));
   }
-  if (kill_slot >= 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    router.KillWorker(kill_slot);
-  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  router.KillWorker(0);
 
   bool identical = true;
   for (std::size_t i = 0; i < handles.size(); ++i) {
@@ -120,31 +114,6 @@ bool RunSweep(const ClusterOptions& options, int kill_slot,
   return identical;
 }
 
-void BM_ClusterThroughput(benchmark::State& state) {
-  if (!HaveWorkerBinary()) {
-    state.SkipWithError("TDLIB_TDWORKER not set; build examples first");
-    return;
-  }
-  ClusterOptions options;
-  options.num_workers = static_cast<int>(state.range(0));
-
-  std::vector<double> latencies_us;
-  ClusterStats totals;
-  bool identical = true;
-  for (auto _ : state) {
-    identical = RunSweep(options, /*kill_slot=*/-1, &latencies_us, &totals) &&
-                identical;
-  }
-
-  state.counters["workers"] = static_cast<double>(options.num_workers);
-  state.counters["jobs_per_sec"] = benchmark::Counter(
-      static_cast<double>(totals.completed), benchmark::Counter::kIsRate);
-  state.counters["lat_p50_us"] = Percentile(&latencies_us, 0.50);
-  state.counters["lat_p99_us"] = Percentile(&latencies_us, 0.99);
-  state.counters["identical_to_serial"] = identical ? 1 : 0;
-}
-BENCHMARK(BM_ClusterThroughput)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 void BM_ClusterKillOneWorker(benchmark::State& state) {
   if (!HaveWorkerBinary()) {
     state.SkipWithError("TDLIB_TDWORKER not set; build examples first");
@@ -159,8 +128,8 @@ void BM_ClusterKillOneWorker(benchmark::State& state) {
   ClusterStats totals;
   bool identical = true;
   for (auto _ : state) {
-    identical = RunSweep(options, /*kill_slot=*/0, &latencies_us, &totals) &&
-                identical;
+    identical =
+        RunSweepKillingOneWorker(options, &latencies_us, &totals) && identical;
   }
 
   state.counters["jobs_per_sec"] = benchmark::Counter(

@@ -62,30 +62,22 @@ void RunConfig(benchmark::State& state, bool use_index, bool use_order) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 
-// ---- Data layout axis: {row-major, SoA} x {intersection} x {simd} -----------
+// ---- Matching axis: {scalar, simd} ------------------------------------------
 //
 // Pure match-phase microbenchmark (no chase): enumerate every embedding of
-// the chain query, axes arg1 = columnar store, arg2 = posting-list
-// intersection, arg3 = SIMD block evaluation. `nodes` AND `candidates`
-// must be identical across the whole simd axis and `nodes` across all
-// combos (the contract the chase's parity suites enforce end to end);
-// `candidates` shows what the intersection prunes. Split into
-// BENCH_layout_hom.json by run_benchmarks.sh, which hard-fails on any
-// parity drift.
+// the chain query, arg1 = SIMD block evaluation. `nodes`, `candidates` and
+// `matches` must be identical across the simd axis (the contract the
+// chase's parity suites enforce end to end); run_benchmarks.sh hard-fails
+// on any parity drift.
 void BM_LayoutHomChain(benchmark::State& state) {
   const int tuples = static_cast<int>(state.range(0));
-  const bool soa = state.range(1) != 0;
-  const bool intersect = state.range(2) != 0;
-  const bool simd = state.range(3) != 0;
-  SetDefaultTupleLayout(soa ? TupleLayout::kColumnar
-                            : TupleLayout::kRowMajor);
+  const bool simd = state.range(1) != 0;
   std::uint64_t matches = 0;
   std::uint64_t nodes = 0;
   std::uint64_t candidates = 0;
   {
     Workload w(tuples, std::max(2, tuples / 4), 1234);
     HomSearchOptions options;
-    options.use_intersection = intersect;
     options.use_simd = simd;
     for (auto _ : state) {
       HomomorphismSearch search(w.query, w.instance, options);
@@ -99,35 +91,25 @@ void BM_LayoutHomChain(benchmark::State& state) {
       benchmark::DoNotOptimize(matches);
     }
   }
-  SetDefaultTupleLayout(TupleLayout::kRowMajor);
   state.counters["tuples"] = tuples;
-  state.counters["soa"] = soa ? 1 : 0;
-  state.counters["intersect"] = intersect ? 1 : 0;
   state.counters["simd"] = simd ? 1 : 0;
   state.counters["matches"] = static_cast<double>(matches);
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["candidates"] = static_cast<double>(candidates);
 }
-BENCHMARK(BM_LayoutHomChain)
-    ->ArgsProduct({{256, 1024}, {0, 1}, {0, 1}, {0, 1}});
+BENCHMARK(BM_LayoutHomChain)->ArgsProduct({{256, 1024}, {0, 1}});
 
 // ---- Wide-arity column scan: the workload the SIMD block filter targets -----
 //
 // Arity-10 schema, two-row query sharing SIX high-selectivity positions,
 // index off: every candidate for the second row is evaluated against six
 // bound positions over the full tuple range — consecutive ids, so the
-// block evaluator reads each attribute as a strided column (stride 1 when
-// SoA). This is the series that finally separates the layouts:
-// soa=1,simd=1 streams 64 candidates per column compare out of contiguous
-// slabs, while soa=0,simd=0 walks 40-byte-apart rows tuple by tuple. The
-// acceptance target is soa1/simd1 >= 1.5x over soa0/simd0; `nodes`,
-// `candidates` and `matches` must not move on any axis.
+// block evaluator reads each attribute as a strided column, 64 candidates
+// per compare, where simd=0 walks 40-byte-apart rows tuple by tuple.
+// `nodes`, `candidates` and `matches` must not move on the simd axis.
 void BM_LayoutHomColumnScan(benchmark::State& state) {
   const int tuples = static_cast<int>(state.range(0));
-  const bool soa = state.range(1) != 0;
-  const bool simd = state.range(2) != 0;
-  SetDefaultTupleLayout(soa ? TupleLayout::kColumnar
-                            : TupleLayout::kRowMajor);
+  const bool simd = state.range(1) != 0;
   std::uint64_t matches = 0;
   std::uint64_t nodes = 0;
   std::uint64_t candidates = 0;
@@ -174,16 +156,13 @@ void BM_LayoutHomColumnScan(benchmark::State& state) {
       benchmark::DoNotOptimize(matches);
     }
   }
-  SetDefaultTupleLayout(TupleLayout::kRowMajor);
   state.counters["tuples"] = tuples;
-  state.counters["soa"] = soa ? 1 : 0;
-  state.counters["intersect"] = 0;  // no index, nothing to intersect
   state.counters["simd"] = simd ? 1 : 0;
   state.counters["matches"] = static_cast<double>(matches);
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["candidates"] = static_cast<double>(candidates);
 }
-BENCHMARK(BM_LayoutHomColumnScan)->ArgsProduct({{1024, 4096}, {0, 1}, {0, 1}});
+BENCHMARK(BM_LayoutHomColumnScan)->ArgsProduct({{1024, 4096}, {0, 1}});
 
 void BM_HomIndexedOrdered(benchmark::State& state) {
   RunConfig(state, true, true);

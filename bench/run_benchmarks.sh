@@ -1,29 +1,28 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite and leaves machine-readable perf records
-# (BENCH_engine.json, BENCH_chase.json, BENCH_chase_parallel.json,
-# BENCH_service.json, BENCH_layout.json, BENCH_layout_hom.json,
-# BENCH_cache.json, BENCH_cluster.json) so successive PRs accumulate a
-# throughput trajectory.
+# (BENCH_chase.json, BENCH_chase_parallel.json, BENCH_cache.json,
+# BENCH_cluster.json) so successive PRs accumulate a trajectory of the
+# deterministic counters and isolated kernels. End-to-end throughput and
+# latency are perfbench's (perfbench/README.md).
 #
-#   bench/run_benchmarks.sh [build-dir] [engine-out.json] [chase-out.json] \
-#                           [chase-parallel-out.json] [service-out.json] \
-#                           [layout-out.json] [layout-hom-out.json] \
-#                           [cache-out.json] [cluster-out.json]
+#   bench/run_benchmarks.sh [build-dir] [chase-out.json] \
+#                           [chase-parallel-out.json] [cache-out.json] \
+#                           [cluster-out.json]
 #
-# The build dir must already contain bench/bench_batch_engine,
-# bench/bench_chase, bench/bench_homomorphism and bench/bench_service
+# The build dir must already contain bench/bench_chase,
+# bench/bench_homomorphism, bench/bench_cache and bench/bench_cluster
 # (configure with -DTDLIB_BUILD_BENCHMARKS=ON, the default, and build).
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-ENGINE_OUT="${2:-BENCH_engine.json}"
-CHASE_OUT="${3:-BENCH_chase.json}"
-CHASE_PARALLEL_OUT="${4:-BENCH_chase_parallel.json}"
-SERVICE_OUT="${5:-BENCH_service.json}"
-LAYOUT_OUT="${6:-BENCH_layout.json}"
-LAYOUT_HOM_OUT="${7:-BENCH_layout_hom.json}"
-CACHE_OUT="${8:-BENCH_cache.json}"
-CLUSTER_OUT="${9:-BENCH_cluster.json}"
+CHASE_OUT="${2:-BENCH_chase.json}"
+CHASE_PARALLEL_OUT="${3:-BENCH_chase_parallel.json}"
+CACHE_OUT="${4:-BENCH_cache.json}"
+CLUSTER_OUT="${5:-BENCH_cluster.json}"
+# The match-phase simd-axis cells are a parity gate only, not a record.
+SCRATCH_DIR="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH_DIR"' EXIT
+HOM_OUT="$SCRATCH_DIR/bench_homomorphism.json"
 
 # Stamps a bench JSON with provenance metadata (git sha, UTC date, host
 # thread count) under a "tdlib_meta" key, so the BENCH_* trajectory stays
@@ -78,29 +77,20 @@ run_bench() {
   echo "wrote $out"
 }
 
-run_bench "$BUILD_DIR/bench/bench_batch_engine" "$ENGINE_OUT"
-# One binary, three records: the serial naive-vs-delta series, the
-# BM_ChaseParallel* threads-axis series, and the BM_Layout* data-layout axis
-# ({row-major, SoA} x {single-list, intersection} x {scalar, simd}), each
-# tracked as its own trajectory.
-run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" \
-  '-(BM_ChaseParallel|BM_Layout)'
+# One binary, two records: the serial series (naive-vs-delta, observability
+# and the BM_Layout* scalar-vs-simd matching axis; five repetitions, so wall
+# times carry a median and cv) and the BM_ChaseParallel* threads axis.
+run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" '-BM_ChaseParallel' 5
 run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_PARALLEL_OUT" \
   'BM_ChaseParallel'
-run_bench "$BUILD_DIR/bench/bench_chase" "$LAYOUT_OUT" 'BM_Layout'
-# The pure match-phase view of the same layout axis (no chase around it).
-run_bench "$BUILD_DIR/bench/bench_homomorphism" "$LAYOUT_HOM_OUT" \
-  'BM_LayoutHom'
-# The service API record: submit-to-complete latency percentiles at pool
-# widths 1/2/4/8, plus the escalation-resume wall-time series.
-run_bench "$BUILD_DIR/bench/bench_service" "$SERVICE_OUT"
+# The pure match-phase view of the same simd axis (no chase around it).
+run_bench "$BUILD_DIR/bench/bench_homomorphism" "$HOM_OUT" 'BM_LayoutHom'
 # The result-cache record: raw LRU probe cost and the cold-vs-warm sweep
 # (acceptance target: warm >= 10x cold, byte-identical to serial). Five
 # repetitions, so fp_us_per_job and the sweep rates carry a median and cv.
 run_bench "$BUILD_DIR/bench/bench_cache" "$CACHE_OUT" "" 5
-# The sharded-cluster record: sweep throughput + latency percentiles over
-# 1/2/4 real worker processes, and the kill-one-worker recovery leg. Needs
-# the tdworker binary (built with the examples).
+# The sharded-cluster record: the kill-one-worker recovery leg. Needs the
+# tdworker binary (built with the examples).
 export TDLIB_TDWORKER="$BUILD_DIR/examples/tdworker"
 run_bench "$BUILD_DIR/bench/bench_cluster" "$CLUSTER_OUT"
 
@@ -112,23 +102,30 @@ if ! command -v python3 > /dev/null; then
   echo "python3 not found; skipping recap + parity check"
   exit 0
 fi
-python3 - "$ENGINE_OUT" "$CHASE_OUT" "$CHASE_PARALLEL_OUT" "$SERVICE_OUT" \
-  "$LAYOUT_OUT" "$LAYOUT_HOM_OUT" "$CACHE_OUT" "$CLUSTER_OUT" <<'EOF'
+python3 - "$CHASE_OUT" "$CHASE_PARALLEL_OUT" "$HOM_OUT" "$CACHE_OUT" \
+  "$CLUSTER_OUT" <<'EOF'
 import json, sys
 
-data = json.load(open(sys.argv[1]))
-for b in data.get("benchmarks", []):
-    jps = b.get("jobs_per_sec")
-    if jps is not None:
-        ident = b.get("identical_to_serial")
-        suffix = "" if ident is None else f"  identical_to_serial={int(ident)}"
-        print(f"{b['name']:<55} {jps:10.1f} jobs/s{suffix}")
+# Repeated records hold one row per repetition plus mean/median/stddev/cv
+# aggregate rows. Counters are read from the repetition rows (every one of
+# them must agree for the deterministic ones); wall times from the median
+# row when there is one.
+def repetition_rows(data):
+    return [b for b in data.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"]
+
+def median_time(data, run):
+    for b in data.get("benchmarks", []):
+        if (b.get("aggregate_name") == "median"
+                and b.get("run_name") == run.get("run_name")):
+            return b["real_time"]
+    return run["real_time"]
 
 # Chase recap: pair each delta series with its naive twin (same family and
 # same non-mode counters) and report the hom-search node reduction.
-chase = json.load(open(sys.argv[2]))
+chase = json.load(open(sys.argv[1]))
 by_key = {}
-for b in chase.get("benchmarks", []):
+for b in repetition_rows(chase):
     if "hom_nodes" not in b:
         continue
     key = tuple(sorted((k, v) for k, v in b.items()
@@ -148,10 +145,10 @@ for (family, key), modes in sorted(by_key.items()):
 # (fired_steps/hom_nodes identical with observability on and off) is a hard
 # failure — the layer must measure the chase, never steer it. The wall-time
 # overhead is the <2% acceptance headline; it is printed (with a WARN past
-# the bar) but not gated here, because single-repetition wall times on a
-# shared CI box are too noisy for a hard perf gate.
+# the bar) but not gated here, because wall times on a shared CI box are
+# too noisy for a hard perf gate.
 obs_modes = {}
-for b in chase.get("benchmarks", []):
+for b in repetition_rows(chase):
     if b["name"].split("/")[0] == "BM_ChaseObservability":
         obs_modes[int(b.get("observe", 0))] = b
 if 0 in obs_modes and 1 in obs_modes:
@@ -162,18 +159,18 @@ if 0 in obs_modes and 1 in obs_modes:
             obs_ok = False
             print(f"  PARITY VIOLATION BM_ChaseObservability: {field} "
                   f"{off.get(field)} != {on.get(field)}")
-    overhead = (on["real_time"] / off["real_time"] - 1) * 100 \
-        if off["real_time"] else 0.0
+    off_time, on_time = median_time(chase, off), median_time(chase, on)
+    overhead = (on_time / off_time - 1) * 100 if off_time else 0.0
     flag = "" if overhead < 2.0 else "  WARN: above 2% bar"
-    print(f"observability overhead: off {off['real_time'] / 1e6:.2f}ms -> "
-          f"on {on['real_time'] / 1e6:.2f}ms ({overhead:+.2f}%){flag}")
+    print(f"observability overhead: off {off_time / 1e6:.2f}ms -> "
+          f"on {on_time / 1e6:.2f}ms ({overhead:+.2f}%){flag}")
     if not obs_ok:
         sys.exit(1)
 
 # Parallel recap: per family, wall time vs threads (threads=0 = serial
 # fallback) plus a hard determinism check — fired_steps/hom_nodes must be
 # identical along the whole threads axis.
-par = json.load(open(sys.argv[3]))
+par = json.load(open(sys.argv[2]))
 groups = {}
 for b in par.get("benchmarks", []):
     if "threads" not in b:
@@ -206,7 +203,7 @@ if not ok:
 # fp_us_per_job are the medians over the repetitions, with their cv. The 10x
 # warm speedup target prints a WARN when missed but does not gate (wall
 # times on a shared box are too noisy for a hard perf gate).
-cache = json.load(open(sys.argv[7]))
+cache = json.load(open(sys.argv[4]))
 sweep_runs, sweep_median, sweep_cv = {}, {}, {}
 for b in cache.get("benchmarks", []):
     if b["name"].split("/")[0] != "BM_CacheWarmSweep":
@@ -239,96 +236,60 @@ if 0 in sweep_runs and 1 in sweep_runs:
     if not cache_ok:
         sys.exit(1)
 
-# Layout recap: per family, wall time across the {soa, intersect, simd}
-# combos, plus a HARD parity check — fired_steps and hom_nodes must be
-# identical along all three axes (the layout is physical, the intersection
-# is node-invariant, the SIMD block evaluator is byte-invariant), and the
-# pruning counter (hom_candidates / candidates) must be identical along the
-# SIMD axis specifically: it legitimately drops under intersection, but the
-# scalar and block evaluators must count the exact same candidates. The
-# baseline cell is the lexicographically smallest combo present (row-major,
-# scalar first), and the *ColumnScan families print the acceptance headline:
-# soa=1,simd=1 over soa=0,simd=0, target >= 1.5x (WARN only — single-rep
-# wall times are too noisy for a hard perf gate; the parity checks are the
-# hard failures).
-def check_layout(path, wall_key, parity_fields, prune_field):
-    data = json.load(open(path))
+# Matching-axis recap: per BM_Layout* family, wall time with the SIMD block
+# evaluator off and on, plus a HARD parity check — the block evaluator is
+# byte-invariant, so every listed counter must be identical, repetition by
+# repetition, along the simd axis. Speedups print only; wall times on a
+# shared box are too noisy for a hard perf gate.
+def check_simd_axis(data, parity_fields):
     groups = {}
-    for b in data.get("benchmarks", []):
-        if "soa" not in b or "intersect" not in b:
+    for b in repetition_rows(data):
+        if "simd" not in b:
             continue
         key = (b["name"].split("/")[0],
                tuple(sorted((k, v) for k, v in b.items()
                             if k in ("jobs", "arity", "path_length",
                                      "tuples"))))
-        combo = (int(b["soa"]), int(b["intersect"]), int(b.get("simd", 0)))
-        groups.setdefault(key, {})[combo] = b
+        groups.setdefault(key, {}).setdefault(int(b["simd"]), []).append(b)
     all_ok = True
-    for (family, key), combos in sorted(groups.items()):
-        base_combo = min(combos)
-        base = combos[base_combo]
+    for (family, key), cells in sorted(groups.items()):
         extras = " ".join(f"{k}={int(v)}" for k, v in key)
-        cells = []
-        for (soa, inter, simd), b in sorted(combos.items()):
-            speed = base[wall_key] / b[wall_key] if b[wall_key] else 0
-            cells.append(f"s{soa}i{inter}v{simd}="
-                         f"{b[wall_key] / 1e6:.2f}ms({speed:.2f}x)")
+        rows = [b for simd in sorted(cells) for b in cells[simd]]
+        for b in rows[1:]:
             for field in parity_fields:
-                if b.get(field) != base.get(field):
+                if b.get(field) != rows[0].get(field):
                     all_ok = False
-                    print(f"  PARITY VIOLATION {family} soa={soa} "
-                          f"intersect={inter} simd={simd}: {field} "
-                          f"{base.get(field)} != {b.get(field)}")
-            twin = combos.get((soa, inter, 1 - simd))
-            if twin is not None and b.get(prune_field) != twin.get(prune_field):
-                all_ok = False
-                print(f"  PARITY VIOLATION {family} soa={soa} "
-                      f"intersect={inter}: {prune_field} differs across the "
-                      f"simd axis ({twin.get(prune_field)} != "
-                      f"{b.get(prune_field)})")
-        prune = 0.0
-        with_int = combos.get((0, 1, base_combo[2]))
-        if base_combo[1] == 0 and with_int and with_int.get(prune_field):
-            prune = base.get(prune_field, 0) / with_int[prune_field]
-        print(f"{family:<26} {extras:<16} {' '.join(cells)}  "
-              f"{prune_field} pruned {prune:.1f}x")
-        if "ColumnScan" in family:
-            slow = next((b for c, b in sorted(combos.items())
-                         if c[0] == 0 and c[2] == 0), None)
-            fast = next((b for c, b in sorted(combos.items())
-                         if c[0] == 1 and c[2] == 1), None)
-            if slow and fast and fast[wall_key]:
-                ratio = slow[wall_key] / fast[wall_key]
-                flag = "" if ratio >= 1.5 else "  WARN: below 1.5x target"
-                print(f"  column-scan headline {family} {extras}: "
-                      f"soa+simd {ratio:.2f}x over row-major scalar{flag}")
+                    print(f"  PARITY VIOLATION {family} {extras} "
+                          f"simd={int(b['simd'])}: {field} "
+                          f"{rows[0].get(field)} != {b.get(field)}")
+        if 0 in cells and 1 in cells:
+            scalar = median_time(data, cells[0][0])
+            simd = median_time(data, cells[1][0])
+            speed = scalar / simd if simd else 0.0
+            print(f"{family:<26} {extras:<16} scalar {scalar / 1e6:.2f}ms "
+                  f"-> simd {simd / 1e6:.2f}ms ({speed:.2f}x)")
     return all_ok
 
-layout_ok = check_layout(sys.argv[5], "real_time",
-                         ("fired_steps", "hom_nodes"), "hom_candidates")
-layout_ok = check_layout(sys.argv[6], "real_time",
-                         ("matches", "nodes"), "candidates") and layout_ok
-if not layout_ok:
+simd_ok = check_simd_axis(chase, ("fired_steps", "hom_nodes",
+                                  "hom_candidates"))
+simd_ok = check_simd_axis(json.load(open(sys.argv[3])),
+                          ("matches", "nodes", "candidates")) and simd_ok
+if not simd_ok:
     sys.exit(1)
 
-# Cluster recap: sweep throughput/p99 along the worker axis and the
-# kill-one-worker leg. Byte-identity with the serial reference is the HARD
-# check on every row — the throughput numbers are informational (on a
-# shared 1-core box the worker axis mostly measures socket overhead), but a
-# cluster that answers differently from the serial solver is broken.
-cluster = json.load(open(sys.argv[8]))
+# Cluster recap: the kill-one-worker leg. Byte-identity with the serial
+# reference is the HARD check — a cluster that answers differently from the
+# serial solver after a crash is broken.
+cluster = json.load(open(sys.argv[5]))
 cluster_ok = True
 for b in cluster.get("benchmarks", []):
     if "identical_to_serial" not in b:
         continue
-    name = b["name"].split("/")[0]
-    extra = ""
-    if name == "BM_ClusterKillOneWorker":
-        extra = (f"  crashes={b.get('crashes', 0):.0f}"
-                 f" retries={b.get('retries', 0):.0f}")
     print(f"{b['name']:<40} {b.get('jobs_per_sec', 0):8.1f} jobs/s "
           f"p99={b.get('lat_p99_us', 0) / 1e3:8.2f}ms"
-          f"  identical_to_serial={int(b['identical_to_serial'])}{extra}")
+          f"  identical_to_serial={int(b['identical_to_serial'])}"
+          f"  crashes={b.get('crashes', 0):.0f}"
+          f" retries={b.get('retries', 0):.0f}")
     if int(b["identical_to_serial"]) != 1:
         cluster_ok = False
         print(f"  PARITY VIOLATION {b['name']}: cluster verdicts diverge "
@@ -336,27 +297,4 @@ for b in cluster.get("benchmarks", []):
 if not cluster_ok:
     sys.exit(1)
 
-# Service recap: the latency-percentile series per pool width, then the
-# escalation-resume pair (identical chase_steps is the parity signal; the
-# wall-time ratio is what resume buys).
-svc = json.load(open(sys.argv[4]))
-resume_modes = {}
-for b in svc.get("benchmarks", []):
-    name = b["name"].split("/")[0]
-    if name == "BM_ServiceLatency":
-        print(f"{b['name']:<40} p50={b['lat_p50_us'] / 1e3:8.2f}ms "
-              f"p90={b['lat_p90_us'] / 1e3:8.2f}ms "
-              f"p99={b['lat_p99_us'] / 1e3:8.2f}ms "
-              f"({b['jobs_per_sec']:.1f} jobs/s)")
-    elif name == "BM_ServiceEscalationResume":
-        resume_modes[int(b["use_resume"])] = b
-if 0 in resume_modes and 1 in resume_modes:
-    off, on = resume_modes[0], resume_modes[1]
-    ratio = off["real_time"] / on["real_time"] if on["real_time"] else 0
-    same = off.get("chase_steps") == on.get("chase_steps")
-    print(f"escalation-resume: rerun {off['real_time'] / 1e6:.1f}ms -> "
-          f"resume {on['real_time'] / 1e6:.1f}ms ({ratio:.2f}x), "
-          f"chase_steps parity={'OK' if same else 'VIOLATION'}")
-    if not same:
-        sys.exit(1)
 EOF

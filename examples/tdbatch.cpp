@@ -28,12 +28,6 @@
 //   --naive-chase     disable delta-driven matching (ablation baseline;
 //                     verdicts are identical, the chase just re-matches
 //                     the whole instance every pass)
-//   --layout=NAME     tuple-store layout: row (default) or soa/columnar —
-//                     per-attribute component slabs; physical only, every
-//                     result byte is identical (see README "Data layout")
-//   --no-intersect    scan the single shortest posting list per row instead
-//                     of intersecting all bound-position lists (ablation
-//                     baseline; node-for-node identical searches)
 //   --no-simd         evaluate candidates tuple-by-tuple instead of with
 //                     the util/simd.h block kernels (ablation baseline;
 //                     every counter and result byte is identical — see
@@ -99,7 +93,6 @@
 #include "engine/batch_solver.h"
 #include "engine/service.h"
 #include "engine/workload.h"
-#include "logic/tuple_store.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/strings.h"
@@ -136,7 +129,6 @@ int Usage() {
                "               [--seed=N] [--threads=N] [--rounds=N]\n"
                "               [--chase-steps=N] [--max-tuples=N]\n"
                "               [--deadline=S] [--stream] [--naive-chase]\n"
-               "               [--layout=row|soa] [--no-intersect]\n"
                "               [--no-simd] [--no-auto-burst] [--serial-chase]\n"
                "               [--no-resume] [--cache[=BYTES]] [--no-cache]\n"
                "               [--cache-file=PATH] [--stop-on-refutation]\n"
@@ -193,17 +185,6 @@ int RunBatch(int argc, char** argv) {
         stream = true;
       } else if (arg == "--naive-chase") {
         workload.solver.base_chase.use_delta = false;
-      } else if (StartsWith(arg, "--layout=")) {
-        std::string layout = arg.substr(9);
-        if (layout == "row" || layout == "row-major") {
-          SetDefaultTupleLayout(TupleLayout::kRowMajor);
-        } else if (layout == "soa" || layout == "columnar") {
-          SetDefaultTupleLayout(TupleLayout::kColumnar);
-        } else {
-          return Usage();
-        }
-      } else if (arg == "--no-intersect") {
-        workload.solver.base_chase.use_intersection = false;
       } else if (arg == "--no-simd") {
         workload.solver.base_chase.use_simd = false;
       } else if (arg == "--no-auto-burst") {

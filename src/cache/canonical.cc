@@ -52,7 +52,7 @@ class CanonicalEncoder {
     Field(chase.max_fires_per_pass, ' ');
     Field(chase.auto_burst ? 1 : 0, ' ');
     Field(chase.match_slice_ids, ' ');
-    Field(chase.use_intersection ? 1 : 0, ' ');
+    Field(1, ' ');  // the retired intersection flag: keeps old fingerprints
     Field(chase.use_simd ? 1 : 0, ' ');
     Field(cex.max_tuples, ' ');
     Field(cex.max_candidates, '\n');

@@ -29,8 +29,6 @@ struct ChaseMetrics {
   Counter* steps;
   Counter* hom_nodes;
   Counter* hom_candidates;
-  Counter* intersections;
-  Counter* intersect_skips;
   Counter* match_tasks;
   Counter* checkpoints;
   Histogram* match_seconds;
@@ -46,8 +44,6 @@ ChaseMetrics& GetChaseMetrics() {
     cm->steps = r.GetCounter("chase.steps");
     cm->hom_nodes = r.GetCounter("chase.hom_nodes");
     cm->hom_candidates = r.GetCounter("chase.hom_candidates");
-    cm->intersections = r.GetCounter("chase.intersections");
-    cm->intersect_skips = r.GetCounter("chase.intersect_skips");
     cm->match_tasks = r.GetCounter("chase.match_tasks");
     cm->checkpoints = r.GetCounter("chase.checkpoints_taken");
     cm->match_seconds = r.GetHistogram("chase.match_seconds",
@@ -610,10 +606,6 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         m.hom_nodes->Add(static_cast<std::int64_t>(match_stats.nodes));
         m.hom_candidates->Add(
             static_cast<std::int64_t>(match_stats.candidates));
-        m.intersections->Add(
-            static_cast<std::int64_t>(match_stats.intersections));
-        m.intersect_skips->Add(
-            static_cast<std::int64_t>(match_stats.intersect_skips));
         m.match_seconds->Observe(match_elapsed);
       }
       if (match_stats.budget_hit) {
@@ -733,10 +725,6 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         m.hom_nodes->Add(static_cast<std::int64_t>(fire_stats.nodes));
         m.hom_candidates->Add(
             static_cast<std::int64_t>(fire_stats.candidates));
-        m.intersections->Add(
-            static_cast<std::int64_t>(fire_stats.intersections));
-        m.intersect_skips->Add(
-            static_cast<std::int64_t>(fire_stats.intersect_skips));
         m.fire_seconds->Observe(fire_elapsed);
       }
     };
@@ -878,7 +866,6 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
       max_fires_per_pass != config.max_fires_per_pass ||
       auto_burst != config.auto_burst ||
       match_slice_ids != config.match_slice_ids ||
-      use_intersection != config.use_intersection ||
       record_trace != config.record_trace ||
       eager_goal_check != config.eager_goal_check ||
       hom_max_nodes != config.hom_max_nodes) {
@@ -937,7 +924,6 @@ void ChaseCheckpoint::CaptureShape(const ChaseConfig& config) {
   max_fires_per_pass = config.max_fires_per_pass;
   auto_burst = config.auto_burst;
   match_slice_ids = config.match_slice_ids;
-  use_intersection = config.use_intersection;
   record_trace = config.record_trace;
   eager_goal_check = config.eager_goal_check;
   hom_max_nodes = config.hom_max_nodes;
@@ -988,11 +974,12 @@ bool ReadValuation(std::istream& is, Valuation* v) {
   return true;
 }
 
-// Bumped from tdckpt1 when the format gained fire_cap_this_pass,
-// hom_candidates and the match-strategy shape fields (auto_burst,
-// match_slice_ids, use_intersection); tdckpt1 files are rejected rather
-// than resumed under the wrong shape.
-constexpr char kCheckpointMagic[] = "tdckpt2";
+// tdckpt2 added fire_cap_this_pass, hom_candidates and the match-strategy
+// shape fields (auto_burst, match_slice_ids). tdckpt3 dropped the shape
+// flag of the removed candidate intersection: a tdckpt2 hom_candidates total
+// may have been counted with intersection on, so older files are rejected
+// rather than resumed with a counter no uninterrupted run would produce.
+constexpr char kCheckpointMagic[] = "tdckpt3";
 
 }  // namespace
 
@@ -1005,8 +992,8 @@ void ChaseCheckpoint::Serialize(std::ostream& os) const {
      << ' ' << match_tasks << ' ' << carried_passes << '\n';
   os << (use_delta ? 1 : 0) << ' ' << max_fires_per_pass << ' '
      << (auto_burst ? 1 : 0) << ' ' << match_slice_ids << ' '
-     << (use_intersection ? 1 : 0) << ' ' << (record_trace ? 1 : 0) << ' '
-     << (eager_goal_check ? 1 : 0) << ' ' << hom_max_nodes << '\n';
+     << (record_trace ? 1 : 0) << ' ' << (eager_goal_check ? 1 : 0) << ' '
+     << hom_max_nodes << '\n';
   os << pending.size() << '\n';
   for (const PendingChaseStep& step : pending) {
     os << step.dep_index << '\n';
@@ -1035,21 +1022,18 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   ChaseCheckpoint ckpt;
   if (valid_flag == 0) return ckpt;  // an empty (non-resumable) checkpoint
   ckpt.valid = true;
-  int use_delta_flag, auto_burst_flag, intersect_flag, record_trace_flag,
-      eager_flag;
+  int use_delta_flag, auto_burst_flag, record_trace_flag, eager_flag;
   std::size_t num_pending, num_trace;
   if (!(is >> ckpt.delta_begin >> ckpt.fired_this_pass >>
         ckpt.fire_cap_this_pass >> ckpt.steps >> ckpt.passes >>
         ckpt.hom_nodes >> ckpt.hom_candidates >> ckpt.match_tasks >>
         ckpt.carried_passes >> use_delta_flag >> ckpt.max_fires_per_pass >>
-        auto_burst_flag >> ckpt.match_slice_ids >> intersect_flag >>
-        record_trace_flag >> eager_flag >> ckpt.hom_max_nodes >>
-        num_pending)) {
+        auto_burst_flag >> ckpt.match_slice_ids >> record_trace_flag >>
+        eager_flag >> ckpt.hom_max_nodes >> num_pending)) {
     return corrupt("truncated counters/shape block");
   }
   ckpt.use_delta = use_delta_flag != 0;
   ckpt.auto_burst = auto_burst_flag != 0;
-  ckpt.use_intersection = intersect_flag != 0;
   ckpt.record_trace = record_trace_flag != 0;
   ckpt.eager_goal_check = eager_flag != 0;
   // Same untrusted-count discipline as ReadIntVec: append, never resize.

@@ -89,18 +89,12 @@ struct ChaseConfig {
   /// status — stay byte-identical at any thread count, serial included.
   std::uint64_t match_slice_ids = 4096;
 
-  /// Intersect all bound-position posting lists when picking a row's
-  /// candidates (HomSearchOptions::use_intersection). Node-for-node
-  /// identical searches; only candidate filtering work and wall time move.
-  /// Off = the single-list ablation baseline.
-  bool use_intersection = true;
-
   /// Block-at-a-time candidate evaluation with the util/simd.h kernels
-  /// (HomSearchOptions::use_simd). Unlike use_intersection this is NOT
-  /// checkpoint shape: it leaves every counter — hom_nodes AND
-  /// hom_candidates — and every output byte identical, so a checkpoint
-  /// taken with it on resumes with it off (and vice versa) without a
-  /// format bump. Off = the scalar ablation baseline (tdbatch --no-simd).
+  /// (HomSearchOptions::use_simd). This is NOT checkpoint shape: it leaves
+  /// every counter — hom_nodes AND hom_candidates — and every output byte
+  /// identical, so a checkpoint taken with it on resumes with it off (and
+  /// vice versa) without a format bump. Off = the scalar ablation baseline
+  /// (tdbatch --no-simd).
   bool use_simd = true;
 
   /// Optional thread pool for the matching phase. Each pass's match tasks —
@@ -133,7 +127,6 @@ struct ChaseConfig {
   HomSearchOptions HomOptions() const {
     HomSearchOptions o;
     o.max_nodes = hom_max_nodes;
-    o.use_intersection = use_intersection;
     o.use_simd = use_simd;
     return o;
   }
@@ -167,9 +160,7 @@ struct ChaseResult {
   std::uint64_t passes = 0;         ///< full scans over the dependency set
   std::uint64_t hom_nodes = 0;      ///< total homomorphism search nodes
   std::uint64_t hom_candidates = 0; ///< candidate tuples tried across all
-                                    ///  searches (what intersection prunes;
-                                    ///  unlike hom_nodes it is NOT invariant
-                                    ///  across use_intersection modes)
+                                    ///  searches (what the index prunes)
   std::uint64_t match_tasks = 0;    ///< match-phase tasks (parallel units)
   std::uint64_t carried_passes = 0; ///< passes entered with carried pending
                                     ///  steps (burst-cap backlog re-checks)
@@ -238,14 +229,13 @@ struct ChaseCheckpoint {
   // Resuming under a different shape would diverge from an uninterrupted
   // run; ResumableWith refuses and the caller starts fresh instead. The
   // match-strategy knobs are shape too: auto_burst moves pass boundaries
-  // (like max_fires_per_pass), and match_slice_ids / use_intersection —
-  // though invisible in the chase's output bytes — change the cumulative
-  // counters, which a resumed run must reproduce exactly.
+  // (like max_fires_per_pass), and match_slice_ids — though invisible in
+  // the chase's output bytes — changes the cumulative counters, which a
+  // resumed run must reproduce exactly.
   bool use_delta = true;
   std::uint64_t max_fires_per_pass = 0;
   bool auto_burst = false;
   std::uint64_t match_slice_ids = 0;
-  bool use_intersection = true;
   bool record_trace = false;
   bool eager_goal_check = true;
   std::uint64_t hom_max_nodes = 0;

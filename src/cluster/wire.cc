@@ -16,7 +16,7 @@
 namespace tdlib {
 namespace {
 
-constexpr char kMagic[4] = {'T', 'D', 'F', '1'};
+constexpr char kMagic[4] = {'T', 'D', 'F', '2'};
 
 template <typename T>
 Result<T> Corrupt(const std::string& what) {
@@ -200,8 +200,7 @@ void EncodeConfig(const DualSolverConfig& config, std::ostream& os) {
      << (chase.record_trace ? 1 : 0) << ' ' << (chase.eager_goal_check ? 1 : 0)
      << ' ' << (chase.use_delta ? 1 : 0) << ' ' << chase.max_fires_per_pass
      << ' ' << (chase.auto_burst ? 1 : 0) << ' ' << chase.match_slice_ids
-     << ' ' << (chase.use_intersection ? 1 : 0) << ' '
-     << (chase.use_simd ? 1 : 0) << ' ' << cex.max_tuples << ' '
+     << ' ' << (chase.use_simd ? 1 : 0) << ' ' << cex.max_tuples << ' '
      << cex.max_candidates << ' ' << cex.deadline_seconds << '\n';
 }
 
@@ -219,7 +218,6 @@ bool DecodeConfig(PayloadReader* in, DualSolverConfig* config) {
          in->ReadU64(&chase.max_fires_per_pass) &&
          in->ReadBool(&chase.auto_burst) &&
          in->ReadU64(&chase.match_slice_ids) &&
-         in->ReadBool(&chase.use_intersection) &&
          in->ReadBool(&chase.use_simd) && in->ReadInt(&cex.max_tuples) &&
          in->ReadU64(&cex.max_candidates) &&
          in->ReadDouble(&cex.deadline_seconds);

@@ -2,7 +2,8 @@
 //
 // The router and its worker processes exchange self-delimiting frames:
 //
-//   bytes 0..3   magic "TDF1"
+//   bytes 0..3   magic "TDF2" (TDF1 carried the retired intersection flag
+//                in the job config line; a TDF1 peer fails at the header)
 //   byte  4      frame type (FrameType)
 //   bytes 5..7   reserved, must be zero
 //   bytes 8..11  payload length, little-endian (capped at kMaxFramePayload)

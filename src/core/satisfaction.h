@@ -36,9 +36,8 @@ struct SatisfactionResult {
   /// Total search nodes across body and head searches.
   std::uint64_t nodes = 0;
 
-  /// Candidate tuples tried across all searches. Unlike `nodes` this is NOT
-  /// invariant under HomSearchOptions::use_intersection — it is exactly the
-  /// per-candidate filtering work the posting-list intersection prunes.
+  /// Candidate tuples tried across all searches: the per-candidate
+  /// filtering work left after the posting-list index.
   std::uint64_t candidates = 0;
 };
 

@@ -2,10 +2,10 @@
 // per axis variant, each compared under its invariance class.
 //
 // Reference shape (the configuration every byte-identity promise is stated
-// against): delta matching, serial, row-major layout, intersection + SIMD
-// on, no auto-burst, trace recording on, pure step/tuple budgets (no
-// deadline, no per-search node budget — the two knobs documented to void
-// cross-mode identity by stopping searches mid-stream).
+// against): delta matching, serial, SIMD on, no auto-burst, trace recording
+// on, pure step/tuple budgets (no deadline, no per-search node budget — the
+// two knobs documented to void cross-mode identity by stopping searches
+// mid-stream).
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,7 +16,6 @@
 #include "engine/service.h"
 #include "engine/thread_pool.h"
 #include "fuzz/fuzz.h"
-#include "logic/tuple_store.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 
@@ -108,18 +107,6 @@ class FlipGuard {
   bool active_;
 };
 
-// Restores the process-global default tuple layout on scope exit (the
-// layout axis flips it; leaking kColumnar would contaminate every later
-// run in this process, reference runs included).
-class LayoutGuard {
- public:
-  LayoutGuard() : previous_(DefaultTupleLayout()) {}
-  ~LayoutGuard() { SetDefaultTupleLayout(previous_); }
-
- private:
-  TupleLayout previous_;
-};
-
 struct FuzzMetrics {
   Counter* rounds;
   Counter* cases;
@@ -198,8 +185,7 @@ std::string CompareDigests(const RunDigest& reference,
     diff("match_tasks", reference.match_tasks, variant.match_tasks);
   } else if (reference.carried_passes != variant.carried_passes) {
     diff("carried_passes", reference.carried_passes, variant.carried_passes);
-  } else if (axis_class == AxisClass::kFullIdentity &&
-             reference.hom_candidates != variant.hom_candidates) {
+  } else if (reference.hom_candidates != variant.hom_candidates) {
     diff("hom_candidates", reference.hom_candidates, variant.hom_candidates);
   }
   return oss.str();
@@ -240,18 +226,6 @@ std::vector<FuzzDivergence> CheckJobAcrossAxes(const Job& job,
     DualSolverConfig pooled = reference_config;
     pooled.base_chase.pool = &pool;
     check("threads", run_variant(pooled), AxisClass::kFullIdentity);
-  }
-  {
-    LayoutGuard restore;
-    SetDefaultTupleLayout(TupleLayout::kColumnar);
-    check("layout", run_variant(reference_config),
-          AxisClass::kFullIdentity);
-  }
-  {
-    DualSolverConfig single_list = reference_config;
-    single_list.base_chase.use_intersection = false;
-    check("intersection", run_variant(single_list),
-          AxisClass::kSameExceptHomCandidates);
   }
   {
     DualSolverConfig scalar = reference_config;

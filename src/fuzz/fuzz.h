@@ -2,11 +2,10 @@
 // implication).
 //
 // The engine promises a family of semantics-preserving equivalences: delta
-// vs naive matching, any thread count, row-major vs columnar tuple layout,
-// intersection and SIMD candidate filtering on or off, auto-burst pass
-// tuning, and checkpoint/resume — each leaves a documented slice of the
-// output (verdicts, instances, traces, counters) byte-identical. Those
-// promises are this library's substitute for an external oracle: TD
+// vs naive matching, any thread count, SIMD candidate filtering on or off,
+// auto-burst pass tuning, and checkpoint/resume — each leaves a documented
+// slice of the output (verdicts, instances, traces, counters) byte-identical.
+// Those promises are this library's substitute for an external oracle: TD
 // implication is undecidable (the paper's main result), so no reference
 // implementation can say what the right answer IS — but eight
 // configurations of the same solver can still be required to AGREE.
@@ -78,9 +77,6 @@ struct FuzzOptions {
 enum class AxisClass {
   /// Everything: verdict, status, all counters, trace, instance bytes.
   kFullIdentity,
-  /// Everything except hom_candidates (intersection changes how many
-  /// candidate tuples are TRIED, never which nodes are expanded).
-  kSameExceptHomCandidates,
   /// Verdict, status, steps, passes, trace and instance bytes — but not the
   /// matching-work counters (hom_nodes, hom_candidates, match_tasks,
   /// carried_passes), which naive and delta matching legitimately split
@@ -117,8 +113,8 @@ struct RunDigest {
 /// One detected disagreement between the reference run and a variant.
 struct FuzzDivergence {
   std::string case_name;
-  std::string axis;    ///< "naive", "threads", "layout", "intersection",
-                       ///  "simd", "auto-burst", "resume", "service", "cache"
+  std::string axis;    ///< "naive", "threads", "simd", "auto-burst",
+                       ///  "resume", "service", "cache"
   std::string detail;  ///< first differing field, with both values
 };
 
@@ -131,9 +127,9 @@ struct FuzzRoundReport {
 };
 
 /// The per-case solver budgets every axis run shares (reference shape:
-/// delta matching, serial, row-major, intersection+SIMD on, no auto-burst,
-/// trace recording on, no deadline and no hom budget — the regime where
-/// every byte-identity promise is unconditional).
+/// delta matching, serial, SIMD on, no auto-burst, trace recording on, no
+/// deadline and no hom budget — the regime where every byte-identity
+/// promise is unconditional).
 DualSolverConfig FuzzSolverConfig(const FuzzOptions& options);
 
 /// Generates the deterministic case list for (options.seed, round): random

@@ -6,53 +6,6 @@
 #include "util/simd.h"
 
 namespace tdlib {
-namespace {
-
-// First element of [lo, hi) at or after `lo` whose id is >= target, found by
-// galloping (doubling steps, then std::lower_bound in the bracketed window).
-// Raw contiguous pointers: the hot merge must not pay a two-run branch per
-// probe.
-const int* GallopSpan(const int* lo, const int* hi, int target) {
-  if (lo == hi || *lo >= target) return lo;
-  std::ptrdiff_t step = 1;
-  const int* low = lo;  // invariant: *low < target
-  while (low + step < hi && low[step] < target) {
-    low += step;
-    step <<= 1;
-  }
-  const int* high = low + step < hi ? low + step : hi;
-  return std::lower_bound(low + 1, high, target);
-}
-
-// First position in `list` at or after `pos` whose id is >= target.
-// Cursor-resumable: intersection loops advance monotonically, so the total
-// gallop work over one merge is O(sum of list sizes) worst case and
-// O(k log n) when the driver is sparse in the others. The two runs are
-// handled as separate contiguous spans (base ids all precede tail ids), so
-// each probe is a stride-1 pointer compare.
-std::size_t GallopTo(const CandidateList& list, std::size_t pos, int target) {
-  const IdSpan base = list.base();
-  if (pos < base.size()) {
-    const int* p = GallopSpan(base.begin() + pos, base.end(), target);
-    if (p != base.end()) return static_cast<std::size_t>(p - base.begin());
-    pos = base.size();
-  }
-  const IdSpan tail = list.tail();
-  const std::size_t tail_pos = pos - base.size();
-  const int* p = GallopSpan(tail.begin() + tail_pos, tail.end(), target);
-  return base.size() + static_cast<std::size_t>(p - tail.begin());
-}
-
-// Drops the suffix of ids >= max_id from an ascending run (one binary
-// search, and only when the run actually reaches max_id).
-IdSpan PrefixBelow(IdSpan s, int max_id) {
-  if (s.empty() || s[s.size() - 1] < max_id) return s;
-  const int* e = std::lower_bound(s.begin(), s.end(), max_id);
-  return IdSpan(s.begin(), static_cast<std::size_t>(e - s.begin()));
-}
-
-}  // namespace
-
 Valuation Valuation::For(const Tableau& t) {
   Valuation v;
   v.values.resize(t.schema().arity());
@@ -73,11 +26,7 @@ HomomorphismSearch::HomomorphismSearch(const Tableau& source,
       row_tuples_(source.num_rows(), -1),
       candidate_storage_(source.num_rows()),
       undo_storage_(source.num_rows()),
-      filter_storage_(source.num_rows()) {
-  bound_lists_.reserve(static_cast<std::size_t>(source.schema().arity()));
-  bound_attrs_.reserve(static_cast<std::size_t>(source.schema().arity()));
-  list_cursors_.reserve(static_cast<std::size_t>(source.schema().arity()));
-}
+      filter_storage_(source.num_rows()) {}
 
 void HomomorphismSearch::SetInitial(const Valuation& initial) {
   valuation_ = initial;
@@ -164,91 +113,26 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
   out->runs[0] = IdSpan();
   out->runs[1] = IdSpan();
   out->filtered_attr = -1;
-  out->fully_filtered = false;
   const Row& r = source_.row(row_idx);
   if (options_.use_index) {
-    bound_lists_.clear();
-    bound_attrs_.clear();
+    // Drive from the shortest bound-position posting list (ties keep the
+    // lowest attribute). The other bound positions are filtered per
+    // candidate (block masks when use_simd, TryBindRow otherwise); the
+    // driver's own attribute is guaranteed by the posting list, so the block
+    // evaluator skips that column.
+    CandidateList driver;
     for (int attr = 0; attr < source_.schema().arity(); ++attr) {
       int bound = valuation_.Get(attr, r[attr]);
-      if (bound >= 0) {
-        bound_lists_.push_back(target_.TuplesWith(attr, bound));
-        bound_attrs_.push_back(attr);
+      if (bound < 0) continue;
+      CandidateList list = target_.TuplesWith(attr, bound);
+      if (out->filtered_attr < 0 || list.size() < driver.size()) {
+        driver = list;
+        out->filtered_attr = attr;
       }
     }
-    if (!bound_lists_.empty()) {
-      // Shortest list first (ties keep the lowest attribute, matching the
-      // historical choice — PickNextRow's scores, and hence the search tree,
-      // depend on nothing here, but determinism is cheap).
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < bound_lists_.size(); ++i) {
-        if (bound_lists_[i].size() < bound_lists_[best].size()) best = i;
-      }
-      const CandidateList& driver = bound_lists_[best];
-      // Deterministic intersection accounting: which branch a multi-list
-      // choice takes is a pure function of the bound lists, so these
-      // counters are byte-identical across runs (unlike wall time).
-      if (bound_lists_.size() >= 2 && options_.use_intersection) {
-        if (driver.size() > options_.min_intersect_size) {
-          ++stats_.intersections;
-        } else {
-          ++stats_.intersect_skips;
-        }
-      }
-      if (options_.use_intersection && bound_lists_.size() >= 2 &&
-          driver.size() > options_.min_intersect_size) {
-        // Intersection output matches EVERY bound position by construction;
-        // the block evaluator has nothing left to filter.
-        out->fully_filtered = true;
-        if (options_.use_simd) {
-          MergeCandidatesSimd(best, min_id, max_id, storage);
-          out->runs[0] = IdSpan(storage->data(), storage->size());
-          return;
-        }
-        // Galloping k-way intersection, driver outermost. Every id kept here
-        // is exactly an id the single-list scan would have accepted in
-        // TryBindRow — the merge moves the equality checks off the per-
-        // candidate path, it never changes the candidate set.
-        storage->clear();
-        list_cursors_.assign(bound_lists_.size(), 0);
-        std::size_t pos = GallopTo(driver, 0, min_id);
-        bool exhausted = false;
-        for (; pos < driver.size() && !exhausted; ++pos) {
-          const int id = driver[pos];
-          // The caller discards everything past its id window; stopping the
-          // merge here (ids ascending) keeps a narrow delta window from
-          // paying a full-posting-list merge. Invisible in the counters:
-          // these ids were never tried.
-          if (id >= max_id) break;
-          bool all = true;
-          for (std::size_t j = 0; j < bound_lists_.size(); ++j) {
-            if (j == best) continue;
-            std::size_t c = GallopTo(bound_lists_[j], list_cursors_[j], id);
-            list_cursors_[j] = c;
-            if (c >= bound_lists_[j].size()) {
-              // This list has no ids >= id anymore: nothing later in the
-              // driver can be in the intersection either.
-              all = false;
-              exhausted = true;
-              break;
-            }
-            if (bound_lists_[j][c] != id) {
-              all = false;
-              break;
-            }
-          }
-          if (all) storage->push_back(id);
-        }
-        out->runs[0] = IdSpan(storage->data(), storage->size());
-        return;
-      }
-      // Single-list mode: hand out the index spans directly (zero copies);
-      // the other bound positions are filtered per candidate (block masks
-      // when use_simd, TryBindRow otherwise). The driver's own attribute is
-      // guaranteed by the posting list — record it so the block evaluator
-      // skips that column. Runs are ascending with base ids < tail ids, so
-      // a delta cutoff is one binary search per run.
-      out->filtered_attr = bound_attrs_[best];
+    if (out->filtered_attr >= 0) {
+      // Borrowed index spans, zero copies. Runs are ascending with base ids
+      // < tail ids, so a delta cutoff is one binary search per run.
       out->runs[0] =
           min_id > 0 ? driver.base().SuffixFrom(min_id) : driver.base();
       out->runs[1] =
@@ -266,72 +150,6 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
     }
   }
   out->runs[0] = IdSpan(storage->data(), storage->size());
-}
-
-void HomomorphismSearch::MergeCandidatesSimd(std::size_t best, int min_id,
-                                             int max_id,
-                                             std::vector<int>* storage) {
-  // The result set is exactly the scalar merge's: driver ∩ every other
-  // bound list, trimmed to [min_id, max_id). Trimming only the driver
-  // suffices (the fold can never emit an id outside the driver), and doing
-  // it first keeps a narrow delta window from paying full-list folds.
-  const CandidateList& driver = bound_lists_[best];
-  IdSpan a0 = driver.base();
-  IdSpan a1 = driver.tail();
-  if (min_id > 0) {
-    a0 = a0.SuffixFrom(min_id);
-    a1 = a1.SuffixFrom(min_id);
-  }
-  a0 = PrefixBelow(a0, max_id);
-  a1 = PrefixBelow(a1, max_id);
-  // Fold lhs ∩ L_j over the other bound lists, ping-ponging between the
-  // scratch buffer and `storage` with the parity arranged so the LAST fold
-  // materializes into `storage`. One fold is at most four IntersectI32
-  // calls: both sides are (up to) two ascending runs with every first-run
-  // id below every second-run id, so the pairwise run intersections are
-  // mutually disjoint and already ascending when emitted in the order
-  // A0∩B0, A0∩B1, A1∩B0, A1∩B1.
-  const std::size_t folds = bound_lists_.size() - 1;
-  std::vector<int>* bufs[2] = {&isect_scratch_, storage};
-  int dst_idx = folds % 2 == 1 ? 1 : 0;
-  std::size_t lhs_size = a0.size() + a1.size();
-  const int* c_data = nullptr;  // contiguous lhs after the first fold
-  std::size_t c_size = 0;
-  bool first = true;
-  for (std::size_t j = 0; j < bound_lists_.size(); ++j) {
-    if (j == best) continue;
-    const IdSpan b0 = bound_lists_[j].base();
-    const IdSpan b1 = bound_lists_[j].tail();
-    std::vector<int>* dst = bufs[dst_idx];
-    dst_idx ^= 1;
-    dst->resize(std::min(lhs_size, b0.size() + b1.size()));
-    std::size_t n = 0;
-    if (first) {
-      n += IntersectI32(a0.begin(), a0.size(), b0.begin(), b0.size(),
-                        dst->data() + n);
-      n += IntersectI32(a0.begin(), a0.size(), b1.begin(), b1.size(),
-                        dst->data() + n);
-      n += IntersectI32(a1.begin(), a1.size(), b0.begin(), b0.size(),
-                        dst->data() + n);
-      n += IntersectI32(a1.begin(), a1.size(), b1.begin(), b1.size(),
-                        dst->data() + n);
-      first = false;
-    } else {
-      n += IntersectI32(c_data, c_size, b0.begin(), b0.size(),
-                        dst->data() + n);
-      n += IntersectI32(c_data, c_size, b1.begin(), b1.size(),
-                        dst->data() + n);
-    }
-    dst->resize(n);
-    c_data = dst->data();
-    c_size = n;
-    lhs_size = n;
-    if (n == 0) break;  // an empty intersection stays empty
-  }
-  // The parity arrangement lands the last fold in `storage`; the only way
-  // to finish elsewhere is the early empty break, where clearing is the
-  // same answer.
-  if (c_size == 0) storage->clear();
 }
 
 bool HomomorphismSearch::TryBindRow(int row_idx, TupleRef tuple,
@@ -427,13 +245,11 @@ bool HomomorphismSearch::Backtrack(
     // positions seen by every candidate at this depth are identical).
     std::vector<std::pair<int, int>>& filters = filter_storage_[depth];
     filters.clear();
-    if (!candidates.fully_filtered) {
-      const Row& r = source_.row(row_idx);
-      for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-        if (attr == candidates.filtered_attr) continue;
-        int bound = valuation_.Get(attr, r[attr]);
-        if (bound >= 0) filters.emplace_back(attr, bound);
-      }
+    const Row& r = source_.row(row_idx);
+    for (int attr = 0; attr < source_.schema().arity(); ++attr) {
+      if (attr == candidates.filtered_attr) continue;
+      int bound = valuation_.Get(attr, r[attr]);
+      if (bound >= 0) filters.emplace_back(attr, bound);
     }
     for (int run = 0; run < 2 && !window_closed; ++run) {
       const IdSpan span = candidates.runs[run];
@@ -454,8 +270,8 @@ bool HomomorphismSearch::Backtrack(
             bn == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bn) - 1;
         if (!filters.empty()) {
           // Consecutive-id blocks (full scans, dense delta windows, CSR
-          // groups without holes) read the column directly — stride-1
-          // loads when the store is columnar; scattered blocks gather.
+          // groups without holes) walk the column at a constant stride;
+          // scattered blocks gather.
           const bool consecutive =
               bids[bn - 1] - bids[0] == static_cast<int>(bn) - 1;
           for (const auto& [attr, value] : filters) {

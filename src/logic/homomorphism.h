@@ -9,27 +9,20 @@
 // inverted index; an optional node budget keeps worst-case (NP-hard)
 // searches bounded.
 //
-// Candidate pruning: when a row has several bound positions, their posting
-// lists are intersected up front (galloping merge over the index's sorted
-// spans) instead of scanning one list and rejecting mismatches per
-// candidate. The intersection never changes WHICH bindings are explored —
-// every surviving candidate is exactly a candidate the single-list scan
-// would have accepted — so search-tree shape, visited matches and the
-// `nodes` counter are byte-identical with the optimization on or off; only
-// the `candidates` counter (rows actually tried) and wall time move. The
-// use_intersection ablation flag quantifies the win.
+// Candidate lists: a row with bound positions scans the single shortest of
+// their posting lists; every other bound position is filtered per
+// candidate.
 //
 // Block candidate evaluation (use_simd): instead of testing bound row
 // positions tuple-by-tuple inside TryBindRow, the search evaluates each
 // bound position over a whole block of up to 64 candidates with one
-// util/simd.h kernel call — stride-1 column loads when the target store is
-// columnar (or the ids are consecutive), hardware gathers otherwise — and
-// ANDs the per-position survivor bitmasks before any per-tuple binding. The
-// multi-list intersection likewise runs the vectorized run merge. Like the
-// intersection, this is a pure implementation swap: the survivor set, the
-// visit order, `nodes` and `candidates` are byte-identical with the flag on
-// or off, on any CPU (the kernels are bit-identical across dispatch
-// levels), which the parity tests enforce end to end.
+// util/simd.h kernel call — strided column loads when the ids are
+// consecutive, hardware gathers otherwise — and ANDs the per-position
+// survivor bitmasks before any per-tuple binding. This is a pure
+// implementation swap: the survivor set, the visit order, `nodes` and
+// `candidates` are byte-identical with the flag on or off, on any CPU (the
+// kernels are bit-identical across dispatch levels), which the parity tests
+// enforce end to end.
 //
 // Delta restriction (semi-naive matching): a search can be confined to one
 // member of the standard semi-naive partition of the delta-touching matches
@@ -87,12 +80,7 @@ struct Valuation {
 struct HomSearchStats {
   std::uint64_t nodes = 0;       ///< search-tree nodes explored
   std::uint64_t candidates = 0;  ///< candidate tuples tried against a row
-                                 ///  (what the index + intersection prune)
-  std::uint64_t intersections = 0;    ///< multi-list candidate choices that
-                                      ///  ran the galloping merge
-  std::uint64_t intersect_skips = 0;  ///< multi-list choices that fell back
-                                      ///  to the single shortest list (driver
-                                      ///  under the merge's break-even size)
+                                 ///  (what the index prunes)
   bool budget_hit = false;   ///< a node/deadline/cancel limit stopped a search
   bool deadline_hit = false; ///< specifically the wall-clock deadline
   bool cancel_hit = false;   ///< specifically the job-level cancel flag
@@ -100,8 +88,6 @@ struct HomSearchStats {
   void MergeFrom(const HomSearchStats& other) {
     nodes += other.nodes;
     candidates += other.candidates;
-    intersections += other.intersections;
-    intersect_skips += other.intersect_skips;
     budget_hit = budget_hit || other.budget_hit;
     deadline_hit = deadline_hit || other.deadline_hit;
     cancel_hit = cancel_hit || other.cancel_hit;
@@ -122,28 +108,12 @@ struct HomSearchOptions {
   /// ablation benchmark to quantify what the index buys.
   bool use_index = true;
 
-  /// Intersect ALL bound-position posting lists when choosing a row's
-  /// candidates (galloping merge) instead of scanning the single shortest
-  /// list and filtering per candidate. Node-for-node identical searches —
-  /// only `candidates` and wall time change. Off = the single-list ablation
-  /// baseline.
-  bool use_intersection = true;
-
-  /// Skip the multi-list intersection when the driver (shortest bound-
-  /// position posting) list has at most this many ids: on lists this short
-  /// the scan-and-filter beats the merge's bookkeeping. 8 is the historical
-  /// break-even on the reduction workloads. The threshold decides the
-  /// deterministic intersections/intersect_skips split (a pure function of
-  /// the bound lists and this value) and can shift `candidates` and wall
-  /// time — never which matches are found, their order, or `nodes`.
-  std::size_t min_intersect_size = 8;
-
   /// Evaluate candidates block-at-a-time with util/simd.h kernels (see the
-  /// file comment): survivor bitmasks over 64-candidate blocks, vectorized
-  /// run intersection, ANDed before any per-tuple binding. Byte-identical
-  /// searches on or off — every counter, match and visit order is preserved
-  /// (ctest-enforced); only wall time moves. Off = the scalar ablation
-  /// baseline (tdbatch --no-simd).
+  /// file comment): survivor bitmasks over 64-candidate blocks, ANDed
+  /// before any per-tuple binding. Byte-identical searches on or off —
+  /// every counter, match and visit order is preserved (ctest-enforced);
+  /// only wall time moves. Off = the scalar ablation baseline (tdbatch
+  /// --no-simd).
   bool use_simd = true;
 
   /// Disable the most-constrained-row-first dynamic ordering (rows are then
@@ -247,17 +217,14 @@ class HomomorphismSearch {
   bool deadline_hit() const { return stats_.deadline_hit; }
 
  private:
-  /// Up to two ascending candidate runs (CSR base + tail, or one merged /
-  /// materialized run), plus what is already known about them. Every id in
-  /// runs[0] precedes every id in runs[1]. `filtered_attr` names a bound
-  /// attribute the runs are guaranteed to match (the driver posting list's
-  /// attribute); `fully_filtered` marks intersection output, where EVERY
-  /// bound position is guaranteed. The block evaluator skips columns that
-  /// cannot reject anything.
+  /// Up to two ascending candidate runs (CSR base + tail, or one
+  /// materialized scan run). Every id in runs[0] precedes every id in
+  /// runs[1]. `filtered_attr` names the bound attribute the runs are
+  /// guaranteed to match (the driver posting list's attribute); the block
+  /// evaluator skips that column.
   struct CandidateRuns {
     IdSpan runs[2];
     int filtered_attr = -1;
-    bool fully_filtered = false;
   };
 
   bool Backtrack(int depth, const std::function<bool(const Valuation&)>& visit,
@@ -268,17 +235,10 @@ class HomomorphismSearch {
   std::pair<int, int> RowIdBounds(int row_idx) const;
   /// Candidate ids in [min_id, max_id) for `row_idx`, either as borrowed
   /// index spans (which may run past max_id — the caller's iteration stops
-  /// there) or materialized into `storage` (full scans, intersections; these
-  /// DO stop at max_id, so a narrow delta window never pays a full-list
-  /// merge).
+  /// there) or materialized into `storage` (full scans, which DO stop at
+  /// max_id).
   void RowCandidates(int row_idx, int min_id, int max_id,
                      std::vector<int>* storage, CandidateRuns* out);
-  /// The use_simd replacement for the scalar k-way galloping merge:
-  /// pairwise IntersectI32 folds over the bound lists' runs, driver (index
-  /// `best` in bound_lists_) trimmed to [min_id, max_id) first. Produces
-  /// exactly the scalar merge's id set into `storage`.
-  void MergeCandidatesSimd(std::size_t best, int min_id, int max_id,
-                           std::vector<int>* storage);
   bool TryBindRow(int row_idx, TupleRef tuple,
                   std::vector<std::pair<int, int>>* undo);
   void UndoBindings(const std::vector<std::pair<int, int>>& undo);
@@ -294,10 +254,6 @@ class HomomorphismSearch {
   // not allocate per node (capacity sticks after the first few nodes).
   std::vector<std::vector<int>> candidate_storage_;
   std::vector<std::vector<std::pair<int, int>>> undo_storage_;
-  std::vector<CandidateList> bound_lists_;    // RowCandidates scratch
-  std::vector<int> bound_attrs_;              // attr of each bound list
-  std::vector<std::size_t> list_cursors_;     // RowCandidates scratch
-  std::vector<int> isect_scratch_;            // SIMD fold ping-pong buffer
   // (attr, bound value) pairs the block evaluator filters a depth's
   // candidates on — per depth, because Backtrack recurses mid-loop.
   std::vector<std::vector<std::pair<int, int>>> filter_storage_;

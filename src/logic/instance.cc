@@ -35,11 +35,11 @@ bool ReadString(std::istream& is, std::string* s) {
 
 }  // namespace
 
-Instance::Instance(SchemaPtr schema, TupleLayout layout)
+Instance::Instance(SchemaPtr schema)
     : schema_(std::move(schema)),
       value_names_(schema_->arity()),
       is_null_(schema_->arity()),
-      store_(schema_->arity(), layout),
+      store_(schema_->arity()),
       csr_ids_(schema_->arity()),
       csr_offsets_(schema_->arity(), {0}),
       tail_(schema_->arity()) {}
@@ -143,8 +143,7 @@ void Instance::Serialize(std::ostream& os) const {
   store_.Serialize(os);
 }
 
-Result<Instance> Instance::Deserialize(SchemaPtr schema, std::istream& is,
-                                       TupleLayout layout) {
+Result<Instance> Instance::Deserialize(SchemaPtr schema, std::istream& is) {
   using R = Result<Instance>;
   auto corrupt = [](const char* what) {
     return R::Error(ErrorCode::kCorrupt, std::string("instance: ") + what);
@@ -154,7 +153,7 @@ Result<Instance> Instance::Deserialize(SchemaPtr schema, std::istream& is,
   if (!(is >> magic >> arity)) return corrupt("truncated header");
   if (magic != kInstanceMagic) return corrupt("bad magic");
   if (arity != schema->arity()) return corrupt("arity does not match schema");
-  Instance instance(std::move(schema), layout);
+  Instance instance(std::move(schema));
   for (int attr = 0; attr < arity; ++attr) {
     std::size_t domain;
     if (!(is >> domain)) return corrupt("truncated domain count");
@@ -169,10 +168,7 @@ Result<Instance> Instance::Deserialize(SchemaPtr schema, std::istream& is,
       instance.AddValue(attr, std::move(name), null_flag != 0);
     }
   }
-  // The serialized tuple block carries no layout; read it into whatever
-  // layout this instance uses (row-major checkpoints restore into columnar
-  // stores and vice versa).
-  Result<TupleStore> store = TupleStore::Deserialize(is, layout);
+  Result<TupleStore> store = TupleStore::Deserialize(is);
   if (!store.ok()) return R::Error(store.code(), store.error());
   if (store.value().arity() != arity) {
     return corrupt("tuple block arity mismatch");

@@ -7,10 +7,10 @@
 // (for examples and debugging) and a labeled-null flag (for chase-invented
 // values, which matters when reading a chase result as a universal model).
 //
-// Storage: tuples live in a flat TupleStore slab (logic/tuple_store.h, in
-// either row-major or columnar layout); `tuple(id)` hands out TupleRef views
-// into it. Dedup is keyed on slab offsets (tuple ids), never on owning
-// vectors, so the hot chase/matching paths touch contiguous buffers.
+// Storage: tuples live in a flat row-major TupleStore slab
+// (logic/tuple_store.h); `tuple(id)` hands out TupleRef views into it.
+// Dedup is keyed on slab offsets (tuple ids), never on owning vectors, so
+// the hot chase/matching paths touch contiguous buffers.
 // TupleRefs are invalidated by AddTuple; ids are stable (never removed).
 //
 // Inverted index: the (attribute, value) -> tuple ids map the homomorphism
@@ -119,12 +119,10 @@ class CandidateList {
 /// order), which the delta-driven chase exploits.
 class Instance {
  public:
-  explicit Instance(SchemaPtr schema,
-                    TupleLayout layout = DefaultTupleLayout());
+  explicit Instance(SchemaPtr schema);
 
   const Schema& schema() const { return *schema_; }
   const SchemaPtr& schema_ptr() const { return schema_; }
-  TupleLayout layout() const { return store_.layout(); }
 
   // ---- Domains -------------------------------------------------------------
 
@@ -167,11 +165,10 @@ class Instance {
   }
 
   /// Inserts a tuple viewed through a TupleRef (possibly into another
-  /// instance's arena — of either layout — or this one's; self-insertion is
-  /// safe).
+  /// instance's arena, or this one's; self-insertion is safe).
   bool AddTuple(TupleRef t) {
     assert(t.arity() == schema_->arity());
-    return FinishInsert(store_.Insert(t));
+    return FinishInsert(store_.Insert(t.data()));
   }
 
   /// Returns true iff `t` is present.
@@ -186,8 +183,8 @@ class Instance {
   /// the arena. Persist ids across mutations, not refs.
   TupleRef tuple(int i) const { return store_[static_cast<std::size_t>(i)]; }
 
-  /// Borrowed view of attribute `attr` across all tuples (stride 1 when the
-  /// store is columnar). The homomorphism search's block filter reads whole
+  /// Borrowed view of attribute `attr` across all tuples (stride = arity).
+  /// The homomorphism search's block filter reads whole
   /// candidate blocks through this instead of per-tuple TupleRefs.
   /// Invalidated by AddTuple, like tuple().
   ColumnSpan Column(int attr) const { return store_.Column(attr); }
@@ -236,9 +233,7 @@ class Instance {
   /// terminator survives), null flags and the tuple arena as portable text.
   /// The schema itself is NOT written — the caller owns it and passes it
   /// back to Deserialize (a chase checkpoint's consumer already holds the
-  /// dependency set, and with it the schema). No physical-layout information
-  /// is written either: the format is the logical content, so any layout
-  /// restores from any layout's output.
+  /// dependency set, and with it the schema).
   ///
   /// Restoration invariant: value ids, tuple ids, names, null flags and the
   /// inverted index are all reproduced exactly, so a restored instance is
@@ -247,13 +242,11 @@ class Instance {
   void Serialize(std::ostream& os) const;
 
   /// Round-trips Serialize against `schema` (which must have the serialized
-  /// arity) into an instance with the requested layout. The stream is
+  /// arity). The stream is
   /// untrusted: every domain size, null flag, name length and tuple value
   /// is bounds-checked, and malformed input yields ErrorCode::kCorrupt with
   /// a field-level message — never UB or an unchecked allocation.
-  static Result<Instance> Deserialize(
-      SchemaPtr schema, std::istream& is,
-      TupleLayout layout = DefaultTupleLayout());
+  static Result<Instance> Deserialize(SchemaPtr schema, std::istream& is);
 
   // ---- Debugging -----------------------------------------------------------
 

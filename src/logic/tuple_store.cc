@@ -1,7 +1,6 @@
 #include "logic/tuple_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
 #include <ostream>
 
@@ -14,50 +13,19 @@ constexpr std::size_t kInitialSlots = 16;  // power of two
 
 constexpr char kStoreMagic[] = "tdstore1";
 
-std::atomic<TupleLayout> g_default_layout{TupleLayout::kRowMajor};
-
 }  // namespace
 
-TupleLayout DefaultTupleLayout() {
-  return g_default_layout.load(std::memory_order_relaxed);
-}
-
-void SetDefaultTupleLayout(TupleLayout layout) {
-  g_default_layout.store(layout, std::memory_order_relaxed);
-}
-
-TupleStore::TupleStore(int arity, TupleLayout layout)
-    : arity_(arity),
-      layout_(layout),
-      slots_(kInitialSlots, 0),
-      slot_mask_(kInitialSlots - 1) {}
+TupleStore::TupleStore(int arity)
+    : arity_(arity), slots_(kInitialSlots, 0), slot_mask_(kInitialSlots - 1) {}
 
 std::size_t TupleStore::HashRow(const std::int32_t* row) const {
   return static_cast<std::size_t>(HashRowI32(row, arity_));
 }
 
-std::size_t TupleStore::HashStored(std::size_t id) const {
-  // The hash is a layout-blind function of the row (HashRowI32 sees only
-  // the component sequence via the stride), so dedup tables in both layouts
-  // converge to identical slot assignments.
-  return layout_ == TupleLayout::kRowMajor
-             ? static_cast<std::size_t>(
-                   HashRowI32(arena_.data() + id * arity_, arity_))
-             : static_cast<std::size_t>(HashRowI32(
-                   arena_.data() + id, arity_,
-                   static_cast<std::ptrdiff_t>(col_capacity_)));
-}
-
 bool TupleStore::RowEquals(std::size_t id, const std::int32_t* row) const {
-  if (layout_ == TupleLayout::kRowMajor) {
-    const std::int32_t* stored = arena_.data() + id * arity_;
-    for (int i = 0; i < arity_; ++i) {
-      if (stored[i] != row[i]) return false;
-    }
-    return true;
-  }
+  const std::int32_t* stored = arena_.data() + id * arity_;
   for (int i = 0; i < arity_; ++i) {
-    if (Component(id, i) != row[i]) return false;
+    if (stored[i] != row[i]) return false;
   }
   return true;
 }
@@ -65,67 +33,19 @@ bool TupleStore::RowEquals(std::size_t id, const std::int32_t* row) const {
 void TupleStore::Grow() { Rehash(slots_.size() * 2); }
 
 void TupleStore::Rehash(std::size_t target) {
-  std::vector<std::int32_t> old = std::move(slots_);
   slots_.assign(target, 0);
   slot_mask_ = target - 1;
-  if (num_tuples_ == 0) return;
-  // Bulk-hash every stored row once up front: columnar slabs take
-  // HashRowsI32's wide path (rows in vector lanes, one contiguous load per
-  // attribute), and either way the per-entry loop below touches only the
-  // precomputed table.
-  std::vector<std::uint64_t> hashes(num_tuples_);
-  if (layout_ == TupleLayout::kRowMajor) {
-    HashRowsI32(arena_.data(), num_tuples_, arity_,
-                /*row_stride=*/arity_, /*attr_stride=*/1, hashes.data());
-  } else {
-    HashRowsI32(arena_.data(), num_tuples_, arity_,
-                /*row_stride=*/1,
-                /*attr_stride=*/static_cast<std::ptrdiff_t>(col_capacity_),
-                hashes.data());
-  }
-  for (std::int32_t entry : old) {
-    if (entry == 0) continue;
-    std::size_t id = static_cast<std::size_t>(entry - 1);
-    std::size_t slot = static_cast<std::size_t>(hashes[id]) & slot_mask_;
+  for (std::size_t id = 0; id < num_tuples_; ++id) {
+    std::size_t slot = HashRow(arena_.data() + id * arity_) & slot_mask_;
     while (slots_[slot] != 0) slot = (slot + 1) & slot_mask_;
-    slots_[slot] = entry;
+    slots_[slot] = static_cast<std::int32_t>(id + 1);
   }
-}
-
-void TupleStore::EnsureColumnCapacity(std::size_t tuples) {
-  if (tuples <= col_capacity_) return;
-  std::size_t target = std::max<std::size_t>(kInitialSlots, col_capacity_ * 2);
-  while (target < tuples) target *= 2;
-  // One slab, arity_ equal columns: column `attr` occupies
-  // [attr*target, attr*target + num_tuples_). Doubling keeps total copy work
-  // linear in the final size (O(log n) migrations).
-  std::vector<std::int32_t> grown(target * static_cast<std::size_t>(arity_));
-  for (int attr = 0; attr < arity_; ++attr) {
-    std::copy(arena_.begin() +
-                  static_cast<std::ptrdiff_t>(attr * col_capacity_),
-              arena_.begin() +
-                  static_cast<std::ptrdiff_t>(attr * col_capacity_ +
-                                              num_tuples_),
-              grown.begin() + static_cast<std::ptrdiff_t>(attr * target));
-  }
-  arena_ = std::move(grown);
-  col_capacity_ = target;
 }
 
 std::pair<int, bool> TupleStore::Insert(const std::int32_t* row) {
   // Stage the row first: `row` may point into our own slab, which the
   // append below can reallocate.
   scratch_.assign(row, row + arity_);
-  return InsertStaged();
-}
-
-std::pair<int, bool> TupleStore::Insert(TupleRef row) {
-  scratch_.resize(static_cast<std::size_t>(arity_));
-  for (int i = 0; i < arity_; ++i) scratch_[i] = row[i];
-  return InsertStaged();
-}
-
-std::pair<int, bool> TupleStore::InsertStaged() {
   std::size_t slot = HashRow(scratch_.data()) & slot_mask_;
   while (slots_[slot] != 0) {
     std::size_t id = static_cast<std::size_t>(slots_[slot] - 1);
@@ -134,15 +54,7 @@ std::pair<int, bool> TupleStore::InsertStaged() {
   }
 
   int id = static_cast<int>(num_tuples_);
-  if (layout_ == TupleLayout::kRowMajor) {
-    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-  } else {
-    EnsureColumnCapacity(num_tuples_ + 1);
-    for (int attr = 0; attr < arity_; ++attr) {
-      arena_[static_cast<std::size_t>(attr) * col_capacity_ + num_tuples_] =
-          scratch_[attr];
-    }
-  }
+  arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
   ++num_tuples_;
   slots_[slot] = id + 1;
   // Keep the load factor under ~0.75 so probe chains stay short.
@@ -161,11 +73,7 @@ int TupleStore::Find(const std::int32_t* row) const {
 }
 
 void TupleStore::Reserve(std::size_t tuples) {
-  if (layout_ == TupleLayout::kRowMajor) {
-    arena_.reserve(tuples * static_cast<std::size_t>(arity_));
-  } else {
-    EnsureColumnCapacity(tuples);
-  }
+  arena_.reserve(tuples * static_cast<std::size_t>(arity_));
   std::size_t want = kInitialSlots;
   // Size the table so `tuples` entries stay under the 0.75 load factor.
   while (want * 3 < tuples * 4) want *= 2;
@@ -175,14 +83,14 @@ void TupleStore::Reserve(std::size_t tuples) {
 void TupleStore::Serialize(std::ostream& os) const {
   os << kStoreMagic << ' ' << arity_ << ' ' << num_tuples_ << '\n';
   for (std::size_t id = 0; id < num_tuples_; ++id) {
+    const std::int32_t* row = arena_.data() + id * arity_;
     for (int i = 0; i < arity_; ++i) {
-      os << Component(id, i) << (i + 1 == arity_ ? '\n' : ' ');
+      os << row[i] << (i + 1 == arity_ ? '\n' : ' ');
     }
   }
 }
 
-Result<TupleStore> TupleStore::Deserialize(std::istream& is,
-                                           TupleLayout layout) {
+Result<TupleStore> TupleStore::Deserialize(std::istream& is) {
   using R = Result<TupleStore>;
   auto corrupt = [](const char* what) {
     return R::Error(ErrorCode::kCorrupt, std::string("tuple store: ") + what);
@@ -196,7 +104,7 @@ Result<TupleStore> TupleStore::Deserialize(std::istream& is,
     // Untrusted arity: reject before row allocation.
     return corrupt("arity out of range");
   }
-  TupleStore store(arity, layout);
+  TupleStore store(arity);
   // The count is untrusted input: pre-size only up to a sane bound (the
   // table grows on demand past it), so a corrupt header cannot OOM here —
   // a lying count just fails at end of input below.
@@ -216,15 +124,8 @@ Result<TupleStore> TupleStore::Deserialize(std::istream& is,
 }
 
 std::string TupleStore::CheckInvariants() const {
-  if (layout_ == TupleLayout::kRowMajor) {
-    if (arena_.size() != num_tuples_ * static_cast<std::size_t>(arity_)) {
-      return "arena size is not tuples * arity";
-    }
-  } else {
-    if (num_tuples_ > col_capacity_) return "columns smaller than tuple count";
-    if (arena_.size() != col_capacity_ * static_cast<std::size_t>(arity_)) {
-      return "arena size is not columns * arity";
-    }
+  if (arena_.size() != num_tuples_ * static_cast<std::size_t>(arity_)) {
+    return "arena size is not tuples * arity";
   }
   if ((slots_.size() & slot_mask_) != 0 || slot_mask_ + 1 != slots_.size()) {
     return "slot table size is not a power of two";
@@ -237,11 +138,8 @@ std::string TupleStore::CheckInvariants() const {
     if (id >= num_tuples_) return "slot refers to a missing tuple";
   }
   if (occupied != num_tuples_) return "slot count differs from tuple count";
-  std::vector<std::int32_t> row(static_cast<std::size_t>(arity_));
   for (std::size_t id = 0; id < num_tuples_; ++id) {
-    for (int i = 0; i < arity_; ++i) row[static_cast<std::size_t>(i)] =
-        Component(id, i);
-    int found = Find(row.data());
+    int found = Find(arena_.data() + id * arity_);
     if (found != static_cast<int>(id)) {
       return found < 0 ? "stored tuple not findable" : "duplicate tuple";
     }

@@ -1,25 +1,13 @@
-// TupleStore: a flat, deduplicating arena of fixed-arity int32 tuples, in
-// either of two physical layouts behind one logical interface.
+// TupleStore: a flat, deduplicating arena of fixed-arity int32 tuples.
 //
 // The chase spends its life reading tuples: every homomorphism-search node
 // dereferences one, every dedup probe hashes one. Storing each tuple as its
 // own std::vector puts a heap allocation and a pointer chase on that path.
-// TupleStore instead lays all components out in one int32_t slab and hands
-// out TupleRef views (pointer + arity + stride) into it:
-//
-//   * kRowMajor (the default): tuple id i occupies
-//     arena[i*arity .. (i+1)*arity) — stride-1 within a tuple. Best when the
-//     hot loops read whole rows (dedup hashing, TryBindRow).
-//   * kColumnar (SoA): component (attr, id) lives at
-//     arena[attr*col_capacity + id] — stride-1 within an ATTRIBUTE. Best
-//     when the hot loops scan one attribute across many tuples (wide
-//     reduction schemas, arity = 2n + 2, where a row-major row spans
-//     several cache lines). See README "Data layout" for measurements.
-//
-// The layout is observable only as speed: ids, dedup outcomes, iteration
-// order and Serialize bytes are identical in both modes (the persistence
-// format carries no layout, so a checkpoint written by a row-major store
-// restores into a columnar one byte for byte).
+// TupleStore instead lays all components out in one row-major int32_t slab
+// — tuple id i occupies arena[i*arity .. (i+1)*arity) — and hands out
+// TupleRef views (pointer + arity) into it. One attribute across all tuples
+// is a constant-stride ColumnSpan over the same slab, which is what the
+// homomorphism search's block filter scans.
 //
 // The dedup structure is an open-addressing table of tuple *ids* (slab
 // offsets), not owning copies: a probe hashes the slab components in place,
@@ -55,39 +43,17 @@ namespace tdlib {
 static_assert(sizeof(int) == sizeof(std::int32_t),
               "tdlib assumes 32-bit int (TupleRef aliases int rows)");
 
-/// Physical layout of a TupleStore's component slab.
-enum class TupleLayout {
-  kRowMajor,  ///< tuples back to back: component (attr, id) at id*arity+attr
-  kColumnar,  ///< per-attribute columns:  component (attr, id) at attr*cap+id
-};
-
-/// The process-wide default layout for newly constructed stores (and hence
-/// Instances, frozen tableaux, chase results, ...). Row-major unless
-/// overridden. Reads/writes are atomic, but the intended use is to set it
-/// once at startup (tdbatch --layout, bench setup) before any store exists —
-/// changing it mid-flight only affects stores constructed afterwards.
-TupleLayout DefaultTupleLayout();
-void SetDefaultTupleLayout(TupleLayout layout);
-
-/// A borrowed, span-like view of one stored tuple: component `attr` lives at
-/// data[attr * stride]. Row-major views have stride 1 (and can alias any
-/// caller-owned row of `arity` consecutive int32s); columnar views stride by
-/// the store's column capacity. Cheap to copy; never owns memory. Consumers
-/// must go through operator[] — raw-pointer access is only meaningful for
-/// stride-1 views (see contiguous()/data()).
+/// A borrowed, span-like view of one stored tuple: `arity` consecutive
+/// int32 components (so it can alias any caller-owned row as well). Cheap to
+/// copy; never owns memory.
 class TupleRef {
  public:
-  TupleRef() : data_(nullptr), arity_(0), stride_(1) {}
-  TupleRef(const std::int32_t* data, int arity, std::ptrdiff_t stride = 1)
-      : data_(data), arity_(arity), stride_(stride) {}
+  TupleRef() : data_(nullptr), arity_(0) {}
+  TupleRef(const std::int32_t* data, int arity) : data_(data), arity_(arity) {}
 
-  int operator[](int attr) const { return data_[attr * stride_]; }
+  int operator[](int attr) const { return data_[attr]; }
   int arity() const { return arity_; }
   int size() const { return arity_; }
-
-  /// True iff the components are adjacent in memory (stride 1); only then is
-  /// data() a valid pointer to the whole row.
-  bool contiguous() const { return stride_ == 1; }
   const std::int32_t* data() const { return data_; }
 
   friend bool operator==(TupleRef a, TupleRef b) {
@@ -102,14 +68,11 @@ class TupleRef {
  private:
   const std::int32_t* data_;
   int arity_;
-  std::ptrdiff_t stride_;
 };
 
 /// A borrowed view of one ATTRIBUTE across all stored tuples: the component
-/// of tuple `id` lives at data[id * stride]. The transpose of TupleRef —
-/// same slab, sliced the other way. Columnar stores hand out stride-1 spans
-/// (the whole column is contiguous: one vector load covers eight adjacent
-/// tuple ids); row-major spans stride by the arity. This is what the
+/// of tuple `id` lives at data[id * stride], stride being the arity. The
+/// transpose of TupleRef — same slab, sliced the other way. This is what the
 /// homomorphism search's block filter scans with util/simd.h's EqMaskI32.
 /// Invalidated by Insert, like TupleRef.
 struct ColumnSpan {
@@ -123,30 +86,22 @@ struct ColumnSpan {
 /// the table stores ids, never pointers into the slab.
 class TupleStore {
  public:
-  explicit TupleStore(int arity, TupleLayout layout = DefaultTupleLayout());
+  explicit TupleStore(int arity);
 
   int arity() const { return arity_; }
   std::size_t size() const { return num_tuples_; }
-  TupleLayout layout() const { return layout_; }
 
   /// View of tuple `id` (0 <= id < size()). Invalidated by Insert.
   TupleRef operator[](std::size_t id) const {
-    return layout_ == TupleLayout::kRowMajor
-               ? TupleRef(arena_.data() + id * arity_, arity_)
-               : TupleRef(arena_.data() + id, arity_,
-                          static_cast<std::ptrdiff_t>(col_capacity_));
+    return TupleRef(arena_.data() + id * arity_, arity_);
   }
 
-  /// View of attribute `attr` across all size() tuples (stride 1 when
-  /// columnar, stride arity() when row-major). Invalidated by Insert.
+  /// View of attribute `attr` across all size() tuples (stride arity()).
+  /// Invalidated by Insert.
   ColumnSpan Column(int attr) const {
     if (arena_.empty()) return {};  // keep nullptr arithmetic out of UBSan
-    return layout_ == TupleLayout::kRowMajor
-               ? ColumnSpan{arena_.data() + attr,
-                            static_cast<std::ptrdiff_t>(arity_)}
-               : ColumnSpan{arena_.data() +
-                                static_cast<std::size_t>(attr) * col_capacity_,
-                            1};
+    return ColumnSpan{arena_.data() + attr,
+                      static_cast<std::ptrdiff_t>(arity_)};
   }
 
   /// Inserts the row at `row` (arity() contiguous components). Returns
@@ -154,10 +109,6 @@ class TupleStore {
   /// Exactly one hash-table walk either way. `row` may alias this store's
   /// own slab.
   std::pair<int, bool> Insert(const std::int32_t* row);
-
-  /// Same, for a (possibly strided) view — including a view into this
-  /// store's own slab.
-  std::pair<int, bool> Insert(TupleRef row);
 
   /// Id of the stored tuple equal to `row` (contiguous), or -1.
   int Find(const std::int32_t* row) const;
@@ -173,39 +124,26 @@ class TupleStore {
   /// ("tdstore1 arity count" + the raw components in id order). Ids are the
   /// persistence contract: tuples are written — and re-inserted — in id
   /// order, so a restored store assigns every tuple its original id and the
-  /// dedup table converges to the same layout, REGARDLESS of either side's
-  /// physical layout. This is what lets a chase checkpoint (which persists
-  /// ids, not refs) resume against a restored instance byte for byte.
+  /// dedup table converges to the same slot assignment. This is what lets a
+  /// chase checkpoint (which persists ids, not refs) resume against a
+  /// restored instance byte for byte.
   void Serialize(std::ostream& os) const;
 
-  /// Round-trips Serialize into a store with the requested layout. The
-  /// stream is untrusted: arity and count are bounds-checked before any
-  /// allocation, and malformed input — bad magic, truncation, a duplicate
-  /// row (a serialized store is dedup-consistent by construction) — yields
-  /// ErrorCode::kCorrupt with a field-level message.
-  static Result<TupleStore> Deserialize(
-      std::istream& is, TupleLayout layout = DefaultTupleLayout());
+  /// Round-trips Serialize. The stream is untrusted: arity and count are
+  /// bounds-checked before any allocation, and malformed input — bad magic,
+  /// truncation, a duplicate row (a serialized store is dedup-consistent by
+  /// construction) — yields ErrorCode::kCorrupt with a field-level message.
+  static Result<TupleStore> Deserialize(std::istream& is);
 
  private:
-  /// Component (attr) of stored tuple `id`, layout-blind.
-  std::int32_t Component(std::size_t id, int attr) const {
-    return layout_ == TupleLayout::kRowMajor
-               ? arena_[id * static_cast<std::size_t>(arity_) + attr]
-               : arena_[static_cast<std::size_t>(attr) * col_capacity_ + id];
-  }
-  std::pair<int, bool> InsertStaged();
   std::size_t HashRow(const std::int32_t* row) const;
-  std::size_t HashStored(std::size_t id) const;
   bool RowEquals(std::size_t id, const std::int32_t* row) const;
-  void EnsureColumnCapacity(std::size_t tuples);
   void Grow();
   void Rehash(std::size_t target);
 
   int arity_;
-  TupleLayout layout_;
   std::size_t num_tuples_ = 0;
-  std::size_t col_capacity_ = 0;       // columnar only: slots per column
-  std::vector<std::int32_t> arena_;    // the component slab (see TupleLayout)
+  std::vector<std::int32_t> arena_;    // the component slab, row-major
   std::vector<std::int32_t> slots_;    // open addressing; id + 1, 0 = empty
   std::size_t slot_mask_ = 0;          // slots_.size() - 1 (power of two)
   std::vector<std::int32_t> scratch_;  // staging row (self-insert safety)

@@ -1,6 +1,5 @@
 #include "util/simd.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
@@ -70,60 +69,6 @@ std::uint64_t EqMaskGatherScalar(const std::int32_t* base,
   return mask;
 }
 
-std::size_t IntersectScalar(const std::int32_t* a, std::size_t na,
-                            const std::int32_t* b, std::size_t nb,
-                            std::int32_t* out) {
-  std::size_t ia = 0, ib = 0, n = 0;
-  while (ia < na && ib < nb) {
-    if (a[ia] < b[ib]) {
-      ++ia;
-    } else if (b[ib] < a[ia]) {
-      ++ib;
-    } else {
-      out[n++] = a[ia];
-      ++ia;
-      ++ib;
-    }
-  }
-  return n;
-}
-
-// Heavily skewed pairs: for each element of the small run, gallop into the
-// large one (doubling steps + a bracketed lower_bound). O(na log nb) beats
-// any linear scan once nb/na is large; the output set is the same either
-// way, so the strategy choice is invisible to callers.
-std::size_t IntersectGallop(const std::int32_t* a, std::size_t na,
-                            const std::int32_t* b, std::size_t nb,
-                            std::int32_t* out) {
-  std::size_t n = 0;
-  const std::int32_t* cursor = b;
-  const std::int32_t* bend = b + nb;
-  for (std::size_t ia = 0; ia < na && cursor != bend; ++ia) {
-    const std::int32_t target = a[ia];
-    if (*cursor < target) {
-      std::ptrdiff_t step = 1;
-      const std::int32_t* low = cursor;  // invariant: *low < target
-      while (low + step < bend && low[step] < target) {
-        low += step;
-        step <<= 1;
-      }
-      const std::int32_t* high = low + step < bend ? low + step : bend;
-      cursor = std::lower_bound(low + 1, high, target);
-      if (cursor == bend) break;
-    }
-    if (*cursor == target) {
-      out[n++] = target;
-      ++cursor;
-    }
-  }
-  return n;
-}
-
-// The size ratio past which the galloping strategy replaces the linear /
-// block-compare merge. Pure wall-time heuristic: both strategies produce
-// the identical set, so this constant never shows up in any counter.
-constexpr std::size_t kGallopRatio = 32;
-
 // ---- Hash -------------------------------------------------------------------
 //
 // Position-mixed additive hash: mix(component, position) avalanches each
@@ -153,14 +98,11 @@ inline std::uint64_t FinalizeHash(std::uint32_t acc, int arity) {
   return h;
 }
 
-std::uint64_t HashRowScalar(const std::int32_t* row, int arity,
-                            std::ptrdiff_t stride) {
+std::uint64_t HashRowScalar(const std::int32_t* row, int arity) {
   std::uint32_t acc = 0;
   for (int i = 0; i < arity; ++i) {
-    acc += MixComponent(
-        static_cast<std::uint32_t>(row[static_cast<std::ptrdiff_t>(i) *
-                                       stride]),
-        static_cast<std::uint32_t>(i));
+    acc += MixComponent(static_cast<std::uint32_t>(row[i]),
+                        static_cast<std::uint32_t>(i));
   }
   return FinalizeHash(acc, arity);
 }
@@ -183,27 +125,6 @@ std::uint64_t EqMaskSse2(const std::int32_t* base, std::size_t n,
   }
   if (i < n) mask |= EqMaskScalar(base + i, 1, n - i, value) << i;
   return mask;
-}
-
-std::size_t IntersectSse2(const std::int32_t* a, std::size_t na,
-                          const std::int32_t* b, std::size_t nb,
-                          std::int32_t* out) {
-  std::size_t ia = 0, ib = 0, n = 0;
-  while (ia < na && ib + 4 <= nb) {
-    const std::int32_t target = a[ia];
-    if (b[ib + 3] < target) {  // whole block below: skip it in one compare
-      ib += 4;
-      continue;
-    }
-    const __m128i needle = _mm_set1_epi32(target);
-    const __m128i block =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + ib));
-    if (_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(block, needle)))) {
-      out[n++] = target;
-    }
-    ++ia;
-  }
-  return n + IntersectScalar(a + ia, na - ia, b + ib, nb - ib, out + n);
 }
 
 #endif  // SSE2
@@ -283,29 +204,6 @@ std::uint64_t EqMaskGatherAvx2(const std::int32_t* base, std::ptrdiff_t stride,
 }
 
 TDLIB_TARGET_AVX2
-std::size_t IntersectAvx2(const std::int32_t* a, std::size_t na,
-                          const std::int32_t* b, std::size_t nb,
-                          std::int32_t* out) {
-  std::size_t ia = 0, ib = 0, n = 0;
-  while (ia < na && ib + 8 <= nb) {
-    const std::int32_t target = a[ia];
-    if (b[ib + 7] < target) {  // whole block below: skip it in one compare
-      ib += 8;
-      continue;
-    }
-    const __m256i needle = _mm256_set1_epi32(target);
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + ib));
-    if (_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, needle)))) {
-      out[n++] = target;
-    }
-    ++ia;
-  }
-  return n + IntersectScalar(a + ia, na - ia, b + ib, nb - ib, out + n);
-}
-
-TDLIB_TARGET_AVX2
 std::uint64_t HashRowAvx2(const std::int32_t* row, int arity) {
   // Lanes hold positions i..i+7; the mix runs per lane and the lane sums
   // fold into the scalar accumulator — addition mod 2^32 commutes, so the
@@ -336,42 +234,6 @@ std::uint64_t HashRowAvx2(const std::int32_t* row, int arity) {
                         static_cast<std::uint32_t>(i));
   }
   return FinalizeHash(sum, arity);
-}
-
-TDLIB_TARGET_AVX2
-void HashRowsColumnarAvx2(const std::int32_t* base, std::size_t n_rows,
-                          int arity, std::ptrdiff_t attr_stride,
-                          std::uint64_t* out) {
-  // Lanes hold rows r..r+7; each attribute contributes one contiguous load
-  // (rows are adjacent within a column) mixed with that attribute's
-  // position constant.
-  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(0x85EBCA6Bu));
-  const __m256i m2 = _mm256_set1_epi32(static_cast<int>(0xC2B2AE35u));
-  std::size_t r = 0;
-  for (; r + 8 <= n_rows; r += 8) {
-    __m256i acc = _mm256_setzero_si256();
-    for (int i = 0; i < arity; ++i) {
-      const __m256i salt = _mm256_set1_epi32(static_cast<int>(
-          (static_cast<std::uint32_t>(i) + 1) * 0x9E3779B9u));
-      __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          base + static_cast<std::ptrdiff_t>(i) * attr_stride + r));
-      x = _mm256_xor_si256(x, salt);
-      x = _mm256_mullo_epi32(x, m1);
-      x = _mm256_xor_si256(x, _mm256_srli_epi32(x, 13));
-      x = _mm256_mullo_epi32(x, m2);
-      x = _mm256_xor_si256(x, _mm256_srli_epi32(x, 16));
-      acc = _mm256_add_epi32(acc, x);
-    }
-    alignas(32) std::uint32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (int lane = 0; lane < 8; ++lane) {
-      out[r + static_cast<std::size_t>(lane)] =
-          FinalizeHash(lanes[lane], arity);
-    }
-  }
-  for (; r < n_rows; ++r) {
-    out[r] = HashRowScalar(base + r, arity, attr_stride);
-  }
 }
 
 #undef TDLIB_TARGET_AVX2
@@ -443,50 +305,13 @@ std::uint64_t EqMaskGatherI32(const std::int32_t* base, std::ptrdiff_t stride,
   return EqMaskGatherScalar(base, stride, ids, n, value);
 }
 
-std::size_t IntersectI32(const std::int32_t* a, std::size_t na,
-                         const std::int32_t* b, std::size_t nb,
-                         std::int32_t* out) {
-  // Canonical orientation: `a` is the smaller run (the result is symmetric).
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  if (na == 0) return 0;
-  if (nb / na >= kGallopRatio) return IntersectGallop(a, na, b, nb, out);
-  const SimdLevel level = ActiveSimdLevel();
+std::uint64_t HashRowI32(const std::int32_t* row, int arity) {
 #if TDLIB_SIMD_X86 && defined(__GNUC__)
-  if (level == SimdLevel::kAVX2) return IntersectAvx2(a, na, b, nb, out);
-#endif
-#if TDLIB_SIMD_X86 && defined(__SSE2__)
-  if (level >= SimdLevel::kSSE2) return IntersectSse2(a, na, b, nb, out);
-#endif
-  (void)level;
-  return IntersectScalar(a, na, b, nb, out);
-}
-
-std::uint64_t HashRowI32(const std::int32_t* row, int arity,
-                         std::ptrdiff_t stride) {
-#if TDLIB_SIMD_X86 && defined(__GNUC__)
-  if (ActiveSimdLevel() == SimdLevel::kAVX2 && stride == 1 && arity >= 8) {
+  if (ActiveSimdLevel() == SimdLevel::kAVX2 && arity >= 8) {
     return HashRowAvx2(row, arity);
   }
 #endif
-  return HashRowScalar(row, arity, stride);
-}
-
-void HashRowsI32(const std::int32_t* base, std::size_t n_rows, int arity,
-                 std::ptrdiff_t row_stride, std::ptrdiff_t attr_stride,
-                 std::uint64_t* out) {
-#if TDLIB_SIMD_X86 && defined(__GNUC__)
-  if (ActiveSimdLevel() == SimdLevel::kAVX2 && row_stride == 1) {
-    HashRowsColumnarAvx2(base, n_rows, arity, attr_stride, out);
-    return;
-  }
-#endif
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    out[r] = HashRowScalar(base + static_cast<std::ptrdiff_t>(r) * row_stride,
-                           arity, attr_stride);
-  }
+  return HashRowScalar(row, arity);
 }
 
 }  // namespace tdlib

@@ -2,29 +2,24 @@
 //
 // The chase's inner loops are memory-bound scans over flat int32 slabs
 // (logic/tuple_store.h's arenas, logic/instance.h's CSR posting lists) —
-// exactly the shape vector units pay for. This header exposes the three
+// exactly the shape vector units pay for. This header exposes the two
 // kernel families those loops need:
 //
 //   * EqMaskI32 / EqMaskGatherI32 — evaluate one bound body-row position
 //     over a whole candidate block at once, producing a survivor bitmask
-//     (up to 64 candidates per call). The strided form covers both direct
-//     stride-1 column loads (columnar stores, consecutive-id scans) and
-//     constant-stride walks (row-major columns); the gather form covers
-//     posting-list candidate blocks, whose ids are dense in the list but
-//     scattered in the arena.
-//   * IntersectI32 — intersection of two ascending unique id runs, the
-//     block-compare core of the multi-list candidate intersection.
-//   * HashRowI32 / HashRowsI32 — the TupleStore dedup hash, as a pure
-//     function of the row components so it is layout-blind (row-major and
-//     columnar stores converge to identical tables) and lane-parallel
-//     (positions hash independently and combine associatively).
+//     (up to 64 candidates per call). The strided form walks a row-major
+//     column over consecutive tuple ids (stride 1 is a plain contiguous
+//     load); the gather form covers posting-list candidate blocks, whose
+//     ids are dense in the list but scattered in the arena.
+//   * HashRowI32 — the TupleStore dedup hash, as a pure function of the
+//     row components that is lane-parallel (positions hash independently
+//     and combine associatively).
 //
 // Bit-identity contract: every kernel computes a pure function of its
 // inputs, and the SSE2/AVX2 paths are bit-for-bit identical to the scalar
-// fallbacks — same masks, same intersection sets, same hashes. Dispatch is
-// therefore invisible to everything above: hom_nodes, hom_candidates,
-// fired steps, instances and traces do not depend on the CPU the process
-// landed on. tests/simd_test.cc enforces the kernel-level identity across
+// fallbacks — same masks, same hashes. Dispatch is therefore invisible to
+// everything above: hom_nodes, hom_candidates, fired steps, instances and
+// traces do not depend on the CPU the process landed on. tests/simd_test.cc enforces the kernel-level identity across
 // every level the host supports; the chase parity suites enforce it end to
 // end.
 //
@@ -73,52 +68,26 @@ const char* SimdLevelName(SimdLevel level);
 
 /// Compares up to 64 strided components against `value`: bit i of the
 /// result is set iff base[i * stride] == value, for i in [0, n); bits >= n
-/// are zero. n must be <= 64. stride 1 is the columnar fast path (one or
+/// are zero. n must be <= 64. stride 1 is the contiguous fast path (one or
 /// two cache lines per block); larger strides walk a row-major column.
 std::uint64_t EqMaskI32(const std::int32_t* base, std::ptrdiff_t stride,
                         std::size_t n, std::int32_t value);
 
 /// Gathered form: bit i set iff base[ids[i] * stride] == value. `ids` is a
-/// dense block of tuple ids (a slice of a posting list or intersection
-/// result); the components they select are scattered in the arena, which is
-/// what the AVX2 hardware gather covers.
+/// dense block of tuple ids (a slice of a posting list); the components they
+/// select are scattered in the arena, which is what the AVX2 hardware
+/// gather covers.
 std::uint64_t EqMaskGatherI32(const std::int32_t* base, std::ptrdiff_t stride,
                               const std::int32_t* ids, std::size_t n,
                               std::int32_t value);
 
-// ---- Sorted-run intersection ------------------------------------------------
-
-/// Intersects two ascending runs of unique int32 ids into `out` (which must
-/// have room for min(na, nb) entries; it may alias neither input). Returns
-/// the output size. The result is the set intersection in ascending order —
-/// identical across dispatch levels and across the internal block-compare /
-/// galloping strategy choice, so callers may treat the routine as a pure
-/// set operation.
-std::size_t IntersectI32(const std::int32_t* a, std::size_t na,
-                         const std::int32_t* b, std::size_t nb,
-                         std::int32_t* out);
-
 // ---- Row hashing ------------------------------------------------------------
 
-/// The TupleStore dedup hash of one row of `arity` strided components
-/// (component i at row[i * stride]). Layout-blind by construction: the value
-/// depends only on the component sequence, never on where it lives, so
-/// row-major and columnar stores build identical tables. Position-mixed
-/// additive combine: each component is avalanche-mixed with its index and
-/// the mixes are summed, which is what lets the SIMD paths hash eight
-/// positions per vector and still match the scalar fold bit for bit.
-std::uint64_t HashRowI32(const std::int32_t* row, int arity,
-                         std::ptrdiff_t stride = 1);
-
-/// Hashes `n_rows` rows in one call: component (r, i) lives at
-/// base[r * row_stride + i * attr_stride], out[r] receives that row's
-/// HashRowI32. Columnar stores (row_stride 1, attr_stride = column
-/// capacity) take the wide path — one contiguous load per attribute, rows
-/// in lanes; row-major falls back to per-row hashing. Used by the dedup
-/// table's bulk rehash.
-void HashRowsI32(const std::int32_t* base, std::size_t n_rows, int arity,
-                 std::ptrdiff_t row_stride, std::ptrdiff_t attr_stride,
-                 std::uint64_t* out);
+/// The TupleStore dedup hash of one row of `arity` consecutive components.
+/// Position-mixed additive combine: each component is avalanche-mixed with
+/// its index and the mixes are summed, which is what lets the SIMD path hash
+/// eight positions per vector and still match the scalar fold bit for bit.
+std::uint64_t HashRowI32(const std::int32_t* row, int arity);
 
 }  // namespace tdlib
 

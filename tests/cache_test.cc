@@ -6,6 +6,7 @@
 #include "cache/canonical.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +35,7 @@
 #include "util/fault.h"
 #include "util/hash.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace tdlib {
 namespace {
@@ -567,6 +569,92 @@ TEST(ResultCacheStore, SaveRemovesOrphanTempFilesOfDeadSavers) {
   Result<int> loaded = LoadResultCacheFile(path, &reloaded);
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   EXPECT_EQ(loaded.value(), 1);
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheStore, SaverKilledMidWriteLeavesOldOrNewFileWhole) {
+  // A real saver SIGKILLed at a seeded moment: a child saves the "new"
+  // cache in a loop over the "old" file until it dies. Whatever instant the
+  // kill lands on — mid-write, mid-fsync, around the rename — the target
+  // must load as the complete old or the complete new cache, and the
+  // parent's next save must sweep up the temp file the child left behind.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tdlib_cache_kill_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "cache.bin").string();
+
+  constexpr int kEntries = 3000;
+  constexpr std::uint64_t kNewBase = 1000000;
+  CacheOptions options;
+  options.shards = 1;
+  ResultCache old_cache(options);
+  ResultCache new_cache(options);
+  for (int i = 0; i < kEntries; ++i) {
+    old_cache.Insert(Fp(static_cast<std::uint64_t>(i)), Verdict(1));
+    new_cache.Insert(Fp(kNewBase + static_cast<std::uint64_t>(i)), Verdict(2));
+  }
+  // Which cache a loaded file holds: 1 = old, 2 = new, 0 = neither whole.
+  const auto whole_cache_in = [&](ResultCache& loaded) {
+    CachedVerdict out;
+    const std::uint64_t base = loaded.Lookup(Fp(0), &out) ? 0 : kNewBase;
+    for (int i = 0; i < kEntries; ++i) {
+      if (!loaded.Lookup(Fp(base + static_cast<std::uint64_t>(i)), &out) ||
+          out.rounds_used != (base == 0 ? 1 : 2)) {
+        return 0;
+      }
+    }
+    return base == 0 ? 1 : 2;
+  };
+
+  Rng rng(20261018);
+  int orphans_seen = 0;
+  for (int round = 0; round < 20; ++round) {
+    // The parent's save also removes the previous round's orphan.
+    Result<int> saved = SaveResultCacheFile(path, old_cache);
+    ASSERT_TRUE(saved.ok()) << saved.error();
+    std::vector<std::string> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      files.push_back(entry.path().filename().string());
+    }
+    ASSERT_EQ(files, std::vector<std::string>{"cache.bin"}) << round;
+
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      for (;;) SaveResultCacheFile(path, new_cache);
+    }
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(500 + rng.Below(20000)));
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status)) << round;
+
+    const std::string orphan_prefix =
+        "cache.bin.tmp." + std::to_string(child) + ".";
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().filename().string().rfind(orphan_prefix, 0) == 0) {
+        ++orphans_seen;
+      }
+    }
+    ResultCache reloaded(options);
+    Result<int> loaded = LoadResultCacheFile(path, &reloaded);
+    ASSERT_TRUE(loaded.ok()) << "round " << round << ": " << loaded.error();
+    ASSERT_EQ(loaded.value(), kEntries) << round;
+    EXPECT_NE(whole_cache_in(reloaded), 0) << round;
+  }
+  // The child spends nearly all its time between creating a temp file and
+  // renaming it, so some kill must have landed there.
+  EXPECT_GT(orphans_seen, 0);
+  Result<int> saved = SaveResultCacheFile(path, old_cache);
+  ASSERT_TRUE(saved.ok()) << saved.error();
+  std::vector<std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"cache.bin"});
   fs::remove_all(dir);
 }
 

@@ -240,60 +240,6 @@ TEST(ChaseCheckpoint, CrossProductClosureParity) {
   CheckResumeParity(deps, seed, config, /*small=*/5, /*big=*/1000);
 }
 
-TEST(ChaseCheckpoint, RestoreIsLayoutIndependent) {
-  // A checkpoint taken against a row-major instance must restore into a
-  // columnar (SoA) store — and resume — byte for byte: the persistence
-  // format is the logical content, the layout a per-process choice.
-  Pumping pumping = MakePumping();
-  Instance seed = pumping.goal.body().Freeze();
-  ASSERT_EQ(seed.layout(), TupleLayout::kRowMajor);
-
-  ChaseConfig config;
-  config.record_trace = true;
-  ChaseConfig big_config = config;
-  big_config.max_steps = 90;
-  Instance reference = seed;
-  ChaseResult reference_result = RunChase(&reference, pumping.deps,
-                                          big_config);
-
-  ChaseConfig small_config = config;
-  small_config.max_steps = 15;
-  Instance interrupted = seed;
-  ChaseCheckpoint checkpoint;
-  ChaseResult first = RunChase(&interrupted, pumping.deps, small_config, {},
-                               &checkpoint);
-  ASSERT_EQ(first.status, ChaseStatus::kStepLimit);
-  ASSERT_TRUE(checkpoint.valid);
-
-  std::ostringstream out;
-  interrupted.Serialize(out);
-  checkpoint.Serialize(out);
-  std::istringstream in(out.str());
-  Result<Instance> columnar = Instance::Deserialize(
-      seed.schema_ptr(), in, TupleLayout::kColumnar);
-  ASSERT_TRUE(columnar.ok());
-  ASSERT_EQ(columnar.value().layout(), TupleLayout::kColumnar);
-  EXPECT_EQ(columnar.value().CheckInvariants(), "");
-  // The restored columnar instance is indistinguishable from the row-major
-  // original: same rendering, same serialized bytes.
-  EXPECT_EQ(columnar.value().ToString(), interrupted.ToString());
-  std::ostringstream columnar_bytes;
-  columnar.value().Serialize(columnar_bytes);
-  std::ostringstream row_major_bytes;
-  interrupted.Serialize(row_major_bytes);
-  EXPECT_EQ(columnar_bytes.str(), row_major_bytes.str());
-
-  Result<ChaseCheckpoint> restored_checkpoint =
-      ChaseCheckpoint::Deserialize(in);
-  ASSERT_TRUE(restored_checkpoint.ok());
-  ASSERT_TRUE(restored_checkpoint.value().ResumableWith(
-      big_config, columnar.value(), pumping.deps));
-  ChaseResult resumed = RunChase(&columnar.value(), pumping.deps, big_config,
-                                 {}, &restored_checkpoint.value());
-  ExpectSameResult(resumed, reference_result);
-  EXPECT_EQ(columnar.value().ToString(), reference.ToString());
-}
-
 TEST(ChaseCheckpoint, AutoBurstAndSliceShapeGuardRefusesResume) {
   Pumping pumping = MakePumping();
   Instance instance = pumping.goal.body().Freeze();
@@ -313,10 +259,6 @@ TEST(ChaseCheckpoint, AutoBurstAndSliceShapeGuardRefusesResume) {
   ChaseConfig sliced = bigger;
   sliced.match_slice_ids = 7;
   EXPECT_FALSE(checkpoint.ResumableWith(sliced, instance, pumping.deps));
-  ChaseConfig single_list = bigger;
-  single_list.use_intersection = false;
-  EXPECT_FALSE(
-      checkpoint.ResumableWith(single_list, instance, pumping.deps));
 }
 
 TEST(ChaseCheckpoint, ResumeParityUnderAutoBurst) {
@@ -368,13 +310,25 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n"
+      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
-  // Old-format checkpoints (tdckpt1) predate the match-strategy shape
-  // fields; they must be rejected, never resumed under a guessed shape.
-  std::istringstream old_format("tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n");
-  EXPECT_FALSE(ChaseCheckpoint::Deserialize(old_format).ok());
+  // Old formats must be rejected, never resumed under a guessed shape:
+  // tdckpt1 predates the match-strategy shape fields, and tdckpt2 carries
+  // the retired intersection flag (its hom_candidates may have been counted
+  // with intersection on). Both texts are otherwise well formed.
+  for (const char* old_format :
+       {"tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n",
+        "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n"}) {
+    std::istringstream in(old_format);
+    Result<ChaseCheckpoint> old = ChaseCheckpoint::Deserialize(in);
+    ASSERT_FALSE(old.ok()) << old_format;
+    EXPECT_EQ(old.code(), ErrorCode::kCorrupt) << old_format;
+  }
+  // The same checkpoint in the current format, without the flag, loads.
+  std::istringstream current(
+      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
+  EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   std::istringstream huge_store("tdstore1 2 18446744073709551615\n0 0\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_store).ok());
   std::istringstream huge_arity("tdstore1 2147483647 1\n");

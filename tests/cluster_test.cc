@@ -138,6 +138,7 @@ TEST(ClusterWireTest, FrameRejectsHeaderDamage) {
   };
   const Case cases[] = {
       {0, 'X', "bad magic"},
+      {3, '1', "old TDF1 magic"},
       {4, 99, "unknown type"},
       {5, 1, "reserved byte"},
       {11, 0x7f, "over-cap length"},

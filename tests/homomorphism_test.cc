@@ -1,6 +1,6 @@
 // Tests for the homomorphism search engine, including the ablation knobs
-// (index, dynamic ordering, posting-list intersection) that the EXP-CHASE
-// and layout benches sweep.
+// (index, dynamic ordering, SIMD block filter) that the EXP-CHASE benches
+// sweep.
 #include "logic/homomorphism.h"
 
 #include <gtest/gtest.h>
@@ -146,114 +146,52 @@ TEST_F(HomTest, AblationKnobsAgreeOnCounts) {
   EXPECT_EQ(baseline, count_with(false, false));
 }
 
-TEST(Intersection, NodeForNodeIdenticalToSingleListScan) {
-  // The multi-list intersection must be invisible in everything but the
-  // candidate-filtering counter: same matches, in the same order, exploring
-  // exactly the same search-tree nodes — while trying no MORE candidates
-  // than the single-list scan (and strictly fewer once rows have several
-  // selective bound positions). Random instances, a chain query whose rows
-  // bind 2-3 positions once matching is under way, both layouts.
-  for (TupleLayout layout : {TupleLayout::kRowMajor, TupleLayout::kColumnar}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      Rng rng(seed * 1299721);
-      SchemaPtr schema = MakeSchema({"A", "B", "C"});
-      Instance inst(schema, layout);
-      const int domain = 6;
-      for (int attr = 0; attr < 3; ++attr) {
-        for (int v = 0; v < domain; ++v) inst.AddValue(attr);
-      }
-      for (int i = 0; i < 400; ++i) {
-        inst.AddTuple({static_cast<int>(rng.Below(domain)),
-                       static_cast<int>(rng.Below(domain)),
-                       static_cast<int>(rng.Below(domain))});
-      }
-      ASSERT_EQ(inst.CheckInvariants(), "");
+TEST(SimdBlockFilter, ByteIdenticalToScalarOverRandomInstances) {
+  // use_simd swaps the candidate-evaluation implementation — block masks
+  // for per-tuple TryBindRow checks. It must leave EVERY counter equal,
+  // candidates included, with and without the index, over matching- and
+  // rejection-heavy workloads.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 50923);
+    SchemaPtr schema = MakeSchema({"A", "B", "C"});
+    Instance inst(schema);
+    const int domain = 5;
+    for (int attr = 0; attr < 3; ++attr) {
+      for (int v = 0; v < domain; ++v) inst.AddValue(attr);
+    }
+    for (int i = 0; i < 500; ++i) {
+      inst.AddTuple({static_cast<int>(rng.Below(domain)),
+                     static_cast<int>(rng.Below(domain)),
+                     static_cast<int>(rng.Below(domain))});
+    }
+    Tableau query(schema);
+    int a1 = query.NewVariable(0), a2 = query.NewVariable(0);
+    int b_shared = query.NewVariable(1);
+    int c1 = query.NewVariable(2), c_shared = query.NewVariable(2);
+    query.AddRow({a1, b_shared, c1});
+    query.AddRow({a2, b_shared, c_shared});
+    query.AddRow({a1, b_shared, c_shared});
 
-      Tableau query(schema);
-      int a1 = query.NewVariable(0), a2 = query.NewVariable(0);
-      int b_shared = query.NewVariable(1);
-      int c1 = query.NewVariable(2), c_shared = query.NewVariable(2);
-      query.AddRow({a1, b_shared, c1});
-      query.AddRow({a2, b_shared, c_shared});
-      query.AddRow({a1, b_shared, c_shared});
-
-      auto run = [&](bool intersect) {
+    for (bool use_index : {true, false}) {
+      auto run = [&](bool simd) {
         HomSearchOptions options;
-        options.use_intersection = intersect;
+        options.use_index = use_index;
+        options.use_simd = simd;
         HomomorphismSearch search(query, inst, options);
         std::vector<std::vector<std::vector<int>>> matches;
         search.ForEach([&](const Valuation& v) {
           matches.push_back(v.values);
           return true;
         });
-        return std::make_tuple(matches, search.stats().nodes,
-                               search.stats().candidates);
+        return std::make_tuple(matches, search.stats());
       };
-      auto [on_matches, on_nodes, on_candidates] = run(true);
-      auto [off_matches, off_nodes, off_candidates] = run(false);
-      EXPECT_EQ(on_matches, off_matches) << "seed " << seed;
-      EXPECT_EQ(on_nodes, off_nodes) << "seed " << seed;
-      EXPECT_LE(on_candidates, off_candidates) << "seed " << seed;
-    }
-  }
-}
-
-TEST(SimdBlockFilter, ByteIdenticalToScalarOverRandomInstances) {
-  // use_simd swaps the candidate-evaluation implementation — block masks
-  // and the vectorized intersection for per-tuple TryBindRow checks and
-  // the galloping merge. Unlike use_intersection it must leave EVERY
-  // counter equal, candidates included, on both layouts, with and without
-  // the index/intersection, over matching- and rejection-heavy workloads.
-  for (TupleLayout layout : {TupleLayout::kRowMajor, TupleLayout::kColumnar}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      Rng rng(seed * 50923);
-      SchemaPtr schema = MakeSchema({"A", "B", "C"});
-      Instance inst(schema, layout);
-      const int domain = 5;
-      for (int attr = 0; attr < 3; ++attr) {
-        for (int v = 0; v < domain; ++v) inst.AddValue(attr);
-      }
-      for (int i = 0; i < 500; ++i) {
-        inst.AddTuple({static_cast<int>(rng.Below(domain)),
-                       static_cast<int>(rng.Below(domain)),
-                       static_cast<int>(rng.Below(domain))});
-      }
-      Tableau query(schema);
-      int a1 = query.NewVariable(0), a2 = query.NewVariable(0);
-      int b_shared = query.NewVariable(1);
-      int c1 = query.NewVariable(2), c_shared = query.NewVariable(2);
-      query.AddRow({a1, b_shared, c1});
-      query.AddRow({a2, b_shared, c_shared});
-      query.AddRow({a1, b_shared, c_shared});
-
-      for (bool use_index : {true, false}) {
-        for (bool use_intersection : {true, false}) {
-          auto run = [&](bool simd) {
-            HomSearchOptions options;
-            options.use_index = use_index;
-            options.use_intersection = use_intersection;
-            options.use_simd = simd;
-            HomomorphismSearch search(query, inst, options);
-            std::vector<std::vector<std::vector<int>>> matches;
-            search.ForEach([&](const Valuation& v) {
-              matches.push_back(v.values);
-              return true;
-            });
-            return std::make_tuple(matches, search.stats());
-          };
-          auto [on_matches, on_stats] = run(true);
-          auto [off_matches, off_stats] = run(false);
-          const std::string tag = "seed " + std::to_string(seed) +
-                                  " index " + std::to_string(use_index) +
-                                  " isect " + std::to_string(use_intersection);
-          EXPECT_EQ(on_matches, off_matches) << tag;
-          EXPECT_EQ(on_stats.nodes, off_stats.nodes) << tag;
-          EXPECT_EQ(on_stats.candidates, off_stats.candidates) << tag;
-          EXPECT_EQ(on_stats.intersections, off_stats.intersections) << tag;
-          EXPECT_EQ(on_stats.intersect_skips, off_stats.intersect_skips)
-              << tag;
-        }
-      }
+      auto [on_matches, on_stats] = run(true);
+      auto [off_matches, off_stats] = run(false);
+      const std::string tag = "seed " + std::to_string(seed) + " index " +
+                              std::to_string(use_index);
+      EXPECT_EQ(on_matches, off_matches) << tag;
+      EXPECT_EQ(on_stats.nodes, off_stats.nodes) << tag;
+      EXPECT_EQ(on_stats.candidates, off_stats.candidates) << tag;
     }
   }
 }
@@ -288,65 +226,6 @@ TEST(SimdBlockFilter, EarlyStopCountsCandidatesExactly) {
     };
     EXPECT_EQ(run(true), run(false)) << "stop_after=" << stop_after;
   }
-}
-
-TEST(MinIntersectSize, ThresholdMovesAccountingNeverMatches) {
-  // The promoted knob: any threshold finds the same matches over the same
-  // nodes; only the deterministic intersections/intersect_skips split (and
-  // with it candidate filtering work) moves. Threshold 0 forces the merge
-  // for every multi-list choice, a huge threshold forces the skip.
-  Rng rng(31337);
-  SchemaPtr schema = MakeSchema({"A", "B", "C"});
-  Instance inst(schema);
-  const int domain = 6;
-  for (int attr = 0; attr < 3; ++attr) {
-    for (int v = 0; v < domain; ++v) inst.AddValue(attr);
-  }
-  for (int i = 0; i < 400; ++i) {
-    inst.AddTuple({static_cast<int>(rng.Below(domain)),
-                   static_cast<int>(rng.Below(domain)),
-                   static_cast<int>(rng.Below(domain))});
-  }
-  Tableau query(schema);
-  int a1 = query.NewVariable(0);
-  int b_shared = query.NewVariable(1);
-  int c_shared = query.NewVariable(2);
-  query.AddRow({a1, b_shared, query.NewVariable(2)});
-  query.AddRow({query.NewVariable(0), b_shared, c_shared});
-  query.AddRow({a1, b_shared, c_shared});
-
-  auto run = [&](std::size_t threshold) {
-    HomSearchOptions options;
-    options.min_intersect_size = threshold;
-    HomomorphismSearch search(query, inst, options);
-    std::vector<std::vector<std::vector<int>>> matches;
-    search.ForEach([&](const Valuation& v) {
-      matches.push_back(v.values);
-      return true;
-    });
-    return std::make_tuple(matches, search.stats());
-  };
-  auto [default_matches, default_stats] = run(8);
-  ASSERT_FALSE(default_matches.empty());
-  for (std::size_t threshold : {std::size_t{0}, std::size_t{2},
-                                std::size_t{1000000}}) {
-    auto [matches, stats] = run(threshold);
-    EXPECT_EQ(matches, default_matches) << threshold;
-    EXPECT_EQ(stats.nodes, default_stats.nodes) << threshold;
-    // Every multi-list choice lands in exactly one bucket, whatever the
-    // threshold — the total is the workload's, not the knob's.
-    EXPECT_EQ(stats.intersections + stats.intersect_skips,
-              default_stats.intersections + default_stats.intersect_skips)
-        << threshold;
-  }
-  auto [all_merge_matches, all_merge] = run(0);
-  auto [all_skip_matches, all_skip] = run(1000000);
-  EXPECT_GT(all_merge.intersections, 0u);
-  EXPECT_EQ(all_merge.intersect_skips, 0u);
-  EXPECT_EQ(all_skip.intersections, 0u);
-  EXPECT_GT(all_skip.intersect_skips, 0u);
-  // Merging everywhere can only tighten candidate filtering.
-  EXPECT_LE(all_merge.candidates, all_skip.candidates);
 }
 
 TEST(MapsInto, TableauContainment) {

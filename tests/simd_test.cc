@@ -1,14 +1,14 @@
 // Kernel-level tests for util/simd.h: bit-identity of every dispatch level
 // against the scalar reference at block boundaries, unaligned tails, empty
 // and all-survivor masks — plus end-to-end chase parity with use_simd
-// on/off across layouts and dispatch levels. The classic bug class here is
-// a vector tail reading past the end of a block; the boundary sweeps below
-// (and the ASan/UBSan CI leg over this binary) are aimed at exactly that.
+// on/off across thread counts and dispatch levels. The classic bug class
+// here is a vector tail reading past the end of a block; the boundary sweeps
+// below (and the ASan/UBSan CI leg over this binary) are aimed at exactly
+// that.
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -106,8 +106,8 @@ TEST(EqMaskGather, MatchesScalarOnScatteredAscendingIds) {
     std::vector<std::int32_t> arena(512 * static_cast<std::size_t>(stride));
     for (std::int32_t& x : arena) x = static_cast<std::int32_t>(rng.Below(6));
     for (std::size_t n : kBoundarySizes) {
-      // Ascending unique ids with gaps — the shape posting lists and
-      // intersection output actually have.
+      // Ascending unique ids with gaps — the shape posting lists actually
+      // have.
       std::vector<std::int32_t> ids;
       std::int32_t next = static_cast<std::int32_t>(rng.Below(3));
       while (ids.size() < n) {
@@ -134,122 +134,30 @@ TEST(EqMaskGather, MatchesScalarOnScatteredAscendingIds) {
   }
 }
 
-std::vector<std::int32_t> AscendingRun(Rng* rng, std::size_t n,
-                                       std::uint64_t gap) {
-  std::vector<std::int32_t> run;
-  run.reserve(n);
-  std::int32_t next = static_cast<std::int32_t>(rng->Below(4));
-  for (std::size_t i = 0; i < n; ++i) {
-    run.push_back(next);
-    next += 1 + static_cast<std::int32_t>(rng->Below(gap));
-  }
-  return run;
-}
-
-TEST(Intersect, MatchesStdSetIntersectionAtEveryLevel) {
-  Rng rng(0x157);
-  // (na, nb, gap) shapes: boundary sizes, balanced and heavily skewed
-  // (the latter exercise the galloping strategy switch at ratio 32).
-  const struct {
-    std::size_t na, nb;
-    std::uint64_t gap;
-  } shapes[] = {{0, 0, 3},  {0, 17, 3},   {1, 1, 2},    {3, 4, 2},
-                {4, 4, 2},  {7, 9, 3},    {8, 8, 3},    {16, 33, 2},
-                {64, 64, 2}, {100, 100, 4}, {5, 400, 2}, {3, 1000, 5},
-                {130, 260, 3}};
-  for (const auto& shape : shapes) {
-    for (int round = 0; round < 4; ++round) {
-      std::vector<std::int32_t> a = AscendingRun(&rng, shape.na, shape.gap);
-      std::vector<std::int32_t> b = AscendingRun(&rng, shape.nb, shape.gap);
-      std::vector<std::int32_t> expected(std::min(a.size(), b.size()) + 1);
-      auto end = std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                                       expected.begin());
-      expected.resize(static_cast<std::size_t>(end - expected.begin()));
-      for (SimdLevel level : SupportedLevels()) {
-        ScopedSimdLevel active(level);
-        std::vector<std::int32_t> out(std::min(a.size(), b.size()) + 1,
-                                      -12345);
-        std::size_t n =
-            IntersectI32(a.data(), a.size(), b.data(), b.size(), out.data());
-        out.resize(n);
-        EXPECT_EQ(out, expected)
-            << "level=" << SimdLevelName(level) << " na=" << shape.na
-            << " nb=" << shape.nb << " round=" << round;
-      }
-    }
-  }
-}
-
-TEST(Intersect, IdenticalAndDisjointRuns) {
-  std::vector<std::int32_t> run;
-  for (int i = 0; i < 70; ++i) run.push_back(i * 2);  // evens
-  std::vector<std::int32_t> odds;
-  for (int i = 0; i < 70; ++i) odds.push_back(i * 2 + 1);
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel active(level);
-    std::vector<std::int32_t> out(run.size());
-    EXPECT_EQ(IntersectI32(run.data(), run.size(), run.data() + 0, run.size(),
-                           out.data()),
-              run.size())
-        << SimdLevelName(level);
-    EXPECT_TRUE(std::equal(run.begin(), run.end(), out.begin()));
-    EXPECT_EQ(IntersectI32(run.data(), run.size(), odds.data(), odds.size(),
-                           out.data()),
-              0u)
-        << SimdLevelName(level);
-  }
-}
-
-TEST(HashRows, BitIdenticalAcrossLevelsStridesAndBulk) {
+TEST(HashRows, BitIdenticalAcrossLevels) {
   Rng r(0x4A5);
   for (int arity : {1, 2, 3, 7, 8, 9, 12, 16, 23}) {
-    const std::size_t rows = 37;  // odd: exercises the bulk path's tail
-    // Row-major slab and its columnar transpose must hash identically.
-    std::vector<std::int32_t> row_major(rows * static_cast<std::size_t>(arity));
-    for (std::int32_t& x : row_major) {
+    const std::size_t rows = 37;
+    std::vector<std::int32_t> slab(rows * static_cast<std::size_t>(arity));
+    for (std::int32_t& x : slab) {
       x = static_cast<std::int32_t>(r.Below(1u << 30));
-    }
-    const std::size_t col_cap = rows + 5;  // capacity > rows, like the store
-    std::vector<std::int32_t> columnar(col_cap *
-                                       static_cast<std::size_t>(arity));
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (int a = 0; a < arity; ++a) {
-        columnar[static_cast<std::size_t>(a) * col_cap + i] =
-            row_major[i * static_cast<std::size_t>(arity) +
-                      static_cast<std::size_t>(a)];
-      }
     }
     std::vector<std::uint64_t> expected(rows);
     {
       ScopedSimdLevel scalar(SimdLevel::kScalar);
       for (std::size_t i = 0; i < rows; ++i) {
         expected[i] = HashRowI32(
-            row_major.data() + i * static_cast<std::size_t>(arity), arity);
+            slab.data() + i * static_cast<std::size_t>(arity), arity);
       }
     }
     for (SimdLevel level : SupportedLevels()) {
       ScopedSimdLevel active(level);
       for (std::size_t i = 0; i < rows; ++i) {
         const std::int32_t* row =
-            row_major.data() + i * static_cast<std::size_t>(arity);
+            slab.data() + i * static_cast<std::size_t>(arity);
         EXPECT_EQ(HashRowI32(row, arity), expected[i])
             << SimdLevelName(level) << " arity=" << arity << " row=" << i;
-        // Strided (columnar) view of the same row.
-        EXPECT_EQ(HashRowI32(columnar.data() + i, arity,
-                             static_cast<std::ptrdiff_t>(col_cap)),
-                  expected[i])
-            << SimdLevelName(level) << " arity=" << arity << " row=" << i;
       }
-      // Bulk forms, both layouts.
-      std::vector<std::uint64_t> got(rows, 0);
-      HashRowsI32(row_major.data(), rows, arity,
-                  /*row_stride=*/arity, /*attr_stride=*/1, got.data());
-      EXPECT_EQ(got, expected) << SimdLevelName(level) << " arity=" << arity;
-      std::fill(got.begin(), got.end(), 0);
-      HashRowsI32(columnar.data(), rows, arity, /*row_stride=*/1,
-                  /*attr_stride=*/static_cast<std::ptrdiff_t>(col_cap),
-                  got.data());
-      EXPECT_EQ(got, expected) << SimdLevelName(level) << " arity=" << arity;
     }
   }
 }
@@ -269,19 +177,8 @@ struct ChaseFingerprint {
 };
 
 ChaseFingerprint RunOnce(const Instance& seed, const DependencySet& deps,
-                         ChaseConfig config, TupleLayout layout, bool simd,
-                         int threads) {
-  Instance instance(seed.schema_ptr(), layout);
-  // Re-seed through TupleRefs so the copy lands in the requested layout.
-  for (int attr = 0; attr < seed.schema().arity(); ++attr) {
-    for (int v = 0; v < seed.DomainSize(attr); ++v) {
-      instance.AddValue(attr, seed.ValueName(attr, v),
-                        seed.IsLabeledNull(attr, v));
-    }
-  }
-  for (std::size_t i = 0; i < seed.NumTuples(); ++i) {
-    instance.AddTuple(seed.tuple(static_cast<int>(i)));
-  }
+                         ChaseConfig config, bool simd, int threads) {
+  Instance instance = seed;
   config.use_simd = simd;
   ChaseFingerprint fp;
   if (threads > 1) {
@@ -309,11 +206,10 @@ ChaseFingerprint RunOnce(const Instance& seed, const DependencySet& deps,
   return fp;
 }
 
-TEST(ChaseSimdParity, ByteIdenticalAcrossSimdLayoutIntersectionAndThreads) {
+TEST(ChaseSimdParity, ByteIdenticalAcrossSimdAndThreads) {
   // A wide existential program (nulls invented, multi-position joins) plus
-  // a cross-product closure: the two shapes that stress the block filter
-  // and the intersection respectively. use_simd must be invisible in every
-  // byte — including hom_candidates, which use_intersection DOES move.
+  // a cross-product closure: the two shapes that stress the block filter.
+  // use_simd must be invisible in every byte, hom_candidates included.
   SchemaPtr schema = MakeSchema({"A", "B"});
   DependencySet deps;
   deps.Add(std::move(
@@ -337,27 +233,18 @@ TEST(ChaseSimdParity, ByteIdenticalAcrossSimdLayoutIntersectionAndThreads) {
   config.max_steps = 120;
   config.max_tuples = 2500;
 
-  for (bool intersect : {true, false}) {
-    config.use_intersection = intersect;
-    ChaseFingerprint baseline =
-        RunOnce(seed, deps, config, TupleLayout::kRowMajor, /*simd=*/false,
-                /*threads=*/1);
-    EXPECT_GT(baseline.steps, 0u);
-    for (TupleLayout layout : {TupleLayout::kRowMajor, TupleLayout::kColumnar}) {
-      for (bool simd : {false, true}) {
-        for (int threads : {1, 2, 4, 8}) {
-          ChaseFingerprint got =
-              RunOnce(seed, deps, config, layout, simd, threads);
-          EXPECT_TRUE(got == baseline)
-              << "intersect=" << intersect << " simd=" << simd
-              << " threads=" << threads << " soa="
-              << (layout == TupleLayout::kColumnar)
-              << "\n steps " << got.steps << " vs " << baseline.steps
-              << "\n nodes " << got.hom_nodes << " vs " << baseline.hom_nodes
-              << "\n cands " << got.hom_candidates << " vs "
-              << baseline.hom_candidates;
-        }
-      }
+  ChaseFingerprint baseline =
+      RunOnce(seed, deps, config, /*simd=*/false, /*threads=*/1);
+  EXPECT_GT(baseline.steps, 0u);
+  for (bool simd : {false, true}) {
+    for (int threads : {1, 2, 4, 8}) {
+      ChaseFingerprint got = RunOnce(seed, deps, config, simd, threads);
+      EXPECT_TRUE(got == baseline)
+          << "simd=" << simd << " threads=" << threads
+          << "\n steps " << got.steps << " vs " << baseline.steps
+          << "\n nodes " << got.hom_nodes << " vs " << baseline.hom_nodes
+          << "\n cands " << got.hom_candidates << " vs "
+          << baseline.hom_candidates;
     }
   }
 }
@@ -381,19 +268,13 @@ TEST(ChaseSimdParity, ForcedScalarDispatchIsAlsoByteIdentical) {
   config.max_steps = 60;
   config.max_tuples = 800;
 
-  ChaseFingerprint baseline = RunOnce(seed, deps, config,
-                                      TupleLayout::kRowMajor,
-                                      /*simd=*/true, /*threads=*/1);
+  ChaseFingerprint baseline =
+      RunOnce(seed, deps, config, /*simd=*/true, /*threads=*/1);
   for (SimdLevel level : SupportedLevels()) {
     ScopedSimdLevel active(level);
-    for (TupleLayout layout : {TupleLayout::kRowMajor,
-                               TupleLayout::kColumnar}) {
-      ChaseFingerprint got =
-          RunOnce(seed, deps, config, layout, /*simd=*/true, /*threads=*/1);
-      EXPECT_TRUE(got == baseline)
-          << "level=" << SimdLevelName(level)
-          << " soa=" << (layout == TupleLayout::kColumnar);
-    }
+    ChaseFingerprint got =
+        RunOnce(seed, deps, config, /*simd=*/true, /*threads=*/1);
+    EXPECT_TRUE(got == baseline) << "level=" << SimdLevelName(level);
   }
 }
 

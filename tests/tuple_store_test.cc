@@ -206,178 +206,61 @@ TEST(InstanceStoreTest, ReserveThenBulkLoadStaysConsistent) {
   EXPECT_EQ(inst.CheckInvariants(), "");
 }
 
-// ---- Columnar (SoA) layout --------------------------------------------------
+// ---- Column views and wide rows ---------------------------------------------
 
-TEST(ColumnarStoreTest, InsertFindDedupMatchRowMajorExactly) {
-  // The layout is a physical choice only: ids, dedup verdicts and read-back
-  // components must be identical to the row-major reference, insert by
-  // insert, through several column-capacity doublings.
-  Rng rng(314159);
-  TupleStore row_major(4, TupleLayout::kRowMajor);
-  TupleStore columnar(4, TupleLayout::kColumnar);
-  for (int i = 0; i < 3000; ++i) {
-    std::int32_t row[] = {static_cast<std::int32_t>(rng.Below(9)),
-                          static_cast<std::int32_t>(rng.Below(9)),
-                          static_cast<std::int32_t>(rng.Below(9)),
-                          static_cast<std::int32_t>(rng.Below(9))};
-    auto [rm_id, rm_new] = row_major.Insert(row);
-    auto [soa_id, soa_new] = columnar.Insert(row);
-    ASSERT_EQ(rm_id, soa_id) << i;
-    ASSERT_EQ(rm_new, soa_new) << i;
-    ASSERT_EQ(row_major.Find(row), columnar.Find(row)) << i;
-  }
-  ASSERT_EQ(row_major.size(), columnar.size());
-  EXPECT_EQ(columnar.CheckInvariants(), "");
-  for (std::size_t id = 0; id < row_major.size(); ++id) {
-    EXPECT_EQ(row_major[id], columnar[id]) << id;
-  }
-}
-
-TEST(ColumnarStoreTest, SelfInsertionFromOwnArenaIsSafe) {
-  // Re-inserting a strided view of the store's own slab must stage safely
-  // across a column-capacity doubling, exactly like the row-major case.
-  TupleStore store(3, TupleLayout::kColumnar);
-  for (int i = 0; i < 100; ++i) {
-    std::int32_t row[] = {i, i + 1, i + 2};
+TEST(TupleStoreTest, ColumnSpanExposesEveryAttribute) {
+  // Column(attr) is the transpose view the block filter scans: stride arity
+  // over the row-major slab.
+  TupleStore store(3);
+  ColumnSpan empty = store.Column(1);
+  EXPECT_EQ(empty.data, nullptr);  // no arena yet: no pointer arithmetic
+  for (int i = 0; i < 50; ++i) {
+    std::int32_t row[] = {i, 100 + i, 200 + i};
     store.Insert(row);
   }
-  auto [id, inserted] = store.Insert(store[0]);
-  EXPECT_FALSE(inserted);
-  EXPECT_EQ(id, 0);
-  TupleStore copy(3, TupleLayout::kColumnar);
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    auto [cid, cnew] = copy.Insert(store[i]);
-    ASSERT_TRUE(cnew);
-    ASSERT_EQ(static_cast<std::size_t>(cid), i);
-  }
-  EXPECT_EQ(copy.CheckInvariants(), "");
-}
-
-TEST(ColumnarStoreTest, ColumnSpanExposesEveryAttributeInBothLayouts) {
-  // Column(attr) is the transpose view the block filter scans: stride 1 on
-  // columnar stores, stride arity on row-major, same components either way.
-  for (TupleLayout layout : {TupleLayout::kRowMajor, TupleLayout::kColumnar}) {
-    TupleStore store(3, layout);
-    ColumnSpan empty = store.Column(1);
-    EXPECT_EQ(empty.data, nullptr);  // no arena yet: no pointer arithmetic
-    for (int i = 0; i < 50; ++i) {
-      std::int32_t row[] = {i, 100 + i, 200 + i};
-      store.Insert(row);
-    }
-    for (int attr = 0; attr < 3; ++attr) {
-      ColumnSpan col = store.Column(attr);
-      ASSERT_NE(col.data, nullptr);
-      EXPECT_EQ(col.stride, layout == TupleLayout::kColumnar ? 1 : 3);
-      for (int id = 0; id < 50; ++id) {
-        EXPECT_EQ(col.data[id * col.stride], attr * 100 + id)
-            << "attr=" << attr << " id=" << id;
-      }
+  for (int attr = 0; attr < 3; ++attr) {
+    ColumnSpan col = store.Column(attr);
+    ASSERT_NE(col.data, nullptr);
+    EXPECT_EQ(col.stride, 3);
+    for (int id = 0; id < 50; ++id) {
+      EXPECT_EQ(col.data[id * col.stride], attr * 100 + id)
+          << "attr=" << attr << " id=" << id;
     }
   }
 }
 
-TEST(ColumnarStoreTest, WideAritySelfAliasingInsertAcrossDispatchLevels) {
+TEST(TupleStoreTest, WideAritySelfAliasingInsertAcrossDispatchLevels) {
   // Arity >= 8 takes the vectorized hash's wide path; the dedup table built
   // under one dispatch level must probe correctly under any other (the hash
   // is bit-identical across levels), including for self-aliasing
   // re-insertions that stage out of the store's own slab mid-growth.
-  for (TupleLayout layout : {TupleLayout::kRowMajor, TupleLayout::kColumnar}) {
-    TupleStore store(12, layout);
-    Rng rng(77);
-    for (int i = 0; i < 200; ++i) {
-      std::int32_t row[12];
-      for (int a = 0; a < 12; ++a) {
-        row[a] = static_cast<std::int32_t>(rng.Below(1u << 20));
-      }
-      auto [id, inserted] = store.Insert(row);
-      ASSERT_TRUE(inserted);
-      ASSERT_EQ(id, i);
+  TupleStore store(12);
+  Rng rng(77);
+  for (int i = 0; i < 200; ++i) {
+    std::int32_t row[12];
+    for (int a = 0; a < 12; ++a) {
+      row[a] = static_cast<std::int32_t>(rng.Below(1u << 20));
     }
-    // Re-insert views of the store's own slab — duplicates, every one.
-    for (int i = 0; i < 200; i += 17) {
-      auto [id, inserted] = store.Insert(store[static_cast<std::size_t>(i)]);
-      EXPECT_FALSE(inserted) << i;
-      EXPECT_EQ(id, i);
-    }
-    // The table must stay probeable with kernels capped at scalar: a single
-    // hash bit differing between levels would break every Find below.
-    SetSimdLevelForTesting(SimdLevel::kScalar);
-    EXPECT_EQ(store.CheckInvariants(), "");
-    auto [id, inserted] = store.Insert(store[5]);
-    EXPECT_FALSE(inserted);
-    EXPECT_EQ(id, 5);
-    SetSimdLevelForTesting(DetectedSimdLevel());
-    EXPECT_EQ(store.CheckInvariants(), "");
+    auto [id, inserted] = store.Insert(row);
+    ASSERT_TRUE(inserted);
+    ASSERT_EQ(id, i);
   }
-}
-
-TEST(ColumnarStoreTest, SerializeIsLayoutBlindBothWays) {
-  // The persistence format carries no layout: a columnar store's bytes are
-  // identical to its row-major twin's, and either restores into either.
-  std::int32_t rows[][3] = {{0, 1, 2}, {2, 1, 0}, {7, 7, 7}, {5, 4, 3}};
-  TupleStore row_major(3, TupleLayout::kRowMajor);
-  TupleStore columnar(3, TupleLayout::kColumnar);
-  for (auto& row : rows) {
-    row_major.Insert(row);
-    columnar.Insert(row);
+  // Re-insert views of the store's own slab — duplicates, every one.
+  for (int i = 0; i < 200; i += 17) {
+    auto [id, inserted] =
+        store.Insert(store[static_cast<std::size_t>(i)].data());
+    EXPECT_FALSE(inserted) << i;
+    EXPECT_EQ(id, i);
   }
-  std::ostringstream rm_out, soa_out;
-  row_major.Serialize(rm_out);
-  columnar.Serialize(soa_out);
-  EXPECT_EQ(rm_out.str(), soa_out.str());
-
-  std::istringstream in(rm_out.str());
-  Result<TupleStore> restored =
-      TupleStore::Deserialize(in, TupleLayout::kColumnar);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().layout(), TupleLayout::kColumnar);
-  EXPECT_EQ(restored.value().CheckInvariants(), "");
-  for (std::size_t id = 0; id < row_major.size(); ++id) {
-    EXPECT_EQ(restored.value()[id], row_major[id]) << id;
-  }
-  std::ostringstream round;
-  restored.value().Serialize(round);
-  EXPECT_EQ(round.str(), rm_out.str());
-}
-
-TEST(ColumnarStoreTest, DefaultLayoutGovernsNewStores) {
-  SetDefaultTupleLayout(TupleLayout::kColumnar);
-  TupleStore store(2);
-  EXPECT_EQ(store.layout(), TupleLayout::kColumnar);
-  SetDefaultTupleLayout(TupleLayout::kRowMajor);
-  TupleStore after(2);
-  EXPECT_EQ(after.layout(), TupleLayout::kRowMajor);
-  // The earlier store keeps the layout it was born with.
-  EXPECT_EQ(store.layout(), TupleLayout::kColumnar);
-}
-
-TEST(InstanceStoreTest, ColumnarInstanceBehavesIdentically) {
-  Rng rng(20260731);
-  SchemaPtr schema = MakeSchema({"A", "B", "C"});
-  Instance row_major(schema, TupleLayout::kRowMajor);
-  Instance columnar(schema, TupleLayout::kColumnar);
-  for (int v = 0; v < 10; ++v) {
-    for (int a = 0; a < 3; ++a) {
-      row_major.AddValue(a);
-      columnar.AddValue(a);
-    }
-  }
-  for (int i = 0; i < 1500; ++i) {
-    Tuple t = {static_cast<int>(rng.Below(10)),
-               static_cast<int>(rng.Below(10)),
-               static_cast<int>(rng.Below(10))};
-    ASSERT_EQ(row_major.AddTuple(t), columnar.AddTuple(t)) << i;
-  }
-  ASSERT_EQ(row_major.NumTuples(), columnar.NumTuples());
-  EXPECT_EQ(columnar.CheckInvariants(), "");
-  EXPECT_EQ(row_major.ToString(), columnar.ToString());
-  for (int a = 0; a < 3; ++a) {
-    for (int v = 0; v < 10; ++v) {
-      EXPECT_EQ(row_major.TuplesWith(a, v).ToVector(),
-                columnar.TuplesWith(a, v).ToVector())
-          << "attr " << a << " value " << v;
-    }
-  }
+  // The table must stay probeable with kernels capped at scalar: a single
+  // hash bit differing between levels would break every Find below.
+  SetSimdLevelForTesting(SimdLevel::kScalar);
+  EXPECT_EQ(store.CheckInvariants(), "");
+  auto [id, inserted] = store.Insert(store[5].data());
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(id, 5);
+  SetSimdLevelForTesting(DetectedSimdLevel());
+  EXPECT_EQ(store.CheckInvariants(), "");
 }
 
 // ---- CSR inverted index -----------------------------------------------------
