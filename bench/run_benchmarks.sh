@@ -78,11 +78,11 @@ run_bench() {
 }
 
 # One binary, two records: the serial series (naive-vs-delta, observability
-# and the BM_Layout* scalar-vs-simd matching axis; five repetitions, so wall
-# times carry a median and cv) and the BM_ChaseParallel* threads axis.
+# and the BM_Layout* scalar-vs-simd matching axis) and the BM_ChaseParallel*
+# threads axis. Five repetitions each, so wall times carry a median and cv.
 run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" '-BM_ChaseParallel' 5
 run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_PARALLEL_OUT" \
-  'BM_ChaseParallel'
+  'BM_ChaseParallel' 5
 # The pure match-phase view of the same simd axis (no chase around it).
 run_bench "$BUILD_DIR/bench/bench_homomorphism" "$HOM_OUT" 'BM_LayoutHom'
 # The result-cache record: raw LRU probe cost and the cold-vs-warm sweep
@@ -167,25 +167,27 @@ if 0 in obs_modes and 1 in obs_modes:
     if not obs_ok:
         sys.exit(1)
 
-# Parallel recap: per family, wall time vs threads (threads=0 = serial
-# fallback) plus a hard determinism check — fired_steps/hom_nodes must be
-# identical along the whole threads axis.
+# Parallel recap: per family, median wall time vs threads (threads=0 =
+# serial fallback) plus a hard determinism check — fired_steps/hom_nodes/
+# match_tasks must be identical along the whole threads axis, repetition by
+# repetition.
 par = json.load(open(sys.argv[2]))
 groups = {}
-for b in par.get("benchmarks", []):
+for b in repetition_rows(par):
     if "threads" not in b:
         continue
     key = (b["name"].split("/")[0],
            tuple(sorted((k, v) for k, v in b.items()
                         if k in ("jobs", "fire_cap"))))
-    groups.setdefault(key, []).append(b)
+    groups.setdefault(key, {}).setdefault(int(b["threads"]), []).append(b)
 ok = True
-for (family, key), runs in sorted(groups.items()):
-    runs.sort(key=lambda b: b["threads"])
+for (family, key), cells in sorted(groups.items()):
+    runs = [b for threads in sorted(cells) for b in cells[threads]]
     base = runs[0]
     extras = " ".join(f"{k}={int(v)}" for k, v in key)
     times = " ".join(
-        f"t{int(b['threads'])}={b['real_time'] / 1e6:.2f}ms" for b in runs)
+        f"t{threads}={median_time(par, cells[threads][0]) / 1e6:.2f}ms"
+        for threads in sorted(cells))
     print(f"{family:<34} {extras:<18} {times}")
     for b in runs[1:]:
         for field in ("fired_steps", "hom_nodes", "match_tasks"):

@@ -113,30 +113,40 @@ void ReserveForBudget(Instance* instance, const DependencySet& deps,
 // stream). Head-witness searches always run against the full instance —
 // the delta restriction applies only to body enumeration.
 
+// Caller-owned buffers FireStep reuses from one fire to the next.
+struct FireScratch {
+  Valuation extended;
+  Tuple row;
+};
+
 // Inserts dep's head rows under `h`, inventing labeled nulls for existential
 // variables. Returns ids of newly inserted tuples.
 std::vector<int> FireStep(const Dependency& dep, Instance* instance,
-                          const Valuation& h) {
+                          const Valuation& h, FireScratch* scratch) {
+  const Tableau& head = dep.head();
+  const int arity = dep.schema().arity();
   // One fresh null per distinct existential variable that appears in the
   // head (shared across head rows, as EID semantics requires).
-  Valuation extended = h;
-  for (const Row& row : dep.head().rows()) {
-    for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-      int var = row[attr];
-      if (!extended.Bound(attr, var)) {
-        int fresh = instance->AddValue(attr, "", /*labeled_null=*/true);
-        extended.Set(attr, var, fresh);
+  Valuation& extended = scratch->extended;
+  extended = h;
+  for (const Row& r : head.rows()) {
+    for (int attr = 0; attr < arity; ++attr) {
+      const int slot = head.VarIndex(attr, r[attr]);
+      if (!extended.Bound(slot)) {
+        extended.Set(slot,
+                     instance->AddValue(attr, "", /*labeled_null=*/true));
       }
     }
   }
   std::vector<int> new_ids;
-  for (const Row& row : dep.head().rows()) {
-    Tuple t(dep.schema().arity());
-    for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-      t[attr] = extended.Get(attr, row[attr]);
+  Tuple& row = scratch->row;
+  row.resize(static_cast<std::size_t>(arity));
+  for (const Row& r : head.rows()) {
+    for (int attr = 0; attr < arity; ++attr) {
+      row[attr] = extended.Get(head.VarIndex(attr, r[attr]));
     }
     std::size_t before = instance->NumTuples();
-    if (instance->AddTuple(t)) {
+    if (instance->AddTuple(row)) {
       new_ids.push_back(static_cast<int>(before));
     }
   }
@@ -733,6 +743,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     // and therefore sees every tuple the intervening fires insert.
     std::optional<HeadChecker> fire_head;
     int fire_head_dep = -1;
+    FireScratch fire_scratch;
     for (std::size_t pi = 0; pi < pending.size(); ++pi) {
       if (pass_fire_cap > 0 && fired_this_pass >= pass_fire_cap) {
         // Burst cap: the rest of the pending set waits for the next pass.
@@ -776,7 +787,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       try {
         witnessed = fire_head->Witnessed(step.match, &fire_stats);
         if (!fire_stats.budget_hit && !witnessed) {
-          new_ids = FireStep(dep, instance, step.match);
+          new_ids = FireStep(dep, instance, step.match, &fire_scratch);
         }
       } catch (const std::bad_alloc&) {
         // Real allocation failure: park instead of crashing. Best-effort —
@@ -799,7 +810,8 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       ++fired_this_pass;
       if (config.record_trace) {
         result.trace.push_back(
-            ChaseStep{step.dep_index, step.match, std::move(new_ids)});
+            ChaseStep{step.dep_index, std::move(step.match),
+                      std::move(new_ids)});
       }
       if (config.eager_goal_check && goal && goal(*instance)) {
         flush_fire_stats();
@@ -877,23 +889,21 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
   // here, cleanly.
   const std::size_t num_tuples = instance.NumTuples();
   if (delta_begin > num_tuples) return false;
-  // The valuation must be shaped exactly like its dependency's variable
-  // space (FireStep and the head-witness search index it by (attr, var))
-  // and bind only existing domain values.
+  // The valuation must hold one slot per variable of its dependency
+  // (FireStep and the head-witness search index it by slot) and bind each
+  // slot only to an existing value of that slot's attribute.
   auto valid_match = [&](int dep_index, const Valuation& match) {
     if (dep_index < 0 || dep_index >= static_cast<int>(deps.items.size())) {
       return false;
     }
-    const Valuation reference = Valuation::For(deps.items[dep_index].body());
-    if (match.values.size() != reference.values.size()) return false;
-    for (std::size_t attr = 0; attr < reference.values.size(); ++attr) {
-      if (match.values[attr].size() != reference.values[attr].size()) {
-        return false;
-      }
-      for (int v : match.values[attr]) {
-        if (v < -1 || v >= instance.DomainSize(static_cast<int>(attr))) {
-          return false;
-        }
+    const Tableau& body = deps.items[dep_index].body();
+    if (match.values.size() != static_cast<std::size_t>(body.TotalVars())) {
+      return false;
+    }
+    for (int attr = 0; attr < body.schema().arity(); ++attr) {
+      for (int v = 0; v < body.NumVars(attr); ++v) {
+        const int value = match.Get(body.VarIndex(attr, v));
+        if (value < -1 || value >= instance.DomainSize(attr)) return false;
       }
     }
     return true;
@@ -957,29 +967,15 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
   return true;
 }
 
-void WriteValuation(std::ostream& os, const Valuation& v) {
-  os << v.values.size() << '\n';
-  for (const std::vector<int>& column : v.values) WriteIntVec(os, column);
-}
-
-bool ReadValuation(std::istream& is, Valuation* v) {
-  std::size_t attrs;
-  if (!(is >> attrs)) return false;
-  v->values.clear();
-  for (std::size_t a = 0; a < attrs; ++a) {
-    std::vector<int> column;
-    if (!ReadIntVec(is, &column)) return false;
-    v->values.push_back(std::move(column));
-  }
-  return true;
-}
-
 // tdckpt2 added fire_cap_this_pass, hom_candidates and the match-strategy
 // shape fields (auto_burst, match_slice_ids). tdckpt3 dropped the shape
 // flag of the removed candidate intersection: a tdckpt2 hom_candidates total
 // may have been counted with intersection on, so older files are rejected
 // rather than resumed with a counter no uninterrupted run would produce.
-constexpr char kCheckpointMagic[] = "tdckpt3";
+// tdckpt4 writes each valuation as one flat slot vector instead of one
+// vector per attribute; a tdckpt3 valuation would parse as a different
+// shape, so it is rejected by the magic rather than misread.
+constexpr char kCheckpointMagic[] = "tdckpt4";
 
 }  // namespace
 
@@ -997,13 +993,13 @@ void ChaseCheckpoint::Serialize(std::ostream& os) const {
   os << pending.size() << '\n';
   for (const PendingChaseStep& step : pending) {
     os << step.dep_index << '\n';
-    WriteValuation(os, step.match);
+    WriteIntVec(os, step.match.values);
     WriteIntVec(os, step.row_ids);
   }
   os << trace.size() << '\n';
   for (const ChaseStep& step : trace) {
     os << step.dependency_index << '\n';
-    WriteValuation(os, step.body_match);
+    WriteIntVec(os, step.body_match.values);
     WriteIntVec(os, step.new_tuples);
   }
 }
@@ -1039,7 +1035,7 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   // Same untrusted-count discipline as ReadIntVec: append, never resize.
   for (std::size_t i = 0; i < num_pending; ++i) {
     PendingChaseStep step;
-    if (!(is >> step.dep_index) || !ReadValuation(is, &step.match) ||
+    if (!(is >> step.dep_index) || !ReadIntVec(is, &step.match.values) ||
         !ReadIntVec(is, &step.row_ids)) {
       return corrupt("truncated pending step");
     }
@@ -1049,7 +1045,7 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   for (std::size_t i = 0; i < num_trace; ++i) {
     ChaseStep step;
     if (!(is >> step.dependency_index) ||
-        !ReadValuation(is, &step.body_match) ||
+        !ReadIntVec(is, &step.body_match.values) ||
         !ReadIntVec(is, &step.new_tuples)) {
       return corrupt("truncated trace step");
     }

@@ -30,7 +30,9 @@ Valuation PinConstants(const Instance& source, const Tableau& tableau) {
   Valuation v = Valuation::For(tableau);
   for (int attr = 0; attr < source.schema().arity(); ++attr) {
     for (int value = 0; value < source.DomainSize(attr); ++value) {
-      if (!source.IsLabeledNull(attr, value)) v.Set(attr, value, value);
+      if (!source.IsLabeledNull(attr, value)) {
+        v.Set(tableau.VarIndex(attr, value), value);
+      }
     }
   }
   return v;
@@ -80,7 +82,7 @@ CoreResult ComputeCore(const Instance& instance, const CoreConfig& config) {
       for (std::size_t i = 0; i < current.NumTuples(); ++i) {
         TupleRef t = current.tuple(static_cast<int>(i));
         for (int attr = 0; attr < current.schema().arity(); ++attr) {
-          mapped[attr] = h.Get(attr, t[attr]);
+          mapped[attr] = h.Get(tableau.VarIndex(attr, t[attr]));
         }
         int id = current.FindTuple(mapped);
         if (id >= 0 && !in_image[id]) {

@@ -113,7 +113,9 @@ ChaseGoal ConclusionGoal(const Dependency& d0, HomSearchOptions options) {
     Valuation initial = Valuation::For(d0.head());
     for (int attr = 0; attr < d0.schema().arity(); ++attr) {
       for (int v = 0; v < d0.head().NumVars(attr); ++v) {
-        if (d0.IsUniversal(attr, v)) initial.Set(attr, v, v);
+        if (d0.IsUniversal(attr, v)) {
+          initial.Set(d0.head().VarIndex(attr, v), v);
+        }
       }
     }
     search.SetInitial(initial);

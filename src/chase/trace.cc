@@ -20,7 +20,7 @@ std::string FormatChaseStep(const ChaseStep& step, const DependencySet& deps,
   for (int attr = 0; attr < dep.schema().arity(); ++attr) {
     for (int v = 0; v < dep.body().NumVars(attr); ++v) {
       if (!dep.IsUniversal(attr, v)) continue;
-      int value = step.body_match.Get(attr, v);
+      int value = step.body_match.Get(dep.body().VarIndex(attr, v));
       if (value < 0) continue;
       if (!first) oss << ", ";
       first = false;

@@ -51,7 +51,7 @@ bool Dependency::IsTrivial() const {
   Valuation initial = Valuation::For(head_);
   for (int attr = 0; attr < schema().arity(); ++attr) {
     for (int v = 0; v < head_.NumVars(attr); ++v) {
-      if (IsUniversal(attr, v)) initial.Set(attr, v, v);
+      if (IsUniversal(attr, v)) initial.Set(head_.VarIndex(attr, v), v);
     }
   }
   search.SetInitial(initial);

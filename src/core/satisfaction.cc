@@ -4,55 +4,24 @@
 
 namespace tdlib {
 
-// Pure function of (dep, body_match): no shared scratch buffer or cached
-// result. The parallel chase calls this from concurrent match tasks (one
-// head-witness search per body match), so any future memoization here must
-// be per-caller, never a shared static — a shared seed valuation would be
-// written by every task at once. HeadSeedValuationInto keeps exactly that
-// discipline: the scratch is the CALLER's.
-void HeadSeedValuationInto(const Dependency& dep, const Valuation& body_match,
-                           Valuation* out) {
-  out->values.resize(static_cast<std::size_t>(dep.schema().arity()));
+HeadChecker::HeadChecker(const Dependency& dep, const Instance& instance,
+                         const HomSearchOptions& options)
+    : search_(dep.head(), instance, options) {
+  // A body match binds exactly the universal slots, so the seed is the
+  // match itself. Clearing the existential slots too keeps the seed right
+  // for a match that did not come from a body search (a checkpoint).
   for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-    // assign reuses the column's capacity: a match stream seeds thousands of
-    // head searches per dependency without touching the allocator.
-    out->values[attr].assign(
-        static_cast<std::size_t>(dep.head().NumVars(attr)), -1);
     for (int v = 0; v < dep.head().NumVars(attr); ++v) {
-      if (dep.IsUniversal(attr, v)) {
-        out->values[attr][v] = body_match.Get(attr, v);
+      if (!dep.IsUniversal(attr, v)) {
+        existentials_.push_back(dep.head().VarIndex(attr, v));
       }
     }
   }
 }
 
-Valuation HeadSeedValuation(const Dependency& dep,
-                            const Valuation& body_match) {
-  Valuation initial;
-  HeadSeedValuationInto(dep, body_match, &initial);
-  return initial;
-}
-
-HeadChecker::HeadChecker(const Dependency& dep, const Instance& instance,
-                         const HomSearchOptions& options)
-    : search_(dep.head(), instance, options),
-      seed_template_(Valuation::For(dep.head())) {
-  // The universal positions are a property of the dependency; resolving
-  // them once here turns each per-match seed into a column copy plus
-  // |universals| stores (HeadSeedValuation's semantics, minus its
-  // per-variable IsUniversal scan).
-  for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-    for (int v = 0; v < dep.head().NumVars(attr); ++v) {
-      if (dep.IsUniversal(attr, v)) universals_.emplace_back(attr, v);
-    }
-  }
-}
-
 bool HeadChecker::Witnessed(const Valuation& h, HomSearchStats* stats) {
-  seed_ = seed_template_;  // column-wise assign; capacity reused
-  for (auto [attr, var] : universals_) {
-    seed_.values[attr][var] = h.Get(attr, var);
-  }
+  seed_ = h;  // capacity reused after the first call
+  for (int slot : existentials_) seed_.Set(slot, -1);
   search_.SetInitial(seed_);
   HomSearchStatus status = search_.FindAny(nullptr);
   stats->MergeFrom(search_.stats());

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/dependency.h"
@@ -41,30 +40,19 @@ struct SatisfactionResult {
   std::uint64_t candidates = 0;
 };
 
-/// The standard seed for a head-witness search: a valuation over
-/// `dep.head()`'s variable space with every universal variable bound to its
-/// value in `body_match` and every existential variable left free. Shared by
-/// satisfaction checking and the chase's applicability tests.
-Valuation HeadSeedValuation(const Dependency& dep, const Valuation& body_match);
-
-/// Allocation-free variant for match streams: writes the seed into *out,
-/// reusing its buffers (after the first call per (caller, dep) no
-/// allocation happens). `out` is caller-owned scratch — the reuse stays
-/// per-caller, so concurrent match tasks still share nothing.
-void HeadSeedValuationInto(const Dependency& dep, const Valuation& body_match,
-                           Valuation* out);
-
 /// Head-witness tester for ONE dependency against ONE instance, reusable
-/// across a whole body-match stream: the search object, the seed-valuation
-/// template and the universal-position list are built once, so the
-/// per-match cost is the head search itself — not a dozen vector
-/// allocations. Shared by satisfaction checking and the chase's match/fire
-/// phases. Strictly single-thread like the search it wraps; concurrent
-/// match tasks each own their checker (per-caller scratch, nothing
-/// shared). Reuse is invisible in the counters: the same searches explore
-/// the same nodes. Reads the instance through a reference, so it observes
-/// tuples inserted between calls (the chase's firing phase relies on
-/// this); both referents must outlive the checker.
+/// across a whole body-match stream: the search object and the
+/// existential-slot list are built once, so the per-match cost is the head
+/// search itself — not a dozen vector allocations. The seed of each head
+/// search is the body match with every existential variable unbound (body
+/// and head share one variable space, so the slots line up). Shared by
+/// satisfaction checking and the chase's match/fire phases. Strictly
+/// single-thread like the search it wraps; concurrent match tasks each own
+/// their checker (per-caller scratch, nothing shared). Reuse is invisible
+/// in the counters: the same searches explore the same nodes. Reads the
+/// instance through a reference, so it observes tuples inserted between
+/// calls (the chase's firing phase relies on this); both referents must
+/// outlive the checker.
 class HeadChecker {
  public:
   HeadChecker(const Dependency& dep, const Instance& instance,
@@ -76,8 +64,7 @@ class HeadChecker {
 
  private:
   HomomorphismSearch search_;
-  Valuation seed_template_;  ///< all-unbound head valuation
-  std::vector<std::pair<int, int>> universals_;  ///< (attr, var) to seed
+  std::vector<int> existentials_;  ///< head slots the seed leaves unbound
   Valuation seed_;
 };
 

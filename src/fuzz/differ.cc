@@ -26,10 +26,7 @@ std::string RenderTrace(const std::vector<ChaseStep>& trace) {
   std::ostringstream oss;
   for (const ChaseStep& step : trace) {
     oss << step.dependency_index << '[';
-    for (const auto& column : step.body_match.values) {
-      for (int v : column) oss << v << ' ';
-      oss << '|';
-    }
+    for (int v : step.body_match.values) oss << v << ' ';
     oss << "]->";
     for (int id : step.new_tuples) oss << id << ' ';
     oss << '\n';

@@ -7,12 +7,8 @@
 
 namespace tdlib {
 Valuation Valuation::For(const Tableau& t) {
-  Valuation v;
-  v.values.resize(t.schema().arity());
-  for (int attr = 0; attr < t.schema().arity(); ++attr) {
-    v.values[attr].assign(t.NumVars(attr), -1);
-  }
-  return v;
+  return Valuation{std::vector<int>(static_cast<std::size_t>(t.TotalVars()),
+                                    -1)};
 }
 
 HomomorphismSearch::HomomorphismSearch(const Tableau& source,
@@ -21,12 +17,20 @@ HomomorphismSearch::HomomorphismSearch(const Tableau& source,
     : source_(source),
       target_(target),
       options_(options),
+      arity_(source.schema().arity()),
       valuation_(Valuation::For(source)),
       row_done_(source.num_rows(), false),
       row_tuples_(source.num_rows(), -1),
       candidate_storage_(source.num_rows()),
       undo_storage_(source.num_rows()),
-      filter_storage_(source.num_rows()) {}
+      filter_storage_(source.num_rows()) {
+  row_slots_.reserve(static_cast<std::size_t>(source.num_rows()) * arity_);
+  for (const Row& r : source.rows()) {
+    for (int attr = 0; attr < arity_; ++attr) {
+      row_slots_.push_back(source.VarIndex(attr, r[attr]));
+    }
+  }
+}
 
 void HomomorphismSearch::SetInitial(const Valuation& initial) {
   valuation_ = initial;
@@ -92,9 +96,9 @@ int HomomorphismSearch::PickNextRow() const {
                               static_cast<std::size_t>(max_id)));
     if (capped > min_id) range = static_cast<std::size_t>(capped - min_id);
     std::size_t score = range;
-    const Row& r = source_.row(i);
-    for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-      int bound = valuation_.Get(attr, r[attr]);
+    const int* slots = RowSlots(i);
+    for (int attr = 0; attr < arity_; ++attr) {
+      int bound = valuation_.Get(slots[attr]);
       if (bound >= 0) {
         score = std::min(score, target_.CountWith(attr, bound));
       }
@@ -113,7 +117,6 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
   out->runs[0] = IdSpan();
   out->runs[1] = IdSpan();
   out->filtered_attr = -1;
-  const Row& r = source_.row(row_idx);
   if (options_.use_index) {
     // Drive from the shortest bound-position posting list (ties keep the
     // lowest attribute). The other bound positions are filtered per
@@ -121,8 +124,9 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
     // driver's own attribute is guaranteed by the posting list, so the block
     // evaluator skips that column.
     CandidateList driver;
-    for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-      int bound = valuation_.Get(attr, r[attr]);
+    const int* slots = RowSlots(row_idx);
+    for (int attr = 0; attr < arity_; ++attr) {
+      int bound = valuation_.Get(slots[attr]);
       if (bound < 0) continue;
       CandidateList list = target_.TuplesWith(attr, bound);
       if (out->filtered_attr < 0 || list.size() < driver.size()) {
@@ -153,11 +157,11 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
 }
 
 bool HomomorphismSearch::TryBindRow(int row_idx, TupleRef tuple,
-                                    std::vector<std::pair<int, int>>* undo) {
-  const Row& r = source_.row(row_idx);
-  for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-    int var = r[attr];
-    int bound = valuation_.Get(attr, var);
+                                    std::vector<int>* undo) {
+  const int* slots = RowSlots(row_idx);
+  for (int attr = 0; attr < arity_; ++attr) {
+    const int slot = slots[attr];
+    int bound = valuation_.Get(slot);
     if (bound >= 0) {
       if (bound != tuple[attr]) {
         UndoBindings(*undo);
@@ -165,16 +169,15 @@ bool HomomorphismSearch::TryBindRow(int row_idx, TupleRef tuple,
         return false;
       }
     } else {
-      valuation_.Set(attr, var, tuple[attr]);
-      undo->emplace_back(attr, var);
+      valuation_.Set(slot, tuple[attr]);
+      undo->push_back(slot);
     }
   }
   return true;
 }
 
-void HomomorphismSearch::UndoBindings(
-    const std::vector<std::pair<int, int>>& undo) {
-  for (auto [attr, var] : undo) valuation_.Set(attr, var, -1);
+void HomomorphismSearch::UndoBindings(const std::vector<int>& undo) {
+  for (int slot : undo) valuation_.Set(slot, -1);
 }
 
 bool HomomorphismSearch::Backtrack(
@@ -234,7 +237,7 @@ bool HomomorphismSearch::Backtrack(
   CandidateRuns candidates;
   RowCandidates(row_idx, min_id, max_id, &storage, &candidates);
   row_done_[row_idx] = true;
-  std::vector<std::pair<int, int>>& undo = undo_storage_[depth];
+  std::vector<int>& undo = undo_storage_[depth];
   undo.clear();
   bool window_closed = false;
   if (options_.use_simd) {
@@ -245,10 +248,10 @@ bool HomomorphismSearch::Backtrack(
     // positions seen by every candidate at this depth are identical).
     std::vector<std::pair<int, int>>& filters = filter_storage_[depth];
     filters.clear();
-    const Row& r = source_.row(row_idx);
-    for (int attr = 0; attr < source_.schema().arity(); ++attr) {
+    const int* slots = RowSlots(row_idx);
+    for (int attr = 0; attr < arity_; ++attr) {
       if (attr == candidates.filtered_attr) continue;
-      int bound = valuation_.Get(attr, r[attr]);
+      int bound = valuation_.Get(slots[attr]);
       if (bound >= 0) filters.emplace_back(attr, bound);
     }
     for (int run = 0; run < 2 && !window_closed; ++run) {

@@ -58,17 +58,21 @@
 
 namespace tdlib {
 
-/// A (partial) assignment of domain values to typed variables:
-/// values[attr][var] is a value id of `attr`, or -1 when unbound.
+/// A (partial) assignment of domain values to typed variables, indexed by
+/// the tableau's flat slot: values[t.VarIndex(attr, var)] is a value id of
+/// `attr`, or -1 when unbound. One vector, so copying a valuation costs one
+/// allocation however many attributes the schema has. A dependency's body
+/// and head share one variable space, so a body match indexes the head's
+/// slots directly.
 struct Valuation {
-  std::vector<std::vector<int>> values;
+  std::vector<int> values;
 
-  /// Creates an all-unbound valuation shaped like `t`'s variable space.
+  /// Creates an all-unbound valuation sized to `t`'s variable space.
   static Valuation For(const Tableau& t);
 
-  int Get(int attr, int var) const { return values[attr][var]; }
-  void Set(int attr, int var, int value) { values[attr][var] = value; }
-  bool Bound(int attr, int var) const { return values[attr][var] >= 0; }
+  int Get(int slot) const { return values[slot]; }
+  void Set(int slot, int value) { values[slot] = value; }
+  bool Bound(int slot) const { return values[slot] >= 0; }
 };
 
 /// Counters one search produced. Search-local by design: every
@@ -190,7 +194,7 @@ class HomomorphismSearch {
 
   /// Pre-binds variables (e.g. the universal variables of a dependency head
   /// when testing whether a body match is already witnessed). The valuation
-  /// must be shaped like `source`'s variable space.
+  /// must hold `source.TotalVars()` slots.
   void SetInitial(const Valuation& initial);
 
   /// Finds one homomorphism extending the initial valuation.
@@ -239,13 +243,22 @@ class HomomorphismSearch {
   /// max_id).
   void RowCandidates(int row_idx, int min_id, int max_id,
                      std::vector<int>* storage, CandidateRuns* out);
-  bool TryBindRow(int row_idx, TupleRef tuple,
-                  std::vector<std::pair<int, int>>* undo);
-  void UndoBindings(const std::vector<std::pair<int, int>>& undo);
+  bool TryBindRow(int row_idx, TupleRef tuple, std::vector<int>* undo);
+  void UndoBindings(const std::vector<int>& undo);
+
+  /// Flat slots of row `row_idx`'s variables, one per attribute.
+  const int* RowSlots(int row_idx) const {
+    return row_slots_.data() + static_cast<std::size_t>(row_idx) * arity_;
+  }
 
   const Tableau& source_;
   const Instance& target_;
   HomSearchOptions options_;
+  int arity_;
+  // row_slots_[row * arity_ + attr] = source_.VarIndex(attr, row[attr]),
+  // resolved once per search so the hot loop indexes the valuation
+  // directly.
+  std::vector<int> row_slots_;
   Valuation valuation_;
   std::vector<bool> row_done_;
   std::vector<int> row_tuples_;
@@ -253,7 +266,7 @@ class HomomorphismSearch {
   // Per-depth scratch, reused across the whole search so the hot loop does
   // not allocate per node (capacity sticks after the first few nodes).
   std::vector<std::vector<int>> candidate_storage_;
-  std::vector<std::vector<std::pair<int, int>>> undo_storage_;
+  std::vector<std::vector<int>> undo_storage_;  ///< slots bound per depth
   // (attr, bound value) pairs the block evaluator filters a depth's
   // candidates on — per depth, because Backtrack recurses mid-loop.
   std::vector<std::vector<std::pair<int, int>>> filter_storage_;

@@ -49,34 +49,31 @@ int EnsureFired(Instance* instance, const Dependency& dep,
   assert(dep.IsTd());
   assert(static_cast<int>(body_row_tuples.size()) == dep.body().num_rows());
 
+  // Body and head share one variable space, so the body valuation seeds
+  // the head search as is: it binds exactly the universal variables.
+  const Tableau& head = dep.head();
   Valuation valuation = Valuation::For(dep.body());
   for (int r = 0; r < dep.body().num_rows(); ++r) {
     TupleRef t = instance->tuple(body_row_tuples[r]);
     const Row& row = dep.body().row(r);
     for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-      int var = row[attr];
-      int bound = valuation.Get(attr, var);
+      const int slot = dep.body().VarIndex(attr, row[attr]);
+      int bound = valuation.Get(slot);
       assert(bound < 0 || bound == t[attr]);
       (void)bound;
-      valuation.Set(attr, var, t[attr]);
+      valuation.Set(slot, t[attr]);
     }
   }
 
   // Is the head already witnessed under this match?
-  HomomorphismSearch head_search(dep.head(), *instance);
-  Valuation initial = Valuation::For(dep.head());
-  for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-    for (int v = 0; v < dep.head().NumVars(attr); ++v) {
-      if (dep.IsUniversal(attr, v)) initial.Set(attr, v, valuation.Get(attr, v));
-    }
-  }
-  head_search.SetInitial(initial);
-  Valuation witness = initial;
+  HomomorphismSearch head_search(head, *instance);
+  head_search.SetInitial(valuation);
+  Valuation witness = valuation;
   if (head_search.FindAny(&witness) == HomSearchStatus::kFound) {
     Tuple t(dep.schema().arity());
-    const Row& head_row = dep.head().row(0);
+    const Row& head_row = head.row(0);
     for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-      t[attr] = witness.Get(attr, head_row[attr]);
+      t[attr] = witness.Get(head.VarIndex(attr, head_row[attr]));
     }
     int id = instance->FindTuple(t);
     assert(id >= 0);
@@ -88,8 +85,9 @@ int EnsureFired(Instance* instance, const Dependency& dep,
   const Row& head_row = dep.head().row(0);
   for (int attr = 0; attr < dep.schema().arity(); ++attr) {
     int var = head_row[attr];
-    int val = dep.IsUniversal(attr, var) ? valuation.Get(attr, var)
-                                         : instance->AddValue(attr, "", true);
+    int val = dep.IsUniversal(attr, var)
+                  ? valuation.Get(head.VarIndex(attr, var))
+                  : instance->AddValue(attr, "", true);
     t[attr] = val;
   }
   bool added = instance->AddTuple(t);
@@ -112,10 +110,10 @@ bool VerifyBridge(const ReductionSchema& rs, const Word& word,
     const Row& row = bridge.tableau.row(row_idx);
     TupleRef t = instance.tuple(tuple_id);
     for (int attr = 0; attr < rs.arity(); ++attr) {
-      int var = row[attr];
-      int bound = initial.Get(attr, var);
+      const int slot = bridge.tableau.VarIndex(attr, row[attr]);
+      int bound = initial.Get(slot);
       if (bound >= 0 && bound != t[attr]) return false;
-      initial.Set(attr, var, t[attr]);
+      initial.Set(slot, t[attr]);
     }
     return true;
   };
@@ -124,9 +122,10 @@ bool VerifyBridge(const ReductionSchema& rs, const Word& word,
   // All apex rows share one E' variable; pin it to d0's E' value.
   int ep_var = bridge.tableau.row(bridge.apex_rows.front())[rs.EPrime()];
   int d0_ep = instance.tuple(d0_id)[rs.EPrime()];
-  int bound = initial.Get(rs.EPrime(), ep_var);
+  const int ep_slot = bridge.tableau.VarIndex(rs.EPrime(), ep_var);
+  int bound = initial.Get(ep_slot);
   if (bound >= 0 && bound != d0_ep) return false;
-  initial.Set(rs.EPrime(), ep_var, d0_ep);
+  initial.Set(ep_slot, d0_ep);
 
   HomomorphismSearch search(bridge.tableau, instance);
   search.SetInitial(initial);

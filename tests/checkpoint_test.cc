@@ -310,29 +310,87 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
+      "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
   // Old formats must be rejected, never resumed under a guessed shape:
-  // tdckpt1 predates the match-strategy shape fields, and tdckpt2 carries
-  // the retired intersection flag (its hom_candidates may have been counted
-  // with intersection on). Both texts are otherwise well formed.
+  // tdckpt1 predates the match-strategy shape fields, tdckpt2 carries the
+  // retired intersection flag (its hom_candidates may have been counted
+  // with intersection on), and tdckpt3 writes valuations per attribute
+  // (here one pending step over 2 attributes of one variable each). All
+  // texts are otherwise well formed.
   for (const char* old_format :
        {"tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n",
-        "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n"}) {
+        "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n",
+        "tdckpt3 1\n0 0 0\n1 1 0 0 1 0\n1 0 0 0 0 1 0\n"
+        "1\n0\n2\n1 0\n1 0\n1 0\n0\n"}) {
     std::istringstream in(old_format);
     Result<ChaseCheckpoint> old = ChaseCheckpoint::Deserialize(in);
     ASSERT_FALSE(old.ok()) << old_format;
     EXPECT_EQ(old.code(), ErrorCode::kCorrupt) << old_format;
   }
-  // The same checkpoint in the current format, without the flag, loads.
+  // The same checkpoint in the current format loads.
   std::istringstream current(
-      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
+      "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   std::istringstream huge_store("tdstore1 2 18446744073709551615\n0 0\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_store).ok());
   std::istringstream huge_arity("tdstore1 2147483647 1\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_arity).ok());
+}
+
+TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
+  // A tdckpt4 checkpoint with pending steps writes each valuation as one
+  // vector of TotalVars() slots, re-serializes to the same bytes, and
+  // resumes exactly like the in-memory checkpoint it came from.
+  Pumping pumping = MakePumping();
+  ChaseConfig config;
+  config.record_trace = true;
+  config.max_fires_per_pass = 4;
+  config.max_steps = 9;
+  Instance instance = pumping.goal.body().Freeze();
+  ChaseCheckpoint checkpoint;
+  ASSERT_EQ(RunChase(&instance, pumping.deps, config, {}, &checkpoint).status,
+            ChaseStatus::kStepLimit);
+  ASSERT_FALSE(checkpoint.pending.empty());
+  ASSERT_FALSE(checkpoint.trace.empty());
+  for (const PendingChaseStep& step : checkpoint.pending) {
+    EXPECT_EQ(step.match.values.size(),
+              static_cast<std::size_t>(
+                  pumping.deps.items[step.dep_index].body().TotalVars()));
+  }
+  std::ostringstream out;
+  checkpoint.Serialize(out);
+  EXPECT_EQ(out.str().rfind("tdckpt4 1\n", 0), 0u);
+  std::istringstream in(out.str());
+  Result<ChaseCheckpoint> restored = ChaseCheckpoint::Deserialize(in);
+  ASSERT_TRUE(restored.ok());
+  std::ostringstream again;
+  restored.value().Serialize(again);
+  EXPECT_EQ(again.str(), out.str());
+
+  ChaseConfig bigger = config;
+  bigger.max_steps = 60;
+  ASSERT_TRUE(restored.value().ResumableWith(bigger, instance, pumping.deps));
+
+  // A valuation one slot short of its dependency's variable space, or one
+  // binding a slot past its attribute's domain, is refused before the
+  // chase indexes it.
+  ChaseCheckpoint short_slot = restored.value();
+  short_slot.pending.front().match.values.pop_back();
+  EXPECT_FALSE(short_slot.ResumableWith(bigger, instance, pumping.deps));
+  ChaseCheckpoint past_domain = restored.value();
+  past_domain.pending.front().match.values.back() = instance.DomainSize(
+      instance.schema().arity() - 1);
+  EXPECT_FALSE(past_domain.ResumableWith(bigger, instance, pumping.deps));
+
+  Instance restored_instance = instance;
+  ChaseResult resumed =
+      RunChase(&instance, pumping.deps, bigger, {}, &checkpoint);
+  ChaseResult restored_resumed = RunChase(&restored_instance, pumping.deps,
+                                          bigger, {}, &restored.value());
+  ExpectSameResult(restored_resumed, resumed);
+  EXPECT_EQ(restored_instance.ToString(), instance.ToString());
 }
 
 TEST(ChaseCheckpoint, SerializeRoundTripsTheInvalidCheckpoint) {

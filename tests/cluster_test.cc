@@ -32,6 +32,26 @@ namespace {
 
 // ---- shared fixtures -------------------------------------------------------
 
+// Sanitizer builds run a worker far slower than Release (ASan+UBSan Debug
+// takes ~7 s for the pad-3 gap job below, against ~0.15-0.25 s), and a
+// worker starved by its own instrumentation can answer a ping later than a
+// Release-sized heartbeat timeout allows. Timing windows that a worker must
+// meet are multiplied by this factor. The gap jobs stretch with the
+// instrumentation by more than the factor on their own, so a heartbeat kill
+// still lands while a chase is running.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr double kSanitizerScale = 10;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(undefined_behavior_sanitizer)
+constexpr double kSanitizerScale = 10;
+#else
+constexpr double kSanitizerScale = 1;
+#endif
+#else
+constexpr double kSanitizerScale = 1;
+#endif
+
 Job MakeSmallJob(const std::string& name) {
   SchemaPtr schema = MakeSchema({"A", "B", "C"});
   Result<Dependency> premise = ParseDependency(
@@ -51,8 +71,9 @@ Job MakeSmallJob(const std::string& name) {
 /// A deliberately long-running job: a gap-regime reduction instance whose
 /// chase side pumps forever, with the counterexample budget starved to one
 /// tuple so the verdict stays kUnknown and the run reliably consumes its
-/// whole step budget. Runtime grows with `pad` (~30ms at pad 0 up to
-/// ~250ms at pad 3 at 2000 steps), so SIGKILL can land mid-chase.
+/// whole step budget. Runtime grows with `pad` (~15ms at pad 0 up to
+/// ~150-250ms at pad 3 at 2000 steps in Release), so SIGKILL can land
+/// mid-chase.
 Job MakeGapJob(const std::string& name, int pad, std::uint64_t max_steps) {
   WorkloadOptions workload_options;
   workload_options.size = 3 * (pad + 1);
@@ -69,7 +90,7 @@ Job MakeGapJob(const std::string& name, int pad, std::uint64_t max_steps) {
 /// Spins until `pred` holds (asynchronous supervision bookkeeping — crash
 /// detection, heartbeat timeouts — trails the job results it causes).
 template <typename Pred>
-bool PollUntil(Pred pred, double seconds = 10.0) {
+bool PollUntil(Pred pred, double seconds = 10.0 * kSanitizerScale) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(seconds);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -385,8 +406,8 @@ TEST(ClusterRouterTest, HungWorkerIsKilledByHeartbeatAndTheJobRecovers) {
   SKIP_WITHOUT_WORKER();
   ClusterOptions options = FastOptions(1);
   options.hang_after_jobs = 1;  // worker goes silent after its first job
-  options.heartbeat_interval_seconds = 0.04;
-  options.heartbeat_timeout_seconds = 0.1;
+  options.heartbeat_interval_seconds = 0.04 * kSanitizerScale;
+  options.heartbeat_timeout_seconds = 0.1 * kSanitizerScale;
   ClusterRouter router(options);
 
   const Job first = MakeSmallJob("first");

@@ -65,12 +65,12 @@ TEST_F(HomTest, InitialValuationRestricts) {
   int b = t.NewVariable(1);
   t.AddRow({a, b});
   Valuation initial = Valuation::For(t);
-  initial.Set(0, a, 1);  // pin A-variable to value 1
+  initial.Set(t.VarIndex(0, a), 1);  // pin A-variable to value 1
   HomomorphismSearch search(t, inst_);
   search.SetInitial(initial);
   int count = 0;
   search.ForEach([&](const Valuation& v) {
-    EXPECT_EQ(v.Get(0, a), 1);
+    EXPECT_EQ(v.Get(t.VarIndex(0, a)), 1);
     ++count;
     return true;
   });
@@ -84,8 +84,8 @@ TEST_F(HomTest, UnsatisfiablePinExhausts) {
   t.AddRow({a, b});
   t.AddRow({a, b});  // same row twice is fine
   Valuation initial = Valuation::For(t);
-  initial.Set(0, a, 0);
-  initial.Set(1, b, 1);  // (0,1) is not a tuple
+  initial.Set(t.VarIndex(0, a), 0);
+  initial.Set(t.VarIndex(1, b), 1);  // (0,1) is not a tuple
   HomomorphismSearch search(t, inst_);
   search.SetInitial(initial);
   EXPECT_EQ(search.FindAny(nullptr), HomSearchStatus::kExhausted);
@@ -98,7 +98,8 @@ TEST_F(HomTest, FindAnyStopsEarly) {
   HomomorphismSearch search(t, inst_);
   EXPECT_EQ(search.FindAny(&found), HomSearchStatus::kFound);
   // The returned valuation maps the row onto an actual tuple.
-  Tuple image{found.Get(0, t.row(0)[0]), found.Get(1, t.row(0)[1])};
+  Tuple image{found.Get(t.VarIndex(0, t.row(0)[0])),
+              found.Get(t.VarIndex(1, t.row(0)[1]))};
   EXPECT_TRUE(inst_.Contains(image));
 }
 
@@ -178,7 +179,7 @@ TEST(SimdBlockFilter, ByteIdenticalToScalarOverRandomInstances) {
         options.use_index = use_index;
         options.use_simd = simd;
         HomomorphismSearch search(query, inst, options);
-        std::vector<std::vector<std::vector<int>>> matches;
+        std::vector<std::vector<int>> matches;
         search.ForEach([&](const Valuation& v) {
           matches.push_back(v.values);
           return true;
