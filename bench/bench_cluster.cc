@@ -76,7 +76,7 @@ bool RunSweepKillingOneWorker(const ClusterOptions& options,
   Timer epoch;
   std::vector<double> submitted_at(jobs.size(), 0);
   std::vector<double> completed_at(jobs.size(), 0);
-  std::vector<ClusterHandle> handles;
+  std::vector<JobHandle> handles;
   handles.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ClusterSubmitOptions submit;
@@ -92,13 +92,12 @@ bool RunSweepKillingOneWorker(const ClusterOptions& options,
 
   bool identical = true;
   for (std::size_t i = 0; i < handles.size(); ++i) {
-    const ClusterResult& result = handles[i].Wait();
-    if (result.outcome != ClusterOutcome::kCompleted &&
-        result.outcome != ClusterOutcome::kFallback) {
-      identical = false;  // a shed job has no verdict to compare
+    const JobResult result = handles[i].Wait();
+    if (result.status != JobStatus::kCompleted) {
+      identical = false;  // a skipped job has no verdict to compare
       continue;
     }
-    if (result.result.DeterministicSummary() != SerialSummaries()[i]) {
+    if (result.DeterministicSummary() != SerialSummaries()[i]) {
       identical = false;
     }
     std::lock_guard<std::mutex> lock(mu);
@@ -106,7 +105,6 @@ bool RunSweepKillingOneWorker(const ClusterOptions& options,
   }
 
   const ClusterStats stats = router.Stats();
-  totals->submitted += stats.submitted;
   totals->completed += stats.completed;
   totals->retries += stats.retries;
   totals->worker_crashes += stats.worker_crashes;

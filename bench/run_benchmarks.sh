@@ -89,10 +89,10 @@ run_bench "$BUILD_DIR/bench/bench_homomorphism" "$HOM_OUT" 'BM_LayoutHom'
 # (acceptance target: warm >= 10x cold, byte-identical to serial). Five
 # repetitions, so fp_us_per_job and the sweep rates carry a median and cv.
 run_bench "$BUILD_DIR/bench/bench_cache" "$CACHE_OUT" "" 5
-# The sharded-cluster record: the kill-one-worker recovery leg. Needs the
-# tdworker binary (built with the examples).
+# The sharded-cluster record: the kill-one-worker recovery leg, five
+# repetitions. Needs the tdworker binary (built with the examples).
 export TDLIB_TDWORKER="$BUILD_DIR/examples/tdworker"
-run_bench "$BUILD_DIR/bench/bench_cluster" "$CLUSTER_OUT"
+run_bench "$BUILD_DIR/bench/bench_cluster" "$CLUSTER_OUT" "" 5
 
 # Console recap of the headline series. Best-effort without python3, but
 # when python3 exists the parallel parity check at the bottom is a hard
@@ -142,17 +142,19 @@ for (family, key), modes in sorted(by_key.items()):
               f"  ({ratio:4.1f}x)")
 
 # Observability recap: the metrics/tracing overhead pair. Work parity
-# (fired_steps/hom_nodes identical with observability on and off) is a hard
-# failure — the layer must measure the chase, never steer it. The wall-time
-# overhead is the <2% acceptance headline; it is printed (with a WARN past
-# the bar) but not gated here, because wall times on a shared CI box are
-# too noisy for a hard perf gate.
+# (fired_steps/hom_nodes/passes identical with observability on and off) is
+# a hard failure — the layer must measure the chase, never steer it. The
+# wall-time overhead is checked against the <2% bar but not gated here,
+# because wall times on a shared CI box are too noisy for a hard perf gate.
+# When the repetitions of either mode spread wider than the measured
+# overhead, the overhead is printed as unresolved: a WARN (or a pass) from
+# such a pair reports host noise, not the metrics layer.
 obs_modes = {}
 for b in repetition_rows(chase):
     if b["name"].split("/")[0] == "BM_ChaseObservability":
-        obs_modes[int(b.get("observe", 0))] = b
+        obs_modes.setdefault(int(b.get("observe", 0)), []).append(b)
 if 0 in obs_modes and 1 in obs_modes:
-    off, on = obs_modes[0], obs_modes[1]
+    off, on = obs_modes[0][-1], obs_modes[1][-1]
     obs_ok = True
     for field in ("fired_steps", "hom_nodes", "passes"):
         if off.get(field) != on.get(field):
@@ -161,9 +163,16 @@ if 0 in obs_modes and 1 in obs_modes:
                   f"{off.get(field)} != {on.get(field)}")
     off_time, on_time = median_time(chase, off), median_time(chase, on)
     overhead = (on_time / off_time - 1) * 100 if off_time else 0.0
-    flag = "" if overhead < 2.0 else "  WARN: above 2% bar"
+    spread = max(max(b["real_time"] for b in runs) -
+                 min(b["real_time"] for b in runs)
+                 for runs in obs_modes.values())
+    spread = spread / off_time * 100 if off_time else 0.0
+    if abs(overhead) < spread:
+        verdict = f"unresolved: repetitions spread {spread:.1f}%"
+    else:
+        verdict = "within 2% bar" if overhead < 2.0 else "WARN: above 2% bar"
     print(f"observability overhead: off {off_time / 1e6:.2f}ms -> "
-          f"on {on_time / 1e6:.2f}ms ({overhead:+.2f}%){flag}")
+          f"on {on_time / 1e6:.2f}ms ({overhead:+.2f}%)  {verdict}")
     if not obs_ok:
         sys.exit(1)
 
@@ -280,22 +289,27 @@ if not simd_ok:
     sys.exit(1)
 
 # Cluster recap: the kill-one-worker leg. Byte-identity with the serial
-# reference is the HARD check — a cluster that answers differently from the
-# serial solver after a crash is broken.
+# reference is the HARD check, repetition by repetition — a cluster that
+# answers differently from the serial solver after a crash is broken. The
+# rates print as medians over the repetitions.
 cluster = json.load(open(sys.argv[5]))
 cluster_ok = True
-for b in cluster.get("benchmarks", []):
+medians = {b["run_name"]: b for b in cluster.get("benchmarks", [])
+           if b.get("aggregate_name") == "median"}
+for b in repetition_rows(cluster):
     if "identical_to_serial" not in b:
         continue
-    print(f"{b['name']:<40} {b.get('jobs_per_sec', 0):8.1f} jobs/s "
-          f"p99={b.get('lat_p99_us', 0) / 1e3:8.2f}ms"
-          f"  identical_to_serial={int(b['identical_to_serial'])}"
-          f"  crashes={b.get('crashes', 0):.0f}"
-          f" retries={b.get('retries', 0):.0f}")
     if int(b["identical_to_serial"]) != 1:
         cluster_ok = False
         print(f"  PARITY VIOLATION {b['name']}: cluster verdicts diverge "
               f"from the serial reference")
+for b in list(medians.values()) or repetition_rows(cluster):
+    if "identical_to_serial" not in b:
+        continue
+    print(f"{b['run_name']:<40} {b.get('jobs_per_sec', 0):8.1f} jobs/s "
+          f"p99={b.get('lat_p99_us', 0) / 1e3:8.2f}ms"
+          f"  crashes={b.get('crashes', 0):.0f}"
+          f" retries={b.get('retries', 0):.0f}")
 if not cluster_ok:
     sys.exit(1)
 

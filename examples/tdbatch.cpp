@@ -7,6 +7,7 @@
 //   $ ./build/examples/tdbatch --workload=reduction-sweep --size=12 --threads=4
 //   $ ./build/examples/tdbatch --workload=random --seed=7 --deadline=2.5
 //   $ ./build/examples/tdbatch a.td b.td c.td --csv=out.csv --stream
+//   $ ./build/examples/tdbatch --workers=2 --size=8 --check-serial
 //
 // Flags:
 //   --workload=NAME   reduction-sweep (default) or random; ignored when
@@ -70,6 +71,18 @@
 //                     trace_event JSON (load in chrome://tracing/Perfetto)
 //   --slow-log=S      log a phase breakdown to stderr for every job whose
 //                     submit-to-terminal time reaches S seconds
+//   --check-serial    re-solve every completed job serially in-process and
+//                     require a byte-identical DeterministicSummary (prints
+//                     "parity=ok|FAIL"; exit 6 on any divergence)
+//   --workers=N       run the jobs on N tdworker processes (cluster/router.h;
+//                     default 0 = in-process) and print a "cluster:" line of
+//                     worker-set counters; the in-process pool then only
+//                     takes over when every worker is down
+//   --worker-cmd=PATH worker executable (default: $TDLIB_TDWORKER, else
+//                     "tdworker" next to this binary)
+//   --probe-steps=N   park-and-migrate probe budget (default 0 = off)
+//   --kill-worker-after=K  SIGKILL worker slot 0 after the K-th completion
+//                     (the crash-recovery smoke leg)
 //
 // The TDLIB_FAULT environment variable arms the util/fault.h injection
 // sites for this run (e.g. TDLIB_FAULT="chase-alloc:3,deadline"); armed
@@ -78,18 +91,25 @@
 //
 // Exit codes: 0 = success, 2 = usage error, 3 = unreadable input file,
 // 4 = malformed workload/TD program, 5 = cannot write an output file,
-// 1 = any other failure. Every failure prints one diagnostic line to
+// 6 = --check-serial found a divergence, 1 = any other failure. Every failure prints one diagnostic line to
 // stderr prefixed "tdbatch:".
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/result_cache.h"
 #include "cache/store.h"
+#include "cluster/router.h"
 #include "engine/batch_solver.h"
 #include "engine/service.h"
 #include "engine/workload.h"
@@ -113,6 +133,7 @@ enum ExitCode {
   kExitUnreadable = 3,    // an input file could not be opened
   kExitMalformed = 4,     // workload/TD program failed to parse
   kExitWriteFailure = 5,  // an output file could not be written
+  kExitParity = 6,        // --check-serial found a divergence
 };
 
 int ExitCodeForError(ErrorCode code) {
@@ -134,8 +155,42 @@ int Usage() {
                "               [--cache-file=PATH] [--stop-on-refutation]\n"
                "               [--serial] [--csv=PATH] [--metrics[=PATH]]\n"
                "               [--prom=PATH] [--trace=PATH] [--slow-log=S]\n"
+               "               [--check-serial] [--workers=N] [--worker-cmd=PATH]\n"
+               "               [--probe-steps=N] [--kill-worker-after=K]\n"
                "               [file.td ...]\n";
   return 2;
+}
+
+/// Default worker command: $TDLIB_TDWORKER, else "tdworker" in argv[0]'s
+/// directory (the build tree layout puts the two side by side).
+std::string DefaultWorkerCommand(const char* argv0) {
+  const char* env = std::getenv("TDLIB_TDWORKER");
+  if (env != nullptr && env[0] != '\0') return env;
+  const std::string self = argv0;
+  const std::size_t slash = self.find_last_of('/');
+  return slash == std::string::npos ? "tdworker"
+                                    : self.substr(0, slash + 1) + "tdworker";
+}
+
+/// Re-solves every completed job serially and compares the deterministic
+/// bytes. Returns the number of divergent jobs.
+int CheckSerialParity(const std::vector<Job>& jobs,
+                      const std::vector<JobResult>& results) {
+  int checked = 0, divergent = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].status != JobStatus::kCompleted) continue;  // never ran
+    const JobResult serial = RunJob(jobs[i], jobs[i].config);
+    ++checked;
+    if (serial.DeterministicSummary() != results[i].DeterministicSummary()) {
+      ++divergent;
+      std::cerr << "tdbatch: PARITY DIVERGENCE on " << results[i].name
+                << "\n  service: " << results[i].DeterministicSummary()
+                << "\n  serial:  " << serial.DeterministicSummary() << "\n";
+    }
+  }
+  std::cout << "tdbatch: parity=" << (divergent == 0 ? "ok" : "FAIL")
+            << " checked=" << checked << " divergent=" << divergent << "\n";
+  return divergent;
 }
 
 int RunBatch(int argc, char** argv) {
@@ -159,6 +214,11 @@ int RunBatch(int argc, char** argv) {
   bool use_cache = true;
   std::size_t cache_bytes = CacheOptions{}.max_bytes;
   std::string cache_file;
+  bool check_serial = false;
+  ClusterOptions cluster;
+  cluster.num_workers = 0;
+  cluster.worker_command = DefaultWorkerCommand(argv[0]);
+  int kill_after = 0;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
@@ -220,6 +280,16 @@ int RunBatch(int argc, char** argv) {
         trace_path = arg.substr(8);
       } else if (StartsWith(arg, "--slow-log=")) {
         slow_log_seconds = std::stod(arg.substr(11));
+      } else if (arg == "--check-serial") {
+        check_serial = true;
+      } else if (StartsWith(arg, "--workers=")) {
+        cluster.num_workers = std::stoi(arg.substr(10));
+      } else if (StartsWith(arg, "--worker-cmd=")) {
+        cluster.worker_command = arg.substr(13);
+      } else if (StartsWith(arg, "--probe-steps=")) {
+        cluster.migration_probe_steps = std::stoull(arg.substr(14));
+      } else if (StartsWith(arg, "--kill-worker-after=")) {
+        kill_after = std::stoi(arg.substr(20));
       } else if (StartsWith(arg, "--")) {
         return Usage();
       } else {
@@ -232,6 +302,10 @@ int RunBatch(int argc, char** argv) {
   }
   if (workload.size < 1) {
     std::cerr << "tdbatch: --size must be >= 1\n";
+    return Usage();
+  }
+  if (cluster.num_workers < 0 || (kill_after > 0 && cluster.num_workers == 0)) {
+    std::cerr << "tdbatch: --kill-worker-after needs --workers=N > 0\n";
     return Usage();
   }
 
@@ -293,19 +367,31 @@ int RunBatch(int argc, char** argv) {
     service_options.chase_parallelism = chase_parallelism;
     service_options.slow_log_seconds = slow_log_seconds;
     service_options.result_cache = cache;
-    SolverService service(service_options);
+    // One front door either way: with --workers the same service runs its
+    // jobs on worker processes.
+    std::unique_ptr<ClusterRouter> router;
+    std::unique_ptr<SolverService> local_service;
+    if (cluster.num_workers > 0) {
+      router = std::make_unique<ClusterRouter>(cluster, service_options);
+    } else {
+      local_service = std::make_unique<SolverService>(service_options);
+    }
+    SolverService& service =
+        router != nullptr ? router->service() : *local_service;
     summary.num_threads = service.num_threads();
 
     std::mutex stream_mu;
     std::atomic<bool> refuted{false};
+    std::atomic<int> completions{0};
     std::vector<JobHandle> handles;
     handles.reserve(jobs.value().size());
     for (const Job& job : jobs.value()) {
       SubmitOptions submit;
       submit.deadline_seconds = deadline_seconds;
       if (stop_on_refutation) submit.skip_when = &refuted;
-      if (stream || stop_on_refutation) {
+      if (stream || stop_on_refutation || kill_after > 0) {
         submit.on_complete = [&](const JobResult& r) {
+          completions.fetch_add(1, std::memory_order_relaxed);
           if (stop_on_refutation && IsRefutation(r)) {
             refuted.store(true, std::memory_order_relaxed);
           }
@@ -317,11 +403,34 @@ int RunBatch(int argc, char** argv) {
       }
       handles.push_back(service.Submit(job, submit));
     }
+    if (kill_after > 0) {
+      const int target =
+          std::min(kill_after, static_cast<int>(handles.size()));
+      while (completions.load(std::memory_order_relaxed) < target) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      router->KillWorker(0);
+      // Crash detection trails the kill; let it land before the report.
+      for (int i = 0; i < 5000 && router->Stats().worker_crashes == 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
     summary.results.reserve(handles.size());
     for (const JobHandle& handle : handles) {
       summary.results.push_back(handle.Wait());
     }
     summary.wall_seconds = wall.ElapsedSeconds();
+    if (router != nullptr) {
+      const ClusterStats stats = router->Stats();
+      std::cout << "cluster: workers=" << cluster.num_workers
+                << " completed=" << stats.completed
+                << " cache_hits=" << stats.cache_hits
+                << " migrated=" << stats.migrated
+                << " retries=" << stats.retries
+                << " crashes=" << stats.worker_crashes
+                << " restarts=" << stats.worker_restarts
+                << " heartbeat_timeouts=" << stats.heartbeat_timeouts << "\n";
+    }
     for (const JobResult& r : summary.results) {
       switch (r.status) {
         case JobStatus::kCompleted: ++summary.completed; break;
@@ -350,6 +459,11 @@ int RunBatch(int argc, char** argv) {
   }
 
   std::cout << summary.ToTable();
+
+  int exit_code = kExitSuccess;
+  if (check_serial && CheckSerialParity(jobs.value(), summary.results) > 0) {
+    exit_code = kExitParity;
+  }
 
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
@@ -398,7 +512,7 @@ int RunBatch(int argc, char** argv) {
     if (dropped > 0) std::cout << ", " << dropped << " dropped";
     std::cout << ")\n";
   }
-  return kExitSuccess;
+  return exit_code;
 }
 
 }  // namespace

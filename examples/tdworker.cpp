@@ -1,7 +1,7 @@
 // tdworker: one solver worker process of the sharded service.
 //
-// Spawned by the router (examples/tdrouter or ClusterRouter embedded in a
-// test) with an inherited socketpair end; never run by hand. Speaks the
+// Spawned by ClusterRouter (tdbatch --workers=N, or a test) with an
+// inherited socketpair end; never run by hand. Speaks the
 // length-prefixed framed protocol of src/cluster/wire.h and is crash-only:
 // a corrupt frame makes it exit(2) and the supervisor restart it.
 //
@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     }
   }
   if (fd < 0) {
-    std::fprintf(stderr, "tdworker: --fd=N is required (spawned by tdrouter)\n");
+    std::fprintf(stderr,
+                 "tdworker: --fd=N is required (spawned by ClusterRouter)\n");
     return 64;
   }
   tdlib::ArmFaultsFromEnv();

@@ -47,7 +47,7 @@ class CanonicalEncoder {
     Field(chase.max_tuples, ' ');
     Field(chase.hom_max_nodes, ' ');
     Field(chase.record_trace ? 1 : 0, ' ');
-    Field(chase.eager_goal_check ? 1 : 0, ' ');
+    Field(1, ' ');  // the retired lazy-goal-check flag's old default
     Field(chase.use_delta ? 1 : 0, ' ');
     Field(chase.max_fires_per_pass, ' ');
     Field(chase.auto_burst ? 1 : 0, ' ');

@@ -486,8 +486,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     checkpoint->Reset();  // consumed; refilled only on a resumable stop
     resuming = true;
     // No initial goal check: the uninterrupted run checked the goal after
-    // the last fire (eager mode) and found it false, or defers to the pass
-    // end (lazy mode) — the resumed loop reproduces both.
+    // the last fire and found it false.
   } else {
     if (checkpoint != nullptr) checkpoint->Reset();
     if (goal && goal(*instance)) {
@@ -813,7 +812,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
             ChaseStep{step.dep_index, std::move(step.match),
                       std::move(new_ids)});
       }
-      if (config.eager_goal_check && goal && goal(*instance)) {
+      if (goal && goal(*instance)) {
         flush_fire_stats();
         result.status = ChaseStatus::kGoal;
         return result;
@@ -837,11 +836,6 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       }
     }
     flush_fire_stats();
-
-    if (!config.eager_goal_check && goal && goal(*instance)) {
-      result.status = ChaseStatus::kGoal;
-      return result;
-    }
   }
 }
 
@@ -879,7 +873,6 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
       auto_burst != config.auto_burst ||
       match_slice_ids != config.match_slice_ids ||
       record_trace != config.record_trace ||
-      eager_goal_check != config.eager_goal_check ||
       hom_max_nodes != config.hom_max_nodes) {
     return false;
   }
@@ -935,7 +928,6 @@ void ChaseCheckpoint::CaptureShape(const ChaseConfig& config) {
   auto_burst = config.auto_burst;
   match_slice_ids = config.match_slice_ids;
   record_trace = config.record_trace;
-  eager_goal_check = config.eager_goal_check;
   hom_max_nodes = config.hom_max_nodes;
 }
 
@@ -974,8 +966,11 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
 // rather than resumed with a counter no uninterrupted run would produce.
 // tdckpt4 writes each valuation as one flat slot vector instead of one
 // vector per attribute; a tdckpt3 valuation would parse as a different
-// shape, so it is rejected by the magic rather than misread.
-constexpr char kCheckpointMagic[] = "tdckpt4";
+// shape, so it is rejected by the magic rather than misread. tdckpt5 drops
+// the shape flag of the retired lazy (per-pass) goal check: the goal is
+// always checked after every fire, and a tdckpt4 shape line has one field
+// more, so older files are rejected by the magic.
+constexpr char kCheckpointMagic[] = "tdckpt5";
 
 }  // namespace
 
@@ -988,8 +983,7 @@ void ChaseCheckpoint::Serialize(std::ostream& os) const {
      << ' ' << match_tasks << ' ' << carried_passes << '\n';
   os << (use_delta ? 1 : 0) << ' ' << max_fires_per_pass << ' '
      << (auto_burst ? 1 : 0) << ' ' << match_slice_ids << ' '
-     << (record_trace ? 1 : 0) << ' ' << (eager_goal_check ? 1 : 0) << ' '
-     << hom_max_nodes << '\n';
+     << (record_trace ? 1 : 0) << ' ' << hom_max_nodes << '\n';
   os << pending.size() << '\n';
   for (const PendingChaseStep& step : pending) {
     os << step.dep_index << '\n';
@@ -1018,20 +1012,19 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   ChaseCheckpoint ckpt;
   if (valid_flag == 0) return ckpt;  // an empty (non-resumable) checkpoint
   ckpt.valid = true;
-  int use_delta_flag, auto_burst_flag, record_trace_flag, eager_flag;
+  int use_delta_flag, auto_burst_flag, record_trace_flag;
   std::size_t num_pending, num_trace;
   if (!(is >> ckpt.delta_begin >> ckpt.fired_this_pass >>
         ckpt.fire_cap_this_pass >> ckpt.steps >> ckpt.passes >>
         ckpt.hom_nodes >> ckpt.hom_candidates >> ckpt.match_tasks >>
         ckpt.carried_passes >> use_delta_flag >> ckpt.max_fires_per_pass >>
         auto_burst_flag >> ckpt.match_slice_ids >> record_trace_flag >>
-        eager_flag >> ckpt.hom_max_nodes >> num_pending)) {
+        ckpt.hom_max_nodes >> num_pending)) {
     return corrupt("truncated counters/shape block");
   }
   ckpt.use_delta = use_delta_flag != 0;
   ckpt.auto_burst = auto_burst_flag != 0;
   ckpt.record_trace = record_trace_flag != 0;
-  ckpt.eager_goal_check = eager_flag != 0;
   // Same untrusted-count discipline as ReadIntVec: append, never resize.
   for (std::size_t i = 0; i < num_pending; ++i) {
     PendingChaseStep step;

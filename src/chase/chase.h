@@ -47,9 +47,6 @@ struct ChaseConfig {
   /// Record a ChaseStep entry per fire (needed by the part (A) tracer).
   bool record_trace = false;
 
-  /// Check the goal after every fire (true) or only after every pass.
-  bool eager_goal_check = true;
-
   /// Delta-driven (semi-naive) matching: each pass re-matches a dependency
   /// body only against valuations that touch at least one tuple inserted
   /// since the previous pass, plus the carried-over steps earlier passes
@@ -237,7 +234,6 @@ struct ChaseCheckpoint {
   bool auto_burst = false;
   std::uint64_t match_slice_ids = 0;
   bool record_trace = false;
-  bool eager_goal_check = true;
   std::uint64_t hom_max_nodes = 0;
 
   /// True iff this checkpoint belongs with (config-shape, instance, deps):

@@ -11,13 +11,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,77 +26,54 @@
 #include "util/metrics.h"
 
 namespace tdlib {
-
-std::string_view ClusterOutcomeName(ClusterOutcome outcome) {
-  switch (outcome) {
-    case ClusterOutcome::kCompleted: return "completed";
-    case ClusterOutcome::kShedQueue: return "shed-queue";
-    case ClusterOutcome::kShedQuota: return "shed-quota";
-    case ClusterOutcome::kRetriesExhausted: return "retries-exhausted";
-    case ClusterOutcome::kFallback: return "fallback";
-  }
-  return "?";
-}
-
 namespace cluster_internal {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using engine_internal::JobState;
 
 double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-/// The terminal JobResult of a job that never ran (shed / retries spent):
-/// the same shape SolverService publishes for an admission-gated job.
-JobResult SkippedResult(const std::string& name) {
-  JobResult r;
-  r.name = name;
-  r.status = JobStatus::kSkipped;
-  r.verdict = DualVerdict::kUnknown;
-  return r;
+/// One run the worker set owns, from Enqueue until it is published or
+/// handed to the local backend. Dispatcher-owned after Enqueue.
+struct RemoteRun {
+  std::shared_ptr<JobState> state;
+  std::uint64_t generation = 0;
+  int priority = 0;
+  std::uint64_t id = 0;      ///< wire job id
+  std::uint64_t key = 0;     ///< ring position (canonical fingerprint low lane)
+  bool begun = false;        ///< passed BeginRun; `config` is then valid
+  DualSolverConfig config;
+  std::string session_text;  ///< parked checkpoint awaiting its resume
+  bool probed = false;       ///< a probe dispatch already happened
+  bool migrated = false;
+  int crash_retries = 0;     ///< dispatches lost to worker deaths
+};
+using RunPtr = std::shared_ptr<RemoteRun>;
+
+/// Queues run in priority order, FIFO within a priority.
+void InsertByPriority(std::deque<RunPtr>* queue, RunPtr run) {
+  auto it = queue->end();
+  while (it != queue->begin() && (*(it - 1))->priority < run->priority) --it;
+  queue->insert(it, std::move(run));
 }
 
 }  // namespace
 
-struct ClusterJobState {
-  explicit ClusterJobState(Job j) : job(std::move(j)) {}
-
-  std::uint64_t id = 0;
-  Job job;
-  std::string tenant;
-  std::uint64_t key = 0;  ///< ring position (canonical fingerprint low lane)
-  Clock::time_point submitted_at;
-  std::function<void(const ClusterResult&)> on_complete;
-  bool admitted = false;  ///< passed admission (shed jobs never did)
-
-  // Dispatcher-owned scheduling fields (never touched once done).
-  std::string session_text;  ///< parked checkpoint awaiting its resume
-  bool probed = false;       ///< a probe dispatch already happened
-  bool migrated = false;
-  int attempts = 0;          ///< dispatches to workers
-  int crash_retries = 0;     ///< dispatches lost to worker deaths
-
-  // Terminal state.
-  mutable std::mutex mu;
-  mutable std::condition_variable cv;
-  bool done = false;
-  ClusterResult final;
-};
-
-class RouterImpl {
+/// The remote backend: see the file comment of cluster/router.h.
+class WorkerSet final : public engine_internal::Backend {
  public:
-  explicit RouterImpl(ClusterOptions options) : options_(std::move(options)) {
+  WorkerSet(ClusterOptions options, engine_internal::LocalBackend* local)
+      : options_(std::move(options)), local_(local) {
     if (options_.worker_command.empty()) {
       const char* env = std::getenv("TDLIB_TDWORKER");
       if (env != nullptr) options_.worker_command = env;
     }
-    auto& reg = MetricsRegistry::Global();
-    job_seconds_ = reg.GetHistogram("cluster.job_seconds", LatencyBuckets());
-    queue_depth_gauge_ = reg.GetGauge("cluster.queue_depth");
-    workers_healthy_gauge_ = reg.GetGauge("cluster.workers_healthy");
-
+    workers_healthy_gauge_ =
+        MetricsRegistry::Global().GetGauge("cluster.workers_healthy");
     slots_.resize(static_cast<std::size_t>(
         options_.num_workers < 0 ? 0 : options_.num_workers));
     for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -106,79 +81,66 @@ class RouterImpl {
       slots_[i].restart_at = Clock::now();  // spawn on the first tick
     }
     if (slots_.empty()) all_dead_ = true;
-
-    fallback_thread_ = std::thread([this] { FallbackLoop(); });
     dispatcher_ = std::thread([this] { DispatcherLoop(); });
   }
 
-  ~RouterImpl() {
+  ~WorkerSet() override {
     WaitIdle();
-    PostEvent(Event{Event::kStop});
+    {
+      std::lock_guard<std::mutex> lock(idle_mu_);
+      stopping_ = true;
+    }
+    PostEvent(Event(Event::kStop));
     dispatcher_.join();
     ShutdownWorkers();
-    {
-      std::lock_guard<std::mutex> lock(fallback_mu_);
-      fallback_stop_ = true;
-    }
-    fallback_cv_.notify_all();
-    fallback_thread_.join();
   }
 
-  ClusterHandle Submit(Job job, ClusterSubmitOptions submit_options) {
-    auto state = std::make_shared<ClusterJobState>(std::move(job));
-    state->tenant = std::move(submit_options.tenant);
-    state->on_complete = std::move(submit_options.on_complete);
-    state->submitted_at = Clock::now();
-    const CacheFingerprint fp = FingerprintProblem(
-        state->job.dependencies, state->job.goal, state->job.config);
-    state->key = fp.valid ? fp.lo
-                          : HashBytes128(state->job.name.data(),
-                                         state->job.name.size()).lo;
-
-    stats_submitted_.fetch_add(1, std::memory_order_relaxed);
-    Count("cluster.jobs_submitted");
-
-    ClusterOutcome shed = ClusterOutcome::kCompleted;
+  bool Enqueue(const std::shared_ptr<JobState>& state,
+               std::uint64_t generation, int priority) override {
+    auto run = std::make_shared<RemoteRun>();
+    run->state = state;
+    run->generation = generation;
+    run->priority = priority;
+    // A dedup runner arrives fingerprinted; anything else is keyed here.
+    CacheFingerprint fp = state->fingerprint;
+    if (!fp.valid) {
+      fp = FingerprintProblem(state->job.dependencies, state->job.goal,
+                              state->job.config);
+    }
+    run->key = fp.valid ? fp.lo
+                        : HashBytes128(state->job.name.data(),
+                                       state->job.name.size()).lo;
     {
-      std::lock_guard<std::mutex> lock(admission_mu_);
-      state->id = next_id_++;
-      if (options_.max_queue_depth > 0 &&
-          outstanding_ >= options_.max_queue_depth) {
-        shed = ClusterOutcome::kShedQueue;
-      } else if (options_.tenant_quota > 0 &&
-                 tenant_inflight_[state->tenant] >= options_.tenant_quota) {
-        shed = ClusterOutcome::kShedQuota;
-      } else {
-        state->admitted = true;
-        ++outstanding_;
-        ++tenant_inflight_[state->tenant];
-        queue_depth_gauge_->Add(1);
-      }
+      std::lock_guard<std::mutex> lock(idle_mu_);
+      if (stopping_) return false;
+      ++outstanding_;
+      run->id = next_id_++;
     }
-    if (!state->admitted) {
-      FinishJob(state, SkippedResult(state->job.name), shed, -1);
-      return ClusterHandle(state);
-    }
-    Event e{Event::kSubmit};
+    queued_.fetch_add(1, std::memory_order_relaxed);
+    Event e(Event::kSubmit);
+    e.run = std::move(run);
+    PostEvent(std::move(e));
+    return true;
+  }
+
+  void Cancel(const std::shared_ptr<JobState>& state) override {
+    Event e(Event::kCancel);
     e.state = state;
     PostEvent(std::move(e));
-    return ClusterHandle(state);
   }
 
-  void WaitIdle() {
-    std::unique_lock<std::mutex> lock(admission_mu_);
+  std::size_t QueueDepth() const override {
+    return queued_.load(std::memory_order_relaxed);
+  }
+
+  void WaitIdle() override {
+    std::unique_lock<std::mutex> lock(idle_mu_);
     idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
   }
 
   ClusterStats Stats() const {
     ClusterStats s;
-    s.submitted = stats_submitted_.load(std::memory_order_relaxed);
     s.completed = stats_completed_.load(std::memory_order_relaxed);
-    s.shed_queue = stats_shed_queue_.load(std::memory_order_relaxed);
-    s.shed_quota = stats_shed_quota_.load(std::memory_order_relaxed);
-    s.retries_exhausted =
-        stats_retries_exhausted_.load(std::memory_order_relaxed);
-    s.fallback = stats_fallback_.load(std::memory_order_relaxed);
     s.cache_hits = stats_cache_hits_.load(std::memory_order_relaxed);
     s.migrated = stats_migrated_.load(std::memory_order_relaxed);
     s.retries = stats_retries_.load(std::memory_order_relaxed);
@@ -191,19 +153,21 @@ class RouterImpl {
   }
 
   void KillWorker(int slot) {
-    Event e{Event::kKill};
+    Event e(Event::kKill);
     e.slot = slot;
     PostEvent(std::move(e));
   }
 
  private:
   struct Event {
-    enum Type { kSubmit, kHello, kPong, kResult, kGone, kKill, kStop };
+    enum Type { kSubmit, kCancel, kHello, kPong, kResult, kGone, kKill, kStop };
+    explicit Event(Type t) : type(t) {}
     Type type;
     int slot = -1;
     std::uint64_t generation = 0;
-    std::shared_ptr<ClusterJobState> state;  // kSubmit
-    WireResult wire_result;                  // kResult
+    RunPtr run;                        // kSubmit
+    std::shared_ptr<JobState> state;   // kCancel
+    WireResult wire_result;            // kResult
   };
 
   struct Slot {
@@ -221,12 +185,18 @@ class RouterImpl {
     Clock::time_point last_ping;
     std::uint64_t ping_seq = 0;
     bool kill_sent = false;  ///< heartbeat SIGKILL already delivered
-    std::shared_ptr<ClusterJobState> busy;
-    std::deque<std::shared_ptr<ClusterJobState>> queue;
+    RunPtr busy;
+    std::deque<RunPtr> queue;
   };
 
   static void Count(const char* name) {
     MetricsRegistry::Global().GetCounter(name)->Add(1);
+  }
+
+  /// Bumps an always-on stat and its cluster.* counter.
+  static void Count(std::atomic<std::int64_t>* stat, const char* name) {
+    stat->fetch_add(1, std::memory_order_relaxed);
+    Count(name);
   }
 
   void PostEvent(Event e) {
@@ -237,71 +207,19 @@ class RouterImpl {
     event_cv_.notify_one();
   }
 
-  // ---- the single publication path ----------------------------------------
-  // Mirrors engine_internal::PublishTerminal: the completion callback runs
-  // before the done flip, waiters wake after it, and the exactly-once
-  // outcome accounting is guarded by the same done transition — a late
-  // result racing a crash retry can only publish once.
-  void FinishJob(const std::shared_ptr<ClusterJobState>& state,
-                 JobResult result, ClusterOutcome outcome, int worker) {
-    ClusterResult final;
-    final.result = std::move(result);
-    final.outcome = outcome;
-    final.attempts = state->attempts;
-    final.migrated = state->migrated;
-    final.worker = worker;
-    std::unique_lock<std::mutex> lock(state->mu);
-    if (state->done) return;
-    if (state->on_complete) state->on_complete(final);
+  /// A run leaves this backend: published, or handed to the local one.
+  void Done() {
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    if (--outstanding_ == 0) idle_cv_.notify_all();
+  }
 
-    // All accounting happens BEFORE the done flip is observable: a caller
-    // returning from Wait() must see its own job in Stats().
-    const ClusterResult& published = final;
-    switch (outcome) {
-      case ClusterOutcome::kCompleted:
-        stats_completed_.fetch_add(1, std::memory_order_relaxed);
-        Count("cluster.jobs_completed");
-        break;
-      case ClusterOutcome::kShedQueue:
-        stats_shed_queue_.fetch_add(1, std::memory_order_relaxed);
-        Count("cluster.jobs_shed_queue");
-        break;
-      case ClusterOutcome::kShedQuota:
-        stats_shed_quota_.fetch_add(1, std::memory_order_relaxed);
-        Count("cluster.jobs_shed_quota");
-        break;
-      case ClusterOutcome::kRetriesExhausted:
-        stats_retries_exhausted_.fetch_add(1, std::memory_order_relaxed);
-        Count("cluster.jobs_retries_exhausted");
-        break;
-      case ClusterOutcome::kFallback:
-        stats_fallback_.fetch_add(1, std::memory_order_relaxed);
-        Count("cluster.jobs_fallback");
-        break;
-    }
-    if (published.migrated) {
-      stats_migrated_.fetch_add(1, std::memory_order_relaxed);
-      Count("cluster.jobs_migrated");
-    }
-    if (published.result.cache_source == CacheSource::kHit) {
-      stats_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Count("cluster.cache_hits");
-    }
-    job_seconds_->Observe(Seconds(Clock::now() - state->submitted_at));
-
-    if (state->admitted) {
-      std::lock_guard<std::mutex> admission_lock(admission_mu_);
-      --outstanding_;
-      auto it = tenant_inflight_.find(state->tenant);
-      if (it != tenant_inflight_.end() && it->second > 0) --it->second;
-      queue_depth_gauge_->Add(-1);
-      if (outstanding_ == 0) idle_cv_.notify_all();
-    }
-
-    state->final = std::move(final);
-    state->done = true;
-    lock.unlock();
-    state->cv.notify_all();
+  /// Publishes a run that ended here without a worker's answer.
+  void Stop(const RunPtr& run, JobStatus status) {
+    JobResult result;
+    result.name = run->state->job.name;
+    result.status = status;
+    engine_internal::FinishRun(run->state, std::move(result));
+    Done();
   }
 
   // ---- dispatcher ----------------------------------------------------------
@@ -320,7 +238,10 @@ class RouterImpl {
           case Event::kStop:
             return;
           case Event::kSubmit:
-            Route(e.state);
+            Route(e.run);
+            break;
+          case Event::kCancel:
+            HandleCancel(e.state);
             break;
           case Event::kHello:
             if (Current(e)) HandleHello(slots_[e.slot]);
@@ -359,8 +280,7 @@ class RouterImpl {
         if (!slot.kill_sent &&
             Seconds(now - slot.last_pong) >
                 options_.heartbeat_timeout_seconds) {
-          stats_heartbeat_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          Count("cluster.heartbeat_timeouts");
+          Count(&stats_heartbeat_timeouts_, "cluster.heartbeat_timeouts");
           slot.kill_sent = true;
           if (slot.pid > 0) ::kill(slot.pid, SIGKILL);
           // The reader observes EOF and posts kGone; recovery happens there.
@@ -390,9 +310,9 @@ class RouterImpl {
     stats_workers_up_.store(ring_.size(), std::memory_order_relaxed);
     // Keys that fell into the global pending pool while no worker was up
     // can be placed now.
-    std::deque<std::shared_ptr<ClusterJobState>> pending;
+    std::deque<RunPtr> pending;
     pending.swap(pending_);
-    for (auto& state : pending) Route(state);
+    for (RunPtr& run : pending) Route(run);
     PumpSlot(slot);
   }
 
@@ -400,26 +320,65 @@ class RouterImpl {
     if (slot.busy == nullptr || slot.busy->id != wire_result.job_id) {
       return;  // stale answer from before a recovery; already handled
     }
-    std::shared_ptr<ClusterJobState> state = std::move(slot.busy);
+    RunPtr run = std::move(slot.busy);
     slot.busy = nullptr;
-    if (wire_result.parked) {
+    if (wire_result.parked &&
+        !run->state->cancel.load(std::memory_order_relaxed)) {
       // The probe stopped at a resumable checkpoint: migrate it. The probe
       // result itself is never published — its counters describe the
       // truncated run, not the full-budget run the caller asked for.
-      state->session_text = std::move(wire_result.session_text);
-      state->migrated = true;
+      run->session_text = std::move(wire_result.session_text);
+      run->migrated = true;
       Count("cluster.jobs_parked");
-      RouteMigration(state, slot.index);
+      RouteMigration(run, slot.index);
     } else {
-      FinishJob(state, std::move(wire_result.result),
-                ClusterOutcome::kCompleted, slot.index);
+      Count(&stats_completed_, "cluster.jobs_completed");
+      if (wire_result.result.cache_source == CacheSource::kHit) {
+        Count(&stats_cache_hits_, "cluster.cache_hits");
+      }
+      if (run->migrated) {
+        Count(&stats_migrated_, "cluster.jobs_migrated");
+      }
+      wire_result.result.worker = slot.index;
+      engine_internal::FinishRun(run->state, std::move(wire_result.result));
+      Done();
     }
     PumpSlot(slot);
   }
 
+  /// A started run was cancelled: tell the worker running it, or end it
+  /// here when it is between workers (requeued after a crash, or parked
+  /// for migration).
+  void HandleCancel(const std::shared_ptr<JobState>& state) {
+    for (Slot& slot : slots_) {
+      if (slot.busy != nullptr && slot.busy->state == state) {
+        if (!WriteFrameToFd(slot.fd, FrameType::kCancel,
+                            std::to_string(slot.busy->id)) &&
+            slot.pid > 0) {
+          ::kill(slot.pid, SIGKILL);  // recovery sees the cancel flag
+        }
+        return;
+      }
+    }
+    auto take = [&state](std::deque<RunPtr>* queue) -> RunPtr {
+      for (auto it = queue->begin(); it != queue->end(); ++it) {
+        if ((*it)->state == state && (*it)->begun) {
+          RunPtr run = std::move(*it);
+          queue->erase(it);
+          return run;
+        }
+      }
+      return nullptr;
+    };
+    RunPtr run = take(&pending_);
+    for (std::size_t i = 0; run == nullptr && i < slots_.size(); ++i) {
+      run = take(&slots_[i].queue);
+    }
+    if (run != nullptr) Stop(run, JobStatus::kCancelled);
+  }
+
   void HandleWorkerDeath(Slot& slot) {
-    stats_worker_crashes_.fetch_add(1, std::memory_order_relaxed);
-    Count("cluster.worker_crashes");
+    Count(&stats_worker_crashes_, "cluster.worker_crashes");
     ring_.Remove(slot.index);
     workers_healthy_gauge_->Set(ring_.size());
     stats_workers_up_.store(ring_.size(), std::memory_order_relaxed);
@@ -435,85 +394,72 @@ class RouterImpl {
     }
     slot.kill_sent = false;
 
-    std::deque<std::shared_ptr<ClusterJobState>> orphans;
+    std::deque<RunPtr> orphans;
     orphans.swap(slot.queue);
-    std::shared_ptr<ClusterJobState> lost = std::move(slot.busy);
+    RunPtr lost = std::move(slot.busy);
     slot.busy = nullptr;
+    RetireOrRestart(slot);
 
-    if (slot.restarts >= options_.max_restarts) {
-      slot.state = Slot::kDead;
-      if (AllSlotsDead()) {
-        all_dead_ = true;
-        // Everything still queued anywhere degrades to the fallback.
-        for (Slot& other : slots_) {
-          orphans.insert(orphans.end(), other.queue.begin(),
-                         other.queue.end());
-          other.queue.clear();
-        }
-        orphans.insert(orphans.end(), pending_.begin(), pending_.end());
-        pending_.clear();
-      }
-    } else {
-      ++slot.restarts;
-      slot.state = Slot::kDown;
-      slot.backoff = slot.backoff <= 0
-                         ? options_.restart_backoff_seconds
-                         : std::min(slot.backoff * 2,
-                                    options_.restart_backoff_cap_seconds);
-      slot.restart_at =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(slot.backoff));
-    }
-
-    // The in-flight job was LOST mid-run: that is the retry-counted path.
-    if (lost != nullptr) RecoverJob(lost);
-    // Queued-but-undispatched jobs lost nothing; reroute them freely.
-    for (auto& state : orphans) Route(state);
+    // The in-flight run was LOST mid-run: that is the retry-counted path.
+    if (lost != nullptr) RecoverRun(lost);
+    // Queued-but-undispatched runs lost nothing; reroute them freely.
+    for (RunPtr& run : orphans) Route(run);
   }
 
-  void RecoverJob(const std::shared_ptr<ClusterJobState>& state) {
-    ++state->crash_retries;
-    if (state->crash_retries > options_.max_retries) {
-      FinishJob(state, SkippedResult(state->job.name),
-                ClusterOutcome::kRetriesExhausted, -1);
+  void RecoverRun(const RunPtr& run) {
+    if (run->state->cancel.load(std::memory_order_relaxed)) {
+      Stop(run, JobStatus::kCancelled);  // nobody wants the answer
       return;
     }
-    stats_retries_.fetch_add(1, std::memory_order_relaxed);
-    Count("cluster.jobs_retried");
-    Route(state);
+    if (++run->crash_retries > options_.max_retries) {
+      Count("cluster.jobs_retries_exhausted");
+      Stop(run, JobStatus::kSkipped);
+      return;
+    }
+    Count(&stats_retries_, "cluster.jobs_retried");
+    Route(run);
   }
 
-  /// Places a job: parked sessions go to the least-loaded healthy worker,
-  /// fresh jobs follow the ring, no-worker situations degrade to the
-  /// global pending pool (workers restarting) or the fallback (all dead).
-  void Route(const std::shared_ptr<ClusterJobState>& state) {
+  /// Places a run: parked sessions go to the least-loaded healthy worker,
+  /// fresh runs follow the ring; with no worker up they wait in the global
+  /// pending pool (workers restarting) or run locally (all dead).
+  void Route(const RunPtr& run) {
     if (all_dead_) {
-      EnqueueFallback(state);
+      RunLocally(run);
       return;
     }
-    int target = -1;
-    if (!state->session_text.empty()) {
-      target = LeastLoadedUp(-1);
-    } else {
-      target = ring_.Pick(state->key);
-    }
+    const int target = run->session_text.empty() ? ring_.Pick(run->key)
+                                                 : LeastLoadedUp(-1);
     if (target < 0) {
-      pending_.push_back(state);  // a restart is pending; wait for a Hello
+      InsertByPriority(&pending_, run);  // a restart is pending
       return;
     }
-    slots_[target].queue.push_back(state);
+    InsertByPriority(&slots_[target].queue, run);
     PumpSlot(slots_[target]);
   }
 
-  void RouteMigration(const std::shared_ptr<ClusterJobState>& state,
-                      int origin) {
+  void RouteMigration(const RunPtr& run, int origin) {
     const int target = LeastLoadedUp(origin);
     if (target < 0) {
-      Route(state);  // origin died meanwhile, or it is the only worker
+      Route(run);  // origin died meanwhile, or it is the only worker
       return;
     }
-    slots_[target].queue.push_back(state);
+    InsertByPriority(&slots_[target].queue, run);
     PumpSlot(slots_[target]);
+  }
+
+  /// Every worker is permanently down: the service's own pool takes the
+  /// run (a parked session is dropped; the run then starts afresh, which
+  /// yields the same bytes). The pool outlives this backend, so the hand-
+  /// off cannot be refused.
+  void RunLocally(const RunPtr& run) {
+    if (run->begun) {
+      local_->EnqueueBegun(run->state, run->config, run->priority);
+    } else {
+      queued_.fetch_sub(1, std::memory_order_relaxed);
+      local_->Enqueue(run->state, run->generation, run->priority);
+    }
+    Done();
   }
 
   int LeastLoadedUp(int exclude) const {
@@ -535,18 +481,28 @@ class RouterImpl {
   void PumpSlot(Slot& slot) {
     while (slot.state == Slot::kUp && slot.busy == nullptr &&
            !slot.queue.empty()) {
-      std::shared_ptr<ClusterJobState> state = std::move(slot.queue.front());
+      RunPtr run = std::move(slot.queue.front());
       slot.queue.pop_front();
-      WireJob wire_job(state->job);
-      wire_job.job_id = state->id;
-      wire_job.session_text = state->session_text;
-      if (options_.migration_probe_steps > 0 && !state->probed &&
-          state->session_text.empty()) {
+      if (!run->begun) {
+        // The remote analogue of a pool worker's pickup.
+        queued_.fetch_sub(1, std::memory_order_relaxed);
+        if (!engine_internal::BeginRun(run->state, run->generation,
+                                       &run->config)) {
+          Done();
+          continue;
+        }
+        run->begun = true;
+      }
+      WireJob wire_job(run->state->job);
+      wire_job.job.config = run->config;
+      wire_job.job_id = run->id;
+      wire_job.session_text = run->session_text;
+      if (options_.migration_probe_steps > 0 && !run->probed &&
+          run->session_text.empty()) {
         wire_job.probe_steps = options_.migration_probe_steps;
       }
-      state->probed = true;
-      ++state->attempts;
-      slot.busy = state;
+      run->probed = true;
+      slot.busy = run;
       if (!WriteFrameToFd(slot.fd, FrameType::kJob,
                           EncodeJobPayload(wire_job))) {
         // The socket is dead under us; force the crash path (the reader
@@ -562,6 +518,35 @@ class RouterImpl {
       if (slot.state != Slot::kDead) return false;
     }
     return true;
+  }
+
+  /// After a crash or a failed spawn: restart the slot under backoff, or
+  /// abandon it once its restarts are spent. When the last slot goes,
+  /// every queued run moves to the local backend.
+  void RetireOrRestart(Slot& slot) {
+    if (slot.restarts < options_.max_restarts) {
+      ++slot.restarts;
+      slot.state = Slot::kDown;
+      slot.backoff = slot.backoff <= 0
+                         ? options_.restart_backoff_seconds
+                         : std::min(slot.backoff * 2,
+                                    options_.restart_backoff_cap_seconds);
+      slot.restart_at =
+          Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(slot.backoff));
+      return;
+    }
+    slot.state = Slot::kDead;
+    if (!AllSlotsDead()) return;
+    all_dead_ = true;
+    std::deque<RunPtr> orphans;
+    for (Slot& other : slots_) {
+      orphans.insert(orphans.end(), other.queue.begin(), other.queue.end());
+      other.queue.clear();
+    }
+    orphans.insert(orphans.end(), pending_.begin(), pending_.end());
+    pending_.clear();
+    for (RunPtr& run : orphans) RunLocally(run);
   }
 
   // ---- worker processes ----------------------------------------------------
@@ -616,8 +601,7 @@ class RouterImpl {
     ::close(fds[1]);
 
     if (slot.restarts > 0) {  // the initial spawn is not a "restart"
-      stats_worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-      Count("cluster.worker_restarts");
+      Count(&stats_worker_restarts_, "cluster.worker_restarts");
     }
     slot.pid = pid;
     slot.fd = fds[0];
@@ -635,63 +619,33 @@ class RouterImpl {
   /// A spawn that could not even start counts like an instant crash (same
   /// backoff, same bounded restarts), minus a job loss — nothing was busy.
   void FailSpawn(Slot& slot) {
-    stats_worker_crashes_.fetch_add(1, std::memory_order_relaxed);
-    Count("cluster.worker_crashes");
-    if (slot.restarts >= options_.max_restarts) {
-      slot.state = Slot::kDead;
-      if (AllSlotsDead()) {
-        all_dead_ = true;
-        std::deque<std::shared_ptr<ClusterJobState>> orphans;
-        for (Slot& other : slots_) {
-          orphans.insert(orphans.end(), other.queue.begin(),
-                         other.queue.end());
-          other.queue.clear();
-        }
-        orphans.insert(orphans.end(), pending_.begin(), pending_.end());
-        pending_.clear();
-        for (auto& state : orphans) EnqueueFallback(state);
-      }
-      return;
-    }
-    ++slot.restarts;
-    slot.state = Slot::kDown;
-    slot.backoff = slot.backoff <= 0
-                       ? options_.restart_backoff_seconds
-                       : std::min(slot.backoff * 2,
-                                  options_.restart_backoff_cap_seconds);
-    slot.restart_at =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(slot.backoff));
+    Count(&stats_worker_crashes_, "cluster.worker_crashes");
+    RetireOrRestart(slot);
   }
 
   void ReaderLoop(int slot_index, int fd, std::uint64_t generation) {
+    auto event = [&](Event::Type type) {
+      Event e(type);
+      e.slot = slot_index;
+      e.generation = generation;
+      return e;
+    };
     for (;;) {
       Result<Frame> frame = ReadFrameFromFd(fd);
       if (!frame.ok()) {
         if (frame.code() == ErrorCode::kCorrupt) {
           Count("cluster.frames_corrupt");
         }
-        Event e{Event::kGone};
-        e.slot = slot_index;
-        e.generation = generation;
-        PostEvent(std::move(e));
+        PostEvent(event(Event::kGone));
         return;
       }
       switch (frame.value().type) {
-        case FrameType::kHello: {
-          Event e{Event::kHello};
-          e.slot = slot_index;
-          e.generation = generation;
-          PostEvent(std::move(e));
+        case FrameType::kHello:
+          PostEvent(event(Event::kHello));
           break;
-        }
-        case FrameType::kPong: {
-          Event e{Event::kPong};
-          e.slot = slot_index;
-          e.generation = generation;
-          PostEvent(std::move(e));
+        case FrameType::kPong:
+          PostEvent(event(Event::kPong));
           break;
-        }
         case FrameType::kResult: {
           Result<WireResult> wire_result =
               DecodeResultPayload(frame.value().payload);
@@ -699,15 +653,10 @@ class RouterImpl {
             // A worker speaking garbage is crashed by definition (the
             // crash-only pact, enforced from the router side).
             Count("cluster.frames_corrupt");
-            Event e{Event::kGone};
-            e.slot = slot_index;
-            e.generation = generation;
-            PostEvent(std::move(e));
+            PostEvent(event(Event::kGone));
             return;
           }
-          Event e{Event::kResult};
-          e.slot = slot_index;
-          e.generation = generation;
+          Event e = event(Event::kResult);
           e.wire_result = std::move(wire_result).value();
           PostEvent(std::move(e));
           break;
@@ -754,56 +703,18 @@ class RouterImpl {
     }
   }
 
-  // ---- in-process fallback -------------------------------------------------
-
-  void EnqueueFallback(const std::shared_ptr<ClusterJobState>& state) {
-    if (!options_.fallback_when_down) {
-      FinishJob(state, SkippedResult(state->job.name),
-                ClusterOutcome::kRetriesExhausted, -1);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(fallback_mu_);
-      fallback_queue_.push_back(state);
-    }
-    fallback_cv_.notify_one();
-  }
-
-  void FallbackLoop() {
-    for (;;) {
-      std::shared_ptr<ClusterJobState> state;
-      {
-        std::unique_lock<std::mutex> lock(fallback_mu_);
-        fallback_cv_.wait(lock, [this] {
-          return fallback_stop_ || !fallback_queue_.empty();
-        });
-        if (fallback_queue_.empty()) return;
-        state = std::move(fallback_queue_.front());
-        fallback_queue_.pop_front();
-      }
-      ++state->attempts;
-      ChaseSession session;
-      if (!state->session_text.empty()) {
-        std::istringstream iss(state->session_text);
-        Result<ChaseSession> restored = ChaseSession::Deserialize(
-            state->job.goal.schema_ptr(), iss);
-        if (restored.ok()) session = std::move(restored).value();
-      }
-      JobResult result = RunJob(state->job, state->job.config, &session);
-      FinishJob(state, std::move(result), ClusterOutcome::kFallback, -1);
-    }
-  }
-
   // ---- members -------------------------------------------------------------
 
   ClusterOptions options_;
+  engine_internal::LocalBackend* local_;  ///< the service's; outlives us
 
-  // Admission (caller threads + FinishJob).
-  std::mutex admission_mu_;
+  // Run accounting (Enqueue callers + dispatcher).
+  std::mutex idle_mu_;
   std::condition_variable idle_cv_;
   std::uint64_t next_id_ = 1;
-  std::size_t outstanding_ = 0;
-  std::unordered_map<std::string, std::size_t> tenant_inflight_;
+  std::size_t outstanding_ = 0;  ///< runs enqueued and not yet Done()
+  bool stopping_ = false;
+  std::atomic<std::size_t> queued_{0};  ///< of those, not yet begun
 
   // Event plane (reader threads -> dispatcher).
   std::mutex event_mu_;
@@ -813,24 +724,12 @@ class RouterImpl {
   // Dispatcher-owned scheduling state.
   std::vector<Slot> slots_;
   HashRing ring_;
-  std::deque<std::shared_ptr<ClusterJobState>> pending_;
+  std::deque<RunPtr> pending_;
   bool all_dead_ = false;
   std::thread dispatcher_;
 
-  // Fallback plane.
-  std::mutex fallback_mu_;
-  std::condition_variable fallback_cv_;
-  std::deque<std::shared_ptr<ClusterJobState>> fallback_queue_;
-  bool fallback_stop_ = false;
-  std::thread fallback_thread_;
-
   // Always-on stats (mirrored into cluster.* counters).
-  std::atomic<std::int64_t> stats_submitted_{0};
   std::atomic<std::int64_t> stats_completed_{0};
-  std::atomic<std::int64_t> stats_shed_queue_{0};
-  std::atomic<std::int64_t> stats_shed_quota_{0};
-  std::atomic<std::int64_t> stats_retries_exhausted_{0};
-  std::atomic<std::int64_t> stats_fallback_{0};
   std::atomic<std::int64_t> stats_cache_hits_{0};
   std::atomic<std::int64_t> stats_migrated_{0};
   std::atomic<std::int64_t> stats_retries_{0};
@@ -839,41 +738,49 @@ class RouterImpl {
   std::atomic<std::int64_t> stats_heartbeat_timeouts_{0};
   std::atomic<std::int64_t> stats_workers_up_{0};
 
-  Histogram* job_seconds_ = nullptr;
-  Gauge* queue_depth_gauge_ = nullptr;
   Gauge* workers_healthy_gauge_ = nullptr;
-
-  friend class ::tdlib::ClusterRouter;
 };
 
 }  // namespace cluster_internal
 
-const ClusterResult& ClusterHandle::Wait() const {
-  cluster_internal::ClusterJobState& state = *state_;
-  std::unique_lock<std::mutex> lock(state.mu);
-  state.cv.wait(lock, [&state] { return state.done; });
-  return state.final;
+ClusterRouter::ClusterRouter(ClusterOptions options, ServiceOptions service) {
+  service_ = std::make_unique<SolverService>(
+      std::move(service), [this, &options](engine_internal::LocalBackend* local) {
+        auto workers = std::make_unique<cluster_internal::WorkerSet>(
+            std::move(options), local);
+        workers_ = workers.get();
+        return std::unique_ptr<engine_internal::Backend>(std::move(workers));
+      });
 }
 
-bool ClusterHandle::Done() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->done;
+namespace {
+
+ServiceOptions OneThreadLocalBackend() {
+  ServiceOptions options;
+  options.num_threads = 1;
+  return options;
 }
+
+}  // namespace
 
 ClusterRouter::ClusterRouter(ClusterOptions options)
-    : impl_(std::make_unique<cluster_internal::RouterImpl>(
-          std::move(options))) {}
+    : ClusterRouter(std::move(options), OneThreadLocalBackend()) {}
 
 ClusterRouter::~ClusterRouter() = default;
 
-ClusterHandle ClusterRouter::Submit(Job job, ClusterSubmitOptions options) {
-  return impl_->Submit(std::move(job), std::move(options));
+JobHandle ClusterRouter::Submit(Job job, ClusterSubmitOptions options) {
+  SubmitOptions submit;
+  if (options.on_complete) {
+    submit.on_complete = [callback = std::move(options.on_complete)](
+                             const JobResult& r) {
+      callback(ClusterResult{r, r.worker});
+    };
+  }
+  return service_->Submit(std::move(job), std::move(submit));
 }
 
-void ClusterRouter::WaitIdle() { impl_->WaitIdle(); }
+ClusterStats ClusterRouter::Stats() const { return workers_->Stats(); }
 
-ClusterStats ClusterRouter::Stats() const { return impl_->Stats(); }
-
-void ClusterRouter::KillWorker(int slot) { impl_->KillWorker(slot); }
+void ClusterRouter::KillWorker(int slot) { workers_->KillWorker(slot); }
 
 }  // namespace tdlib

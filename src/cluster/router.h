@@ -1,22 +1,30 @@
-// The cluster router: sharded dispatch over supervised worker processes.
+// The cluster: SolverService over supervised worker processes.
 //
-// Topology (examples/tdrouter is the CLI face of this):
+// ClusterRouter builds a SolverService whose backend (engine/backend.h) is a
+// set of tdworker processes instead of the in-process pool:
 //
-//   Submit ──admission──▶ dispatcher ──ring──▶ worker 0  (tdworker process)
-//                            │                 worker 1
-//                            │                 ...
-//                            └──▶ fallback solver (in-process, last resort)
+//   SolverService::Submit ── admission, cache, dedup (the service's own)
+//            │
+//            ▼
+//   WorkerSet dispatcher ──ring──▶ worker 0  (tdworker process)
+//            │                     worker 1
+//            │                     ...
+//            └──▶ local backend (the service's pool; only when every
+//                 worker is down)
 //
-// One dispatcher thread owns all scheduling state and processes an event
-// queue fed by per-worker reader threads; there is no shared mutable
-// scheduling state outside it. Jobs are keyed on the canonical-form
-// fingerprint (cache/canonical.h), so isomorphic jobs consistently land on
-// the same worker and its result cache serves repeats as kHit.
+// Jobs therefore get everything a local submission gets — JobHandle
+// Wait/Poll/Cancel, deadlines, priorities, ResumeWithBudget, the result
+// cache — from the one implementation in engine/service.cc; this layer
+// only runs them. One dispatcher thread owns all scheduling state and
+// processes an event queue fed by per-worker reader threads. Jobs are keyed
+// on the canonical-form fingerprint (cache/canonical.h), so isomorphic jobs
+// consistently land on the same worker and its result cache serves repeats
+// as kHit. Each worker's queue runs in priority order.
 //
 // Robustness model:
 //   * crash    — a worker's socket closing (or a corrupt frame from it)
 //                marks the slot down, requeues its in-flight job on a
-//                healthy worker (bounded by max_retries, then shed as
+//                healthy worker (bounded by max_retries, then published as
 //                kSkipped), and restarts the process under bounded
 //                exponential backoff until max_restarts is spent;
 //   * hang     — heartbeat pings every heartbeat_interval_seconds; a worker
@@ -26,22 +34,16 @@
 //                kCorrupt; the router treats a worker speaking garbage as
 //                crashed (and a worker treats a garbled router the same
 //                way: crash-only, both directions);
-//   * overload — per-tenant quotas and a global queue bound shed excess
-//                submissions immediately as kSkipped;
+//   * cancel   — JobHandle::Cancel() of a dispatched job sends a kCancel
+//                frame; the worker raises its solver's cancel flag, so even
+//                a pumping chase stops promptly;
 //   * migration— with migration_probe_steps set, a first dispatch runs a
 //                bounded probe; a chase that is still running at the probe
 //                budget parks its ChaseSession, which the router migrates
 //                to the least-loaded worker and resumes — byte-identical
 //                to an uninterrupted run by the PR-4 resume contract;
-//   * all down — when every slot is permanently dead the router degrades
-//                to an in-process fallback solver rather than failing
-//                accepted jobs.
-//
-// Every terminal outcome — completed (hit or solved), shed, retries
-// exhausted, fallback — flows through ONE publication path (FinishJob,
-// mirroring engine_internal::PublishTerminal's ordering: completion
-// callback, then the done flip, then exactly-once cluster.* counters), so
-// outcome counters sum to submissions even across crash/retry races.
+//   * all down — when every slot is permanently dead, jobs run on the
+//                service's local backend.
 #ifndef TDLIB_CLUSTER_ROUTER_H_
 #define TDLIB_CLUSTER_ROUTER_H_
 
@@ -50,20 +52,18 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 
-#include "engine/job.h"
+#include "engine/service.h"
 
 namespace tdlib {
 
 namespace cluster_internal {
-struct ClusterJobState;
-class RouterImpl;
+class WorkerSet;
 }  // namespace cluster_internal
 
 struct ClusterOptions {
-  /// Worker process count. 0 = no workers: every job takes the fallback
-  /// path (useful as a serial reference inside one process tree).
+  /// Worker process count. 0 = no workers: every job runs on the local
+  /// backend (useful as a serial reference inside one process tree).
   int num_workers = 2;
 
   /// Worker executable. "" = $TDLIB_TDWORKER. Spawned as
@@ -73,8 +73,8 @@ struct ClusterOptions {
   int worker_threads = 1;
   std::size_t worker_cache_bytes = 16u << 20;
 
-  /// Crash retries per job before it is shed as kSkipped (a dispatch lost
-  /// to a worker death is re-dispatched this many times).
+  /// Crash retries per job before it is published as kSkipped (a dispatch
+  /// lost to a worker death is re-dispatched this many times).
   int max_retries = 2;
 
   /// Process restarts per slot before the slot is abandoned for good.
@@ -92,79 +92,28 @@ struct ClusterOptions {
   /// budget; a still-running chase parks and migrates (see file comment).
   std::uint64_t migration_probe_steps = 0;
 
-  /// Global bound on jobs admitted but not yet terminal. 0 = unbounded.
-  std::size_t max_queue_depth = 1024;
-
-  /// Per-tenant bound on in-flight jobs. 0 = unbounded.
-  std::size_t tenant_quota = 0;
-
-  /// Degrade to an in-process solver when all workers are permanently
-  /// down (off: such jobs are shed as kSkipped once retries exhaust).
-  bool fallback_when_down = true;
-
   /// Test hook forwarded to workers (WorkerOptions::hang_after_jobs).
   int hang_after_jobs = 0;
 };
 
-/// How a job left the router. kCompleted covers worker solves, worker
-/// cache hits (JobResult::cache_source == kHit) and migrated resumes
-/// (ClusterResult::migrated); the rest are degraded exits.
-enum class ClusterOutcome {
-  kCompleted,         ///< a worker produced the verdict
-  kShedQueue,         ///< refused at admission: queue depth bound
-  kShedQuota,         ///< refused at admission: tenant quota
-  kRetriesExhausted,  ///< lost to crashes max_retries+1 times -> kSkipped
-  kFallback,          ///< solved by the in-process fallback (workers down)
-};
-
-std::string_view ClusterOutcomeName(ClusterOutcome outcome);
-
 struct ClusterResult {
   JobResult result;
-  ClusterOutcome outcome = ClusterOutcome::kCompleted;
-  int attempts = 0;      ///< dispatches (1 = first try succeeded)
-  bool migrated = false; ///< a parked checkpoint moved between workers
-  int worker = -1;       ///< slot that produced the result (-1: none)
+  int worker = -1;  ///< slot that produced the result (-1: local backend)
 };
 
 struct ClusterSubmitOptions {
-  std::string tenant = "default";
   /// Runs on the publishing thread BEFORE waiters wake (the PublishTerminal
   /// ordering). Must not re-enter the router.
   std::function<void(const ClusterResult&)> on_complete;
 };
 
-/// Waitable handle to one submitted job.
-class ClusterHandle {
- public:
-  ClusterHandle() = default;
-
-  /// Blocks until the job is terminal and returns its result.
-  const ClusterResult& Wait() const;
-
-  /// Non-blocking: terminal yet?
-  bool Done() const;
-
- private:
-  friend class cluster_internal::RouterImpl;
-  explicit ClusterHandle(
-      std::shared_ptr<cluster_internal::ClusterJobState> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<cluster_internal::ClusterJobState> state_;
-};
-
-/// Always-on totals (plain atomics, readable without enabling metrics;
-/// the same figures publish as cluster.* counters when metrics are on).
+/// Always-on worker-set totals (plain atomics, readable without enabling
+/// metrics; the same figures publish as cluster.* counters when metrics are
+/// on). Admission and outcome totals are the service's engine.* metrics.
 struct ClusterStats {
-  std::int64_t submitted = 0;
-  std::int64_t completed = 0;
-  std::int64_t shed_queue = 0;
-  std::int64_t shed_quota = 0;
-  std::int64_t retries_exhausted = 0;
-  std::int64_t fallback = 0;
-  std::int64_t cache_hits = 0;    ///< completed jobs served from worker caches
-  std::int64_t migrated = 0;      ///< completed jobs that resumed a parked chase
+  std::int64_t completed = 0;     ///< runs a worker answered
+  std::int64_t cache_hits = 0;    ///< of those, served from a worker cache
+  std::int64_t migrated = 0;      ///< of those, resumed a parked chase
   std::int64_t retries = 0;       ///< re-dispatches after a worker death
   std::int64_t worker_crashes = 0;
   std::int64_t worker_restarts = 0;
@@ -174,7 +123,12 @@ struct ClusterStats {
 
 class ClusterRouter {
  public:
+  /// Spawns the workers. `service` configures the front door as for any
+  /// SolverService; its num_threads sizes the local backend, which runs
+  /// jobs only while every worker is down. The one-argument form uses a
+  /// one-thread local backend and no router-side cache.
   explicit ClusterRouter(ClusterOptions options);
+  ClusterRouter(ClusterOptions options, ServiceOptions service);
 
   /// Drains in-flight jobs, shuts workers down and reaps them.
   ~ClusterRouter();
@@ -182,13 +136,14 @@ class ClusterRouter {
   ClusterRouter(const ClusterRouter&) = delete;
   ClusterRouter& operator=(const ClusterRouter&) = delete;
 
-  /// Admits or sheds `job`. Shedding (quota/queue) is decided and published
-  /// synchronously; the returned handle is then already Done. Never blocks
-  /// on solver work.
-  ClusterHandle Submit(Job job, ClusterSubmitOptions options = {});
+  /// The front door: the full SolverService API over the workers.
+  SolverService& service() { return *service_; }
 
-  /// Blocks until every admitted job is terminal.
-  void WaitIdle();
+  /// service().Submit with a callback that also reports the worker.
+  JobHandle Submit(Job job, ClusterSubmitOptions options = {});
+
+  /// Blocks until every submitted job is terminal.
+  void WaitIdle() { service_->WaitIdle(); }
 
   ClusterStats Stats() const;
 
@@ -197,7 +152,8 @@ class ClusterRouter {
   void KillWorker(int slot);
 
  private:
-  std::unique_ptr<cluster_internal::RouterImpl> impl_;
+  cluster_internal::WorkerSet* workers_ = nullptr;  ///< owned by service_
+  std::unique_ptr<SolverService> service_;
 };
 
 }  // namespace tdlib

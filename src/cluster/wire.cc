@@ -16,7 +16,7 @@
 namespace tdlib {
 namespace {
 
-constexpr char kMagic[4] = {'T', 'D', 'F', '2'};
+constexpr char kMagic[4] = {'T', 'D', 'F', '3'};
 
 template <typename T>
 Result<T> Corrupt(const std::string& what) {
@@ -25,7 +25,7 @@ Result<T> Corrupt(const std::string& what) {
 
 bool KnownFrameType(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kShutdown);
+         type <= static_cast<std::uint8_t>(FrameType::kCancel);
 }
 
 void PutU32(std::string* out, std::uint32_t v) {
@@ -197,8 +197,7 @@ void EncodeConfig(const DualSolverConfig& config, std::ostream& os) {
   os << "config " << config.rounds << ' ' << (config.resume_chase ? 1 : 0)
      << ' ' << chase.max_steps << ' ' << chase.max_tuples << ' '
      << chase.deadline_seconds << ' ' << chase.hom_max_nodes << ' '
-     << (chase.record_trace ? 1 : 0) << ' ' << (chase.eager_goal_check ? 1 : 0)
-     << ' ' << (chase.use_delta ? 1 : 0) << ' ' << chase.max_fires_per_pass
+     << (chase.record_trace ? 1 : 0) << ' ' << (chase.use_delta ? 1 : 0) << ' ' << chase.max_fires_per_pass
      << ' ' << (chase.auto_burst ? 1 : 0) << ' ' << chase.match_slice_ids
      << ' ' << (chase.use_simd ? 1 : 0) << ' ' << cex.max_tuples << ' '
      << cex.max_candidates << ' ' << cex.deadline_seconds << '\n';
@@ -213,7 +212,6 @@ bool DecodeConfig(PayloadReader* in, DualSolverConfig* config) {
          in->ReadDouble(&chase.deadline_seconds) &&
          in->ReadU64(&chase.hom_max_nodes) &&
          in->ReadBool(&chase.record_trace) &&
-         in->ReadBool(&chase.eager_goal_check) &&
          in->ReadBool(&chase.use_delta) &&
          in->ReadU64(&chase.max_fires_per_pass) &&
          in->ReadBool(&chase.auto_burst) &&

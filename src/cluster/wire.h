@@ -2,8 +2,9 @@
 //
 // The router and its worker processes exchange self-delimiting frames:
 //
-//   bytes 0..3   magic "TDF2" (TDF1 carried the retired intersection flag
-//                in the job config line; a TDF1 peer fails at the header)
+//   bytes 0..3   magic "TDF3" (TDF1 and TDF2 carried retired ablation
+//                flags in the job config line; TDF3 also adds the cancel
+//                frame — an older peer fails at the header)
 //   byte  4      frame type (FrameType)
 //   bytes 5..7   reserved, must be zero
 //   bytes 8..11  payload length, little-endian (capped at kMaxFramePayload)
@@ -36,7 +37,7 @@
 
 namespace tdlib {
 
-/// Frame vocabulary. Router -> worker: kJob, kPing, kShutdown.
+/// Frame vocabulary. Router -> worker: kJob, kPing, kShutdown, kCancel.
 /// Worker -> router: kHello, kPong, kResult.
 enum class FrameType : std::uint8_t {
   kHello = 1,   ///< worker is up: "tdhello" payload (pid, protocol version)
@@ -44,7 +45,10 @@ enum class FrameType : std::uint8_t {
   kPong = 3,    ///< heartbeat answer (echoed seq)
   kJob = 4,     ///< one job assignment (job id, program, config, session)
   kResult = 5,  ///< terminal or parked outcome of an assigned job
-  kShutdown = 6 ///< drain and exit cleanly
+  kShutdown = 6, ///< drain and exit cleanly
+  kCancel = 7   ///< stop the assigned job (decimal job id): the worker
+                ///  raises its solver's cancel flag and answers with the
+                ///  truncated result as usual
 };
 
 /// Largest payload a frame may declare. Parked sessions dominate frame

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,9 +40,9 @@ class FrameWriter {
   std::mutex mu_;
 };
 
-/// Solves one wire job. `cancel` is the worker's abort flag (raised when
-/// the stream turns corrupt, so a crash-only exit is not delayed by a
-/// long chase).
+/// Solves one wire job. `cancel` is raised by a kCancel frame for this job
+/// and by the worker's abort (the stream turned corrupt, so a crash-only
+/// exit is not delayed by a long chase).
 WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
                       ResultCache* cache, const std::atomic<bool>* cancel) {
   WireResult out;
@@ -105,7 +106,10 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
   }
 
   out.result = RunJob(job, config, &session);
-  if (fingerprint.valid && out.result.status == JobStatus::kCompleted) {
+  // A cancelled run's counters describe where the cancel landed, not the
+  // problem: never cache them.
+  if (fingerprint.valid && out.result.status == JobStatus::kCompleted &&
+      !cancel->load(std::memory_order_relaxed)) {
     cache->Insert(fingerprint, CachedVerdictFromResult(out.result, 0));
     out.result.cache_source = CacheSource::kMiss;
   }
@@ -120,11 +124,17 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
   ResultCache cache(CacheOptions{options.cache_bytes, /*shards=*/4});
   FrameWriter writer(fd);
 
+  // `cancel` is the running job's solver flag; `abort` marks the
+  // crash-only exit. Both are written under `mu`, so a job starting never
+  // loses a cancel (or an abort) aimed at it.
+  std::atomic<bool> cancel{false};
   std::atomic<bool> abort{false};
 
   std::mutex mu;
   std::condition_variable cv;
   std::optional<WireJob> inbox;  // single outstanding job by protocol
+  std::uint64_t running_id = 0;  // job the solver thread is on (0: none)
+  std::uint64_t cancel_id = 0;   // latest job id a kCancel frame named
   bool stop = false;
   bool busy = false;
   int jobs_done = 0;
@@ -138,8 +148,12 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
         if (!inbox.has_value()) return;
         wire_job.swap(inbox);
         busy = true;
+        running_id = wire_job->job_id;
+        cancel.store(abort.load(std::memory_order_relaxed) ||
+                         cancel_id == running_id,
+                     std::memory_order_relaxed);
       }
-      WireResult result = ExecuteJob(*wire_job, pool.get(), &cache, &abort);
+      WireResult result = ExecuteJob(*wire_job, pool.get(), &cache, &cancel);
       // On the corrupt-stream abort path the chase was cancelled; that
       // result is an artifact of dying, not an answer — suppress it so the
       // router recovers the job through the crash path instead.
@@ -149,6 +163,7 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       {
         std::lock_guard<std::mutex> lock(mu);
         busy = false;
+        running_id = 0;
         ++jobs_done;
       }
       cv.notify_all();
@@ -193,13 +208,25 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       cv.notify_all();
       continue;
     }
+    if (type == FrameType::kCancel) {
+      // Job ids start at 1, so an unparsable id (0) cancels nothing.
+      const std::uint64_t id =
+          std::strtoull(frame.value().payload.c_str(), nullptr, 10);
+      std::lock_guard<std::mutex> lock(mu);
+      cancel_id = id;
+      if (running_id == id) cancel.store(true, std::memory_order_relaxed);
+      continue;
+    }
     if (type == FrameType::kShutdown) break;
     // kHello/kPong/kResult are worker->router vocabulary; ignore echoes.
   }
 
-  if (exit_code != 0) abort.store(true, std::memory_order_relaxed);
   {
     std::unique_lock<std::mutex> lock(mu);
+    if (exit_code != 0) {
+      abort.store(true, std::memory_order_relaxed);
+      cancel.store(true, std::memory_order_relaxed);
+    }
     if (exit_code == 0) {
       // Drain: let an in-flight job finish and send its result.
       cv.wait(lock, [&] { return !busy && !inbox.has_value(); });

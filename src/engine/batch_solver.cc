@@ -91,7 +91,7 @@ BatchSummary BatchSolver::Run(const std::vector<Job>& jobs) {
     // price of handles that may outlive the caller's vector. That is one
     // copy per job per Run (not per execution), on the submission path
     // before any solving; the per-execution path still copies only the
-    // small config struct (ExecuteOnWorker).
+    // small config struct (BeginRun).
     std::vector<JobHandle> handles;
     handles.reserve(jobs.size());
     for (const Job& job : jobs) {

@@ -79,6 +79,11 @@ struct JobResult {
   /// wall-clock fields; surfaced in CsvRow and BatchSummary::ToTable.
   CacheSource cache_source = CacheSource::kNone;
 
+  /// Worker process slot that produced the result (cluster/router.h); -1
+  /// when it ran in this process or never ran. Provenance, excluded from
+  /// DeterministicSummary like cache_source.
+  int worker = -1;
+
   // Wall-clock phase breakdown (nondeterministic, excluded from
   // DeterministicSummary like wall_seconds; carried into CsvRow/ToTable and
   // the service's slow log). queue_seconds is filled by the service worker

@@ -33,6 +33,7 @@ bool JobHandle::Cancel() const {
   if (state_ == nullptr) return false;
   JobResult cancelled;
   std::shared_ptr<engine_internal::JobState> runner;
+  bool started = false;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     if (state_->done) return false;   // finished/skipped: harmless no-op
@@ -42,17 +43,28 @@ bool JobHandle::Cancel() const {
     // check and this store is benign: the flag is only read again by a
     // ResumeWithBudget run, which clears it first.
     state_->cancel.store(true, std::memory_order_relaxed);
-    if (state_->started) return true;  // running: cooperative stop, soon
-    // Still queued (or attached to a dedup runner — a waiter never runs on
-    // a worker, so it always takes this path): terminal right here, not
-    // when a worker finally gets to it — a cancelled submission must not
-    // wait behind unrelated work. `claimed` fences the worker (or the
-    // runner's fan-out) out while we complete the run outside the lock.
-    state_->claimed = true;
-    runner = std::move(state_->coalesce_runner);
-    state_->coalesce_runner.reset();
-    cancelled.name = state_->job.name;
-    cancelled.status = JobStatus::kCancelled;
+    started = state_->started;
+    if (!started) {
+      // Still queued (or attached to a dedup runner — a waiter never runs
+      // on a worker, so it always takes this path): terminal right here,
+      // not when a worker finally gets to it — a cancelled submission must
+      // not wait behind unrelated work. `claimed` fences the worker (or the
+      // runner's fan-out) out while we complete the run outside the lock.
+      state_->claimed = true;
+      runner = std::move(state_->coalesce_runner);
+      state_->coalesce_runner.reset();
+      cancelled.name = state_->job.name;
+      cancelled.status = JobStatus::kCancelled;
+    }
+  }
+  if (started) {
+    // Running: a local solver observes the flag on its cooperative
+    // cadence; a remote backend forwards it to the worker process.
+    if (std::shared_ptr<engine_internal::ServiceCore> core =
+            state_->core.lock()) {
+      core->backend->Cancel(state_);
+    }
+    return true;
   }
   // The shared publication path fires the callback exactly once per run,
   // BEFORE the terminal state is observable (the same ordering the worker

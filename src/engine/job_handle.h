@@ -73,6 +73,10 @@ struct JobState {
                                     ///  "job.queue" trace event's left edge)
   double slow_log_seconds = 0;      ///< ServiceOptions copy: 0 = disabled
   std::function<void(const std::string&)> slow_log_sink;  ///< null = stderr
+  std::string tenant;               ///< SubmitOptions::tenant
+  bool holds_tenant_slot = false;   ///< charged to the tenant quota at
+                                    ///  admission; cleared by the publication
+                                    ///  that releases it
 
   // Lock-free control.
   std::atomic<bool> cancel{false};  ///< cooperative cancel, solver-observed
@@ -93,12 +97,15 @@ struct JobState {
   ChaseSession session;             ///< resumable chase of THIS (D, D0)
   std::function<void(const JobResult&)> on_complete;
   Timer submit_timer;               ///< deadline epoch; reset on resume
+  double queue_seconds = 0;         ///< this run's Submit-to-pickup wait:
+                                    ///  written by BeginRun, read by the
+                                    ///  same run's FinishRun
 
   // Result-cache plumbing (see cache/result_cache.h and the dedup model in
   // engine/service.cc). `fingerprint`/`cache` are set before the state is
-  // shared and only on runs that should FILL the cache (the dedup runner,
-  // or the submission itself when dedup is off); ResumeWithBudget clears
-  // them — a resumed run's config differs from what was fingerprinted.
+  // shared and only on runs that should FILL the cache (the dedup runner);
+  // ResumeWithBudget clears them — a resumed run's config differs from what
+  // was fingerprinted.
   CacheFingerprint fingerprint;        ///< valid only on cache-filling runs
   std::shared_ptr<ResultCache> cache;  ///< fill target at publication
   bool internal_runner = false;  ///< dedup runner: service-owned, never

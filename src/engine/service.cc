@@ -42,6 +42,7 @@ struct ServiceMetrics {
   Counter* cancelled;
   Counter* resumes;
   Counter* shed;
+  Counter* shed_quota;
   Gauge* inflight;
   Histogram* queue_wait_seconds;
   Histogram* job_seconds;
@@ -57,6 +58,7 @@ ServiceMetrics& GetServiceMetrics() {
     sm->cancelled = r.GetCounter("engine.jobs_cancelled");
     sm->resumes = r.GetCounter("engine.job_resumes");
     sm->shed = r.GetCounter("engine.jobs_shed");
+    sm->shed_quota = r.GetCounter("engine.jobs_shed_quota");
     sm->inflight = r.GetGauge("engine.jobs_inflight");
     sm->queue_wait_seconds =
         r.GetHistogram("engine.queue_wait_seconds", LatencyBuckets());
@@ -88,79 +90,115 @@ void ClampConfigToBudget(DualSolverConfig* config, double remaining_seconds) {
 }
 
 namespace engine_internal {
-namespace {
 
-// Runs one submission on the worker thread that dequeued it. This is the
-// single execution path for every service job (and, by construction, for
-// everything the BatchSolver wrapper runs).
-//
-// `core` is a raw pointer on purpose: tasks only run inside the pool's
-// lifetime, which is inside the core's — capturing a shared_ptr here would
-// let a worker thread become ServiceCore's last owner and join the pool
-// from inside itself.
-void ExecuteOnWorker(ServiceCore* core, const std::shared_ptr<JobState>& s,
-                     std::uint64_t generation) {
-  JobResult r;
-  r.name = s->job.name;
-  DualSolverConfig config;
+bool BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
+              DualSolverConfig* config) {
   {
     std::lock_guard<std::mutex> lock(s->mu);
     // A queued Cancel() claimed (or already completed) this run's
-    // termination and fires its callback itself; and a task enqueued for an
+    // termination and fires its callback itself; and a run enqueued for an
     // earlier generation is an orphan (its run was cancelled while queued,
-    // then the job was resumed — only the resume's own task may execute, or
-    // two workers would race on the shared session).
-    if (s->done || s->claimed || s->run_generation != generation) return;
+    // then the job was resumed — only the resume's own run may execute, or
+    // two runs would race on the shared session).
+    if (s->done || s->claimed || s->run_generation != generation) return false;
     s->started = true;
-    config = s->config;
+    *config = s->config;
   }
   GetServiceMetrics().inflight->Add(1);  // balanced in PublishTerminal
   const double elapsed = s->submit_timer.ElapsedSeconds();
+  s->queue_seconds = elapsed;
   GetServiceMetrics().queue_wait_seconds->Observe(elapsed);
   // The queue wait straddles threads, so it cannot be an RAII span; record
   // it as a pre-timed event under this job's id.
   RecordTraceEvent("job.queue", s->trace_id, s->submit_ns,
                    StopWatch::Now() - s->submit_ns);
-  // Scope every span the solver stack opens below under this job.
-  TraceJobScope job_scope(s->trace_id);
+  JobResult stopped;
   if (s->cancel.load(std::memory_order_relaxed) ||
       (FaultInjectionEnabled() && ShouldInject(FaultSite::kCancelQueue))) {
     // Cancelled while queued (or a fault-injected queue-boundary cancel):
     // terminal without running.
-    r.status = JobStatus::kCancelled;
+    stopped.status = JobStatus::kCancelled;
   } else if ((s->skip_when != nullptr &&
               s->skip_when->load(std::memory_order_relaxed)) ||
              (s->deadline_seconds > 0 && elapsed >= s->deadline_seconds)) {
-    r.status = JobStatus::kSkipped;
+    stopped.status = JobStatus::kSkipped;
   } else {
-    config.cancel = &s->cancel;
-    config.base_chase.pool =
-        core->options.chase_parallelism ? &core->pool : nullptr;
+    config->cancel = &s->cancel;
     if (s->deadline_seconds > 0) {
-      ClampConfigToBudget(&config, s->deadline_seconds - elapsed);
+      ClampConfigToBudget(config, s->deadline_seconds - elapsed);
     }
+    return true;
+  }
+  stopped.name = s->job.name;
+  stopped.queue_seconds = elapsed;
+  stopped.cache_source = s->cache_source;
+  PublishTerminal(s, stopped);
+  return false;
+}
+
+void FinishRun(const std::shared_ptr<JobState>& s, JobResult r) {
+  if (s->cancel.load(std::memory_order_relaxed) &&
+      r.verdict == DualVerdict::kUnknown) {
+    // A solve the cancel flag actually cut short reports kUnknown
+    // (SolveImplication stops between phases); rewrite that to the honest
+    // kCancelled, keeping the partial statistics. A run that reached a REAL
+    // verdict before the flag was observed publishes it — cancellation is a
+    // request, not a rollback of finished work.
+    r.status = JobStatus::kCancelled;
+  }
+  // Stamped here: the solver returns a fresh JobResult.
+  r.queue_seconds = s->queue_seconds;
+  // Provenance stamp: kMiss on cache-filling runs (the dedup runner's copy
+  // is rewritten per waiter at fan-out anyway). Uncached runs keep what the
+  // solver reported — kNone locally, a worker's own cache provenance
+  // remotely.
+  if (s->cache_source != CacheSource::kNone) r.cache_source = s->cache_source;
+  PublishTerminal(s, r);
+}
+
+LocalBackend::LocalBackend(int num_threads, bool chase_parallelism)
+    : pool_(ResolveThreads(num_threads)),
+      chase_parallelism_(chase_parallelism) {}
+
+// Tasks capture `this`, not the service: they only run inside the pool's
+// lifetime, which is inside this backend's — capturing a shared_ptr to the
+// core here would let a worker thread become its last owner and join the
+// pool from inside itself.
+bool LocalBackend::Enqueue(const std::shared_ptr<JobState>& state,
+                           std::uint64_t generation, int priority) {
+  return pool_.Submit(
+      [this, state, generation] {
+        DualSolverConfig config;
+        if (BeginRun(state, generation, &config)) Run(state, config);
+      },
+      priority);
+}
+
+bool LocalBackend::EnqueueBegun(const std::shared_ptr<JobState>& state,
+                                DualSolverConfig config, int priority) {
+  return pool_.Submit(
+      [this, state, config = std::move(config)] { Run(state, config); },
+      priority);
+}
+
+// The single local execution path for every service job (and, by
+// construction, for everything the BatchSolver wrapper runs).
+void LocalBackend::Run(const std::shared_ptr<JobState>& s,
+                       DualSolverConfig config) {
+  // Scope every span the solver stack opens below under this job.
+  TraceJobScope job_scope(s->trace_id);
+  config.base_chase.pool = chase_parallelism_ ? &pool_ : nullptr;
+  JobResult r;
+  {
     TraceSpan run_span("job.run");
     // The session persists across runs of this state: a later
     // ResumeWithBudget continues this run's chase from its checkpoint.
     r = RunJob(s->job, config, &s->session);
-    if (s->cancel.load(std::memory_order_relaxed) &&
-        r.verdict == DualVerdict::kUnknown) {
-      // A solve the cancel flag actually cut short reports kUnknown
-      // (SolveImplication stops between phases); rewrite that to the
-      // honest kCancelled, keeping the partial statistics. A run that
-      // reached a REAL verdict before the flag was observed publishes it —
-      // cancellation is a request, not a rollback of finished work.
-      r.status = JobStatus::kCancelled;
-    }
   }
-  // Stamped after the branches: RunJob returns a fresh JobResult.
-  r.queue_seconds = elapsed;
-  // Provenance stamp: kMiss on cache-filling runs (the dedup runner's copy
-  // is rewritten per waiter at fan-out anyway), kNone on uncached jobs.
-  r.cache_source = s->cache_source;
-
-  PublishTerminal(s, r);
+  FinishRun(s, std::move(r));
 }
+
+namespace {
 
 // Delivers a dedup runner's terminal result to every submission attached to
 // it: unpublish the runner from the in-flight table (the cache was already
@@ -225,6 +263,15 @@ void PublishTerminal(const std::shared_ptr<JobState>& state,
       result.status == JobStatus::kCompleted) {
     state->cache->Insert(state->fingerprint,
                          CachedVerdictFromResult(result, state->trace_id));
+  }
+
+  // Tenant quota: the slot frees before the terminal state is observable,
+  // so a caller that Wait()s and resubmits is admitted again.
+  if (state->holds_tenant_slot) {
+    state->holds_tenant_slot = false;
+    if (std::shared_ptr<ServiceCore> core = state->core.lock()) {
+      core->ReleaseTenant(state->tenant);
+    }
   }
 
   bool was_started;
@@ -329,11 +376,19 @@ void DetachWaiter(const std::shared_ptr<JobState>& runner,
       cancelled.status = JobStatus::kCancelled;
     }
   }
-  if (publish) PublishTerminal(runner, cancelled);
+  if (publish) {
+    PublishTerminal(runner, cancelled);
+  } else if (core != nullptr) {
+    core->backend->Cancel(runner);  // a started run: stop it where it runs
+  }
 }
 
-ServiceCore::ServiceCore(const ServiceOptions& opts)
-    : options(opts), pool(ResolveThreads(opts.num_threads)) {}
+ServiceCore::ServiceCore(const ServiceOptions& opts,
+                         const RemoteBackendFactory& remote_factory)
+    : options(opts),
+      local(opts.num_threads, opts.chase_parallelism),
+      remote(remote_factory ? remote_factory(&local) : nullptr),
+      backend(remote != nullptr ? remote.get() : &local) {}
 
 bool ServiceCore::Enqueue(const std::shared_ptr<JobState>& state,
                           int priority) {
@@ -342,20 +397,48 @@ bool ServiceCore::Enqueue(const std::shared_ptr<JobState>& state,
     std::lock_guard<std::mutex> lock(state->mu);
     generation = state->run_generation;
   }
-  return pool.Submit(
-      [this, state, generation] { ExecuteOnWorker(this, state, generation); },
-      priority);
+  return backend->Enqueue(state, generation, priority);
+}
+
+bool ServiceCore::TenantFull(const std::string& tenant) {
+  if (options.tenant_quota == 0) return false;
+  std::lock_guard<std::mutex> lock(tenant_mu);
+  auto it = tenant_load.find(tenant);
+  return it != tenant_load.end() && it->second >= options.tenant_quota;
+}
+
+bool ServiceCore::ChargeTenant(const std::shared_ptr<JobState>& state) {
+  if (options.tenant_quota == 0) return true;
+  std::lock_guard<std::mutex> lock(tenant_mu);
+  std::size_t& load = tenant_load[state->tenant];
+  if (load >= options.tenant_quota) return false;
+  ++load;
+  state->holds_tenant_slot = true;
+  return true;
+}
+
+void ServiceCore::ReleaseTenant(const std::string& tenant) {
+  std::lock_guard<std::mutex> lock(tenant_mu);
+  auto it = tenant_load.find(tenant);
+  if (it == tenant_load.end()) return;
+  if (--it->second == 0) tenant_load.erase(it);
 }
 
 }  // namespace engine_internal
 
 SolverService::SolverService(ServiceOptions options)
-    : core_(std::make_shared<engine_internal::ServiceCore>(options)) {}
+    : SolverService(std::move(options), nullptr) {}
+
+SolverService::SolverService(
+    ServiceOptions options,
+    const engine_internal::RemoteBackendFactory& remote)
+    : core_(std::make_shared<engine_internal::ServiceCore>(options, remote)) {}
 
 SolverService::~SolverService() {
-  // Every submitted job must reach a terminal state before the pool joins;
-  // handles outliving the service then always see done == true eventually.
-  core_->pool.WaitIdle();
+  // Every submitted job must reach a terminal state before the backends
+  // shut down; handles outliving the service then always see done == true
+  // eventually.
+  core_->WaitIdle();
 }
 
 namespace {
@@ -368,6 +451,7 @@ std::shared_ptr<engine_internal::JobState> MakeJobState(
   state->deadline_seconds = options->deadline_seconds;
   state->skip_when = options->skip_when;
   state->on_complete = std::move(options->on_complete);
+  state->tenant = std::move(options->tenant);
   state->core = core;
   state->trace_id = NextTraceId();
   state->slow_log_seconds = core->options.slow_log_seconds;
@@ -378,20 +462,8 @@ std::shared_ptr<engine_internal::JobState> MakeJobState(
   return state;
 }
 
-// Load shedding: the job never runs, but its handle still terminates (as
-// kSkipped) and its callback still fires exactly once — a shed submission
-// is observationally a skip, just with its own counter so operators can
-// tell overload apart from skip_when gates.
-void ShedAsSkipped(const std::shared_ptr<engine_internal::JobState>& state) {
-  GetServiceMetrics().shed->Add(1);
-  JobResult shed;
-  shed.name = state->job.name;
-  shed.status = JobStatus::kSkipped;
-  engine_internal::PublishTerminal(state, shed);
-}
-
-// Publishes `status` as `state`'s terminal result on the submitting thread
-// (the cache paths' analogue of a queued cancel: terminal without a worker).
+// Publishes `status` as `state`'s terminal result on the calling thread
+// (a queued cancel's analogue for runs that never reach a backend).
 void PublishImmediate(const std::shared_ptr<engine_internal::JobState>& state,
                       JobStatus status) {
   JobResult result;
@@ -400,12 +472,37 @@ void PublishImmediate(const std::shared_ptr<engine_internal::JobState>& state,
   engine_internal::PublishTerminal(state, result);
 }
 
+// Why admission turned a submission away (kAdmit: it did not).
+enum class Admission { kAdmit, kShedQueue, kShedQuota };
+
+// Admission for a submission about to start a run: the backend queue bound
+// first, then the tenant quota, which charges the submission a slot when
+// it admits. Publishes nothing, so callers may hold table locks.
+Admission Admit(engine_internal::ServiceCore* core,
+                const std::shared_ptr<engine_internal::JobState>& state) {
+  if (core->AtCapacity()) return Admission::kShedQueue;
+  if (!core->ChargeTenant(state)) return Admission::kShedQuota;
+  return Admission::kAdmit;
+}
+
+// Load shedding: the job never runs, but its handle still terminates (as
+// kSkipped) and its callback still fires exactly once — a shed submission
+// is observationally a skip, just with its own counters so operators can
+// tell overload apart from skip_when gates.
+void Shed(const std::shared_ptr<engine_internal::JobState>& state,
+          Admission reason) {
+  GetServiceMetrics().shed->Add(1);
+  if (reason == Admission::kShedQuota) GetServiceMetrics().shed_quota->Add(1);
+  PublishImmediate(state, JobStatus::kSkipped);
+}
+
 // Consults the result cache for `state`'s submission. Returns true iff the
 // submission was fully handled here — served from cache (terminal before
-// Submit returns, like a queued cancel) or attached to an in-flight
-// isomorphic run (terminal at that run's fan-out). Returns false when the
-// caller must enqueue the state itself; in the dedup-off miss case the
-// state then carries fingerprint+cache so its completion fills the cache.
+// Submit returns, like a queued cancel), attached to an in-flight
+// isomorphic run (terminal at that run's fan-out), or handed to a fresh
+// dedup runner (terminal at ITS fan-out) or shed instead. Returns false
+// when the caller must admit and enqueue the state itself (no cache, a
+// deadline, an uncacheable config).
 //
 // Gate semantics on cache paths: skip_when is read HERE, at submit time —
 // the cache-served analogue of the worker's pickup-time read — and never
@@ -433,19 +530,13 @@ bool TryServeFromCache(
         state, CachedVerdictToResult(verdict, state->job.name));
     return true;
   }
-  if (!core->options.cache_inflight_dedup) {
-    // Miss, no dedup: the submission runs itself and fills the cache.
-    state->fingerprint = fp;
-    state->cache = cache;
-    state->cache_source = CacheSource::kMiss;
-    return false;
-  }
-  // Miss with dedup: attach to the in-flight runner for this fingerprint,
-  // or create one. Attach happens under inflight_mu -> runner->mu: while a
-  // runner is findable in the table its waiter list is still open (fan-out
-  // and DetachWaiter both unpublish from the table BEFORE closing), so an
+  // Miss: attach to the in-flight runner for this fingerprint, or create
+  // one. Attach happens under inflight_mu -> runner->mu: while a runner is
+  // findable in the table its waiter list is still open (fan-out and
+  // DetachWaiter both unpublish from the table BEFORE closing), so an
   // attach that finds a runner always succeeds.
   std::shared_ptr<engine_internal::JobState> runner;
+  Admission admission;
   {
     std::lock_guard<std::mutex> table_lock(core->inflight_mu);
     auto it = core->inflight.find(fp);
@@ -458,54 +549,67 @@ bool TryServeFromCache(
       cache->CountCoalesced();
       return true;
     }
-    // Fresh miss under backpressure is still a fresh chase: shed it like
-    // any other enqueue (the caller's capacity check handles the state).
-    if (core->AtCapacity()) return false;
-    runner = std::make_shared<engine_internal::JobState>(state->job);
-    runner->internal_runner = true;
-    runner->priority = state->priority;
-    runner->core = core;
-    runner->trace_id = NextTraceId();
-    runner->slow_log_seconds = core->options.slow_log_seconds;
-    runner->slow_log_sink = core->options.slow_log_sink;
-    runner->submit_timer.Reset();
-    runner->submit_ns = StopWatch::Now();
-    runner->fingerprint = fp;
-    runner->cache = cache;
-    runner->cache_source = CacheSource::kMiss;
-    // The creating submission is the first waiter (provenance kMiss: its
-    // submission is the one that caused a chase). Safe without runner->mu —
-    // the runner is not visible to anyone until the table insert below.
-    state->cache_source = CacheSource::kMiss;
-    state->coalesce_runner = runner;
-    runner->waiters.push_back(state);
-    core->inflight[fp] = runner;
+    // A fresh miss is a fresh chase: it passes admission like any other
+    // enqueue (the shed itself is published below, outside the lock).
+    admission = Admit(core.get(), state);
+    if (admission == Admission::kAdmit) {
+      runner = std::make_shared<engine_internal::JobState>(state->job);
+      runner->internal_runner = true;
+      runner->priority = state->priority;
+      runner->core = core;
+      runner->trace_id = NextTraceId();
+      runner->slow_log_seconds = core->options.slow_log_seconds;
+      runner->slow_log_sink = core->options.slow_log_sink;
+      runner->submit_timer.Reset();
+      runner->submit_ns = StopWatch::Now();
+      runner->fingerprint = fp;
+      runner->cache = cache;
+      runner->cache_source = CacheSource::kMiss;
+      // The creating submission is the first waiter (provenance kMiss: its
+      // submission is the one that caused a chase). Safe without
+      // runner->mu — the runner is not visible to anyone until the table
+      // insert below.
+      state->cache_source = CacheSource::kMiss;
+      state->coalesce_runner = runner;
+      runner->waiters.push_back(state);
+      core->inflight[fp] = runner;
+    }
   }
-  if (!core->Enqueue(runner, runner->priority)) {
-    // Pool shutting down: the runner terminates as kSkipped and its fan-out
-    // delivers the skip to the waiter — same observable contract as
+  if (admission != Admission::kAdmit) {
+    Shed(state, admission);
+  } else if (!core->Enqueue(runner, runner->priority)) {
+    // Backend shutting down: the runner terminates as kSkipped and its
+    // fan-out delivers the skip to the waiter — same observable contract as
     // EnqueueOrSkip gives an uncached submission.
-    JobResult skipped;
-    skipped.name = runner->job.name;
-    skipped.status = JobStatus::kSkipped;
-    engine_internal::PublishTerminal(runner, skipped);
+    PublishImmediate(runner, JobStatus::kSkipped);
   }
   return true;
 }
 
 void EnqueueOrSkip(const std::shared_ptr<engine_internal::ServiceCore>& core,
-                   const std::shared_ptr<engine_internal::JobState>& state,
-                   int priority) {
-  if (!core->Enqueue(state, priority)) {
-    // Pool shutting down (service mid-destruction): terminal immediately.
-    // The exactly-once-per-run callback contract holds on this path too —
-    // streaming consumers count one callback per submission — and the skip
-    // is accounted through the same single publication path as every other
-    // outcome.
-    JobResult skipped;
-    skipped.name = state->job.name;
-    skipped.status = JobStatus::kSkipped;
-    engine_internal::PublishTerminal(state, skipped);
+                   const std::shared_ptr<engine_internal::JobState>& state) {
+  if (!core->Enqueue(state, state->priority)) {
+    // Backend shutting down (service mid-destruction): terminal
+    // immediately. The exactly-once-per-run callback contract holds on this
+    // path too — streaming consumers count one callback per submission —
+    // and the skip is accounted through the same single publication path
+    // as every other outcome.
+    PublishImmediate(state, JobStatus::kSkipped);
+  }
+}
+
+// Every submission path ends here. Cache first, admission second: a hit or
+// an in-flight attach consumes no queue slot, so it is served even when
+// admission control is shedding (the cache is exactly what keeps an
+// overloaded service responsive).
+void Dispatch(const std::shared_ptr<engine_internal::ServiceCore>& core,
+              const std::shared_ptr<engine_internal::JobState>& state) {
+  if (TryServeFromCache(core, state)) return;
+  const Admission admission = Admit(core.get(), state);
+  if (admission != Admission::kAdmit) {
+    Shed(state, admission);
+  } else {
+    EnqueueOrSkip(core, state);
   }
 }
 
@@ -514,26 +618,16 @@ void EnqueueOrSkip(const std::shared_ptr<engine_internal::ServiceCore>& core,
 JobHandle SolverService::Submit(Job job, SubmitOptions options) {
   const int priority = options.priority.value_or(job.priority);
   auto state = MakeJobState(core_, std::move(job), &options, priority);
-  // Cache first, capacity second: a hit or an in-flight attach consumes no
-  // queue slot, so it is served even when admission control is shedding
-  // (the cache is exactly what keeps an overloaded service responsive).
-  if (TryServeFromCache(core_, state)) return JobHandle(std::move(state));
-  if (core_->AtCapacity()) {
-    ShedAsSkipped(state);
-  } else {
-    EnqueueOrSkip(core_, state, priority);
-  }
+  Dispatch(core_, state);
   return JobHandle(std::move(state));
 }
 
 bool SolverService::TrySubmit(Job job, SubmitOptions options,
                               JobHandle* handle) {
-  if (core_->AtCapacity()) return false;
+  if (core_->AtCapacity() || core_->TenantFull(options.tenant)) return false;
   const int priority = options.priority.value_or(job.priority);
   auto state = MakeJobState(core_, std::move(job), &options, priority);
-  if (!TryServeFromCache(core_, state)) {
-    EnqueueOrSkip(core_, state, priority);
-  }
+  Dispatch(core_, state);
   *handle = JobHandle(std::move(state));
   return true;
 }
@@ -541,26 +635,22 @@ bool SolverService::TrySubmit(Job job, SubmitOptions options,
 JobHandle SolverService::SubmitWithRetry(Job job, SubmitOptions options,
                                          const RetryOptions& retry) {
   const int attempts = std::max(1, retry.max_attempts);
-  const int priority = options.priority.value_or(job.priority);
   double backoff = std::max(0.0, retry.initial_backoff_seconds);
-  for (int attempt = 1; core_->AtCapacity(); ++attempt) {
-    if (attempt >= attempts) {
-      // Every attempt found the queue full: give up visibly rather than
-      // block the caller forever against a saturated service.
-      auto state = MakeJobState(core_, std::move(job), &options, priority);
-      ShedAsSkipped(state);
-      return JobHandle(std::move(state));
-    }
+  for (int attempt = 1; attempt < attempts && (core_->AtCapacity() ||
+                                               core_->TenantFull(options.tenant));
+       ++attempt) {
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     backoff *= std::max(1.0, retry.multiplier);
   }
+  // The last attempt submits for real: if the service is still full, the
+  // job is shed visibly (kSkipped) rather than blocking the caller forever
+  // against a saturated service.
+  const int priority = options.priority.value_or(job.priority);
   auto state = MakeJobState(core_, std::move(job), &options, priority);
-  if (!TryServeFromCache(core_, state)) {
-    EnqueueOrSkip(core_, state, priority);
-  }
+  Dispatch(core_, state);
   return JobHandle(std::move(state));
 }
 
-void SolverService::WaitIdle() { core_->pool.WaitIdle(); }
+void SolverService::WaitIdle() { core_->WaitIdle(); }
 
 }  // namespace tdlib

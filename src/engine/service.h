@@ -18,10 +18,14 @@
 // batch mode and its byte-identical DeterministicSummary are preserved by
 // construction.
 //
-// Execution model: one fixed-width ThreadPool serves job-level parallelism
-// and (via ChaseConfig::pool) chase-level match fan-out, exactly as the
-// batch engine did — nested ParallelFor cannot deadlock and the pool never
-// oversubscribes. Jobs run on workers; Submit never blocks on solver work.
+// Execution model: the service decides WHETHER and WHEN a job runs; a
+// backend (engine/backend.h) decides WHERE. The default backend is one
+// fixed-width ThreadPool that serves job-level parallelism and (via
+// ChaseConfig::pool) chase-level match fan-out, exactly as the batch engine
+// did — nested ParallelFor cannot deadlock and the pool never
+// oversubscribes. ClusterRouter (cluster/router.h) builds the same service
+// over worker processes instead, keeping that pool as the fallback for when
+// every worker is down. Submit never blocks on solver work.
 //
 // Lifetime: the destructor waits for every submitted job to reach a
 // terminal state (queued jobs still run). Handles are shared state and
@@ -35,11 +39,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "cache/fingerprint.h"
+#include "engine/backend.h"
 #include "engine/job_handle.h"
-#include "engine/thread_pool.h"
 
 namespace tdlib {
 
@@ -65,29 +70,34 @@ struct ServiceOptions {
   std::function<void(const std::string&)> slow_log_sink;
 
   /// Backpressure: when > 0, Submit sheds a job (terminal kSkipped, counted
-  /// in engine.jobs_shed) instead of enqueuing while the pool's queue
-  /// already holds this many tasks, and TrySubmit declines it. 0 = accept
-  /// everything (the historical behavior). Shedding at admission keeps an
-  /// overloaded service's queue latency bounded — a caller that must not
-  /// lose work uses TrySubmit/SubmitWithRetry and holds the job itself.
+  /// in engine.jobs_shed) instead of enqueuing while the backend already
+  /// holds this many queued, not yet started runs, and TrySubmit declines
+  /// it. 0 = accept everything (the historical behavior). Shedding at
+  /// admission keeps an overloaded service's queue latency bounded — a
+  /// caller that must not lose work uses TrySubmit/SubmitWithRetry and
+  /// holds the job itself.
   std::size_t max_queue_depth = 0;
+
+  /// Per-tenant backpressure: when > 0, a submission whose
+  /// SubmitOptions::tenant already has this many admitted, not yet
+  /// terminal jobs is shed the same way (also counted in
+  /// engine.jobs_shed_quota). Cache hits and in-flight attaches start no
+  /// run and are never charged. 0 = no quota.
+  std::size_t tenant_quota = 0;
 
   /// Canonical-form result cache (cache/result_cache.h); null = off. The
   /// service consults it BEFORE enqueuing: a submission whose (D, D0,
   /// budgets) canonicalize to a cached verdict terminates instantly with a
-  /// byte-identical result (CacheSource::kHit). Shared, so one cache can
-  /// back several services and outlive all of them (tdbatch's warm-start
-  /// file loads into it before the service exists). Submissions carrying a
-  /// wall-clock deadline bypass the cache — their results are not a
-  /// deterministic function of the job (cache/canonical.h).
+  /// byte-identical result (CacheSource::kHit), and a miss isomorphic to a
+  /// RUNNING job attaches to that run instead of starting its own chase
+  /// (in-flight dedup: one solve, N completions as CacheSource::kCoalesced;
+  /// the shared run is cancelled only when its last waiter cancels).
+  /// Shared, so one cache can back several services and outlive all of them
+  /// (tdbatch's warm-start file loads into it before the service exists).
+  /// Submissions carrying a wall-clock deadline bypass the cache — their
+  /// results are not a deterministic function of the job
+  /// (cache/canonical.h).
   std::shared_ptr<ResultCache> result_cache;
-
-  /// In-flight dedup (requires result_cache): a submission isomorphic to a
-  /// RUNNING job attaches to that run instead of starting its own chase —
-  /// one solve, N completions (CacheSource::kCoalesced), and the shared run
-  /// is cancelled only when its last waiter cancels. Off = every miss runs
-  /// itself (still filling the cache at completion).
-  bool cache_inflight_dedup = true;
 };
 
 /// Per-submission controls — what used to be batch-global.
@@ -123,6 +133,9 @@ struct SubmitOptions {
   /// point every submission at one shared flag and raise it from an
   /// on_complete callback. The flag must outlive the job.
   const std::atomic<bool>* skip_when = nullptr;
+
+  /// Quota bucket for ServiceOptions::tenant_quota ("" is a tenant too).
+  std::string tenant;
 };
 
 /// Retry policy for SubmitWithRetry: attempts are spaced by an exponential
@@ -137,26 +150,52 @@ struct RetryOptions {
 
 namespace engine_internal {
 
-/// The shared guts: the pool plus the options. JobStates hold a weak_ptr so
-/// ResumeWithBudget can re-enqueue while the service lives and fail cleanly
-/// after it is gone.
-struct ServiceCore : std::enable_shared_from_this<ServiceCore> {
-  explicit ServiceCore(const ServiceOptions& options);
+/// Builds the service's remote backend around its local one (the fallback
+/// for runs no remote worker can take). Used by ClusterRouter.
+using RemoteBackendFactory =
+    std::function<std::unique_ptr<Backend>(LocalBackend* local)>;
 
-  /// Schedules `state` on the pool at `priority`. Returns false (leaving
-  /// the state untouched) iff the pool is shutting down.
+/// The shared guts: the backends plus the options and the admission and
+/// dedup tables. JobStates hold a weak_ptr so ResumeWithBudget can
+/// re-enqueue while the service lives and fail cleanly after it is gone.
+struct ServiceCore : std::enable_shared_from_this<ServiceCore> {
+  ServiceCore(const ServiceOptions& options,
+              const RemoteBackendFactory& remote_factory);
+
+  /// Schedules the current run of `state` on the backend at `priority`.
+  /// Returns false (leaving the state untouched) iff it is shutting down.
   bool Enqueue(const std::shared_ptr<JobState>& state, int priority);
 
   /// True when admission control should decline new work (max_queue_depth
-  /// set and the pool's queue already at it). Racy by design — see
+  /// set and the backend's queue already at it). Racy by design — see
   /// ServiceOptions::max_queue_depth.
   bool AtCapacity() const {
     return options.max_queue_depth > 0 &&
-           pool.QueueDepth() >= options.max_queue_depth;
+           backend->QueueDepth() >= options.max_queue_depth;
+  }
+
+  /// Tenant quota: true when `tenant` has no admitted slot left.
+  bool TenantFull(const std::string& tenant);
+
+  /// Charges `state` one slot of its tenant's quota; false (charging
+  /// nothing) when the tenant is full. The slot is released when the
+  /// submission's run is published.
+  bool ChargeTenant(const std::shared_ptr<JobState>& state);
+  void ReleaseTenant(const std::string& tenant);
+
+  /// Blocks until every run on either backend is published.
+  void WaitIdle() {
+    backend->WaitIdle();  // the remote may hand runs to the local pool
+    local.WaitIdle();
   }
 
   ServiceOptions options;
-  ThreadPool pool;
+  LocalBackend local;
+  std::unique_ptr<Backend> remote;  ///< null: everything runs locally
+  Backend* backend;                 ///< remote when set, else &local
+
+  std::mutex tenant_mu;
+  std::unordered_map<std::string, std::size_t> tenant_load;
 
   /// In-flight dedup table: fingerprint -> the internal runner solving it.
   /// Entries are registered at miss time and erased by the runner's
@@ -175,6 +214,11 @@ class SolverService {
  public:
   explicit SolverService(ServiceOptions options = {});
 
+  /// A service whose jobs run on the backend `remote` builds (ClusterRouter
+  /// is the public way to get one over worker processes).
+  SolverService(ServiceOptions options,
+                const engine_internal::RemoteBackendFactory& remote);
+
   /// Blocks until every submitted job is terminal, then joins the workers.
   ~SolverService();
 
@@ -188,7 +232,7 @@ class SolverService {
 
   /// Admission-checked submission: returns false — publishing NOTHING, so
   /// the caller still owns the job and may retry — when the queue is at
-  /// ServiceOptions::max_queue_depth. On success behaves exactly like
+  /// ServiceOptions::max_queue_depth or the tenant at its quota. On success behaves exactly like
   /// Submit and stores the handle through `handle` (which must be non-null).
   /// The depth check and the enqueue are not atomic; the bound is a target,
   /// not an exact invariant, which is fine for load shedding.
@@ -205,8 +249,8 @@ class SolverService {
   /// accepting submissions afterwards.
   void WaitIdle();
 
-  /// Pool width actually in use.
-  int num_threads() const { return core_->pool.num_threads(); }
+  /// Local pool width actually in use.
+  int num_threads() const { return core_->local.num_threads(); }
 
  private:
   std::shared_ptr<engine_internal::ServiceCore> core_;

@@ -675,6 +675,7 @@ TEST(ServiceCache, WarmSubmitsAreByteIdenticalHits) {
     JobResult cold = service.Submit(jobs[i]).Wait();
     EXPECT_EQ(cold.DeterministicSummary(),
               serial.results[i].DeterministicSummary());
+    EXPECT_EQ(cold.cache_source, CacheSource::kMiss);
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobResult warm = service.Submit(jobs[i]).Wait();
@@ -850,21 +851,6 @@ TEST(ServiceCache, ConcurrentIsomorphicSubmissionsSolveOnce) {
   EXPECT_EQ(stats.hits + stats.misses, kCopies);
   EXPECT_EQ(stats.misses, stats.insertions + stats.coalesced);
   EXPECT_GE(stats.insertions, 1);
-}
-
-TEST(ServiceCache, DedupOffStillFillsAndServesTheCache) {
-  ServiceOptions service_options;
-  service_options.num_threads = 2;
-  service_options.result_cache = std::make_shared<ResultCache>();
-  service_options.cache_inflight_dedup = false;
-  SolverService service(service_options);
-
-  JobResult cold = service.Submit(MakePumpingJob("first", 400)).Wait();
-  EXPECT_EQ(cold.cache_source, CacheSource::kMiss);
-  JobResult warm = service.Submit(MakePumpingJob("second", 400)).Wait();
-  EXPECT_EQ(warm.cache_source, CacheSource::kHit);
-  EXPECT_EQ(SummarySansName(warm), SummarySansName(cold));
-  EXPECT_EQ(service_options.result_cache->Stats().coalesced, 0);
 }
 
 TEST(ServiceCache, ResumeAfterHitRunsFreshWithoutPoisoningTheCache) {

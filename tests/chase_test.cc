@@ -182,20 +182,22 @@ TEST(Chase, HasApplicableStepMatchesSatisfaction) {
   EXPECT_FALSE(HasApplicableStep(cross, db));
 }
 
-TEST(Chase, EagerVsPassGoalChecking) {
+TEST(Chase, GoalIsCheckedAfterEveryFire) {
+  // The cross product's first pass has two applicable steps; the goal holds
+  // after the first fire, so the chase stops there instead of finishing the
+  // pass.
   SchemaPtr schema = Ab();
-  for (bool eager : {true, false}) {
-    DependencySet deps = CrossProduct(schema);
-    Instance db(schema);
-    for (int i = 0; i < 2; ++i) db.AddValue(0);
-    for (int i = 0; i < 2; ++i) db.AddValue(1);
-    db.AddTuple({0, 0});
-    db.AddTuple({1, 1});
-    ChaseConfig config;
-    config.eager_goal_check = eager;
-    ChaseGoal goal = [](const Instance& i) { return i.NumTuples() >= 3; };
-    EXPECT_EQ(RunChase(&db, deps, config, goal).status, ChaseStatus::kGoal);
-  }
+  DependencySet deps = CrossProduct(schema);
+  Instance db(schema);
+  for (int i = 0; i < 2; ++i) db.AddValue(0);
+  for (int i = 0; i < 2; ++i) db.AddValue(1);
+  db.AddTuple({0, 0});
+  db.AddTuple({1, 1});
+  ChaseGoal goal = [](const Instance& i) { return i.NumTuples() >= 3; };
+  ChaseResult result = RunChase(&db, deps, ChaseConfig{}, goal);
+  EXPECT_EQ(result.status, ChaseStatus::kGoal);
+  EXPECT_EQ(result.steps, 1u);
+  EXPECT_EQ(db.NumTuples(), 3u);
 }
 
 TEST(Chase, AutoBurstUncapsGeometricPumping) {

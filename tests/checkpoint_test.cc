@@ -310,20 +310,22 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
+      "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
   // Old formats must be rejected, never resumed under a guessed shape:
   // tdckpt1 predates the match-strategy shape fields, tdckpt2 carries the
   // retired intersection flag (its hom_candidates may have been counted
-  // with intersection on), and tdckpt3 writes valuations per attribute
-  // (here one pending step over 2 attributes of one variable each). All
-  // texts are otherwise well formed.
+  // with intersection on), tdckpt3 writes valuations per attribute (here
+  // one pending step over 2 attributes of one variable each), and tdckpt4
+  // carries the retired lazy-goal-check flag in its shape line. All texts
+  // are otherwise well formed.
   for (const char* old_format :
        {"tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n",
         "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n",
         "tdckpt3 1\n0 0 0\n1 1 0 0 1 0\n1 0 0 0 0 1 0\n"
-        "1\n0\n2\n1 0\n1 0\n1 0\n0\n"}) {
+        "1\n0\n2\n1 0\n1 0\n1 0\n0\n",
+        "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n"}) {
     std::istringstream in(old_format);
     Result<ChaseCheckpoint> old = ChaseCheckpoint::Deserialize(in);
     ASSERT_FALSE(old.ok()) << old_format;
@@ -331,7 +333,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   }
   // The same checkpoint in the current format loads.
   std::istringstream current(
-      "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
+      "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   std::istringstream huge_store("tdstore1 2 18446744073709551615\n0 0\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_store).ok());
@@ -340,7 +342,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
 }
 
 TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
-  // A tdckpt4 checkpoint with pending steps writes each valuation as one
+  // A tdckpt5 checkpoint with pending steps writes each valuation as one
   // vector of TotalVars() slots, re-serializes to the same bytes, and
   // resumes exactly like the in-memory checkpoint it came from.
   Pumping pumping = MakePumping();
@@ -361,7 +363,7 @@ TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
   }
   std::ostringstream out;
   checkpoint.Serialize(out);
-  EXPECT_EQ(out.str().rfind("tdckpt4 1\n", 0), 0u);
+  EXPECT_EQ(out.str().rfind("tdckpt5 1\n", 0), 0u);
   std::istringstream in(out.str());
   Result<ChaseCheckpoint> restored = ChaseCheckpoint::Deserialize(in);
   ASSERT_TRUE(restored.ok());
