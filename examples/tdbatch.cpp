@@ -14,7 +14,8 @@
 //                     .td files are given
 //   --size=N          jobs to generate (default 12)
 //   --seed=N          random-workload seed (default 1)
-//   --threads=N       pool width (default 0 = hardware concurrency)
+//   --threads=N       pool width (default 0 = hardware concurrency; with
+//                     --workers the pool is the fallback, default 1)
 //   --rounds=N        dual-solver escalation rounds per job (default 2,
 //                     the trimmed DefaultWorkloadSolverConfig — generated
 //                     families contain gap instances that pump forever)
@@ -363,7 +364,11 @@ int RunBatch(int argc, char** argv) {
       }
     }
     ServiceOptions service_options;
-    service_options.num_threads = num_threads;
+    // With workers, the local pool only runs jobs once every worker is
+    // dead: one thread unless --threads asks for more (as ClusterRouter's
+    // one-argument form).
+    service_options.num_threads =
+        cluster.num_workers > 0 && num_threads == 0 ? 1 : num_threads;
     service_options.chase_parallelism = chase_parallelism;
     service_options.slow_log_seconds = slow_log_seconds;
     service_options.result_cache = cache;
@@ -379,6 +384,7 @@ int RunBatch(int argc, char** argv) {
     SolverService& service =
         router != nullptr ? router->service() : *local_service;
     summary.num_threads = service.num_threads();
+    summary.num_workers = cluster.num_workers;
 
     std::mutex stream_mu;
     std::atomic<bool> refuted{false};

@@ -44,7 +44,10 @@ struct RemoteRun {
   std::uint64_t generation = 0;
   int priority = 0;
   std::uint64_t id = 0;      ///< wire job id
-  std::uint64_t key = 0;     ///< ring position (canonical fingerprint low lane)
+  /// The problem's fingerprint under the run's config before any deadline
+  /// clamp; forwarded to the worker, which then skips its own.
+  CacheFingerprint fingerprint;
+  std::uint64_t key = 0;     ///< ring position (fingerprint low lane)
   bool begun = false;        ///< passed BeginRun; `config` is then valid
   DualSolverConfig config;
   std::string session_text;  ///< parked checkpoint awaiting its resume
@@ -101,11 +104,24 @@ class WorkerSet final : public engine_internal::Backend {
     run->state = state;
     run->generation = generation;
     run->priority = priority;
-    // A dedup runner arrives fingerprinted; anything else is keyed here.
-    CacheFingerprint fp = state->fingerprint;
+    // A dedup runner arrives fingerprinted; anything else is keyed here,
+    // under the config BeginRun will hand this generation (a resumed job
+    // runs with new budgets, not its Job's).
+    CacheFingerprint& fp = run->fingerprint;
+    fp = state->fingerprint;
     if (!fp.valid) {
-      fp = FingerprintProblem(state->job.dependencies, state->job.goal,
-                              state->job.config);
+      DualSolverConfig config;
+      bool current = false;
+      {
+        std::lock_guard<std::mutex> lock(state->mu);
+        config = state->config;
+        current = state->run_generation == generation;
+      }
+      // A stale generation never passes BeginRun; it only needs a key.
+      if (current) {
+        fp = FingerprintProblem(state->job.dependencies, state->job.goal,
+                                config);
+      }
     }
     run->key = fp.valid ? fp.lo
                         : HashBytes128(state->job.name.data(),
@@ -493,18 +509,16 @@ class WorkerSet final : public engine_internal::Backend {
         }
         run->begun = true;
       }
-      WireJob wire_job(run->state->job);
-      wire_job.job.config = run->config;
-      wire_job.job_id = run->id;
-      wire_job.session_text = run->session_text;
-      if (options_.migration_probe_steps > 0 && !run->probed &&
-          run->session_text.empty()) {
-        wire_job.probe_steps = options_.migration_probe_steps;
-      }
+      const std::uint64_t probe_steps =
+          !run->probed && run->session_text.empty()
+              ? options_.migration_probe_steps
+              : 0;
       run->probed = true;
       slot.busy = run;
       if (!WriteFrameToFd(slot.fd, FrameType::kJob,
-                          EncodeJobPayload(wire_job))) {
+                          EncodeJobPayload(run->id, probe_steps,
+                                           run->fingerprint, run->state->job,
+                                           run->config, run->session_text))) {
         // The socket is dead under us; force the crash path (the reader
         // will post kGone and recovery will requeue slot.busy).
         if (slot.pid > 0) ::kill(slot.pid, SIGKILL);
@@ -773,7 +787,7 @@ JobHandle ClusterRouter::Submit(Job job, ClusterSubmitOptions options) {
   if (options.on_complete) {
     submit.on_complete = [callback = std::move(options.on_complete)](
                              const JobResult& r) {
-      callback(ClusterResult{r, r.worker});
+      callback(ClusterResult{r, r.worker});  // a view: no JobResult copy
     };
   }
   return service_->Submit(std::move(job), std::move(submit));

@@ -96,8 +96,10 @@ struct ClusterOptions {
   int hang_after_jobs = 0;
 };
 
+/// What an on_complete callback sees: a view of the published result,
+/// valid only during the callback (copy `result` to keep it).
 struct ClusterResult {
-  JobResult result;
+  const JobResult& result;
   int worker = -1;  ///< slot that produced the result (-1: local backend)
 };
 

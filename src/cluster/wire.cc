@@ -4,19 +4,21 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <utility>
+#include <vector>
 
-#include "fuzz/fuzz.h"
+#include "cache/canonical.h"
 #include "util/fault.h"
 #include "util/hash.h"
 
 namespace tdlib {
 namespace {
 
-constexpr char kMagic[4] = {'T', 'D', 'F', '3'};
+constexpr char kMagic[4] = {'T', 'D', 'F', '4'};
 
 template <typename T>
 Result<T> Corrupt(const std::string& what) {
@@ -80,145 +82,199 @@ Result<bool> CheckHeader(const char* h, FrameType* type, std::uint32_t* length,
   return true;
 }
 
-// ---- untrusted text-payload scanning ---------------------------------------
+// ---- binary payloads -------------------------------------------------------
 
-// A strict cursor over payload text: every Read* reports failure instead of
-// setting stream state, so the decoders can return typed kCorrupt errors
-// with field names. All counts are bounds-checked against the remaining
-// buffer before any allocation.
-class PayloadReader {
+// A payload opens with its record tag ("tdjb" job, "tdrb" result, read as
+// little-endian words) and its version, so a stale or foreign payload fails
+// at its first field.
+constexpr std::uint32_t kJobPayloadTag = 0x626a6474;
+constexpr std::uint32_t kResultPayloadTag = 0x62726474;
+constexpr std::uint32_t kPayloadVersion = 2;  // version 1 was the text form
+
+// Appends fixed-width little-endian fields and length-prefixed strings.
+class ByteWriter {
  public:
-  explicit PayloadReader(std::string_view text) : text_(text) {}
+  explicit ByteWriter(std::string* out) : out_(out) {}
 
-  bool ReadToken(std::string* out) {
-    SkipSpace();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
-    if (pos_ == start) return false;
-    out->assign(text_.substr(start, pos_ - start));
-    return true;
+  void U8(std::uint8_t v) { out_->push_back(static_cast<char>(v)); }
+  void Bool(bool v) { U8(v ? 1 : 0); }
+  void U32(std::uint32_t v) { PutU32(out_, v); }
+  void I32(int v) { U32(static_cast<std::uint32_t>(v)); }
+  void U64(std::uint64_t v) { PutU64(out_, v); }
+  void F64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
   }
-
-  bool ExpectToken(std::string_view want) {
-    std::string tok;
-    return ReadToken(&tok) && tok == want;
-  }
-
-  bool ReadU64(std::uint64_t* out) {
-    std::string tok;
-    if (!ReadToken(&tok) || tok.empty()) return false;
-    std::uint64_t v = 0;
-    for (char c : tok) {
-      if (c < '0' || c > '9') return false;
-      if (v > (std::numeric_limits<std::uint64_t>::max() - 9) / 10) {
-        return false;
-      }
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
-  }
-
-  bool ReadInt(int* out) {
-    std::string tok;
-    if (!ReadToken(&tok)) return false;
-    bool negative = false;
-    std::size_t i = 0;
-    if (tok[0] == '-') {
-      negative = true;
-      i = 1;
-    }
-    if (i >= tok.size()) return false;
-    long long v = 0;
-    for (; i < tok.size(); ++i) {
-      if (tok[i] < '0' || tok[i] > '9') return false;
-      v = v * 10 + (tok[i] - '0');
-      if (v > std::numeric_limits<int>::max()) return false;
-    }
-    *out = static_cast<int>(negative ? -v : v);
-    return true;
-  }
-
-  bool ReadDouble(double* out) {
-    std::string tok;
-    if (!ReadToken(&tok)) return false;
-    std::istringstream iss(tok);
-    iss >> *out;
-    return !iss.fail() && iss.eof();
-  }
-
-  bool ReadBool(bool* out) {
-    std::uint64_t v;
-    if (!ReadU64(&v) || v > 1) return false;
-    *out = v == 1;
-    return true;
-  }
-
-  /// Rest of the current line, leading spaces stripped; consumes the '\n'.
-  bool ReadLineRemainder(std::string* out) {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string_view::npos) return false;
-    out->assign(text_.substr(pos_, nl - pos_));
-    pos_ = nl + 1;
-    return true;
-  }
-
-  /// Reads an exact byte block: the cursor must be at the '\n' ending the
-  /// count line; the block is the following `n` bytes verbatim.
-  bool ReadBlock(std::uint64_t n, std::string* out) {
-    if (pos_ < text_.size() && text_[pos_] == '\r') ++pos_;
-    if (pos_ >= text_.size() || text_[pos_] != '\n') return false;
-    ++pos_;
-    if (n > text_.size() - pos_) return false;
-    out->assign(text_.substr(pos_, static_cast<std::size_t>(n)));
-    pos_ += static_cast<std::size_t>(n);
-    return true;
+  void Bytes(std::string_view s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    out_->append(s);
   }
 
  private:
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
-  }
+  std::string* out_;
+};
 
-  std::string_view text_;
+// The strict reader over an untrusted payload: every read reports failure
+// instead of running past the end, and Count() refuses any count the
+// remaining bytes cannot back, so nothing is sized from a damaged field.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view in) : in_(in) {}
+
+  bool U8(std::uint8_t* v) {
+    if (in_.size() - pos_ < 1) return false;
+    *v = static_cast<std::uint8_t>(in_[pos_++]);
+    return true;
+  }
+  bool Bool(bool* v) {
+    std::uint8_t raw = 0;
+    if (!U8(&raw) || raw > 1) return false;
+    *v = raw == 1;
+    return true;
+  }
+  bool U32(std::uint32_t* v) {
+    if (in_.size() - pos_ < 4) return false;
+    *v = GetU32(in_.data() + pos_);
+    pos_ += 4;
+    return true;
+  }
+  bool I32(int* v) {
+    std::uint32_t raw = 0;
+    if (!U32(&raw)) return false;
+    std::int32_t signed_raw = 0;
+    std::memcpy(&signed_raw, &raw, sizeof(signed_raw));
+    *v = signed_raw;
+    return true;
+  }
+  bool U64(std::uint64_t* v) {
+    if (in_.size() - pos_ < 8) return false;
+    *v = GetU64(in_.data() + pos_);
+    pos_ += 8;
+    return true;
+  }
+  bool F64(double* v) {
+    std::uint64_t bits = 0;
+    if (!U64(&bits)) return false;
+    std::memcpy(v, &bits, sizeof(bits));
+    return true;
+  }
+  bool Bytes(std::string* out) {
+    std::uint32_t n = 0;
+    if (!U32(&n) || n > in_.size() - pos_) return false;
+    out->assign(in_.substr(pos_, n));
+    pos_ += n;
+    return true;
+  }
+  /// A count of items that each occupy at least `min_bytes` more payload.
+  bool Count(std::uint32_t* n, std::size_t min_bytes) {
+    return U32(n) && std::uint64_t{*n} * min_bytes <= remaining();
+  }
+  std::size_t remaining() const { return in_.size() - pos_; }
+  bool AtEnd() const { return pos_ == in_.size(); }
+
+ private:
+  std::string_view in_;
   std::size_t pos_ = 0;
 };
 
-void EncodeConfig(const DualSolverConfig& config, std::ostream& os) {
+void WriteConfig(const DualSolverConfig& config, ByteWriter* out) {
   const ChaseConfig& chase = config.base_chase;
   const CounterexampleConfig& cex = config.base_counterexample;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << "config " << config.rounds << ' ' << (config.resume_chase ? 1 : 0)
-     << ' ' << chase.max_steps << ' ' << chase.max_tuples << ' '
-     << chase.deadline_seconds << ' ' << chase.hom_max_nodes << ' '
-     << (chase.record_trace ? 1 : 0) << ' ' << (chase.use_delta ? 1 : 0) << ' ' << chase.max_fires_per_pass
-     << ' ' << (chase.auto_burst ? 1 : 0) << ' ' << chase.match_slice_ids
-     << ' ' << (chase.use_simd ? 1 : 0) << ' ' << cex.max_tuples << ' '
-     << cex.max_candidates << ' ' << cex.deadline_seconds << '\n';
+  out->I32(config.rounds);
+  out->Bool(config.resume_chase);
+  out->U64(chase.max_steps);
+  out->U64(chase.max_tuples);
+  out->F64(chase.deadline_seconds);
+  out->U64(chase.hom_max_nodes);
+  out->Bool(chase.record_trace);
+  out->Bool(chase.use_delta);
+  out->U64(chase.max_fires_per_pass);
+  out->Bool(chase.auto_burst);
+  out->U64(chase.match_slice_ids);
+  out->Bool(chase.use_simd);
+  out->I32(cex.max_tuples);
+  out->U64(cex.max_candidates);
+  out->F64(cex.deadline_seconds);
 }
 
-bool DecodeConfig(PayloadReader* in, DualSolverConfig* config) {
+bool ReadConfig(ByteReader* in, DualSolverConfig* config) {
   ChaseConfig& chase = config->base_chase;
   CounterexampleConfig& cex = config->base_counterexample;
-  return in->ExpectToken("config") && in->ReadInt(&config->rounds) &&
-         in->ReadBool(&config->resume_chase) && in->ReadU64(&chase.max_steps) &&
-         in->ReadU64(&chase.max_tuples) &&
-         in->ReadDouble(&chase.deadline_seconds) &&
-         in->ReadU64(&chase.hom_max_nodes) &&
-         in->ReadBool(&chase.record_trace) &&
-         in->ReadBool(&chase.use_delta) &&
-         in->ReadU64(&chase.max_fires_per_pass) &&
-         in->ReadBool(&chase.auto_burst) &&
-         in->ReadU64(&chase.match_slice_ids) &&
-         in->ReadBool(&chase.use_simd) && in->ReadInt(&cex.max_tuples) &&
-         in->ReadU64(&cex.max_candidates) &&
-         in->ReadDouble(&cex.deadline_seconds);
+  return in->I32(&config->rounds) && in->Bool(&config->resume_chase) &&
+         in->U64(&chase.max_steps) && in->U64(&chase.max_tuples) &&
+         in->F64(&chase.deadline_seconds) && in->U64(&chase.hom_max_nodes) &&
+         in->Bool(&chase.record_trace) && in->Bool(&chase.use_delta) &&
+         in->U64(&chase.max_fires_per_pass) && in->Bool(&chase.auto_burst) &&
+         in->U64(&chase.match_slice_ids) && in->Bool(&chase.use_simd) &&
+         in->I32(&cex.max_tuples) && in->U64(&cex.max_candidates) &&
+         in->F64(&cex.deadline_seconds);
+}
+
+// A dependency as row counts, per-attribute variable counts, then body and
+// head rows of variable ids. `arity` is the job schema's.
+void WriteDependency(const Dependency& dep, int arity, ByteWriter* out) {
+  const Tableau& body = dep.body();
+  const Tableau& head = dep.head();
+  out->U32(static_cast<std::uint32_t>(body.num_rows()));
+  out->U32(static_cast<std::uint32_t>(head.num_rows()));
+  for (int attr = 0; attr < arity; ++attr) {
+    out->U32(static_cast<std::uint32_t>(body.NumVars(attr)));
+  }
+  for (const Tableau* tableau : {&body, &head}) {
+    for (const Row& row : tableau->rows()) {
+      for (int attr = 0; attr < arity; ++attr) {
+        out->U32(static_cast<std::uint32_t>(row[attr]));
+      }
+    }
+  }
+}
+
+constexpr std::uint32_t kMaxVarId = std::numeric_limits<int>::max();
+
+// Rebuilds one dependency through Dependency::Builder (which validates
+// it); nullopt on any malformed field.
+std::optional<Dependency> ReadDependency(ByteReader* in,
+                                         const SchemaPtr& schema) {
+  const int arity = schema->arity();
+  const std::uint64_t row_bytes = 4 * static_cast<std::uint64_t>(arity);
+  std::uint32_t body_rows = 0;
+  std::uint32_t head_rows = 0;
+  if (!in->U32(&body_rows) || !in->U32(&head_rows)) return std::nullopt;
+  // The variable counts (one row's worth) and every row must fit in what is
+  // left. Each variable occurs in a row, so no attribute has more variables
+  // than rows: no damaged count can size the tableaux.
+  const std::uint64_t rows = std::uint64_t{body_rows} + head_rows;
+  if ((rows + 1) * row_bytes > in->remaining()) return std::nullopt;
+  Dependency::Builder builder(schema);
+  builder.Reserve(static_cast<int>(body_rows), static_cast<int>(head_rows),
+                  static_cast<int>(rows) * arity);
+  for (int attr = 0; attr < arity; ++attr) {
+    std::uint32_t num_vars = 0;
+    if (!in->U32(&num_vars) || num_vars > rows) return std::nullopt;
+    for (std::uint32_t v = 0; v < num_vars; ++v) {
+      char digits[16];
+      char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+      builder.Var(attr, std::string_view(digits, end - digits));
+    }
+  }
+  // Build() rejects ids outside their attribute's variables.
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    Row row(static_cast<std::size_t>(arity));
+    for (int attr = 0; attr < arity; ++attr) {
+      std::uint32_t id = 0;
+      if (!in->U32(&id) || id > kMaxVarId) return std::nullopt;
+      row[attr] = static_cast<int>(id);
+    }
+    if (r < body_rows) {
+      builder.AddBodyRow(std::move(row));
+    } else {
+      builder.AddHeadRow(std::move(row));
+    }
+  }
+  Result<Dependency> built = std::move(builder).Build();
+  if (!built.ok()) return std::nullopt;
+  return std::move(built).value();
 }
 
 }  // namespace
@@ -261,148 +317,181 @@ Result<Frame> DecodeFrame(std::string_view bytes, std::size_t* consumed) {
   return frame;
 }
 
+std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
+                             const CacheFingerprint& fingerprint,
+                             const Job& job, const DualSolverConfig& config,
+                             std::string_view session_text) {
+  std::string payload;
+  payload.reserve(256 + job.name.size() + session_text.size());
+  ByteWriter out(&payload);
+  out.U32(kJobPayloadTag);
+  out.U32(kPayloadVersion);
+  out.U64(job_id);
+  out.U64(probe_steps);
+  out.I32(job.priority);
+  // A deadline-clamped run config is not cacheable: whatever the caller
+  // fingerprinted, the worker must not cache this run.
+  const bool fingerprint_valid = fingerprint.valid && CacheableConfig(config);
+  out.Bool(fingerprint_valid);
+  out.U64(fingerprint_valid ? fingerprint.hi : 0);
+  out.U64(fingerprint_valid ? fingerprint.lo : 0);
+  out.Bytes(job.name);
+  WriteConfig(config, &out);
+  const Schema& schema = job.goal.schema();
+  out.U32(static_cast<std::uint32_t>(schema.arity()));
+  for (int attr = 0; attr < schema.arity(); ++attr) out.Bytes(schema.name(attr));
+  out.U32(static_cast<std::uint32_t>(job.dependencies.items.size()));
+  for (const Dependency& dep : job.dependencies.items) {
+    WriteDependency(dep, schema.arity(), &out);
+  }
+  WriteDependency(job.goal, schema.arity(), &out);
+  out.Bytes(session_text);
+  return payload;
+}
+
 std::string EncodeJobPayload(const WireJob& wire_job) {
-  std::ostringstream oss;
-  oss << "tdjob 1\n";
-  oss << "id " << wire_job.job_id << " probe " << wire_job.probe_steps << '\n';
-  oss << "priority " << wire_job.job.priority << '\n';
-  oss << "name " << wire_job.job.name << '\n';
-  EncodeConfig(wire_job.job.config, oss);
-  // The dependency program travels in the replayable tdfuzz repro format
-  // (schema line + td lines, last td = goal), renamed to grammar-safe
-  // variable names when necessary — a pure isomorphism that leaves every
-  // deterministic result field byte-identical (cache/canonical.h).
-  const std::string program =
-      FormatReproProgram(wire_job.job, FuzzOptions{}, "cluster");
-  oss << "program " << program.size() << '\n' << program;
-  oss << "session " << wire_job.session_text.size() << '\n'
-      << wire_job.session_text;
-  return oss.str();
+  return EncodeJobPayload(wire_job.job_id, wire_job.probe_steps,
+                          wire_job.fingerprint, wire_job.job,
+                          wire_job.job.config, wire_job.session_text);
 }
 
 Result<WireJob> DecodeJobPayload(std::string_view payload) {
-  PayloadReader in(payload);
-  std::uint64_t version = 0;
-  if (!in.ExpectToken("tdjob") || !in.ReadU64(&version)) {
+  ByteReader in(payload);
+  std::uint32_t tag = 0;
+  std::uint32_t version = 0;
+  if (!in.U32(&tag) || tag != kJobPayloadTag || !in.U32(&version)) {
     return Corrupt<WireJob>("job payload: bad tag");
   }
-  if (version != 1) {
+  if (version != kPayloadVersion) {
     return Corrupt<WireJob>("job payload: unsupported version " +
                             std::to_string(version));
   }
   std::uint64_t job_id = 0;
   std::uint64_t probe_steps = 0;
-  std::string session_text;
   int priority = 0;
+  CacheFingerprint fingerprint;
   std::string name;
-  if (!in.ExpectToken("id") || !in.ReadU64(&job_id) ||
-      !in.ExpectToken("probe") || !in.ReadU64(&probe_steps)) {
-    return Corrupt<WireJob>("job payload: bad id line");
-  }
-  if (!in.ExpectToken("priority") || !in.ReadInt(&priority)) {
-    return Corrupt<WireJob>("job payload: bad priority line");
-  }
-  if (!in.ExpectToken("name") || !in.ReadLineRemainder(&name)) {
-    return Corrupt<WireJob>("job payload: bad name line");
+  if (!in.U64(&job_id) || !in.U64(&probe_steps) || !in.I32(&priority) ||
+      !in.Bool(&fingerprint.valid) || !in.U64(&fingerprint.hi) ||
+      !in.U64(&fingerprint.lo) || !in.Bytes(&name)) {
+    return Corrupt<WireJob>("job payload: bad header");
   }
   DualSolverConfig config;
-  if (!DecodeConfig(&in, &config)) {
-    return Corrupt<WireJob>("job payload: bad config line");
+  if (!ReadConfig(&in, &config)) {
+    return Corrupt<WireJob>("job payload: bad config");
   }
-  std::uint64_t program_size = 0;
-  std::string program;
-  if (!in.ExpectToken("program") || !in.ReadU64(&program_size) ||
-      !in.ReadBlock(program_size, &program)) {
-    return Corrupt<WireJob>("job payload: bad program block");
+  std::uint32_t arity = 0;
+  if (!in.Count(&arity, 4) || arity == 0) {
+    return Corrupt<WireJob>("job payload: bad arity");
   }
-  std::uint64_t session_size = 0;
-  if (!in.ExpectToken("session") || !in.ReadU64(&session_size) ||
-      !in.ReadBlock(session_size, &session_text)) {
+  std::vector<std::string> attribute_names;
+  attribute_names.reserve(arity);
+  for (std::uint32_t attr = 0; attr < arity; ++attr) {
+    std::string attribute;
+    if (!in.Bytes(&attribute)) {
+      return Corrupt<WireJob>("job payload: bad attribute name");
+    }
+    attribute_names.push_back(std::move(attribute));
+  }
+  SchemaPtr schema = MakeSchema(std::move(attribute_names));
+  if (std::string err = schema->Validate(); !err.empty()) {
+    return Corrupt<WireJob>("job payload: schema: " + err);
+  }
+  // A dependency takes at least its two row counts, its variable counts
+  // and one body and one head row.
+  std::uint32_t num_premises = 0;
+  if (!in.Count(&num_premises, 8 + 12 * std::size_t{arity})) {
+    return Corrupt<WireJob>("job payload: bad premise count");
+  }
+  DependencySet dependencies;
+  dependencies.items.reserve(num_premises);
+  for (std::uint32_t i = 0; i < num_premises; ++i) {
+    std::optional<Dependency> premise = ReadDependency(&in, schema);
+    if (!premise.has_value()) {
+      return Corrupt<WireJob>("job payload: bad premise " + std::to_string(i));
+    }
+    dependencies.items.push_back(std::move(*premise));
+  }
+  std::optional<Dependency> goal = ReadDependency(&in, schema);
+  if (!goal.has_value()) return Corrupt<WireJob>("job payload: bad goal");
+  std::string session_text;
+  if (!in.Bytes(&session_text) || !in.AtEnd()) {
     return Corrupt<WireJob>("job payload: bad session block");
   }
-  Result<Job> parsed = ParseReproProgram(program);
-  if (!parsed.ok()) {
-    return Corrupt<WireJob>("job payload: " + parsed.error());
-  }
-  WireJob wire_job(std::move(parsed).value());
+  WireJob wire_job(Job{std::move(name), std::move(dependencies),
+                       std::move(*goal), config, priority});
   wire_job.job_id = job_id;
   wire_job.probe_steps = probe_steps;
+  wire_job.fingerprint = fingerprint;
   wire_job.session_text = std::move(session_text);
-  wire_job.job.name = std::move(name);
-  wire_job.job.priority = priority;
-  wire_job.job.config = config;
   return wire_job;
 }
 
 std::string EncodeResultPayload(const WireResult& wire_result) {
   const JobResult& r = wire_result.result;
-  std::ostringstream oss;
-  oss.precision(std::numeric_limits<double>::max_digits10);
-  oss << "tdres 1\n";
-  oss << "id " << wire_result.job_id << " parked "
-      << (wire_result.parked ? 1 : 0) << '\n';
-  oss << "name " << r.name << '\n';
-  oss << "outcome " << static_cast<int>(r.status) << ' '
-      << static_cast<int>(r.verdict) << ' ' << r.rounds_used << ' '
-      << static_cast<int>(r.cache_source) << '\n';
-  oss << "counters " << r.chase_steps << ' ' << r.chase_passes << ' '
-      << r.hom_nodes << ' ' << r.match_tasks << ' ' << r.carried_passes << ' '
-      << r.candidates_checked << '\n';
-  oss << "wall " << r.wall_seconds << ' ' << r.queue_seconds << ' '
-      << r.match_seconds << ' ' << r.fire_seconds << ' '
-      << r.checkpoint_seconds << '\n';
-  oss << "session " << wire_result.session_text.size() << '\n'
-      << wire_result.session_text;
-  return oss.str();
+  std::string payload;
+  payload.reserve(128 + r.name.size() + wire_result.session_text.size());
+  ByteWriter out(&payload);
+  out.U32(kResultPayloadTag);
+  out.U32(kPayloadVersion);
+  out.U64(wire_result.job_id);
+  out.Bool(wire_result.parked);
+  out.U8(static_cast<std::uint8_t>(r.status));
+  out.U8(static_cast<std::uint8_t>(r.verdict));
+  out.U8(static_cast<std::uint8_t>(r.cache_source));
+  out.I32(r.rounds_used);
+  for (std::uint64_t counter : {r.chase_steps, r.chase_passes, r.hom_nodes,
+                                r.match_tasks, r.carried_passes,
+                                r.candidates_checked}) {
+    out.U64(counter);
+  }
+  for (double seconds : {r.wall_seconds, r.queue_seconds, r.match_seconds,
+                         r.fire_seconds, r.checkpoint_seconds}) {
+    out.F64(seconds);
+  }
+  out.Bytes(r.name);
+  out.Bytes(wire_result.session_text);
+  return payload;
 }
 
 Result<WireResult> DecodeResultPayload(std::string_view payload) {
-  PayloadReader in(payload);
-  std::uint64_t version = 0;
-  if (!in.ExpectToken("tdres") || !in.ReadU64(&version)) {
+  ByteReader in(payload);
+  std::uint32_t tag = 0;
+  std::uint32_t version = 0;
+  if (!in.U32(&tag) || tag != kResultPayloadTag || !in.U32(&version)) {
     return Corrupt<WireResult>("result payload: bad tag");
   }
-  if (version != 1) {
+  if (version != kPayloadVersion) {
     return Corrupt<WireResult>("result payload: unsupported version " +
                                std::to_string(version));
   }
   WireResult wire_result;
   JobResult& r = wire_result.result;
-  if (!in.ExpectToken("id") || !in.ReadU64(&wire_result.job_id) ||
-      !in.ExpectToken("parked") || !in.ReadBool(&wire_result.parked)) {
-    return Corrupt<WireResult>("result payload: bad id line");
-  }
-  if (!in.ExpectToken("name") || !in.ReadLineRemainder(&r.name)) {
-    return Corrupt<WireResult>("result payload: bad name line");
-  }
-  int status = 0, verdict = 0, cache_source = 0;
-  if (!in.ExpectToken("outcome") || !in.ReadInt(&status) ||
-      !in.ReadInt(&verdict) || !in.ReadInt(&r.rounds_used) ||
-      !in.ReadInt(&cache_source) || status < 0 ||
-      status > static_cast<int>(JobStatus::kCancelled) || verdict < 0 ||
-      verdict > static_cast<int>(DualVerdict::kUnknown) || cache_source < 0 ||
+  std::uint8_t status = 0, verdict = 0, cache_source = 0;
+  if (!in.U64(&wire_result.job_id) || !in.Bool(&wire_result.parked) ||
+      !in.U8(&status) || !in.U8(&verdict) || !in.U8(&cache_source) ||
+      !in.I32(&r.rounds_used) ||
+      status > static_cast<int>(JobStatus::kCancelled) ||
+      verdict > static_cast<int>(DualVerdict::kUnknown) ||
       cache_source > static_cast<int>(CacheSource::kCoalesced)) {
-    return Corrupt<WireResult>("result payload: bad outcome line");
+    return Corrupt<WireResult>("result payload: bad outcome");
   }
   r.status = static_cast<JobStatus>(status);
   r.verdict = static_cast<DualVerdict>(verdict);
   r.cache_source = static_cast<CacheSource>(cache_source);
-  if (!in.ExpectToken("counters") || !in.ReadU64(&r.chase_steps) ||
-      !in.ReadU64(&r.chase_passes) || !in.ReadU64(&r.hom_nodes) ||
-      !in.ReadU64(&r.match_tasks) || !in.ReadU64(&r.carried_passes) ||
-      !in.ReadU64(&r.candidates_checked)) {
-    return Corrupt<WireResult>("result payload: bad counters line");
+  if (!in.U64(&r.chase_steps) || !in.U64(&r.chase_passes) ||
+      !in.U64(&r.hom_nodes) || !in.U64(&r.match_tasks) ||
+      !in.U64(&r.carried_passes) || !in.U64(&r.candidates_checked)) {
+    return Corrupt<WireResult>("result payload: bad counters");
   }
-  if (!in.ExpectToken("wall") || !in.ReadDouble(&r.wall_seconds) ||
-      !in.ReadDouble(&r.queue_seconds) || !in.ReadDouble(&r.match_seconds) ||
-      !in.ReadDouble(&r.fire_seconds) ||
-      !in.ReadDouble(&r.checkpoint_seconds)) {
-    return Corrupt<WireResult>("result payload: bad wall line");
+  if (!in.F64(&r.wall_seconds) || !in.F64(&r.queue_seconds) ||
+      !in.F64(&r.match_seconds) || !in.F64(&r.fire_seconds) ||
+      !in.F64(&r.checkpoint_seconds)) {
+    return Corrupt<WireResult>("result payload: bad wall times");
   }
-  std::uint64_t session_size = 0;
-  if (!in.ExpectToken("session") || !in.ReadU64(&session_size) ||
-      !in.ReadBlock(session_size, &wire_result.session_text)) {
-    return Corrupt<WireResult>("result payload: bad session block");
+  if (!in.Bytes(&r.name) || !in.Bytes(&wire_result.session_text) ||
+      !in.AtEnd()) {
+    return Corrupt<WireResult>("result payload: bad name or session");
   }
   return wire_result;
 }

@@ -2,26 +2,34 @@
 //
 // The router and its worker processes exchange self-delimiting frames:
 //
-//   bytes 0..3   magic "TDF3" (TDF1 and TDF2 carried retired ablation
-//                flags in the job config line; TDF3 also adds the cancel
-//                frame — an older peer fails at the header)
+//   bytes 0..3   magic "TDF4" (TDF1 and TDF2 carried retired ablation
+//                flags in the job config line, TDF3 text job and result
+//                payloads — an older peer fails at the header)
 //   byte  4      frame type (FrameType)
 //   bytes 5..7   reserved, must be zero
 //   bytes 8..11  payload length, little-endian (capped at kMaxFramePayload)
 //   bytes 12..19 payload content hash, little-endian (HashBytes128 low lane)
 //   bytes 20..   payload
 //
-// Payloads are the library's existing portable-text formats: a job frame
-// carries a core/parser dependency program plus an explicit solver-config
-// line (the same fields cache/canonical.h fingerprints), and a parked chase
-// travels as ChaseSession text (chase/implication.h) — nothing on the wire
-// is a new serialization of solver state, so a checkpoint that migrates
-// between processes resumes byte-for-byte by the PR-4 contract.
+// Job and result payloads are versioned little-endian binary records of
+// fixed-width fields (doubles travel bit-cast) and length-prefixed byte
+// strings. A job carries the solver config field by field, the schema's
+// attribute names, and each dependency as row counts, per-attribute
+// variable counts and rows of variable ids as logic/tableau.h numbers
+// them, without variable names (the worker rebuilds every
+// dependency through Dependency::Builder, which validates it, and names
+// each variable by its id). Every variable a dependency declares must
+// occur in one of its rows. The router's 128-bit canonical fingerprint
+// rides along, so the worker neither parses text nor fingerprints the job
+// again. A parked chase travels as opaque ChaseSession text
+// (chase/implication.h), so a checkpoint that migrates between processes
+// resumes byte-for-byte by the resume contract.
 //
 // Every decoder treats its input as untrusted: bad magic, an oversized
 // length, a hash mismatch, a truncated stream or a malformed payload all
 // yield typed ErrorCode::kCorrupt results — never UB or an unchecked
-// allocation (tests/serialization_corrupt_test.cc sweeps this surface).
+// allocation. No count is trusted beyond the bytes left to back it
+// (tests/serialization_corrupt_test.cc sweeps this surface).
 // The socket read/write/corrupt paths are wired into util/fault.h
 // (cluster.socket-read, cluster.socket-write, cluster.frame-corrupt), so
 // the fault plane can force every failure mode deterministically.
@@ -32,6 +40,7 @@
 #include <string>
 #include <string_view>
 
+#include "cache/fingerprint.h"
 #include "engine/job.h"
 #include "util/status.h"
 
@@ -40,10 +49,10 @@ namespace tdlib {
 /// Frame vocabulary. Router -> worker: kJob, kPing, kShutdown, kCancel.
 /// Worker -> router: kHello, kPong, kResult.
 enum class FrameType : std::uint8_t {
-  kHello = 1,   ///< worker is up: "tdhello" payload (pid, protocol version)
+  kHello = 1,   ///< worker is up: "tdhello <pid> <kWireProtocolVersion>"
   kPing = 2,    ///< heartbeat probe (seq)
   kPong = 3,    ///< heartbeat answer (echoed seq)
-  kJob = 4,     ///< one job assignment (job id, program, config, session)
+  kJob = 4,     ///< one job assignment (id, config, dependencies, session)
   kResult = 5,  ///< terminal or parked outcome of an assigned job
   kShutdown = 6, ///< drain and exit cleanly
   kCancel = 7   ///< stop the assigned job (decimal job id): the worker
@@ -59,6 +68,10 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 /// Header size in bytes (see the file comment for the layout).
 inline constexpr std::size_t kFrameHeaderSize = 20;
+
+/// The protocol version a worker announces in its hello (2: binary job and
+/// result payloads in TDF4 frames).
+inline constexpr int kWireProtocolVersion = 2;
 
 /// One decoded frame.
 struct Frame {
@@ -91,6 +104,12 @@ struct WireJob {
   /// — the router then migrates the checkpoint to a less-loaded worker.
   std::uint64_t probe_steps = 0;
 
+  /// FingerprintProblem(job.dependencies, job.goal, job.config) as the
+  /// router computed it, or invalid (the worker then neither consults nor
+  /// fills its cache). The encoder sends it invalid whenever the config is
+  /// not cacheable.
+  CacheFingerprint fingerprint;
+
   /// ChaseSession text of a previously parked chase ("" = start fresh).
   std::string session_text;
 
@@ -110,11 +129,22 @@ struct WireResult {
   JobResult result;
 };
 
+/// Renders a kJob payload for `job` run under `config` (which replaces
+/// job.config on the wire). `fingerprint` must be
+/// FingerprintProblem(job.dependencies, job.goal, config) or invalid; it is
+/// sent invalid when `config` is not cacheable (CacheableConfig). The
+/// router encodes its queued runs through this directly; the WireJob
+/// overload forwards to it.
+std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
+                             const CacheFingerprint& fingerprint,
+                             const Job& job, const DualSolverConfig& config,
+                             std::string_view session_text);
+
 /// Renders/parses a WireJob payload (for a FrameType::kJob frame). The
-/// dependency program section reuses the tdfuzz repro format — pure-renamed
-/// to grammar-safe names when needed, which leaves every deterministic
-/// result field unchanged (the renaming-invariance contract behind
-/// cache/canonical.h).
+/// decoded job keeps every variable id, row and config field; a variable
+/// is named by its decimal id, which leaves every deterministic result
+/// field unchanged (the renaming-invariance contract behind
+/// cache/canonical.h). Dependency names are not sent.
 std::string EncodeJobPayload(const WireJob& wire_job);
 Result<WireJob> DecodeJobPayload(std::string_view payload);
 

@@ -13,7 +13,6 @@
 #include <thread>
 #include <utility>
 
-#include "cache/canonical.h"
 #include "cache/result_cache.h"
 #include "cluster/wire.h"
 #include "engine/thread_pool.h"
@@ -55,10 +54,9 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
   config.base_chase.cancel = cancel;
   config.base_counterexample.cancel = cancel;
 
-  // Fingerprint the FULL config: a cached verdict replays the full run's
-  // deterministic bytes, never a probe's.
-  const CacheFingerprint fingerprint =
-      FingerprintProblem(job.dependencies, job.goal, config);
+  // The router fingerprinted the FULL config (a cached verdict replays the
+  // full run's deterministic bytes, never a probe's), or sent it invalid.
+  const CacheFingerprint& fingerprint = wire_job.fingerprint;
   CachedVerdict cached;
   if (fingerprint.valid && cache->Lookup(fingerprint, &cached)) {
     out.result = CachedVerdictToResult(cached, job.name);
@@ -170,8 +168,9 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
     }
   });
 
-  writer.Write(FrameType::kHello,
-               "tdhello " + std::to_string(::getpid()) + " 1");
+  writer.Write(FrameType::kHello, "tdhello " + std::to_string(::getpid()) +
+                                      " " +
+                                      std::to_string(kWireProtocolVersion));
 
   int exit_code = 0;
   for (;;) {

@@ -101,6 +101,12 @@ class Dependency::Builder {
   /// Appends a conclusion atom.
   void AddHeadRow(Row row) { head_.AddRow(std::move(row)); }
 
+  /// Capacity hint: the row counts and the total variable count to come.
+  void Reserve(int body_rows, int head_rows, int vars) {
+    body_.Reserve(body_rows, vars);
+    head_.Reserve(head_rows, vars);
+  }
+
   /// Validates and produces the dependency.
   Result<Dependency> Build() &&;
 

@@ -46,7 +46,10 @@ std::string BatchSummary::ToTable() const {
   std::ostringstream oss;
   oss << table.ToString();
   oss << completed << " completed, " << skipped << " skipped, " << cancelled
-      << " cancelled on " << num_threads << " thread(s) in " << wall_seconds
+      << " cancelled on "
+      << (num_workers > 0 ? std::to_string(num_workers) + " worker process(es)"
+                          : std::to_string(num_threads) + " thread(s)")
+      << " in " << wall_seconds
       << "s (" << Throughput() << " jobs/s)\n";
   return oss.str();
 }

@@ -76,6 +76,7 @@ struct BatchSummary {
   std::vector<JobResult> results;  ///< submission order, one per job
   double wall_seconds = 0;         ///< whole-batch wall time
   int num_threads = 1;             ///< pool width actually used
+  int num_workers = 0;  ///< worker processes that ran the jobs (0: the pool)
   int completed = 0;
   int skipped = 0;
   int cancelled = 0;  ///< kCancelled runs, counted apart from skips so the

@@ -16,7 +16,7 @@ int Schema::IndexOf(std::string_view name) const {
 
 std::string Schema::Validate() const {
   if (names_.empty()) return "schema has no attributes";
-  std::unordered_set<std::string> seen;
+  std::unordered_set<std::string_view> seen;
   for (const auto& n : names_) {
     if (n.empty()) return "schema has an empty attribute name";
     if (!seen.insert(n).second) return "duplicate attribute name: " + n;

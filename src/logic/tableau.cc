@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 namespace tdlib {
 
@@ -42,6 +41,11 @@ void Tableau::EnsureVariables(int attr, int count) {
 }
 
 void Tableau::AddRow(Row row) { rows_.push_back(std::move(row)); }
+
+void Tableau::Reserve(int rows, int vars) {
+  rows_.reserve(static_cast<std::size_t>(rows));
+  names_.reserve(static_cast<std::size_t>(vars));
+}
 
 Instance Tableau::Freeze() const {
   Instance frozen(schema_);
@@ -83,12 +87,28 @@ std::string Tableau::CheckInvariants() const {
       }
     }
   }
+  // Duplicate names: a dependency's short per-attribute lists are compared
+  // pairwise, without allocating; long ones are sorted side by side.
+  constexpr int kPairwiseMax = 16;
+  std::vector<std::string_view> names;
   for (int attr = 0; attr < schema_->arity(); ++attr) {
-    std::unordered_set<std::string_view> seen;
-    for (int v = 0; v < NumVars(attr); ++v) {
-      if (!seen.insert(VarName(attr, v)).second) {
-        return "duplicate variable name in attribute " + schema_->name(attr);
+    const int n = NumVars(attr);
+    bool duplicate = false;
+    if (n <= kPairwiseMax) {
+      for (int v = 1; v < n && !duplicate; ++v) {
+        for (int w = 0; w < v && !duplicate; ++w) {
+          duplicate = VarName(attr, v) == VarName(attr, w);
+        }
       }
+    } else {
+      names.clear();
+      for (int v = 0; v < n; ++v) names.push_back(VarName(attr, v));
+      std::sort(names.begin(), names.end());
+      duplicate =
+          std::adjacent_find(names.begin(), names.end()) != names.end();
+    }
+    if (duplicate) {
+      return "duplicate variable name in attribute " + schema_->name(attr);
     }
   }
   return "";

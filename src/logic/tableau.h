@@ -52,6 +52,9 @@ class Tableau {
   /// attribute; rows are NOT deduplicated (callers may rely on row indices).
   void AddRow(Row row);
 
+  /// Capacity hint: room for `rows` rows and `vars` variables in total.
+  void Reserve(int rows, int vars);
+
   int num_rows() const { return static_cast<int>(rows_.size()); }
   const Row& row(int i) const { return rows_[i]; }
   const std::vector<Row>& rows() const { return rows_; }

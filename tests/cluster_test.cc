@@ -21,11 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include "cache/canonical.h"
 #include "cluster/ring.h"
 #include "cluster/router.h"
 #include "cluster/wire.h"
 #include "core/parser.h"
 #include "engine/workload.h"
+#include "fuzz/fuzz.h"
 #include "logic/schema.h"
 #include "util/fault.h"
 
@@ -157,6 +159,7 @@ TEST(ClusterWireTest, FrameRejectsHeaderDamage) {
       {0, 'X', "bad magic"},
       {3, '1', "old TDF1 magic"},
       {3, '2', "old TDF2 magic"},
+      {3, '3', "old TDF3 magic"},
       {4, 99, "unknown type"},
       {5, 1, "reserved byte"},
       {11, 0x7f, "over-cap length"},
@@ -176,6 +179,19 @@ TEST(ClusterWireTest, FrameRejectsHeaderDamage) {
     ASSERT_FALSE(frame.ok()) << "prefix " << n;
     EXPECT_EQ(frame.code(), ErrorCode::kCorrupt) << "prefix " << n;
   }
+}
+
+TEST(ClusterWireTest, WellFormedTdf3FrameIsRejectedByItsMagic) {
+  // A frame from a peer one protocol version back: every field but the
+  // magic is valid (the hash covers the payload only).
+  std::string frame = EncodeFrame(FrameType::kHello, "tdhello 1 1");
+  ASSERT_EQ(frame.substr(0, 4), "TDF4");
+  frame[3] = '3';
+  Result<Frame> decoded = DecodeFrame(frame, nullptr);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(decoded.error().find("magic"), std::string::npos)
+      << decoded.error();
 }
 
 TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
@@ -204,6 +220,79 @@ TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
   // every deterministic result byte survives, so compare solver outputs.
   EXPECT_EQ(RunJob(job).DeterministicSummary(),
             RunJob(got.job).DeterministicSummary());
+}
+
+// Every deterministic result byte and the canonical fingerprint survive
+// the binary job codec, over random TDs, reduction-sweep instances and
+// pumping gadgets (the fuzz generator's three families) plus the sweep
+// tdbatch runs.
+TEST(ClusterWireTest, JobPayloadRoundTripKeepsSummariesAndFingerprints) {
+  std::vector<Job> jobs;
+  FuzzOptions fuzz;
+  fuzz.cases_per_round = 25;
+  for (std::uint64_t round = 0; round < 8; ++round) {
+    for (Job& job : GenerateFuzzCases(fuzz, round)) {
+      jobs.push_back(std::move(job));
+    }
+  }
+  WorkloadOptions sweep;
+  sweep.size = 12;
+  // The fuzz budget keeps the sweep's pumping gap jobs short (sanitizer
+  // builds run this test too); the codec sees the same dependencies.
+  sweep.solver.base_chase.max_steps = fuzz.base_steps;
+  for (Job& job : ReductionSweepWorkload(sweep)) jobs.push_back(std::move(job));
+  ASSERT_GE(jobs.size(), 200u);
+
+  for (const Job& job : jobs) {
+    WireJob wire_job(job);
+    wire_job.job_id = 5;
+    wire_job.fingerprint =
+        FingerprintProblem(job.dependencies, job.goal, job.config);
+    Result<WireJob> decoded = DecodeJobPayload(EncodeJobPayload(wire_job));
+    ASSERT_TRUE(decoded.ok()) << job.name << ": " << decoded.error();
+    const Job& got = decoded.value().job;
+    EXPECT_EQ(got.name, job.name);
+    EXPECT_EQ(got.dependencies.items.size(), job.dependencies.items.size());
+    const CacheFingerprint refingerprinted =
+        FingerprintProblem(got.dependencies, got.goal, got.config);
+    EXPECT_EQ(refingerprinted, wire_job.fingerprint) << job.name;
+    EXPECT_EQ(decoded.value().fingerprint, wire_job.fingerprint) << job.name;
+    EXPECT_EQ(CanonicalProblemText(got.dependencies, got.goal, got.config),
+              CanonicalProblemText(job.dependencies, job.goal, job.config))
+        << job.name;
+    EXPECT_EQ(RunJob(got).DeterministicSummary(),
+              RunJob(job).DeterministicSummary())
+        << job.name;
+  }
+}
+
+// The fingerprint a job frame carries is what the worker would compute
+// from the frame's own job and config, so the worker can skip computing
+// it: valid under the config the run carries, invalid once a deadline
+// clamp makes that config uncacheable.
+TEST(ClusterWireTest, ForwardedFingerprintMatchesTheSentConfig) {
+  const Job job = MakeSmallJob("forwarded");
+  const CacheFingerprint key =
+      FingerprintProblem(job.dependencies, job.goal, job.config);
+  ASSERT_TRUE(key.valid);
+
+  DualSolverConfig clamped = job.config;
+  ClampConfigToBudget(&clamped, 5.0);
+  ASSERT_FALSE(CacheableConfig(clamped));
+
+  for (const DualSolverConfig& sent : {job.config, clamped}) {
+    Result<WireJob> decoded = DecodeJobPayload(
+        EncodeJobPayload(3, 0, key, job, sent, ""));
+    ASSERT_TRUE(decoded.ok()) << decoded.error();
+    const WireJob& got = decoded.value();
+    EXPECT_EQ(got.fingerprint,
+              FingerprintProblem(got.job.dependencies, got.job.goal,
+                                 got.job.config));
+    EXPECT_EQ(got.fingerprint,
+              FingerprintProblem(job.dependencies, job.goal, sent));
+    EXPECT_EQ(got.job.config.base_chase.deadline_seconds,
+              sent.base_chase.deadline_seconds);
+  }
 }
 
 TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
@@ -356,6 +445,28 @@ TEST(ClusterRouterTest, RepeatSubmissionIsServedFromTheWorkerCache) {
   EXPECT_EQ(warm.worker, cold.worker);
   EXPECT_EQ(warm.DeterministicSummary(), cold.DeterministicSummary());
   EXPECT_GE(router.Stats().cache_hits, 1);
+}
+
+// A resumed run carries budgets its Job does not: the worker must cache it
+// under the resumed config's fingerprint, where a fresh submission of that
+// config finds it byte-identical to a from-scratch solve.
+TEST(ClusterRouterTest, ResumedRunIsCachedUnderItsOwnBudget) {
+  SKIP_WITHOUT_WORKER();
+  Job small = MakeGapJob("resumed", 0, 50);
+  Job big = small;
+  big.config.base_chase.max_steps = 400;
+  ClusterRouter router(FastOptions(1));
+  ASSERT_TRUE(WaitForWorkersUp(router, 1));
+  JobHandle handle = router.Submit(small);
+  ASSERT_EQ(handle.Wait().status, JobStatus::kCompleted);
+  ASSERT_TRUE(handle.ResumeWithBudget(big.config));
+  const JobResult resumed = handle.Wait();
+  ASSERT_EQ(resumed.status, JobStatus::kCompleted);
+  const JobResult fresh = router.Submit(big).Wait();
+  ASSERT_EQ(fresh.status, JobStatus::kCompleted);
+  EXPECT_EQ(fresh.cache_source, CacheSource::kHit);
+  EXPECT_EQ(fresh.DeterministicSummary(), RunJob(big).DeterministicSummary());
+  EXPECT_EQ(resumed.DeterministicSummary(), fresh.DeterministicSummary());
 }
 
 TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
