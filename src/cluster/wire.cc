@@ -212,19 +212,38 @@ bool ReadConfig(ByteReader* in, DualSolverConfig* config) {
 }
 
 // A dependency as row counts, per-attribute variable counts, then body and
-// head rows of variable ids. `arity` is the job schema's.
-void WriteDependency(const Dependency& dep, int arity, ByteWriter* out) {
+// head rows of variable ids. `arity` is the job schema's. Only variables
+// that occur in a row are sent, renumbered densely in id order (a declared
+// but unused variable means nothing to the solver, and the decoder bounds
+// each attribute's variables by the rows); `wire_ids` is scratch space
+// holding the new id of each variable slot.
+void WriteDependency(const Dependency& dep, int arity,
+                     std::vector<int>* wire_ids, ByteWriter* out) {
   const Tableau& body = dep.body();
   const Tableau& head = dep.head();
+  wire_ids->assign(static_cast<std::size_t>(body.TotalVars()), -1);
+  for (const Tableau* tableau : {&body, &head}) {
+    for (const Row& row : tableau->rows()) {
+      for (int attr = 0; attr < arity; ++attr) {
+        (*wire_ids)[body.VarIndex(attr, row[attr])] = 0;
+      }
+    }
+  }
   out->U32(static_cast<std::uint32_t>(body.num_rows()));
   out->U32(static_cast<std::uint32_t>(head.num_rows()));
   for (int attr = 0; attr < arity; ++attr) {
-    out->U32(static_cast<std::uint32_t>(body.NumVars(attr)));
+    int used = 0;
+    for (int v = 0; v < body.NumVars(attr); ++v) {
+      int& id = (*wire_ids)[body.VarIndex(attr, v)];
+      if (id >= 0) id = used++;  // occurs in a row: next wire id
+    }
+    out->U32(static_cast<std::uint32_t>(used));
   }
   for (const Tableau* tableau : {&body, &head}) {
     for (const Row& row : tableau->rows()) {
       for (int attr = 0; attr < arity; ++attr) {
-        out->U32(static_cast<std::uint32_t>(row[attr]));
+        out->U32(static_cast<std::uint32_t>(
+            (*wire_ids)[body.VarIndex(attr, row[attr])]));
       }
     }
   }
@@ -246,12 +265,20 @@ std::optional<Dependency> ReadDependency(ByteReader* in,
   // than rows: no damaged count can size the tableaux.
   const std::uint64_t rows = std::uint64_t{body_rows} + head_rows;
   if ((rows + 1) * row_bytes > in->remaining()) return std::nullopt;
-  Dependency::Builder builder(schema);
-  builder.Reserve(static_cast<int>(body_rows), static_cast<int>(head_rows),
-                  static_cast<int>(rows) * arity);
+  // A first pass over the variable counts checks them and sizes the builder.
+  ByteReader counts = *in;
+  std::uint64_t total_vars = 0;
   for (int attr = 0; attr < arity; ++attr) {
     std::uint32_t num_vars = 0;
-    if (!in->U32(&num_vars) || num_vars > rows) return std::nullopt;
+    if (!counts.U32(&num_vars) || num_vars > rows) return std::nullopt;
+    total_vars += num_vars;
+  }
+  Dependency::Builder builder(schema);
+  builder.Reserve(static_cast<int>(body_rows), static_cast<int>(head_rows),
+                  static_cast<int>(total_vars));
+  for (int attr = 0; attr < arity; ++attr) {
+    std::uint32_t num_vars = 0;
+    in->U32(&num_vars);  // checked above
     for (std::uint32_t v = 0; v < num_vars; ++v) {
       char digits[16];
       char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
@@ -341,10 +368,11 @@ std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
   out.U32(static_cast<std::uint32_t>(schema.arity()));
   for (int attr = 0; attr < schema.arity(); ++attr) out.Bytes(schema.name(attr));
   out.U32(static_cast<std::uint32_t>(job.dependencies.items.size()));
+  std::vector<int> wire_ids;
   for (const Dependency& dep : job.dependencies.items) {
-    WriteDependency(dep, schema.arity(), &out);
+    WriteDependency(dep, schema.arity(), &wire_ids, &out);
   }
-  WriteDependency(job.goal, schema.arity(), &out);
+  WriteDependency(job.goal, schema.arity(), &wire_ids, &out);
   out.Bytes(session_text);
   return payload;
 }

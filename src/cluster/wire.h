@@ -18,10 +18,11 @@
 // variable counts and rows of variable ids as logic/tableau.h numbers
 // them, without variable names (the worker rebuilds every
 // dependency through Dependency::Builder, which validates it, and names
-// each variable by its id). Every variable a dependency declares must
-// occur in one of its rows. The router's 128-bit canonical fingerprint
-// rides along, so the worker neither parses text nor fingerprints the job
-// again. A parked chase travels as opaque ChaseSession text
+// each variable by its id). Only variables that occur in a row are sent,
+// renumbered densely per attribute in id order, so no attribute has more
+// variables than its dependency has rows. The router's 128-bit canonical
+// fingerprint rides along, so the worker neither parses text nor
+// fingerprints the job again. A parked chase travels as opaque ChaseSession text
 // (chase/implication.h), so a checkpoint that migrates between processes
 // resumes byte-for-byte by the resume contract.
 //

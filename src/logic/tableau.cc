@@ -87,27 +87,14 @@ std::string Tableau::CheckInvariants() const {
       }
     }
   }
-  // Duplicate names: a dependency's short per-attribute lists are compared
-  // pairwise, without allocating; long ones are sorted side by side.
-  constexpr int kPairwiseMax = 16;
+  // Duplicate names: each attribute's names, sorted in one reused buffer.
   std::vector<std::string_view> names;
+  names.reserve(names_.size());
   for (int attr = 0; attr < schema_->arity(); ++attr) {
-    const int n = NumVars(attr);
-    bool duplicate = false;
-    if (n <= kPairwiseMax) {
-      for (int v = 1; v < n && !duplicate; ++v) {
-        for (int w = 0; w < v && !duplicate; ++w) {
-          duplicate = VarName(attr, v) == VarName(attr, w);
-        }
-      }
-    } else {
-      names.clear();
-      for (int v = 0; v < n; ++v) names.push_back(VarName(attr, v));
-      std::sort(names.begin(), names.end());
-      duplicate =
-          std::adjacent_find(names.begin(), names.end()) != names.end();
-    }
-    if (duplicate) {
+    names.clear();
+    for (int v = 0; v < NumVars(attr); ++v) names.push_back(VarName(attr, v));
+    std::sort(names.begin(), names.end());
+    if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
       return "duplicate variable name in attribute " + schema_->name(attr);
     }
   }

@@ -72,6 +72,35 @@ Job MakeSmallJob(const std::string& name) {
   return job;
 }
 
+/// MakeSmallJob's problem built the Dependency::Builder way, pre-declaring
+/// variables, some of which no row uses: attribute A of the goal has three
+/// variables for its two rows.
+Job MakeJobWithUnusedVariables(const std::string& name) {
+  Job job = MakeSmallJob(name);
+  const SchemaPtr schema = job.goal.schema_ptr();
+  Dependency::Builder premise(schema);
+  const int a = premise.Var(0, "a"), a9 = premise.Var(0, "a9");
+  premise.Var(0, "unused_a");
+  const int b = premise.Var(1, "b"), b2 = premise.Var(1, "b2");
+  premise.Var(2, "unused_c");
+  const int c = premise.Var(2, "c"), c2 = premise.Var(2, "c2");
+  premise.AddBodyRow({a, b, c});
+  premise.AddBodyRow({a, b2, c2});
+  premise.AddHeadRow({a9, b, c2});
+  Dependency::Builder goal(schema);
+  const int x = goal.Var(0, "x");
+  goal.Var(0, "unused_x1");
+  goal.Var(0, "unused_x2");
+  const int y = goal.Var(1, "y"), z = goal.Var(2, "z");
+  goal.AddBodyRow({x, y, z});
+  goal.AddHeadRow({x, y, z});
+  DependencySet deps;
+  deps.Add(std::move(premise).Build().value(), "pump");
+  job.dependencies = std::move(deps);
+  job.goal = std::move(goal).Build().value();
+  return job;
+}
+
 /// A deliberately long-running job: a gap-regime reduction instance whose
 /// chase side pumps forever, with the counterexample budget starved to one
 /// tuple so the verdict stays kUnknown and the run reliably consumes its
@@ -264,6 +293,26 @@ TEST(ClusterWireTest, JobPayloadRoundTripKeepsSummariesAndFingerprints) {
               RunJob(job).DeterministicSummary())
         << job.name;
   }
+}
+
+// A declared variable that no row uses is not sent: the decoded job has
+// the same canonical problem and solves to the same result.
+TEST(ClusterWireTest, UnusedDeclaredVariablesAreDroppedInFlight) {
+  const Job job = MakeJobWithUnusedVariables("unused variables");
+  ASSERT_EQ(job.goal.body().NumVars(0), 3);
+  WireJob wire_job(job);
+  wire_job.fingerprint =
+      FingerprintProblem(job.dependencies, job.goal, job.config);
+  Result<WireJob> decoded = DecodeJobPayload(EncodeJobPayload(wire_job));
+  ASSERT_TRUE(decoded.ok()) << decoded.error();
+  const Job& got = decoded.value().job;
+  EXPECT_EQ(got.goal.body().NumVars(0), 1);
+  EXPECT_EQ(got.dependencies.items[0].body().NumVars(0), 2);
+  EXPECT_EQ(got.dependencies.items[0].body().NumVars(2), 2);
+  EXPECT_EQ(FingerprintProblem(got.dependencies, got.goal, got.config),
+            wire_job.fingerprint);
+  EXPECT_EQ(RunJob(got).DeterministicSummary(),
+            RunJob(job).DeterministicSummary());
 }
 
 // The fingerprint a job frame carries is what the worker would compute
@@ -467,6 +516,22 @@ TEST(ClusterRouterTest, ResumedRunIsCachedUnderItsOwnBudget) {
   EXPECT_EQ(fresh.cache_source, CacheSource::kHit);
   EXPECT_EQ(fresh.DeterministicSummary(), RunJob(big).DeterministicSummary());
   EXPECT_EQ(resumed.DeterministicSummary(), fresh.DeterministicSummary());
+}
+
+// A job with declared but unused variables is solved by a worker, as the
+// local backend solves it, and costs no worker.
+TEST(ClusterRouterTest, UnusedDeclaredVariablesGetARemoteVerdict) {
+  SKIP_WITHOUT_WORKER();
+  const Job job = MakeJobWithUnusedVariables("unused variables");
+  ClusterRouter router(FastOptions(1));
+  ASSERT_TRUE(WaitForWorkersUp(router, 1));
+  const JobResult r = router.Submit(job).Wait();
+  ASSERT_EQ(r.status, JobStatus::kCompleted);
+  EXPECT_GE(r.worker, 0);  // a worker answered
+  EXPECT_EQ(r.DeterministicSummary(), RunJob(job).DeterministicSummary());
+  const ClusterStats stats = router.Stats();
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.worker_crashes, 0);
 }
 
 TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
