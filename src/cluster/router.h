@@ -6,37 +6,54 @@
 //   SolverService::Submit ── admission, cache, dedup (the service's own)
 //            │
 //            ▼
-//   WorkerSet dispatcher ──ring──▶ worker 0  (tdworker process)
-//            │                     worker 1
-//            │                     ...
+//   WorkerSet::Enqueue ──ring──▶ worker 0  (tdworker process)
+//            │                   worker 1
+//            │                   ...
 //            └──▶ local backend (the service's pool; only when every
 //                 worker is down)
 //
 // Jobs therefore get everything a local submission gets — JobHandle
 // Wait/Poll/Cancel, deadlines, priorities, ResumeWithBudget, the result
 // cache — from the one implementation in engine/service.cc; this layer
-// only runs them. One dispatcher thread owns all scheduling state and
-// processes an event queue fed by per-worker reader threads. Jobs are keyed
-// on the canonical-form fingerprint (cache/canonical.h), so isomorphic jobs
-// consistently land on the same worker and its result cache serves repeats
-// as kHit. Each worker's queue runs in priority order.
+// only runs them. Jobs are keyed on the canonical-form fingerprint
+// (cache/canonical.h), so isomorphic jobs consistently land on the same
+// worker and its result cache serves repeats as kHit.
+//
+// Threads. One mutex guards the scheduling state (slots, ring, queues),
+// and no job is published while it is held. Enqueue routes a run and
+// writes its job frame on the submitting thread; Cancel and KillWorker run
+// on the calling thread. Each worker has a reader thread that handles that
+// worker's hellos, pongs and results in place and then sends it more
+// jobs. A dispatcher thread keeps only the timers (heartbeat pings, hang
+// kills, restart backoff) and worker deaths, where it joins the dead
+// reader and reaps the process.
+//
+// A worker holds a small fixed window of jobs (kWorkerWindow in router.cc):
+// the one it is solving and the next few in its inbox, which it runs in
+// the runs' priority order. A run with a deadline or a skip_when gate is
+// sent only to an idle worker, so its pickup reads the clock and the gate
+// when it starts.
 //
 // Robustness model:
 //   * crash    — a worker's socket closing (or a corrupt frame from it)
-//                marks the slot down, requeues its in-flight job on a
-//                healthy worker (bounded by max_retries, then published as
-//                kSkipped), and restarts the process under bounded
-//                exponential backoff until max_restarts is spent;
+//                marks the slot down and requeues its jobs on a healthy
+//                worker: the oldest unanswered one, taken to be the one it
+//                was solving, is charged a retry (bounded by max_retries, then published
+//                as kSkipped), the rest re-route freely; the process
+//                restarts under bounded exponential backoff until
+//                max_restarts is spent;
 //   * hang     — heartbeat pings every heartbeat_interval_seconds; a worker
 //                silent past heartbeat_timeout_seconds is SIGKILLed and
-//                takes the crash path;
+//                takes the crash path, as does one whose socket stops
+//                draining for that long;
 //   * corrupt  — every frame and payload decoder rejects damage with typed
 //                kCorrupt; the router treats a worker speaking garbage as
 //                crashed (and a worker treats a garbled router the same
 //                way: crash-only, both directions);
 //   * cancel   — JobHandle::Cancel() of a dispatched job sends a kCancel
 //                frame; the worker raises its solver's cancel flag, so even
-//                a pumping chase stops promptly;
+//                a pumping chase stops promptly, or answers a job still in
+//                its inbox as kCancelled at once;
 //   * migration— with migration_probe_steps set, a first dispatch runs a
 //                bounded probe; a chase that is still running at the probe
 //                budget parks its ChaseSession, which the router migrates
@@ -105,7 +122,10 @@ struct ClusterResult {
 
 struct ClusterSubmitOptions {
   /// Runs on the publishing thread BEFORE waiters wake (the PublishTerminal
-  /// ordering). Must not re-enter the router.
+  /// ordering): a worker's reader thread, the dispatcher, or the thread
+  /// that submitted or cancelled. Never under the router's lock, so it may
+  /// submit jobs and cancel them. It must not wait for another job to
+  /// finish: the results of the worker whose reader runs it wait on it.
   std::function<void(const ClusterResult&)> on_complete;
 };
 

@@ -345,7 +345,7 @@ Result<Frame> DecodeFrame(std::string_view bytes, std::size_t* consumed) {
 }
 
 std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
-                             const CacheFingerprint& fingerprint,
+                             int priority, const CacheFingerprint& fingerprint,
                              const Job& job, const DualSolverConfig& config,
                              std::string_view session_text) {
   std::string payload;
@@ -355,7 +355,7 @@ std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
   out.U32(kPayloadVersion);
   out.U64(job_id);
   out.U64(probe_steps);
-  out.I32(job.priority);
+  out.I32(priority);
   // A deadline-clamped run config is not cacheable: whatever the caller
   // fingerprinted, the worker must not cache this run.
   const bool fingerprint_valid = fingerprint.valid && CacheableConfig(config);
@@ -379,7 +379,8 @@ std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
 
 std::string EncodeJobPayload(const WireJob& wire_job) {
   return EncodeJobPayload(wire_job.job_id, wire_job.probe_steps,
-                          wire_job.fingerprint, wire_job.job,
+                          wire_job.job.priority, wire_job.fingerprint,
+                          wire_job.job,
                           wire_job.job.config, wire_job.session_text);
 }
 

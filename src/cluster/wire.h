@@ -53,12 +53,15 @@ enum class FrameType : std::uint8_t {
   kHello = 1,   ///< worker is up: "tdhello <pid> <kWireProtocolVersion>"
   kPing = 2,    ///< heartbeat probe (seq)
   kPong = 3,    ///< heartbeat answer (echoed seq)
-  kJob = 4,     ///< one job assignment (id, config, dependencies, session)
+  kJob = 4,     ///< one job assignment (id, priority, config,
+                ///  dependencies, session); a worker holds a few at once
+                ///  and runs them in priority order, FIFO within one
   kResult = 5,  ///< terminal or parked outcome of an assigned job
   kShutdown = 6, ///< drain and exit cleanly
-  kCancel = 7   ///< stop the assigned job (decimal job id): the worker
-                ///  raises its solver's cancel flag and answers with the
-                ///  truncated result as usual
+  kCancel = 7   ///< stop an assigned job (decimal job id): a running one
+                ///  has its solver's cancel flag raised and answers with
+                ///  the truncated result as usual; a queued one leaves the
+                ///  worker's queue and is answered kCancelled at once
 };
 
 /// Largest payload a frame may declare. Parked sessions dominate frame
@@ -130,14 +133,14 @@ struct WireResult {
   JobResult result;
 };
 
-/// Renders a kJob payload for `job` run under `config` (which replaces
-/// job.config on the wire). `fingerprint` must be
-/// FingerprintProblem(job.dependencies, job.goal, config) or invalid; it is
-/// sent invalid when `config` is not cacheable (CacheableConfig). The
-/// router encodes its queued runs through this directly; the WireJob
-/// overload forwards to it.
+/// Renders a kJob payload for `job` run under `config` at `priority`
+/// (which replace job.config and job.priority on the wire). `fingerprint`
+/// must be FingerprintProblem(job.dependencies, job.goal, config) or
+/// invalid; it is sent invalid when `config` is not cacheable
+/// (CacheableConfig). The router encodes its queued runs through this
+/// directly; the WireJob overload forwards to it.
 std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
-                             const CacheFingerprint& fingerprint,
+                             int priority, const CacheFingerprint& fingerprint,
                              const Job& job, const DualSolverConfig& config,
                              std::string_view session_text);
 

@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -128,11 +130,13 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
   std::atomic<bool> cancel{false};
   std::atomic<bool> abort{false};
 
+  // The router keeps a few jobs here so the solver goes from one to the
+  // next without waiting on a round trip; the inbox runs them in the
+  // priority the router sent, FIFO within a priority.
   std::mutex mu;
   std::condition_variable cv;
-  std::optional<WireJob> inbox;  // single outstanding job by protocol
+  std::deque<WireJob> inbox;
   std::uint64_t running_id = 0;  // job the solver thread is on (0: none)
-  std::uint64_t cancel_id = 0;   // latest job id a kCancel frame named
   bool stop = false;
   bool busy = false;
   int jobs_done = 0;
@@ -142,13 +146,13 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       std::optional<WireJob> wire_job;
       {
         std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return stop || inbox.has_value(); });
-        if (!inbox.has_value()) return;
-        wire_job.swap(inbox);
+        cv.wait(lock, [&] { return stop || !inbox.empty(); });
+        if (inbox.empty()) return;
+        wire_job.emplace(std::move(inbox.front()));
+        inbox.pop_front();
         busy = true;
         running_id = wire_job->job_id;
-        cancel.store(abort.load(std::memory_order_relaxed) ||
-                         cancel_id == running_id,
+        cancel.store(abort.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
       }
       WireResult result = ExecuteJob(*wire_job, pool.get(), &cache, &cancel);
@@ -202,18 +206,42 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       }
       {
         std::lock_guard<std::mutex> lock(mu);
-        inbox = std::move(wire_job).value();
+        const int priority = wire_job.value().job.priority;
+        auto it = inbox.end();
+        while (it != inbox.begin() && (it - 1)->job.priority < priority) --it;
+        inbox.insert(it, std::move(wire_job).value());
       }
       cv.notify_all();
       continue;
     }
     if (type == FrameType::kCancel) {
-      // Job ids start at 1, so an unparsable id (0) cancels nothing.
+      // Job ids start at 1, so an unparsable id (0) cancels nothing; nor
+      // does the id of a job already answered.
       const std::uint64_t id =
           std::strtoull(frame.value().payload.c_str(), nullptr, 10);
-      std::lock_guard<std::mutex> lock(mu);
-      cancel_id = id;
-      if (running_id == id) cancel.store(true, std::memory_order_relaxed);
+      std::optional<WireResult> cancelled;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (id == running_id) {
+          cancel.store(true, std::memory_order_relaxed);
+        } else {
+          auto it = std::find_if(
+              inbox.begin(), inbox.end(),
+              [id](const WireJob& queued) { return queued.job_id == id; });
+          if (it != inbox.end()) {
+            // Never started: it leaves the inbox and is answered at once,
+            // not after the jobs ahead of it.
+            cancelled.emplace();
+            cancelled->job_id = id;
+            cancelled->result.name = it->job.name;
+            cancelled->result.status = JobStatus::kCancelled;
+            inbox.erase(it);
+          }
+        }
+      }
+      if (cancelled.has_value()) {
+        writer.Write(FrameType::kResult, EncodeResultPayload(*cancelled));
+      }
       continue;
     }
     if (type == FrameType::kShutdown) break;
@@ -227,10 +255,10 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       cancel.store(true, std::memory_order_relaxed);
     }
     if (exit_code == 0) {
-      // Drain: let an in-flight job finish and send its result.
-      cv.wait(lock, [&] { return !busy && !inbox.has_value(); });
+      // Drain: let the held jobs finish and send their results.
+      cv.wait(lock, [&] { return !busy && inbox.empty(); });
     }
-    inbox.reset();
+    inbox.clear();
     stop = true;
   }
   cv.notify_all();

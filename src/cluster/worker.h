@@ -3,7 +3,7 @@
 // A worker is deliberately crash-only: it trusts nothing it reads (every
 // frame and payload decoder returns typed kCorrupt on damage) and answers
 // corruption by EXITING — the router's supervision treats the vanished
-// worker exactly like a crash, reschedules its in-flight job, and restarts
+// worker exactly like a crash, reschedules the jobs it held, and restarts
 // the slot. There is no in-worker error recovery to get wrong.
 //
 // Execution preserves the engine's byte-identity contracts end to end:

@@ -50,6 +50,21 @@ class Backend {
 bool BeginRun(const std::shared_ptr<JobState>& state, std::uint64_t generation,
               DualSolverConfig* config);
 
+/// What the publishing-deferred form of BeginRun decided.
+enum class Pickup {
+  kRun,      ///< run it under `*config`
+  kNotMine,  ///< not this run's to start; nothing to publish
+  kStopped,  ///< cancelled, gated or past its deadline: the caller must
+             ///  PublishTerminal `*stopped`
+};
+
+/// BeginRun for a caller that holds a lock no publication may run under:
+/// the same gate, but a stopped run's terminal result is handed back in
+/// `*stopped` instead of being published.
+Pickup BeginRun(const std::shared_ptr<JobState>& state,
+                std::uint64_t generation, DualSolverConfig* config,
+                JobResult* stopped);
+
 /// Publishes the solver's result of a run BeginRun started: rewrites a run
 /// the cancel flag cut short to kCancelled, stamps the queue wait and the
 /// cache provenance, then calls PublishTerminal.

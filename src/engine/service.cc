@@ -91,8 +91,8 @@ void ClampConfigToBudget(DualSolverConfig* config, double remaining_seconds) {
 
 namespace engine_internal {
 
-bool BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
-              DualSolverConfig* config) {
+Pickup BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
+                DualSolverConfig* config, JobResult* stopped) {
   {
     std::lock_guard<std::mutex> lock(s->mu);
     // A queued Cancel() claimed (or already completed) this run's
@@ -100,7 +100,9 @@ bool BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
     // earlier generation is an orphan (its run was cancelled while queued,
     // then the job was resumed — only the resume's own run may execute, or
     // two runs would race on the shared session).
-    if (s->done || s->claimed || s->run_generation != generation) return false;
+    if (s->done || s->claimed || s->run_generation != generation) {
+      return Pickup::kNotMine;
+    }
     s->started = true;
     *config = s->config;
   }
@@ -112,28 +114,34 @@ bool BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
   // it as a pre-timed event under this job's id.
   RecordTraceEvent("job.queue", s->trace_id, s->submit_ns,
                    StopWatch::Now() - s->submit_ns);
-  JobResult stopped;
   if (s->cancel.load(std::memory_order_relaxed) ||
       (FaultInjectionEnabled() && ShouldInject(FaultSite::kCancelQueue))) {
     // Cancelled while queued (or a fault-injected queue-boundary cancel):
     // terminal without running.
-    stopped.status = JobStatus::kCancelled;
+    stopped->status = JobStatus::kCancelled;
   } else if ((s->skip_when != nullptr &&
               s->skip_when->load(std::memory_order_relaxed)) ||
              (s->deadline_seconds > 0 && elapsed >= s->deadline_seconds)) {
-    stopped.status = JobStatus::kSkipped;
+    stopped->status = JobStatus::kSkipped;
   } else {
     config->cancel = &s->cancel;
     if (s->deadline_seconds > 0) {
       ClampConfigToBudget(config, s->deadline_seconds - elapsed);
     }
-    return true;
+    return Pickup::kRun;
   }
-  stopped.name = s->job.name;
-  stopped.queue_seconds = elapsed;
-  stopped.cache_source = s->cache_source;
-  PublishTerminal(s, stopped);
-  return false;
+  stopped->name = s->job.name;
+  stopped->queue_seconds = elapsed;
+  stopped->cache_source = s->cache_source;
+  return Pickup::kStopped;
+}
+
+bool BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
+              DualSolverConfig* config) {
+  JobResult stopped;
+  const Pickup pickup = BeginRun(s, generation, config, &stopped);
+  if (pickup == Pickup::kStopped) PublishTerminal(s, stopped);
+  return pickup == Pickup::kRun;
 }
 
 void FinishRun(const std::shared_ptr<JobState>& s, JobResult r) {

@@ -118,7 +118,8 @@ struct SubmitOptions {
   /// ResumeWithBudget re-fires the callback when the resumed run finishes.
   /// (One exception to "on the worker thread": a job cancelled while still
   /// queued terminates — and fires its callback — on the cancelling
-  /// thread.) It runs BEFORE the
+  /// thread. On the cluster backend the publishing thread is the router's;
+  /// see ClusterSubmitOptions in cluster/router.h.) It runs BEFORE the
   /// terminal state becomes observable, so a Wait() that returns implies
   /// this job's callback already finished (no stray-callback races when
   /// collecting after a streamed batch). Consequently it must not Wait() on

@@ -29,6 +29,9 @@
 #include "engine/workload.h"
 #include "fuzz/fuzz.h"
 #include "logic/schema.h"
+#include "reduction/reduction.h"
+#include "semigroup/normalizer.h"
+#include "semigroup/presentation.h"
 #include "util/fault.h"
 
 namespace tdlib {
@@ -118,6 +121,27 @@ Job MakeGapJob(const std::string& name, int pad, std::uint64_t max_steps) {
   job.config.base_chase.max_tuples = 100000;
   job.config.base_counterexample.max_tuples = 1;
   return job;
+}
+
+/// A job whose chase pumps forever under unbounded budgets (see
+/// tests/service_test.cc): only a cancel stops it, so it pins the worker
+/// running it for as long as a test needs.
+Job MakePumpingJob() {
+  Presentation p;
+  p.AddSymbol("A");
+  p.AddEquationFromText("A A0 = A0");
+  p.AddAbsorptionEquations();
+  NormalizationResult norm = NormalizeTo21(p);
+  Result<GurevichLewisReduction> red =
+      GurevichLewisReduction::Create(norm.normalized);
+  EXPECT_TRUE(red.ok());
+  DualSolverConfig config;
+  config.rounds = 1;
+  config.base_chase.max_steps = 0;  // unlimited
+  config.base_chase.max_tuples = 0;
+  config.base_counterexample.max_tuples = 0;
+  return Job{"pumping", red.value().dependencies(), red.value().goal(),
+             config, 0};
 }
 
 /// Spins until `pred` holds (asynchronous supervision bookkeeping — crash
@@ -331,7 +355,7 @@ TEST(ClusterWireTest, ForwardedFingerprintMatchesTheSentConfig) {
 
   for (const DualSolverConfig& sent : {job.config, clamped}) {
     Result<WireJob> decoded = DecodeJobPayload(
-        EncodeJobPayload(3, 0, key, job, sent, ""));
+        EncodeJobPayload(3, 0, job.priority, key, job, sent, ""));
     ASSERT_TRUE(decoded.ok()) << decoded.error();
     const WireJob& got = decoded.value();
     EXPECT_EQ(got.fingerprint,
@@ -558,6 +582,82 @@ TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
   // The kGone bookkeeping races the final Wait(): a killed-while-idle
   // worker publishes no job result, so give the crash counter a moment.
   EXPECT_TRUE(PollUntil([&] { return router.Stats().worker_crashes >= 1; }));
+}
+
+// A worker dies holding a full window: the pumping job it was solving and
+// three jobs queued in its inbox. Only the one it was solving was lost
+// mid-run and is charged a retry; the queued ones re-route as if they had
+// never been sent.
+TEST(ClusterRouterTest, CrashWithAFullWindowChargesOneRetry) {
+  SKIP_WITHOUT_WORKER();
+  ClusterRouter router(FastOptions(1));
+  ASSERT_TRUE(WaitForWorkersUp(router, 1));
+  JobHandle pumping = router.Submit(MakePumpingJob());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<Job> jobs;
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < 3; ++i) {
+    jobs.push_back(MakeGapJob("windowed-" + std::to_string(i), i,
+                              /*max_steps=*/200 + i));
+    handles.push_back(router.Submit(jobs.back()));
+  }
+  // Submit sends each job before it returns, so all three are in the
+  // worker's window behind the pump.
+  router.KillWorker(0);
+  // The pump is re-routed, and pins the restarted worker again.
+  ASSERT_TRUE(PollUntil([&] {
+    const ClusterStats s = router.Stats();
+    return s.worker_crashes >= 1 && s.workers_up == 1;
+  }));
+  EXPECT_TRUE(pumping.Cancel());
+  EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobResult r = handles[i].Wait();
+    EXPECT_EQ(r.status, JobStatus::kCompleted) << jobs[i].name;
+    EXPECT_EQ(r.DeterministicSummary(), RunJob(jobs[i]).DeterministicSummary())
+        << jobs[i].name;
+  }
+  const ClusterStats stats = router.Stats();
+  EXPECT_EQ(stats.worker_crashes, 1);
+  EXPECT_EQ(stats.retries, 1);
+}
+
+// A cancel frame for a job still in a worker's inbox takes it out and
+// answers it at once, while the pump ahead of it keeps running; the other
+// queued jobs run as if it had never been there.
+TEST(ClusterRouterTest, CancelledInboxJobEndsAtOnceAndIsNeverCached) {
+  SKIP_WITHOUT_WORKER();
+  ClusterRouter router(FastOptions(1));
+  ASSERT_TRUE(WaitForWorkersUp(router, 1));
+  JobHandle pumping = router.Submit(MakePumpingJob());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<Job> jobs;
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < 3; ++i) {
+    jobs.push_back(MakeGapJob("inbox-" + std::to_string(i), i,
+                              /*max_steps=*/300 + i));
+    handles.push_back(router.Submit(jobs.back()));
+  }
+  EXPECT_TRUE(handles[1].Cancel());
+  const JobResult cancelled = handles[1].Wait();  // the pump still runs
+  EXPECT_EQ(cancelled.status, JobStatus::kCancelled);
+  EXPECT_EQ(cancelled.chase_steps, 0u);
+  EXPECT_FALSE(pumping.Poll().has_value());
+
+  EXPECT_TRUE(pumping.Cancel());
+  EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+  for (std::size_t i : {0u, 2u}) {
+    const JobResult r = handles[i].Wait();
+    EXPECT_EQ(r.status, JobStatus::kCompleted) << jobs[i].name;
+    EXPECT_EQ(r.DeterministicSummary(), RunJob(jobs[i]).DeterministicSummary())
+        << jobs[i].name;
+  }
+  // Nothing was cached for the cancelled job: a resubmission solves it.
+  const JobResult again = router.Submit(jobs[1]).Wait();
+  EXPECT_EQ(again.status, JobStatus::kCompleted);
+  EXPECT_EQ(again.cache_source, CacheSource::kMiss);
+  EXPECT_EQ(again.DeterministicSummary(),
+            RunJob(jobs[1]).DeterministicSummary());
 }
 
 TEST(ClusterRouterTest, HungWorkerIsKilledByHeartbeatAndTheJobRecovers) {

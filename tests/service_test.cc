@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -262,6 +263,35 @@ TEST_P(FrontDoorTest, PerSubmissionPriorityOverridesJobPriority) {
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(completed, (std::vector<std::string>{jobs[2].name, jobs[1].name,
                                                  jobs[0].name}));
+}
+
+// A completion callback may re-enter the service: here it cancels a
+// sibling that pins the worker and submits a follow-up job, which only
+// runs once that cancel has taken hold.
+TEST_P(FrontDoorTest, OnCompleteMayCancelASiblingAndSubmitAFollowUp) {
+  auto door = Open();
+  std::promise<JobHandle> sibling;
+  std::shared_future<JobHandle> sibling_handle = sibling.get_future().share();
+  std::promise<JobHandle> follow_up;
+  std::future<JobHandle> follow_up_handle = follow_up.get_future();
+  const Job first = MakeGapJob(/*chase_steps=*/200, /*rounds=*/1);
+  Job next = SweepJob();
+  SolverService* service = &**door;
+
+  SubmitOptions submit;
+  submit.on_complete = [&, service](const JobResult&) {
+    EXPECT_TRUE(sibling_handle.get().Cancel());
+    follow_up.set_value(service->Submit(next));
+  };
+  JobHandle handle = (*door)->Submit(first, submit);
+  sibling.set_value((*door)->Submit(MakePumpingJob()));
+
+  EXPECT_EQ(handle.Wait().DeterministicSummary(),
+            RunJob(first).DeterministicSummary());
+  EXPECT_EQ(sibling_handle.get().Wait().status, JobStatus::kCancelled);
+  const JobResult after = follow_up_handle.get().Wait();
+  EXPECT_EQ(after.status, JobStatus::kCompleted);
+  EXPECT_EQ(after.DeterministicSummary(), RunJob(next).DeterministicSummary());
 }
 
 // ---- Cancellation ----------------------------------------------------------
