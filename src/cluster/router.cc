@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,6 +21,7 @@
 
 #include "cache/canonical.h"
 #include "cluster/ring.h"
+#include "cluster/sender.h"
 #include "cluster/wire.h"
 #include "util/hash.h"
 #include "util/metrics.h"
@@ -35,8 +35,14 @@ using Clock = std::chrono::steady_clock;
 using engine_internal::JobState;
 
 /// Jobs a worker holds at once: the one its solver runs and the rest in its
-/// inbox, so the solver never idles for a round trip between jobs. 2
-/// measured within noise of 4 on a 4-deep closed-loop client.
+/// inbox, so the solver never idles for a round trip between jobs.
+/// Throughput does not fix the value: on perfbench `cluster` (a 4-deep
+/// closed-loop client over 2 workers, one pinned CPU of a shared 4-vCPU
+/// host) 2 and 4 measured 19600 and 19061 jobs/s, medians of 6 alternating
+/// 30 s pairs against an interquartile range of 4406. The priority contract
+/// does: jobs queued behind a running one are ordered by priority only once
+/// they reach the worker's inbox, and 4 holds a running job and three
+/// queued ones (PerSubmissionPriorityOverridesJobPriority/Remote).
 constexpr std::size_t kWorkerWindow = 4;
 
 double Seconds(Clock::duration d) {
@@ -71,8 +77,9 @@ void InsertByPriority(std::deque<RunPtr>* queue, RunPtr run) {
 }
 
 /// A run whose pickup reads the clock or a gate (a deadline, skip_when) is
-/// begun only when a worker is idle, so that BeginRun reads them when the
-/// run starts and not while it waits in a worker's inbox.
+/// begun only when a worker is idle: a job reaching an idle worker starts
+/// at once, so BeginRun reads them when the run starts and not while it
+/// waits in a worker's inbox.
 bool BeginsOnIdleWorker(const RemoteRun& run) {
   return run.state->deadline_seconds > 0 || run.state->skip_when != nullptr;
 }
@@ -93,10 +100,12 @@ class Stat {
   Counter* counter_;
 };
 
-/// Publications and hand-offs decided under the worker-set lock, carried
-/// out once it is released: a completion callback may re-enter the service
-/// (submit, cancel), so nothing publishes while the lock is held.
+/// Frames, publications and hand-offs decided under the worker-set lock,
+/// carried out once it is released: a completion callback may re-enter the
+/// service (submit, cancel), so nothing publishes while the lock is held,
+/// and no socket write waits under it.
 struct Outbox {
+  std::vector<std::shared_ptr<FrameSender>> sends;  ///< frames queued
   struct Terminal {
     std::shared_ptr<JobState> state;
     JobResult result;
@@ -184,29 +193,13 @@ class WorkerSet final : public engine_internal::Backend {
     Outbox out;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (Slot& slot : slots_) {
-        for (const RunPtr& run : slot.window) {
-          if (run->state == state) {
-            Send(slot, FrameType::kCancel, std::to_string(run->id));
-            return;
-          }
+      if (!CancelAtWorker(state, &out)) {
+        RunPtr run = TakeBegun(state, &pending_);
+        for (std::size_t i = 0; run == nullptr && i < slots_.size(); ++i) {
+          run = TakeBegun(state, &slots_[i].queue);
         }
+        if (run != nullptr) Stop(run, JobStatus::kCancelled, &out);
       }
-      auto take = [&state](std::deque<RunPtr>* queue) -> RunPtr {
-        for (auto it = queue->begin(); it != queue->end(); ++it) {
-          if ((*it)->state == state && (*it)->begun) {
-            RunPtr run = std::move(*it);
-            queue->erase(it);
-            return run;
-          }
-        }
-        return nullptr;
-      };
-      RunPtr run = take(&pending_);
-      for (std::size_t i = 0; run == nullptr && i < slots_.size(); ++i) {
-        run = take(&slots_[i].queue);
-      }
-      if (run != nullptr) Stop(run, JobStatus::kCancelled, &out);
     }
     Flush(&out);
   }
@@ -265,15 +258,21 @@ class WorkerSet final : public engine_internal::Backend {
     Clock::time_point last_ping;
     std::uint64_t ping_seq = 0;
     bool kill_sent = false;  ///< heartbeat SIGKILL already delivered
-    /// Runs sent and not yet answered, oldest first (at most
-    /// kWorkerWindow). The oldest is the one the worker is solving.
+    std::shared_ptr<FrameSender> sender;  ///< frames to the worker
+    /// Runs sent and not yet answered, in send order (at most
+    /// kWorkerWindow).
     std::deque<RunPtr> window;
+    /// Wire id of the window's run the worker is solving (0: none). The
+    /// worker names it in each result; a run sent to an idle worker starts
+    /// at once.
+    std::uint64_t running = 0;
     std::deque<RunPtr> queue;  ///< routed here, not yet sent
   };
 
   /// What a dead worker leaves to clean up once the lock is released.
   struct Remains {
     std::thread reader;
+    std::shared_ptr<FrameSender> sender;
     int fd = -1;
     pid_t pid = -1;
   };
@@ -287,6 +286,10 @@ class WorkerSet final : public engine_internal::Backend {
   /// Carries out what `out` collected under the lock, then accounts the
   /// runs that left this backend.
   void Flush(Outbox* out) {
+    for (const std::shared_ptr<FrameSender>& sender : out->sends) {
+      sender->Flush();
+    }
+    out->sends.clear();
     for (Outbox::Terminal& t : out->terminals) {
       if (t.finish) {
         engine_internal::FinishRun(t.state, std::move(t.result));
@@ -322,6 +325,33 @@ class WorkerSet final : public engine_internal::Backend {
 
   // ---- scheduling (under mu_) ----------------------------------------------
 
+  /// Sends a cancel frame for `state`'s run to the worker holding it;
+  /// false when no worker holds it.
+  bool CancelAtWorker(const std::shared_ptr<JobState>& state, Outbox* out) {
+    for (Slot& slot : slots_) {
+      for (const RunPtr& run : slot.window) {
+        if (run->state == state) {
+          Send(slot, FrameType::kCancel, std::to_string(run->id), out);
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// Removes and returns `state`'s begun run from `queue`, if it is there.
+  static RunPtr TakeBegun(const std::shared_ptr<JobState>& state,
+                          std::deque<RunPtr>* queue) {
+    for (auto it = queue->begin(); it != queue->end(); ++it) {
+      if ((*it)->state == state && (*it)->begun) {
+        RunPtr run = std::move(*it);
+        queue->erase(it);
+        return run;
+      }
+    }
+    return nullptr;
+  }
+
   /// Ends a run here without a worker's answer.
   static void Stop(const RunPtr& run, JobStatus status, Outbox* out) {
     JobResult result;
@@ -330,13 +360,14 @@ class WorkerSet final : public engine_internal::Backend {
     out->terminals.push_back({run->state, std::move(result), true});
   }
 
-  /// Writes a frame to a slot's worker. A failed write forces the crash
-  /// path (the reader sees the socket close and recovery requeues the
-  /// slot's runs) and returns false.
-  static bool Send(Slot& slot, FrameType type, std::string payload) {
-    if (WriteFrameToFd(slot.fd, type, std::move(payload))) return true;
-    if (slot.pid > 0) ::kill(slot.pid, SIGKILL);
-    return false;
+  /// Queues a frame to a slot's worker; Flush writes it once the lock is
+  /// released. A failed write forces the crash path (see SpawnWorker).
+  static void Send(Slot& slot, FrameType type, std::string_view payload,
+                   Outbox* out) {
+    slot.sender->Queue(type, payload);
+    if (out->sends.empty() || out->sends.back() != slot.sender) {
+      out->sends.push_back(slot.sender);
+    }
   }
 
   void HandleHello(Slot& slot, Outbox* out) {
@@ -362,6 +393,9 @@ class WorkerSet final : public engine_internal::Backend {
     if (it == slot.window.end()) return;  // not a job this worker holds
     RunPtr run = std::move(*it);
     slot.window.erase(it);
+    slot.running = wire_result.running_job_id != 0 ? wire_result.running_job_id
+                   : slot.window.empty()           ? 0
+                                                   : slot.window.front()->id;
     if (wire_result.parked &&
         !run->state->cancel.load(std::memory_order_relaxed)) {
       // The probe stopped at a resumable checkpoint: migrate it. The probe
@@ -384,28 +418,31 @@ class WorkerSet final : public engine_internal::Backend {
     PumpSlot(slot, out);
   }
 
-  /// Takes a dead worker off the ring and re-places its runs. Only the
-  /// oldest unanswered one, the run its solver was on, was lost mid-run:
-  /// that one takes the retry-counted path. The rest waited in the
-  /// worker's inbox and re-route like queued runs.
+  /// Takes a dead worker off the ring and re-places its runs. Only the run
+  /// its solver was on was lost mid-run: that one takes the retry-counted
+  /// path. The rest waited in the worker's inbox (or had not reached it)
+  /// and re-route like queued runs.
   Remains HandleWorkerDeath(Slot& slot, Outbox* out) {
     worker_crashes_.Add();
     ring_.Remove(slot.index);
     workers_healthy_gauge_->Set(ring_.size());
     workers_up_.store(ring_.size(), std::memory_order_relaxed);
-    Remains remains{std::move(slot.reader), slot.fd, slot.pid};
+    Remains remains{std::move(slot.reader), std::move(slot.sender), slot.fd,
+                    slot.pid};
     slot.fd = -1;
     slot.pid = -1;  // reaped once the lock is released
     slot.kill_sent = false;
 
     std::deque<RunPtr> window;
     window.swap(slot.window);
+    const std::uint64_t running = slot.running;
+    slot.running = 0;
     std::deque<RunPtr> queued;
     queued.swap(slot.queue);
     RetireOrRestart(slot, out);
 
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      Recover(window[i], /*lost=*/i == 0, out);
+    for (const RunPtr& run : window) {
+      Recover(run, /*lost=*/run->id == running, out);
     }
     for (RunPtr& run : queued) Route(run, out);
     return remains;
@@ -508,13 +545,13 @@ class WorkerSet final : public engine_internal::Backend {
               ? options_.migration_probe_steps
               : 0;
       run->probed = true;
+      if (slot.window.empty()) slot.running = run->id;
       slot.window.push_back(run);
-      if (!Send(slot, FrameType::kJob,
-                EncodeJobPayload(run->id, probe_steps, run->priority,
-                                 run->fingerprint, run->state->job,
-                                 run->config, run->session_text))) {
-        return;
-      }
+      Send(slot, FrameType::kJob,
+           EncodeJobPayload(run->id, probe_steps, run->priority,
+                            run->fingerprint, run->state->job, run->config,
+                            run->session_text),
+           out);
     }
   }
 
@@ -595,7 +632,7 @@ class WorkerSet final : public engine_internal::Backend {
             Seconds(now - slot.last_ping) >
                 options_.heartbeat_interval_seconds) {
           slot.last_ping = now;
-          Send(slot, FrameType::kPing, std::to_string(++slot.ping_seq));
+          Send(slot, FrameType::kPing, std::to_string(++slot.ping_seq), out);
         }
       } else if (slot.state == Slot::kDown && now >= slot.restart_at) {
         SpawnWorker(slot, out);
@@ -603,8 +640,11 @@ class WorkerSet final : public engine_internal::Backend {
     }
   }
 
-  /// Joins a dead worker's reader, closes its socket and reaps it.
+  /// Drops what is still queued for a dead worker, joins its reader and
+  /// writer, closes its socket and reaps it.
   static void Reap(Remains* remains) {
+    if (remains->fd >= 0) ::shutdown(remains->fd, SHUT_RDWR);
+    if (remains->sender != nullptr) remains->sender->Close();
     if (remains->reader.joinable()) remains->reader.join();
     if (remains->fd >= 0) ::close(remains->fd);
     if (remains->pid > 0) {
@@ -623,17 +663,6 @@ class WorkerSet final : public engine_internal::Backend {
     }
     // Parent ends must not leak into later children.
     ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-    // Frames to a worker are written under the lock its reader needs to
-    // hand results over, so a worker that stops draining its socket must
-    // not block the router for good: a send stalled for a heartbeat
-    // timeout fails, and the failed write takes the crash path.
-    const double timeout = options_.heartbeat_timeout_seconds;
-    timeval send_timeout{};
-    send_timeout.tv_sec = static_cast<time_t>(timeout);
-    send_timeout.tv_usec = static_cast<suseconds_t>(
-        (timeout - static_cast<double>(send_timeout.tv_sec)) * 1e6);
-    ::setsockopt(fds[0], SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-                 sizeof(send_timeout));
 
     // argv is fully materialized BEFORE fork: only async-signal-safe calls
     // are allowed between fork and exec in a threaded process.
@@ -678,6 +707,10 @@ class WorkerSet final : public engine_internal::Backend {
     if (slot.restarts > 0) worker_restarts_.Add();  // not the first spawn
     slot.pid = pid;
     slot.fd = fds[0];
+    // A failed write kills the worker: its reader then sees the socket
+    // close, and recovery requeues the slot's runs.
+    slot.sender = std::make_shared<FrameSender>(
+        slot.fd, [pid] { ::kill(pid, SIGKILL); });
     slot.state = Slot::kStarting;
     slot.kill_sent = false;
     slot.last_pong = Clock::now();  // hello must arrive within the timeout
@@ -742,15 +775,22 @@ class WorkerSet final : public engine_internal::Backend {
     // socket down in both directions; once the readers are joined, the
     // slots are ours alone.
     std::vector<std::thread> readers;
+    std::vector<std::shared_ptr<FrameSender>> senders;
+    std::vector<int> fds;
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (Slot& slot : slots_) {
-        if (slot.fd >= 0) {
-          WriteFrameToFd(slot.fd, FrameType::kShutdown, "");
-          ::shutdown(slot.fd, SHUT_RDWR);
+        if (slot.sender != nullptr) {
+          slot.sender->Queue(FrameType::kShutdown, "");
+          senders.push_back(std::move(slot.sender));
+          fds.push_back(slot.fd);
         }
         readers.push_back(std::move(slot.reader));
       }
+    }
+    for (std::size_t i = 0; i < senders.size(); ++i) {
+      senders[i]->Close();  // writes the shutdown frame
+      ::shutdown(fds[i], SHUT_RDWR);
     }
     for (std::thread& reader : readers) {
       if (reader.joinable()) reader.join();
@@ -785,9 +825,9 @@ class WorkerSet final : public engine_internal::Backend {
   ClusterOptions options_;
   engine_internal::LocalBackend* local_;  ///< the service's; outlives us
 
-  /// Guards everything below but the atomics: scheduling state, the
-  /// slots and their worker sockets (every frame to a worker is written
-  /// under it, so frames never interleave).
+  /// Guards everything below but the atomics: scheduling state and the
+  /// slots. Frames are queued under it and written after it is released
+  /// (FrameSender), so a reader waiting for it never waits on a socket.
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;        ///< outstanding_ reached 0
   std::condition_variable dispatcher_cv_;  ///< gone_ grew, or stopping_

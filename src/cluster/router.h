@@ -19,33 +19,36 @@
 // (cache/canonical.h), so isomorphic jobs consistently land on the same
 // worker and its result cache serves repeats as kHit.
 //
-// Threads. One mutex guards the scheduling state (slots, ring, queues),
-// and no job is published while it is held. Enqueue routes a run and
-// writes its job frame on the submitting thread; Cancel and KillWorker run
-// on the calling thread. Each worker has a reader thread that handles that
-// worker's hellos, pongs and results in place and then sends it more
-// jobs. A dispatcher thread keeps only the timers (heartbeat pings, hang
-// kills, restart backoff) and worker deaths, where it joins the dead
-// reader and reaps the process.
+// Threads. One mutex guards the scheduling state (slots, ring, queues).
+// No job is published and no socket is written while it is held: frames
+// are queued under it and written once it is released (cluster/sender.h).
+// Enqueue routes a run and writes its job frame on the submitting thread;
+// Cancel and KillWorker run on the calling thread. Each worker has a reader
+// thread that handles that worker's hellos, pongs and results in place and
+// then sends it more jobs, and a writer thread that only writes what the
+// worker's socket did not take at once, so no thread that reads results
+// ever waits on a write. A dispatcher thread keeps only the timers
+// (heartbeat pings, hang kills, restart backoff) and worker deaths, where
+// it joins the dead worker's threads and reaps the process.
 //
 // A worker holds a small fixed window of jobs (kWorkerWindow in router.cc):
 // the one it is solving and the next few in its inbox, which it runs in
-// the runs' priority order. A run with a deadline or a skip_when gate is
-// sent only to an idle worker, so its pickup reads the clock and the gate
-// when it starts.
+// the runs' priority order. A job that reaches an idle worker starts at
+// once, and each result names the job the worker is solving as it leaves,
+// so the router always knows which job that is. A run with a deadline or a
+// skip_when gate is sent only to an idle worker, so its pickup reads the
+// clock and the gate when it starts.
 //
 // Robustness model:
 //   * crash    — a worker's socket closing (or a corrupt frame from it)
 //                marks the slot down and requeues its jobs on a healthy
-//                worker: the oldest unanswered one, taken to be the one it
-//                was solving, is charged a retry (bounded by max_retries, then published
-//                as kSkipped), the rest re-route freely; the process
-//                restarts under bounded exponential backoff until
-//                max_restarts is spent;
+//                worker: the one it was solving is charged a retry
+//                (bounded by max_retries, then published as kSkipped), the
+//                rest re-route freely; the process restarts under bounded
+//                exponential backoff until max_restarts is spent;
 //   * hang     — heartbeat pings every heartbeat_interval_seconds; a worker
 //                silent past heartbeat_timeout_seconds is SIGKILLed and
-//                takes the crash path, as does one whose socket stops
-//                draining for that long;
+//                takes the crash path;
 //   * corrupt  — every frame and payload decoder rejects damage with typed
 //                kCorrupt; the router treats a worker speaking garbage as
 //                crashed (and a worker treats a garbled router the same

@@ -89,7 +89,8 @@ Result<bool> CheckHeader(const char* h, FrameType* type, std::uint32_t* length,
 // at its first field.
 constexpr std::uint32_t kJobPayloadTag = 0x626a6474;
 constexpr std::uint32_t kResultPayloadTag = 0x62726474;
-constexpr std::uint32_t kPayloadVersion = 2;  // version 1 was the text form
+// Version 1 was the text form; version 3 added the result's running job.
+constexpr std::uint32_t kPayloadVersion = 3;
 
 // Appends fixed-width little-endian fields and length-prefixed strings.
 class ByteWriter {
@@ -464,6 +465,7 @@ std::string EncodeResultPayload(const WireResult& wire_result) {
   out.U32(kResultPayloadTag);
   out.U32(kPayloadVersion);
   out.U64(wire_result.job_id);
+  out.U64(wire_result.running_job_id);
   out.Bool(wire_result.parked);
   out.U8(static_cast<std::uint8_t>(r.status));
   out.U8(static_cast<std::uint8_t>(r.verdict));
@@ -497,7 +499,8 @@ Result<WireResult> DecodeResultPayload(std::string_view payload) {
   WireResult wire_result;
   JobResult& r = wire_result.result;
   std::uint8_t status = 0, verdict = 0, cache_source = 0;
-  if (!in.U64(&wire_result.job_id) || !in.Bool(&wire_result.parked) ||
+  if (!in.U64(&wire_result.job_id) || !in.U64(&wire_result.running_job_id) ||
+      !in.Bool(&wire_result.parked) ||
       !in.U8(&status) || !in.U8(&verdict) || !in.U8(&cache_source) ||
       !in.I32(&r.rounds_used) ||
       status > static_cast<int>(JobStatus::kCancelled) ||
@@ -525,7 +528,7 @@ Result<WireResult> DecodeResultPayload(std::string_view payload) {
   return wire_result;
 }
 
-bool WriteFrameToFd(int fd, FrameType type, std::string payload) {
+std::string EncodeFrameForSend(FrameType type, std::string_view payload) {
   std::string bytes = EncodeFrame(type, payload);
   if (FaultInjectionEnabled() && ShouldInject(FaultSite::kFrameCorrupt)) {
     // Damage AFTER framing, so the header hash vouches for the healthy
@@ -535,20 +538,31 @@ bool WriteFrameToFd(int fd, FrameType type, std::string payload) {
     // the corrupt frame this site promises).
     CorruptBytes(&bytes, PayloadHash(payload) | 1);
   }
-  std::size_t off = 0;
-  while (off < bytes.size()) {
+  return bytes;
+}
+
+bool SendBytes(int fd, std::string_view bytes, std::size_t* offset,
+               bool wait) {
+  const int flags = MSG_NOSIGNAL | (wait ? 0 : MSG_DONTWAIT);
+  while (*offset < bytes.size()) {
     if (FaultInjectionEnabled() && ShouldInject(FaultSite::kSocketWrite)) {
       return false;
     }
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd, bytes.data() + *offset,
+                             bytes.size() - *offset, flags);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return !wait && (errno == EAGAIN || errno == EWOULDBLOCK);
     }
-    off += static_cast<std::size_t>(n);
+    *offset += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool WriteFrameToFd(int fd, FrameType type, std::string payload) {
+  std::size_t offset = 0;
+  return SendBytes(fd, EncodeFrameForSend(type, payload), &offset,
+                   /*wait=*/true);
 }
 
 namespace {

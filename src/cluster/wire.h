@@ -74,8 +74,8 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 
 /// The protocol version a worker announces in its hello (2: binary job and
-/// result payloads in TDF4 frames).
-inline constexpr int kWireProtocolVersion = 2;
+/// result payloads in TDF4 frames; 3: results name the running job).
+inline constexpr int kWireProtocolVersion = 3;
 
 /// One decoded frame.
 struct Frame {
@@ -124,6 +124,11 @@ struct WireJob {
 struct WireResult {
   std::uint64_t job_id = 0;
 
+  /// The job the worker's solver is on as this frame leaves: the one it
+  /// took up next, or 0 when it went idle (the next job to reach it then
+  /// starts at once). The router charges a crash to this job.
+  std::uint64_t running_job_id = 0;
+
   /// True: the run stopped at a resumable checkpoint under the probe budget
   /// and `session_text` carries it; `result` is then the PROBE result and
   /// must not be published (its counters describe the truncated run).
@@ -157,6 +162,18 @@ std::string EncodeResultPayload(const WireResult& wire_result);
 Result<WireResult> DecodeResultPayload(std::string_view payload);
 
 // ---- Socket I/O ------------------------------------------------------------
+
+/// Renders a frame for sending: EncodeFrame, damaged with CorruptBytes when
+/// cluster.frame-corrupt fires (the receiver must then reject it as
+/// kCorrupt).
+std::string EncodeFrameForSend(FrameType type, std::string_view payload);
+
+/// Sends `bytes` from `*offset` on, advancing `*offset` past what was
+/// written. With `wait` false it returns true as soon as the socket would
+/// block. False on a write error (EPIPE is masked per call) or when
+/// cluster.socket-write fires.
+bool SendBytes(int fd, std::string_view bytes, std::size_t* offset,
+               bool wait);
 
 /// Writes one frame to `fd`, retrying partial writes. Returns false on any
 /// write error (the peer is gone — EPIPE is masked per-call, not with a

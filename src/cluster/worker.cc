@@ -31,8 +31,13 @@ class FrameWriter {
  public:
   explicit FrameWriter(int fd) : fd_(fd) {}
 
-  void Write(FrameType type, std::string payload) {
+  /// With `decided`, the lock under which the frame's content was decided:
+  /// it is released only once this writer is held, so frames leave in the
+  /// order of those decisions.
+  void Write(FrameType type, std::string payload,
+             std::unique_lock<std::mutex>* decided = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
+    if (decided != nullptr) decided->unlock();
     if (!WriteFrameToFd(fd_, type, std::move(payload))) ::_exit(2);
   }
 
@@ -131,42 +136,53 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
   std::atomic<bool> abort{false};
 
   // The router keeps a few jobs here so the solver goes from one to the
-  // next without waiting on a round trip; the inbox runs them in the
-  // priority the router sent, FIFO within a priority.
+  // next without waiting on a round trip. A job that arrives while the
+  // solver is idle starts at once; the others wait in the inbox, which runs
+  // in the priority the router sent, FIFO within a priority. Every result
+  // frame names the job the solver is on as it leaves (running_job_id), so
+  // the router knows which job a crash interrupts.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<WireJob> inbox;
-  std::uint64_t running_id = 0;  // job the solver thread is on (0: none)
+  std::optional<WireJob> next;   // handed to the solver, not yet taken up
+  std::uint64_t running_id = 0;  // job the solver is on (0: idle)
   bool stop = false;
-  bool busy = false;
   int jobs_done = 0;
+
+  // Under `mu`: the solver's next job.
+  auto start = [&](WireJob job) {
+    running_id = job.job_id;
+    cancel.store(abort.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    next.emplace(std::move(job));
+  };
 
   std::thread solver([&] {
     for (;;) {
       std::optional<WireJob> wire_job;
       {
         std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return stop || !inbox.empty(); });
-        if (inbox.empty()) return;
-        wire_job.emplace(std::move(inbox.front()));
-        inbox.pop_front();
-        busy = true;
-        running_id = wire_job->job_id;
-        cancel.store(abort.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+        cv.wait(lock, [&] { return stop || next.has_value(); });
+        if (!next.has_value()) return;
+        wire_job.swap(next);
       }
       WireResult result = ExecuteJob(*wire_job, pool.get(), &cache, &cancel);
+      std::unique_lock<std::mutex> lock(mu);
+      ++jobs_done;
+      if (inbox.empty()) {
+        running_id = 0;
+      } else {
+        start(std::move(inbox.front()));
+        inbox.pop_front();
+      }
+      result.running_job_id = running_id;
       // On the corrupt-stream abort path the chase was cancelled; that
       // result is an artifact of dying, not an answer — suppress it so the
       // router recovers the job through the crash path instead.
-      if (!abort.load(std::memory_order_relaxed)) {
-        writer.Write(FrameType::kResult, EncodeResultPayload(result));
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        busy = false;
-        running_id = 0;
-        ++jobs_done;
+      if (abort.load(std::memory_order_relaxed)) {
+        lock.unlock();
+      } else {
+        writer.Write(FrameType::kResult, EncodeResultPayload(result), &lock);
       }
       cv.notify_all();
     }
@@ -206,10 +222,16 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       }
       {
         std::lock_guard<std::mutex> lock(mu);
-        const int priority = wire_job.value().job.priority;
-        auto it = inbox.end();
-        while (it != inbox.begin() && (it - 1)->job.priority < priority) --it;
-        inbox.insert(it, std::move(wire_job).value());
+        if (running_id == 0) {
+          start(std::move(wire_job).value());
+        } else {
+          const int priority = wire_job.value().job.priority;
+          auto it = inbox.end();
+          while (it != inbox.begin() && (it - 1)->job.priority < priority) {
+            --it;
+          }
+          inbox.insert(it, std::move(wire_job).value());
+        }
       }
       cv.notify_all();
       continue;
@@ -219,28 +241,25 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
       // does the id of a job already answered.
       const std::uint64_t id =
           std::strtoull(frame.value().payload.c_str(), nullptr, 10);
-      std::optional<WireResult> cancelled;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (id == running_id) {
-          cancel.store(true, std::memory_order_relaxed);
-        } else {
-          auto it = std::find_if(
-              inbox.begin(), inbox.end(),
-              [id](const WireJob& queued) { return queued.job_id == id; });
-          if (it != inbox.end()) {
-            // Never started: it leaves the inbox and is answered at once,
-            // not after the jobs ahead of it.
-            cancelled.emplace();
-            cancelled->job_id = id;
-            cancelled->result.name = it->job.name;
-            cancelled->result.status = JobStatus::kCancelled;
-            inbox.erase(it);
-          }
-        }
+      std::unique_lock<std::mutex> lock(mu);
+      if (id == running_id) {
+        cancel.store(true, std::memory_order_relaxed);
+        continue;
       }
-      if (cancelled.has_value()) {
-        writer.Write(FrameType::kResult, EncodeResultPayload(*cancelled));
+      auto it = std::find_if(
+          inbox.begin(), inbox.end(),
+          [id](const WireJob& queued) { return queued.job_id == id; });
+      if (it != inbox.end()) {
+        // Never started: it leaves the inbox and is answered at once, not
+        // after the jobs ahead of it.
+        WireResult cancelled;
+        cancelled.job_id = id;
+        cancelled.running_job_id = running_id;
+        cancelled.result.name = it->job.name;
+        cancelled.result.status = JobStatus::kCancelled;
+        inbox.erase(it);
+        writer.Write(FrameType::kResult, EncodeResultPayload(cancelled),
+                     &lock);
       }
       continue;
     }
@@ -256,9 +275,10 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
     }
     if (exit_code == 0) {
       // Drain: let the held jobs finish and send their results.
-      cv.wait(lock, [&] { return !busy && inbox.empty(); });
+      cv.wait(lock, [&] { return running_id == 0; });
     }
     inbox.clear();
+    next.reset();
     stop = true;
   }
   cv.notify_all();

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "cache/canonical.h"
 #include "cluster/ring.h"
 #include "cluster/router.h"
+#include "cluster/sender.h"
 #include "cluster/wire.h"
 #include "core/parser.h"
 #include "engine/workload.h"
@@ -371,6 +373,7 @@ TEST(ClusterWireTest, ForwardedFingerprintMatchesTheSentConfig) {
 TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
   WireResult wire_result;
   wire_result.job_id = 7;
+  wire_result.running_job_id = 9;
   wire_result.parked = true;
   wire_result.session_text = "session bytes\nwith a newline";
   JobResult& r = wire_result.result;
@@ -392,11 +395,61 @@ TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   const WireResult& got = decoded.value();
   EXPECT_EQ(got.job_id, 7u);
+  EXPECT_EQ(got.running_job_id, 9u);
   EXPECT_TRUE(got.parked);
   EXPECT_EQ(got.session_text, wire_result.session_text);
   EXPECT_EQ(got.result.DeterministicSummary(), r.DeterministicSummary());
   EXPECT_EQ(got.result.cache_source, CacheSource::kHit);
   EXPECT_EQ(got.result.wall_seconds, r.wall_seconds);
+}
+
+// ---- frame sender ----------------------------------------------------------
+
+// A flush never waits on the socket: a frame far larger than the socket
+// buffer, with nobody reading the other end, is left to the writer thread,
+// and frames queued behind it still arrive whole and in order.
+TEST(ClusterSenderTest, FlushDoesNotBlockOnAFullSocket) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int errors = 0;
+  FrameSender sender(fds[0], [&errors] { ++errors; });
+  const std::string big(8u << 20, 'x');
+  sender.Queue(FrameType::kJob, big);
+  // Flushed on another thread, so a flush that did block would fail here
+  // and then be released by the reads below.
+  std::future<void> flushed =
+      std::async(std::launch::async, [&sender] { sender.Flush(); });
+  EXPECT_EQ(flushed.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  sender.Queue(FrameType::kPing, "1");
+  sender.Flush();
+  Result<Frame> first = ReadFrameFromFd(fds[1]);
+  ASSERT_TRUE(first.ok()) << first.error();
+  EXPECT_EQ(first.value().type, FrameType::kJob);
+  EXPECT_EQ(first.value().payload, big);
+  Result<Frame> second = ReadFrameFromFd(fds[1]);
+  ASSERT_TRUE(second.ok()) << second.error();
+  EXPECT_EQ(second.value().type, FrameType::kPing);
+  EXPECT_EQ(second.value().payload, "1");
+  sender.Close();
+  EXPECT_EQ(errors, 0);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(ClusterSenderTest, AWriteToAGonePeerReportsOnce) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  int errors = 0;
+  FrameSender sender(fds[0], [&errors] { ++errors; });
+  sender.Queue(FrameType::kPing, "1");
+  sender.Flush();
+  sender.Queue(FrameType::kPing, "2");  // dropped: the sender has failed
+  sender.Flush();
+  sender.Close();
+  EXPECT_EQ(errors, 1);
+  ::close(fds[0]);
 }
 
 // ---- consistent-hash ring --------------------------------------------------
@@ -620,6 +673,43 @@ TEST(ClusterRouterTest, CrashWithAFullWindowChargesOneRetry) {
   const ClusterStats stats = router.Stats();
   EXPECT_EQ(stats.worker_crashes, 1);
   EXPECT_EQ(stats.retries, 1);
+}
+
+// The worker runs its inbox in priority order, so the job a crash
+// interrupts need not be the oldest one sent: the retry is charged to the
+// job the worker reported solving. With no retries allowed, that
+// high-priority job ends kSkipped, and the low-priority job queued behind
+// it runs as if it had never been sent.
+TEST(ClusterRouterTest, CrashChargesTheJobTheWorkerWasSolving) {
+  SKIP_WITHOUT_WORKER();
+  ClusterOptions options = FastOptions(1);
+  options.max_retries = 0;
+  ClusterRouter router(options);
+  ASSERT_TRUE(WaitForWorkersUp(router, 1));
+  JobHandle pumping = router.Submit(MakePumpingJob());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Job low = MakeGapJob("low", 1, /*max_steps=*/300);
+  low.priority = 0;
+  Job high = MakePumpingJob();  // pumps too, under another fingerprint
+  high.name = "high";
+  high.config.base_chase.max_steps = std::uint64_t{1} << 40;
+  high.priority = 1;
+  JobHandle low_handle = router.Submit(low);
+  JobHandle high_handle = router.Submit(high);
+  // The pump's answer names the job the worker took up next, and reaches
+  // the router before the pump is published.
+  EXPECT_TRUE(pumping.Cancel());
+  EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+  router.KillWorker(0);
+
+  const JobResult r = low_handle.Wait();
+  EXPECT_EQ(r.status, JobStatus::kCompleted);
+  EXPECT_EQ(r.DeterministicSummary(), RunJob(low).DeterministicSummary());
+  high_handle.Cancel();  // only takes hold if the crash was charged to low
+  EXPECT_EQ(high_handle.Wait().status, JobStatus::kSkipped);
+  const ClusterStats stats = router.Stats();
+  EXPECT_EQ(stats.worker_crashes, 1);
+  EXPECT_EQ(stats.retries, 0);
 }
 
 // A cancel frame for a job still in a worker's inbox takes it out and
