@@ -289,19 +289,15 @@ void BM_ChaseZigzagReachability(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaseZigzagReachability)->ArgsProduct({{8, 16, 32}, {0, 1}});
 
-// ---- Matching axis: {scalar, simd} ------------------------------------------
+// ---- Matcher timings --------------------------------------------------------
 //
-// The BM_Layout* family: one row-major matcher, arg0 = SIMD block
-// evaluation. Determinism contract on display: fired_steps, hom_nodes and
-// hom_candidates MUST be identical across the simd axis (the block
-// evaluator is byte-invariant on every counter); wall time is the payoff.
-// run_benchmarks.sh fails hard on any parity drift — that is a correctness
-// regression, not a perf regression.
+// The BM_Layout* family: the row-major matcher on three shapes, with its
+// deterministic counters (fired_steps, hom_nodes, hom_candidates) beside
+// the wall time.
 
 void BM_LayoutReductionSweep(benchmark::State& state) {
   // The headline series: the paper's own gadget instances (arity = 2n + 2,
   // a wide schema) in the capped production regime.
-  const bool simd = state.range(0) != 0;
   WorkloadOptions options;
   options.size = 12;
   std::vector<Job> jobs = ReductionSweepWorkload(options);
@@ -315,7 +311,6 @@ void BM_LayoutReductionSweep(benchmark::State& state) {
     for (const Job& job : jobs) {
       ChaseConfig config = job.config.base_chase;
       config.max_fires_per_pass = 64;
-      config.use_simd = simd;
       ImplicationResult r = ChaseImplies(job.dependencies, job.goal, config);
       benchmark::DoNotOptimize(r.verdict);
       hom_nodes += r.chase.hom_nodes;
@@ -324,18 +319,16 @@ void BM_LayoutReductionSweep(benchmark::State& state) {
     }
   }
   state.counters["jobs"] = static_cast<double>(jobs.size());
-  state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutReductionSweep)->Arg(0)->Arg(1);
+BENCHMARK(BM_LayoutReductionSweep);
 
 void BM_LayoutWideSchema(benchmark::State& state) {
   // The arity sweep's widest point, isolated: two-row join TD over 24
   // attributes — rows span 96 bytes, so candidate probes touch two cache
   // lines.
-  const bool simd = state.range(0) != 0;
   const int arity = 24;
   SchemaPtr schema =
       std::make_shared<const Schema>(Schema::Numbered(arity, "X"));
@@ -362,7 +355,6 @@ void BM_LayoutWideSchema(benchmark::State& state) {
     Instance inst = SeedInstance(schema, 10, 3, 11);
     state.ResumeTiming();
     ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-    config.use_simd = simd;
     ChaseResult result = RunChase(&inst, deps, config);
     benchmark::DoNotOptimize(result.steps);
     steps = result.steps;
@@ -370,18 +362,15 @@ void BM_LayoutWideSchema(benchmark::State& state) {
     hom_candidates = result.hom_candidates;
   }
   state.counters["arity"] = arity;
-  state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutWideSchema)->Arg(0)->Arg(1);
+BENCHMARK(BM_LayoutWideSchema);
 
 void BM_LayoutZigzag(benchmark::State& state) {
   // The fixpoint-heavy closure: many small partition members per pass, rows
-  // with 2+ bound positions once the chain is under way — the shape the
-  // block filter's multi-position masks serve.
-  const bool simd = state.range(0) != 0;
+  // with 2+ bound positions once the chain is under way.
   const int n = 32;
   SchemaPtr schema = MakeSchema({"A", "B"});
   DependencySet deps;
@@ -406,7 +395,6 @@ void BM_LayoutZigzag(benchmark::State& state) {
     }
     state.ResumeTiming();
     ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-    config.use_simd = simd;
     ChaseResult result = RunChase(&inst, deps, config);
     benchmark::DoNotOptimize(result.steps);
     steps = result.steps;
@@ -414,62 +402,11 @@ void BM_LayoutZigzag(benchmark::State& state) {
     hom_candidates = result.hom_candidates;
   }
   state.counters["path_length"] = n;
-  state.counters["simd"] = simd ? 1 : 0;
   state.counters["fired_steps"] = static_cast<double>(steps);
   state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
-BENCHMARK(BM_LayoutZigzag)->Arg(0)->Arg(1);
-
-void BM_LayoutColumnScan(benchmark::State& state) {
-  // Wide-arity column-scan closure: two arity-10 body rows agreeing on the
-  // six middle attributes (selectivity 4^-6 per pair), head drawn from both
-  // rows so the closure actually fires. Once row 1 is bound, row 2's
-  // surviving candidates are found by six equality filters over whole
-  // attribute columns — the block evaluator's home turf, at a 40-byte row
-  // stride per probe.
-  const bool simd = state.range(0) != 0;
-  const int arity = 10;
-  SchemaPtr schema =
-      std::make_shared<const Schema>(Schema::Numbered(arity, "X"));
-  Dependency::Builder builder(schema);
-  Row r1(arity), r2(arity), head(arity);
-  for (int attr = 0; attr < arity; ++attr) {
-    r1[attr] = builder.Var(attr);
-    // Middle positions shared between the body rows; the head copies r1
-    // except the last attribute, which comes from r2, so fired tuples feed
-    // new joins without exploding the closure.
-    r2[attr] = attr >= 1 && attr <= 6 ? r1[attr] : builder.Var(attr);
-    head[attr] = attr + 1 == arity ? r2[attr] : r1[attr];
-  }
-  Dependency::Builder b2 = std::move(builder);
-  b2.AddBodyRow(r1);
-  b2.AddBodyRow(r2);
-  b2.AddHeadRow(head);
-  DependencySet deps;
-  deps.Add(std::move(b2).Build().value());
-  std::uint64_t hom_nodes = 0;
-  std::uint64_t hom_candidates = 0;
-  std::uint64_t steps = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Instance inst = SeedInstance(schema, 400, 4, 99);
-    state.ResumeTiming();
-    ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-    config.use_simd = simd;
-    ChaseResult result = RunChase(&inst, deps, config);
-    benchmark::DoNotOptimize(result.steps);
-    steps = result.steps;
-    hom_nodes = result.hom_nodes;
-    hom_candidates = result.hom_candidates;
-  }
-  state.counters["arity"] = arity;
-  state.counters["simd"] = simd ? 1 : 0;
-  state.counters["fired_steps"] = static_cast<double>(steps);
-  state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
-  state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
-}
-BENCHMARK(BM_LayoutColumnScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_LayoutZigzag);
 
 // ---- Parallel match phase: the threads axis ---------------------------------
 //

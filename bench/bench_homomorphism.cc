@@ -47,6 +47,7 @@ void RunConfig(benchmark::State& state, bool use_index, bool use_order) {
   options.use_dynamic_order = use_order;
   std::uint64_t matches = 0;
   std::uint64_t nodes = 0;
+  std::uint64_t candidates = 0;
   for (auto _ : state) {
     HomomorphismSearch search(w.query, w.instance, options);
     matches = 0;
@@ -54,115 +55,15 @@ void RunConfig(benchmark::State& state, bool use_index, bool use_order) {
       ++matches;
       return true;
     });
-    nodes = search.nodes_explored();
+    nodes = search.stats().nodes;
+    candidates = search.stats().candidates;
     benchmark::DoNotOptimize(matches);
   }
   state.counters["tuples"] = tuples;
   state.counters["matches"] = static_cast<double>(matches);
   state.counters["nodes"] = static_cast<double>(nodes);
-}
-
-// ---- Matching axis: {scalar, simd} ------------------------------------------
-//
-// Pure match-phase microbenchmark (no chase): enumerate every embedding of
-// the chain query, arg1 = SIMD block evaluation. `nodes`, `candidates` and
-// `matches` must be identical across the simd axis (the contract the
-// chase's parity suites enforce end to end); run_benchmarks.sh hard-fails
-// on any parity drift.
-void BM_LayoutHomChain(benchmark::State& state) {
-  const int tuples = static_cast<int>(state.range(0));
-  const bool simd = state.range(1) != 0;
-  std::uint64_t matches = 0;
-  std::uint64_t nodes = 0;
-  std::uint64_t candidates = 0;
-  {
-    Workload w(tuples, std::max(2, tuples / 4), 1234);
-    HomSearchOptions options;
-    options.use_simd = simd;
-    for (auto _ : state) {
-      HomomorphismSearch search(w.query, w.instance, options);
-      matches = 0;
-      search.ForEach([&](const Valuation&) {
-        ++matches;
-        return true;
-      });
-      nodes = search.stats().nodes;
-      candidates = search.stats().candidates;
-      benchmark::DoNotOptimize(matches);
-    }
-  }
-  state.counters["tuples"] = tuples;
-  state.counters["simd"] = simd ? 1 : 0;
-  state.counters["matches"] = static_cast<double>(matches);
-  state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["candidates"] = static_cast<double>(candidates);
 }
-BENCHMARK(BM_LayoutHomChain)->ArgsProduct({{256, 1024}, {0, 1}});
-
-// ---- Wide-arity column scan: the workload the SIMD block filter targets -----
-//
-// Arity-10 schema, two-row query sharing SIX high-selectivity positions,
-// index off: every candidate for the second row is evaluated against six
-// bound positions over the full tuple range — consecutive ids, so the
-// block evaluator reads each attribute as a strided column, 64 candidates
-// per compare, where simd=0 walks 40-byte-apart rows tuple by tuple.
-// `nodes`, `candidates` and `matches` must not move on the simd axis.
-void BM_LayoutHomColumnScan(benchmark::State& state) {
-  const int tuples = static_cast<int>(state.range(0));
-  const bool simd = state.range(1) != 0;
-  std::uint64_t matches = 0;
-  std::uint64_t nodes = 0;
-  std::uint64_t candidates = 0;
-  {
-    const int arity = 10;
-    std::vector<std::string> names;
-    for (int a = 0; a < arity; ++a) names.push_back("X" + std::to_string(a));
-    SchemaPtr schema = MakeSchema(names);
-    Instance inst(schema);
-    Rng rng(777);
-    const int domain = 4;
-    for (int attr = 0; attr < arity; ++attr) {
-      for (int v = 0; v < domain; ++v) inst.AddValue(attr);
-    }
-    for (int i = 0; i < tuples; ++i) {
-      Tuple t(arity);
-      for (int attr = 0; attr < arity; ++attr) {
-        t[attr] = static_cast<int>(rng.Below(domain));
-      }
-      inst.AddTuple(t);
-    }
-    Tableau query(schema);
-    Row r1(arity), r2(arity);
-    for (int attr = 0; attr < arity; ++attr) {
-      r1[attr] = query.NewVariable(attr);
-      // Positions 1..6 shared: once row 1 is bound, row 2's candidates die
-      // (or survive) on six column compares with selectivity 1/4 each.
-      r2[attr] = attr >= 1 && attr <= 6 ? r1[attr] : query.NewVariable(attr);
-    }
-    query.AddRow(r1);
-    query.AddRow(r2);
-    HomSearchOptions options;
-    options.use_index = false;  // full scans: the pure column-scan regime
-    options.use_simd = simd;
-    for (auto _ : state) {
-      HomomorphismSearch search(query, inst, options);
-      matches = 0;
-      search.ForEach([&](const Valuation&) {
-        ++matches;
-        return true;
-      });
-      nodes = search.stats().nodes;
-      candidates = search.stats().candidates;
-      benchmark::DoNotOptimize(matches);
-    }
-  }
-  state.counters["tuples"] = tuples;
-  state.counters["simd"] = simd ? 1 : 0;
-  state.counters["matches"] = static_cast<double>(matches);
-  state.counters["nodes"] = static_cast<double>(nodes);
-  state.counters["candidates"] = static_cast<double>(candidates);
-}
-BENCHMARK(BM_LayoutHomColumnScan)->ArgsProduct({{1024, 4096}, {0, 1}});
 
 void BM_HomIndexedOrdered(benchmark::State& state) {
   RunConfig(state, true, true);

@@ -9,8 +9,8 @@
 #                           [chase-parallel-out.json] [cache-out.json] \
 #                           [cluster-out.json]
 #
-# The build dir must already contain bench/bench_chase,
-# bench/bench_homomorphism, bench/bench_cache and bench/bench_cluster
+# The build dir must already contain bench/bench_chase, bench/bench_cache
+# and bench/bench_cluster
 # (configure with -DTDLIB_BUILD_BENCHMARKS=ON, the default, and build).
 set -euo pipefail
 
@@ -19,10 +19,6 @@ CHASE_OUT="${2:-BENCH_chase.json}"
 CHASE_PARALLEL_OUT="${3:-BENCH_chase_parallel.json}"
 CACHE_OUT="${4:-BENCH_cache.json}"
 CLUSTER_OUT="${5:-BENCH_cluster.json}"
-# The match-phase simd-axis cells are a parity gate only, not a record.
-SCRATCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$SCRATCH_DIR"' EXIT
-HOM_OUT="$SCRATCH_DIR/bench_homomorphism.json"
 
 # Stamps a bench JSON with provenance metadata (git sha, UTC date, host
 # thread count) under a "tdlib_meta" key, so the BENCH_* trajectory stays
@@ -78,13 +74,11 @@ run_bench() {
 }
 
 # One binary, two records: the serial series (naive-vs-delta, observability
-# and the BM_Layout* scalar-vs-simd matching axis) and the BM_ChaseParallel*
-# threads axis. Five repetitions each, so wall times carry a median and cv.
+# and the BM_Layout* matcher timings) and the BM_ChaseParallel* threads
+# axis. Five repetitions each, so wall times carry a median and cv.
 run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" '-BM_ChaseParallel' 5
 run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_PARALLEL_OUT" \
   'BM_ChaseParallel' 5
-# The pure match-phase view of the same simd axis (no chase around it).
-run_bench "$BUILD_DIR/bench/bench_homomorphism" "$HOM_OUT" 'BM_LayoutHom'
 # The result-cache record: raw LRU probe cost and the cold-vs-warm sweep
 # (acceptance target: warm >= 10x cold, byte-identical to serial). Five
 # repetitions, so fp_us_per_job and the sweep rates carry a median and cv.
@@ -102,8 +96,8 @@ if ! command -v python3 > /dev/null; then
   echo "python3 not found; skipping recap + parity check"
   exit 0
 fi
-python3 - "$CHASE_OUT" "$CHASE_PARALLEL_OUT" "$HOM_OUT" "$CACHE_OUT" \
-  "$CLUSTER_OUT" <<'EOF'
+python3 - "$CHASE_OUT" "$CHASE_PARALLEL_OUT" "$CACHE_OUT" "$CLUSTER_OUT" \
+  <<'EOF'
 import json, sys
 
 # Repeated records hold one row per repetition plus mean/median/stddev/cv
@@ -214,7 +208,7 @@ if not ok:
 # fp_us_per_job are the medians over the repetitions, with their cv. The 10x
 # warm speedup target prints a WARN when missed but does not gate (wall
 # times on a shared box are too noisy for a hard perf gate).
-cache = json.load(open(sys.argv[4]))
+cache = json.load(open(sys.argv[3]))
 sweep_runs, sweep_median, sweep_cv = {}, {}, {}
 for b in cache.get("benchmarks", []):
     if b["name"].split("/")[0] != "BM_CacheWarmSweep":
@@ -247,52 +241,11 @@ if 0 in sweep_runs and 1 in sweep_runs:
     if not cache_ok:
         sys.exit(1)
 
-# Matching-axis recap: per BM_Layout* family, wall time with the SIMD block
-# evaluator off and on, plus a HARD parity check — the block evaluator is
-# byte-invariant, so every listed counter must be identical, repetition by
-# repetition, along the simd axis. Speedups print only; wall times on a
-# shared box are too noisy for a hard perf gate.
-def check_simd_axis(data, parity_fields):
-    groups = {}
-    for b in repetition_rows(data):
-        if "simd" not in b:
-            continue
-        key = (b["name"].split("/")[0],
-               tuple(sorted((k, v) for k, v in b.items()
-                            if k in ("jobs", "arity", "path_length",
-                                     "tuples"))))
-        groups.setdefault(key, {}).setdefault(int(b["simd"]), []).append(b)
-    all_ok = True
-    for (family, key), cells in sorted(groups.items()):
-        extras = " ".join(f"{k}={int(v)}" for k, v in key)
-        rows = [b for simd in sorted(cells) for b in cells[simd]]
-        for b in rows[1:]:
-            for field in parity_fields:
-                if b.get(field) != rows[0].get(field):
-                    all_ok = False
-                    print(f"  PARITY VIOLATION {family} {extras} "
-                          f"simd={int(b['simd'])}: {field} "
-                          f"{rows[0].get(field)} != {b.get(field)}")
-        if 0 in cells and 1 in cells:
-            scalar = median_time(data, cells[0][0])
-            simd = median_time(data, cells[1][0])
-            speed = scalar / simd if simd else 0.0
-            print(f"{family:<26} {extras:<16} scalar {scalar / 1e6:.2f}ms "
-                  f"-> simd {simd / 1e6:.2f}ms ({speed:.2f}x)")
-    return all_ok
-
-simd_ok = check_simd_axis(chase, ("fired_steps", "hom_nodes",
-                                  "hom_candidates"))
-simd_ok = check_simd_axis(json.load(open(sys.argv[3])),
-                          ("matches", "nodes", "candidates")) and simd_ok
-if not simd_ok:
-    sys.exit(1)
-
 # Cluster recap: the kill-one-worker leg. Byte-identity with the serial
 # reference is the HARD check, repetition by repetition — a cluster that
 # answers differently from the serial solver after a crash is broken. The
 # rates print as medians over the repetitions.
-cluster = json.load(open(sys.argv[5]))
+cluster = json.load(open(sys.argv[4]))
 cluster_ok = True
 medians = {b["run_name"]: b for b in cluster.get("benchmarks", [])
            if b.get("aggregate_name") == "median"}

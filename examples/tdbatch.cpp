@@ -30,15 +30,6 @@
 //   --naive-chase     disable delta-driven matching (ablation baseline;
 //                     verdicts are identical, the chase just re-matches
 //                     the whole instance every pass)
-//   --no-simd         evaluate candidates tuple-by-tuple instead of with
-//                     the util/simd.h block kernels (ablation baseline;
-//                     every counter and result byte is identical — see
-//                     README "SIMD kernels". TDLIB_FORCE_SCALAR=1 in the
-//                     environment instead keeps the block path but caps
-//                     kernel dispatch at the scalar fallbacks)
-//   --no-auto-burst   fix max_fires_per_pass instead of auto-tuning it from
-//                     the observed per-pass growth (auto: geometric pumping
-//                     runs uncapped, flat growth gets the bounded burst)
 //   --serial-chase    keep each job's chase matching phase on its own
 //                     thread (disable lending the service pool to the
 //                     chase; results are byte-identical, this is the
@@ -151,8 +142,8 @@ int Usage() {
                "               [--seed=N] [--threads=N] [--rounds=N]\n"
                "               [--chase-steps=N] [--max-tuples=N]\n"
                "               [--deadline=S] [--stream] [--naive-chase]\n"
-               "               [--no-simd] [--no-auto-burst] [--serial-chase]\n"
-               "               [--no-resume] [--cache[=BYTES]] [--no-cache]\n"
+               "               [--serial-chase] [--no-resume]\n"
+               "               [--cache[=BYTES]] [--no-cache]\n"
                "               [--cache-file=PATH] [--stop-on-refutation]\n"
                "               [--serial] [--csv=PATH] [--metrics[=PATH]]\n"
                "               [--prom=PATH] [--trace=PATH] [--slow-log=S]\n"
@@ -197,9 +188,6 @@ int CheckSerialParity(const std::vector<Job>& jobs,
 int RunBatch(int argc, char** argv) {
   std::string family = "reduction-sweep";
   WorkloadOptions workload;
-  // Burst auto-tune is the tdbatch default (the library default stays
-  // conservative); --no-auto-burst is the ablation.
-  workload.solver.base_chase.auto_burst = true;
   int num_threads = 0;
   bool chase_parallelism = true;
   bool stop_on_refutation = false;
@@ -246,10 +234,6 @@ int RunBatch(int argc, char** argv) {
         stream = true;
       } else if (arg == "--naive-chase") {
         workload.solver.base_chase.use_delta = false;
-      } else if (arg == "--no-simd") {
-        workload.solver.base_chase.use_simd = false;
-      } else if (arg == "--no-auto-burst") {
-        workload.solver.base_chase.auto_burst = false;
       } else if (arg == "--serial-chase") {
         chase_parallelism = false;
       } else if (arg == "--no-resume") {

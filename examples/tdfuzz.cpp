@@ -1,8 +1,8 @@
 // tdfuzz: the differential fuzzing front end (src/fuzz/).
 //
 // Generates endless deterministic rounds of implication questions, solves
-// each under every engine axis (naive/delta, thread count, SIMD,
-// auto-burst, checkpoint/resume, serial/service, cached/fresh) and
+// each under every engine axis (naive/delta, thread count,
+// checkpoint/resume, serial/service, cached/fresh) and
 // cross-checks the results under each axis's invariance class. On a
 // divergence it delta-debugs the case down to a minimal job and writes a
 // replayable repro program.

@@ -34,7 +34,7 @@ class CanonicalEncoder {
     // Every deterministic budget and matching-strategy knob: they all either
     // steer the verdict (rounds, steps, tuples) or the counters the cached
     // DeterministicSummary must reproduce (use_delta splits hom_nodes
-    // differently, auto_burst/max_fires_per_pass move pass boundaries,
+    // differently, max_fires_per_pass moves pass boundaries,
     // match_slice_ids changes match_tasks). Deadlines are excluded because
     // CacheableConfig already rejects them; pool/cancel are runtime wiring
     // with byte-identical output by the engine's parallelism contract.
@@ -50,10 +50,10 @@ class CanonicalEncoder {
     Field(1, ' ');  // the retired lazy-goal-check flag's old default
     Field(chase.use_delta ? 1 : 0, ' ');
     Field(chase.max_fires_per_pass, ' ');
-    Field(chase.auto_burst ? 1 : 0, ' ');
+    Field(0, ' ');  // the retired burst auto-tune flag's old default
     Field(chase.match_slice_ids, ' ');
     Field(1, ' ');  // the retired intersection flag: keeps old fingerprints
-    Field(chase.use_simd ? 1 : 0, ' ');
+    Field(1, ' ');  // the retired block-filter flag's old default
     Field(cex.max_tuples, ' ');
     Field(cex.max_candidates, '\n');
     Flush();

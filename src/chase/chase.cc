@@ -69,11 +69,6 @@ constexpr int kMatchTaskPriority = 1 << 20;
 // to keep clock reads off the per-match fast path.
 constexpr std::uint64_t kDeadlineCheckInterval = 256;
 
-// auto_burst's cap for flat-growth passes when max_fires_per_pass is 0: the
-// burst size where the reduction-sweep ablation showed delta matching
-// paying most (ROADMAP "burst tuning").
-constexpr std::uint64_t kAutoBurstCap = 64;
-
 // Budget-informed Reserve is only worth it when the budget is genuinely
 // tight; pre-sizing for the default million-tuple ceiling would allocate
 // hundreds of megabytes for chases that stop at a fixpoint of fifty.
@@ -446,13 +441,9 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
   std::vector<PendingStep> carried;
 
   // The firing phase below runs over these; hoisted out of the loop so a
-  // checkpoint resume can re-enter the phase mid-pass. pass_fire_cap is the
-  // CURRENT pass's effective burst cap — config.max_fires_per_pass unless
-  // auto_burst retunes it at each matching phase (and a resume restores the
-  // interrupted pass's value from the checkpoint).
+  // checkpoint resume can re-enter the phase mid-pass.
   std::vector<PendingStep> pending;
   std::uint64_t fired_this_pass = 0;
-  std::uint64_t pass_fire_cap = config.max_fires_per_pass;
   bool resuming = false;
 
   // Budgeted runs know their tuple ceiling up front; growing to it in one
@@ -474,7 +465,6 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     // one an uninterrupted run would have produced.
     delta_begin = checkpoint->delta_begin;
     fired_this_pass = checkpoint->fired_this_pass;
-    pass_fire_cap = checkpoint->fire_cap_this_pass;
     pending = std::move(checkpoint->pending);
     result.steps = checkpoint->steps;
     result.passes = checkpoint->passes;
@@ -516,7 +506,6 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     checkpoint->valid = true;
     checkpoint->delta_begin = delta_begin;
     checkpoint->fired_this_pass = fired_this_pass;
-    checkpoint->fire_cap_this_pass = pass_fire_cap;
     checkpoint->pending.assign(
         std::make_move_iterator(pending.begin() +
                                 static_cast<std::ptrdiff_t>(next_index)),
@@ -626,23 +615,6 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         return result;
       }
 
-      // Burst auto-tune: decide this pass's fire cap from the growth the
-      // previous pass produced, while delta_begin still marks it. A
-      // majority-delta pass is geometric pumping — nearly every pending
-      // step is genuinely new, so capping would only grow the carried
-      // backlog — and runs uncapped; flat growth gets the bounded-burst
-      // regime. Pure function of (delta, instance size): deterministic at
-      // any thread count, and the checkpoint records the chosen cap.
-      pass_fire_cap = config.max_fires_per_pass;
-      if (config.auto_burst) {
-        const std::size_t growth = pass_start - delta_begin;
-        const bool pumping = growth * 2 >= pass_start;
-        pass_fire_cap = pumping ? 0
-                                : (config.max_fires_per_pass > 0
-                                       ? config.max_fires_per_pass
-                                       : kAutoBurstCap);
-      }
-
       // Every dependency has now been matched against the first `pass_start`
       // tuples; the next pass only needs to see what the fires below add.
       delta_begin = pass_start;
@@ -744,7 +716,8 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     int fire_head_dep = -1;
     FireScratch fire_scratch;
     for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-      if (pass_fire_cap > 0 && fired_this_pass >= pass_fire_cap) {
+      if (config.max_fires_per_pass > 0 &&
+          fired_this_pass >= config.max_fires_per_pass) {
         // Burst cap: the rest of the pending set waits for the next pass.
         // The naive full re-match will re-discover it; the delta matcher
         // would not (every entry is old by then), so stash it.
@@ -870,7 +843,6 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
   // run would no longer replay an uninterrupted one.
   if (use_delta != config.use_delta ||
       max_fires_per_pass != config.max_fires_per_pass ||
-      auto_burst != config.auto_burst ||
       match_slice_ids != config.match_slice_ids ||
       record_trace != config.record_trace ||
       hom_max_nodes != config.hom_max_nodes) {
@@ -925,7 +897,6 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
 void ChaseCheckpoint::CaptureShape(const ChaseConfig& config) {
   use_delta = config.use_delta;
   max_fires_per_pass = config.max_fires_per_pass;
-  auto_burst = config.auto_burst;
   match_slice_ids = config.match_slice_ids;
   record_trace = config.record_trace;
   hom_max_nodes = config.hom_max_nodes;
@@ -959,31 +930,34 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
   return true;
 }
 
-// tdckpt2 added fire_cap_this_pass, hom_candidates and the match-strategy
-// shape fields (auto_burst, match_slice_ids). tdckpt3 dropped the shape
-// flag of the removed candidate intersection: a tdckpt2 hom_candidates total
-// may have been counted with intersection on, so older files are rejected
-// rather than resumed with a counter no uninterrupted run would produce.
+// tdckpt2 added the interrupted pass's fire cap, hom_candidates and the
+// match-strategy shape fields (the burst auto-tune flag, match_slice_ids).
+// tdckpt3 dropped the shape flag of the removed candidate intersection: a
+// tdckpt2 hom_candidates total may have been counted with intersection on,
+// so older files are rejected rather than resumed with a counter no
+// uninterrupted run would produce.
 // tdckpt4 writes each valuation as one flat slot vector instead of one
 // vector per attribute; a tdckpt3 valuation would parse as a different
 // shape, so it is rejected by the magic rather than misread. tdckpt5 drops
 // the shape flag of the retired lazy (per-pass) goal check: the goal is
 // always checked after every fire, and a tdckpt4 shape line has one field
-// more, so older files are rejected by the magic.
-constexpr char kCheckpointMagic[] = "tdckpt5";
+// more, so older files are rejected by the magic. tdckpt6 drops the burst
+// auto-tune flag and the per-pass fire cap: the cap is always
+// max_fires_per_pass, which the shape line already holds, so a tdckpt5 file
+// is rejected by the magic rather than parsed with its fields shifted.
+constexpr char kCheckpointMagic[] = "tdckpt6";
 
 }  // namespace
 
 void ChaseCheckpoint::Serialize(std::ostream& os) const {
   os << kCheckpointMagic << ' ' << (valid ? 1 : 0) << '\n';
   if (!valid) return;
-  os << delta_begin << ' ' << fired_this_pass << ' ' << fire_cap_this_pass
-     << '\n';
+  os << delta_begin << ' ' << fired_this_pass << '\n';
   os << steps << ' ' << passes << ' ' << hom_nodes << ' ' << hom_candidates
      << ' ' << match_tasks << ' ' << carried_passes << '\n';
   os << (use_delta ? 1 : 0) << ' ' << max_fires_per_pass << ' '
-     << (auto_burst ? 1 : 0) << ' ' << match_slice_ids << ' '
-     << (record_trace ? 1 : 0) << ' ' << hom_max_nodes << '\n';
+     << match_slice_ids << ' ' << (record_trace ? 1 : 0) << ' '
+     << hom_max_nodes << '\n';
   os << pending.size() << '\n';
   for (const PendingChaseStep& step : pending) {
     os << step.dep_index << '\n';
@@ -1012,18 +986,16 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   ChaseCheckpoint ckpt;
   if (valid_flag == 0) return ckpt;  // an empty (non-resumable) checkpoint
   ckpt.valid = true;
-  int use_delta_flag, auto_burst_flag, record_trace_flag;
+  int use_delta_flag, record_trace_flag;
   std::size_t num_pending, num_trace;
-  if (!(is >> ckpt.delta_begin >> ckpt.fired_this_pass >>
-        ckpt.fire_cap_this_pass >> ckpt.steps >> ckpt.passes >>
-        ckpt.hom_nodes >> ckpt.hom_candidates >> ckpt.match_tasks >>
-        ckpt.carried_passes >> use_delta_flag >> ckpt.max_fires_per_pass >>
-        auto_burst_flag >> ckpt.match_slice_ids >> record_trace_flag >>
-        ckpt.hom_max_nodes >> num_pending)) {
+  if (!(is >> ckpt.delta_begin >> ckpt.fired_this_pass >> ckpt.steps >>
+        ckpt.passes >> ckpt.hom_nodes >> ckpt.hom_candidates >>
+        ckpt.match_tasks >> ckpt.carried_passes >> use_delta_flag >>
+        ckpt.max_fires_per_pass >> ckpt.match_slice_ids >>
+        record_trace_flag >> ckpt.hom_max_nodes >> num_pending)) {
     return corrupt("truncated counters/shape block");
   }
   ckpt.use_delta = use_delta_flag != 0;
-  ckpt.auto_burst = auto_burst_flag != 0;
   ckpt.record_trace = record_trace_flag != 0;
   // Same untrusted-count discipline as ReadIntVec: append, never resize.
   for (std::size_t i = 0; i < num_pending; ++i) {

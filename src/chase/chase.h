@@ -65,17 +65,6 @@ struct ChaseConfig {
   /// the full re-match (naive mode); both modes stay byte-identical.
   std::uint64_t max_fires_per_pass = 0;
 
-  /// Auto-tune the per-pass burst from the observed growth rate: a pass
-  /// whose delta is the majority of the instance (geometric pumping — most
-  /// matches are genuinely new, capping only adds carried re-check work)
-  /// runs uncapped; a flat-growth pass is capped at max_fires_per_pass (or
-  /// 64 when that is 0), the regime where bounded bursts keep latency
-  /// smooth and delta matching pays most. The per-pass cap is a pure
-  /// function of (delta size, instance size), so runs stay deterministic
-  /// and checkpoints record the interrupted pass's cap. Off by default;
-  /// tdbatch enables it (--no-auto-burst ablates).
-  bool auto_burst = false;
-
   /// Work stealing for few-member passes: split each semi-naive partition
   /// member's seed-row delta range into sub-tasks of this many tuple ids
   /// (0 = never split). A pass over one wide dependency produces only
@@ -85,14 +74,6 @@ struct ChaseConfig {
   /// so hom_nodes/match_tasks — and with them every instance, trace and
   /// status — stay byte-identical at any thread count, serial included.
   std::uint64_t match_slice_ids = 4096;
-
-  /// Block-at-a-time candidate evaluation with the util/simd.h kernels
-  /// (HomSearchOptions::use_simd). This is NOT checkpoint shape: it leaves
-  /// every counter — hom_nodes AND hom_candidates — and every output byte
-  /// identical, so a checkpoint taken with it on resumes with it off (and
-  /// vice versa) without a format bump. Off = the scalar ablation baseline
-  /// (tdbatch --no-simd).
-  bool use_simd = true;
 
   /// Optional thread pool for the matching phase. Each pass's match tasks —
   /// carried-step re-checks plus one body search per dependency (or per
@@ -124,7 +105,6 @@ struct ChaseConfig {
   HomSearchOptions HomOptions() const {
     HomSearchOptions o;
     o.max_nodes = hom_max_nodes;
-    o.use_simd = use_simd;
     return o;
   }
 };
@@ -207,9 +187,6 @@ struct ChaseCheckpoint {
   // ---- Resume point (inside the firing phase of pass `passes`) ----------
   std::size_t delta_begin = 0;      ///< frontier: ids >= this are the delta
   std::uint64_t fired_this_pass = 0;  ///< burst-cap progress within the pass
-  std::uint64_t fire_cap_this_pass = 0;  ///< the interrupted pass's effective
-                                         ///  burst cap (auto_burst decides it
-                                         ///  per pass; 0 = uncapped)
   std::vector<PendingChaseStep> pending;  ///< still-unfired steps, canonical
                                           ///  (dep, body-image) order
 
@@ -224,14 +201,12 @@ struct ChaseCheckpoint {
 
   // ---- Config shape the checkpoint was taken under ----------------------
   // Resuming under a different shape would diverge from an uninterrupted
-  // run; ResumableWith refuses and the caller starts fresh instead. The
-  // match-strategy knobs are shape too: auto_burst moves pass boundaries
-  // (like max_fires_per_pass), and match_slice_ids — though invisible in
-  // the chase's output bytes — changes the cumulative counters, which a
-  // resumed run must reproduce exactly.
+  // run; ResumableWith refuses and the caller starts fresh instead.
+  // max_fires_per_pass moves pass boundaries, and match_slice_ids — though
+  // invisible in the chase's output bytes — changes the cumulative
+  // counters, which a resumed run must reproduce exactly.
   bool use_delta = true;
   std::uint64_t max_fires_per_pass = 0;
-  bool auto_burst = false;
   std::uint64_t match_slice_ids = 0;
   bool record_trace = false;
   std::uint64_t hom_max_nodes = 0;

@@ -89,8 +89,9 @@ Result<bool> CheckHeader(const char* h, FrameType* type, std::uint32_t* length,
 // at its first field.
 constexpr std::uint32_t kJobPayloadTag = 0x626a6474;
 constexpr std::uint32_t kResultPayloadTag = 0x62726474;
-// Version 1 was the text form; version 3 added the result's running job.
-constexpr std::uint32_t kPayloadVersion = 3;
+// Version 1 was the text form; version 3 added the result's running job;
+// version 4 dropped two retired chase config flags from the job's config.
+constexpr std::uint32_t kPayloadVersion = 4;
 
 // Appends fixed-width little-endian fields and length-prefixed strings.
 class ByteWriter {
@@ -191,9 +192,7 @@ void WriteConfig(const DualSolverConfig& config, ByteWriter* out) {
   out->Bool(chase.record_trace);
   out->Bool(chase.use_delta);
   out->U64(chase.max_fires_per_pass);
-  out->Bool(chase.auto_burst);
   out->U64(chase.match_slice_ids);
-  out->Bool(chase.use_simd);
   out->I32(cex.max_tuples);
   out->U64(cex.max_candidates);
   out->F64(cex.deadline_seconds);
@@ -206,8 +205,8 @@ bool ReadConfig(ByteReader* in, DualSolverConfig* config) {
          in->U64(&chase.max_steps) && in->U64(&chase.max_tuples) &&
          in->F64(&chase.deadline_seconds) && in->U64(&chase.hom_max_nodes) &&
          in->Bool(&chase.record_trace) && in->Bool(&chase.use_delta) &&
-         in->U64(&chase.max_fires_per_pass) && in->Bool(&chase.auto_burst) &&
-         in->U64(&chase.match_slice_ids) && in->Bool(&chase.use_simd) &&
+         in->U64(&chase.max_fires_per_pass) &&
+         in->U64(&chase.match_slice_ids) &&
          in->I32(&cex.max_tuples) && in->U64(&cex.max_candidates) &&
          in->F64(&cex.deadline_seconds);
 }

@@ -74,8 +74,9 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 
 /// The protocol version a worker announces in its hello (2: binary job and
-/// result payloads in TDF4 frames; 3: results name the running job).
-inline constexpr int kWireProtocolVersion = 3;
+/// result payloads in TDF4 frames; 3: results name the running job; 4: the
+/// job config drops two retired chase flags).
+inline constexpr int kWireProtocolVersion = 4;
 
 /// One decoded frame.
 struct Frame {

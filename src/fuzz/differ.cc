@@ -2,8 +2,8 @@
 // per axis variant, each compared under its invariance class.
 //
 // Reference shape (the configuration every byte-identity promise is stated
-// against): delta matching, serial, SIMD on, no auto-burst, trace recording
-// on, pure step/tuple budgets (no deadline, no per-search node budget — the
+// against): delta matching, serial, trace recording on, pure step/tuple
+// budgets (no deadline, no per-search node budget — the
 // two knobs documented to void cross-mode identity by stopping searches
 // mid-stream).
 #include <sstream>
@@ -53,7 +53,6 @@ RunDigest DigestOf(const DualResult& dual) {
     dual.implication.counterexample->Serialize(bytes);
     d.instance_text = bytes.str();
   }
-  d.certain = dual.verdict != DualVerdict::kUnknown;
   return d;
 }
 
@@ -85,7 +84,6 @@ RunDigest DigestOfImplication(const ImplicationResult& result,
     session->Serialize(bytes);
     d.instance_text = bytes.str();
   }
-  d.certain = result.verdict != Implication::kUnknown;
   return d;
 }
 
@@ -144,15 +142,7 @@ std::string CompareDigests(const RunDigest& reference,
                      const auto& got) {
     oss << field << ": reference=" << expected << " variant=" << got;
   };
-  if (axis_class == AxisClass::kVerdictWhenBothCertain) {
-    if (reference.certain && variant.certain &&
-        reference.verdict != variant.verdict) {
-      diff("verdict", reference.verdict, variant.verdict);
-      return oss.str();
-    }
-    return "";
-  }
-  // Semantic stream first — the fields every remaining class compares.
+  // Semantic stream first — the fields every class compares.
   if (reference.verdict != variant.verdict) {
     diff("verdict", reference.verdict, variant.verdict);
   } else if (reference.chase_status != variant.chase_status) {
@@ -223,17 +213,6 @@ std::vector<FuzzDivergence> CheckJobAcrossAxes(const Job& job,
     DualSolverConfig pooled = reference_config;
     pooled.base_chase.pool = &pool;
     check("threads", run_variant(pooled), AxisClass::kFullIdentity);
-  }
-  {
-    DualSolverConfig scalar = reference_config;
-    scalar.base_chase.use_simd = false;
-    check("simd", run_variant(scalar), AxisClass::kFullIdentity);
-  }
-  {
-    DualSolverConfig burst = reference_config;
-    burst.base_chase.auto_burst = true;
-    check("auto-burst", run_variant(burst),
-          AxisClass::kVerdictWhenBothCertain);
   }
 
   if (options.check_resume) {

@@ -2,12 +2,12 @@
 // implication).
 //
 // The engine promises a family of semantics-preserving equivalences: delta
-// vs naive matching, any thread count, SIMD candidate filtering on or off,
-// auto-burst pass tuning, and checkpoint/resume — each leaves a documented
-// slice of the output (verdicts, instances, traces, counters) byte-identical.
+// vs naive matching, any thread count, checkpoint/resume, the service and
+// the cache — each leaves a documented slice of the output (verdicts,
+// instances, traces, counters) byte-identical.
 // Those promises are this library's substitute for an external oracle: TD
 // implication is undecidable (the paper's main result), so no reference
-// implementation can say what the right answer IS — but eight
+// implementation can say what the right answer IS — but six
 // configurations of the same solver can still be required to AGREE.
 //
 // The harness generates endless deterministic streams of implication
@@ -82,10 +82,6 @@ enum class AxisClass {
   /// carried_passes), which naive and delta matching legitimately split
   /// differently.
   kSemanticsAndFireStream,
-  /// Verdicts compared only when BOTH runs are certain (kGoal/kFixpoint
-  /// chases): auto_burst moves pass boundaries, so budget-stopped runs may
-  /// stop at different points, but certificates must never flip.
-  kVerdictWhenBothCertain,
 };
 
 /// Deterministic fingerprint of one dual-solver run: every field the axis
@@ -104,17 +100,13 @@ struct RunDigest {
   std::uint64_t candidates_checked = 0;  ///< model-search side
   std::string trace_text;     ///< rendered fire stream (dep, match, tuples)
   std::string instance_text;  ///< serialized counterexample ("" if none)
-
-  /// True iff the chase ended in a certificate (kGoal or kFixpoint), the
-  /// precondition for kVerdictWhenBothCertain comparisons.
-  bool certain = false;
 };
 
 /// One detected disagreement between the reference run and a variant.
 struct FuzzDivergence {
   std::string case_name;
-  std::string axis;    ///< "naive", "threads", "simd", "auto-burst",
-                       ///  "resume", "service", "cache"
+  std::string axis;    ///< "naive", "threads", "resume", "service",
+                       ///  "cache"
   std::string detail;  ///< first differing field, with both values
 };
 
@@ -127,8 +119,8 @@ struct FuzzRoundReport {
 };
 
 /// The per-case solver budgets every axis run shares (reference shape:
-/// delta matching, serial, SIMD on, no auto-burst, trace recording on, no
-/// deadline and no hom budget — the regime where every byte-identity
+/// delta matching, serial, trace recording on, no deadline and no hom
+/// budget — the regime where every byte-identity
 /// promise is unconditional).
 DualSolverConfig FuzzSolverConfig(const FuzzOptions& options);
 

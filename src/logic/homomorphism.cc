@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/simd.h"
-
 namespace tdlib {
 Valuation Valuation::For(const Tableau& t) {
   return Valuation{std::vector<int>(static_cast<std::size_t>(t.TotalVars()),
@@ -22,8 +20,7 @@ HomomorphismSearch::HomomorphismSearch(const Tableau& source,
       row_done_(source.num_rows(), false),
       row_tuples_(source.num_rows(), -1),
       candidate_storage_(source.num_rows()),
-      undo_storage_(source.num_rows()),
-      filter_storage_(source.num_rows()) {
+      undo_storage_(source.num_rows()) {
   row_slots_.reserve(static_cast<std::size_t>(source.num_rows()) * arity_);
   for (const Row& r : source.rows()) {
     for (int attr = 0; attr < arity_; ++attr) {
@@ -116,25 +113,23 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
                                        CandidateRuns* out) {
   out->runs[0] = IdSpan();
   out->runs[1] = IdSpan();
-  out->filtered_attr = -1;
   if (options_.use_index) {
     // Drive from the shortest bound-position posting list (ties keep the
-    // lowest attribute). The other bound positions are filtered per
-    // candidate (block masks when use_simd, TryBindRow otherwise); the
-    // driver's own attribute is guaranteed by the posting list, so the block
-    // evaluator skips that column.
+    // lowest attribute). TryBindRow filters each candidate on the other
+    // bound positions.
     CandidateList driver;
+    bool have_driver = false;
     const int* slots = RowSlots(row_idx);
     for (int attr = 0; attr < arity_; ++attr) {
       int bound = valuation_.Get(slots[attr]);
       if (bound < 0) continue;
       CandidateList list = target_.TuplesWith(attr, bound);
-      if (out->filtered_attr < 0 || list.size() < driver.size()) {
+      if (!have_driver || list.size() < driver.size()) {
         driver = list;
-        out->filtered_attr = attr;
+        have_driver = true;
       }
     }
-    if (out->filtered_attr >= 0) {
+    if (have_driver) {
       // Borrowed index spans, zero copies. Runs are ascending with base ids
       // < tail ids, so a delta cutoff is one binary search per run.
       out->runs[0] =
@@ -240,85 +235,6 @@ bool HomomorphismSearch::Backtrack(
   std::vector<int>& undo = undo_storage_[depth];
   undo.clear();
   bool window_closed = false;
-  if (options_.use_simd) {
-    // Block candidate evaluation: AND one survivor bitmask per bound
-    // position over up to 64 candidates at a time, then bind only the
-    // survivors. The filter set is fixed for the whole depth (TryBindRow
-    // undoes its bindings before the next candidate, so the bound
-    // positions seen by every candidate at this depth are identical).
-    std::vector<std::pair<int, int>>& filters = filter_storage_[depth];
-    filters.clear();
-    const int* slots = RowSlots(row_idx);
-    for (int attr = 0; attr < arity_; ++attr) {
-      if (attr == candidates.filtered_attr) continue;
-      int bound = valuation_.Get(slots[attr]);
-      if (bound >= 0) filters.emplace_back(attr, bound);
-    }
-    for (int run = 0; run < 2 && !window_closed; ++run) {
-      const IdSpan span = candidates.runs[run];
-      const int* ids = span.begin();
-      std::size_t limit = span.size();
-      if (limit > 0 && ids[limit - 1] >= max_id) {
-        // Ascending runs: everything from the first id past the window is
-        // out, and reaching the window's edge ends run 1 too (same flip the
-        // scalar loop does when it SEES the first out-of-window id).
-        limit = static_cast<std::size_t>(
-            std::lower_bound(ids, ids + limit, max_id) - ids);
-        window_closed = true;
-      }
-      for (std::size_t blk = 0; blk < limit; blk += 64) {
-        const std::size_t bn = std::min<std::size_t>(64, limit - blk);
-        const int* bids = ids + blk;
-        std::uint64_t mask =
-            bn == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bn) - 1;
-        if (!filters.empty()) {
-          // Consecutive-id blocks (full scans, dense delta windows, CSR
-          // groups without holes) walk the column at a constant stride;
-          // scattered blocks gather.
-          const bool consecutive =
-              bids[bn - 1] - bids[0] == static_cast<int>(bn) - 1;
-          for (const auto& [attr, value] : filters) {
-            const ColumnSpan col = target_.Column(attr);
-            mask &= consecutive
-                        ? EqMaskI32(col.data + bids[0] * col.stride,
-                                    col.stride, bn, value)
-                        : EqMaskGatherI32(col.data, col.stride, bids, bn,
-                                          value);
-            if (mask == 0) break;
-          }
-        }
-        // Exact-parity accounting: the scalar loop counts every id up to
-        // and including the last one it reached. Charging each survivor for
-        // itself plus the rejected ids since the previous survivor keeps
-        // `candidates` byte-identical even when a visitor or budget stops
-        // the search mid-block (ids past the stopping point stay
-        // uncounted, exactly like the scalar loop never reaching them).
-        std::size_t counted = 0;
-        while (mask != 0) {
-          const unsigned p = static_cast<unsigned>(__builtin_ctzll(mask));
-          mask &= mask - 1;
-          stats_.candidates += p + 1 - counted;
-          counted = p + 1;
-          const int tuple_id = bids[p];
-          undo.clear();
-          if (!TryBindRow(row_idx, target_.tuple(tuple_id), &undo)) continue;
-          row_tuples_[row_idx] = tuple_id;
-          bool in_delta = any_row_mode && tuple_id >= options_.delta_begin;
-          delta_rows_bound_ += in_delta ? 1 : 0;
-          bool keep_going = Backtrack(depth + 1, visit, stopped);
-          delta_rows_bound_ -= in_delta ? 1 : 0;
-          UndoBindings(undo);
-          if (!keep_going && (*stopped || stats_.budget_hit)) {
-            row_done_[row_idx] = false;
-            return false;
-          }
-        }
-        stats_.candidates += bn - counted;
-      }
-    }
-    row_done_[row_idx] = false;
-    return true;
-  }
   for (int run = 0; run < 2 && !window_closed; ++run) {
     for (int tuple_id : candidates.runs[run]) {
       // Runs are ascending and run 0's ids all precede run 1's, so the first

@@ -13,17 +13,6 @@
 // their posting lists; every other bound position is filtered per
 // candidate.
 //
-// Block candidate evaluation (use_simd): instead of testing bound row
-// positions tuple-by-tuple inside TryBindRow, the search evaluates each
-// bound position over a whole block of up to 64 candidates with one
-// util/simd.h kernel call — strided column loads when the ids are
-// consecutive, hardware gathers otherwise — and ANDs the per-position
-// survivor bitmasks before any per-tuple binding. This is a pure
-// implementation swap: the survivor set, the visit order, `nodes` and
-// `candidates` are byte-identical with the flag on or off, on any CPU (the
-// kernels are bit-identical across dispatch levels), which the parity tests
-// enforce end to end.
-//
 // Delta restriction (semi-naive matching): a search can be confined to one
 // member of the standard semi-naive partition of the delta-touching matches
 // — seed row in the delta, earlier rows in the old region, later rows
@@ -111,14 +100,6 @@ struct HomSearchOptions {
   /// Disable the inverted-index candidate pruning; used by the EXP-CHASE
   /// ablation benchmark to quantify what the index buys.
   bool use_index = true;
-
-  /// Evaluate candidates block-at-a-time with util/simd.h kernels (see the
-  /// file comment): survivor bitmasks over 64-candidate blocks, ANDed
-  /// before any per-tuple binding. Byte-identical searches on or off —
-  /// every counter, match and visit order is preserved (ctest-enforced);
-  /// only wall time moves. Off = the scalar ablation baseline (tdbatch
-  /// --no-simd).
-  bool use_simd = true;
 
   /// Disable the most-constrained-row-first dynamic ordering (rows are then
   /// matched in tableau order).
@@ -223,12 +204,9 @@ class HomomorphismSearch {
  private:
   /// Up to two ascending candidate runs (CSR base + tail, or one
   /// materialized scan run). Every id in runs[0] precedes every id in
-  /// runs[1]. `filtered_attr` names the bound attribute the runs are
-  /// guaranteed to match (the driver posting list's attribute); the block
-  /// evaluator skips that column.
+  /// runs[1].
   struct CandidateRuns {
     IdSpan runs[2];
-    int filtered_attr = -1;
   };
 
   bool Backtrack(int depth, const std::function<bool(const Valuation&)>& visit,
@@ -267,9 +245,6 @@ class HomomorphismSearch {
   // not allocate per node (capacity sticks after the first few nodes).
   std::vector<std::vector<int>> candidate_storage_;
   std::vector<std::vector<int>> undo_storage_;  ///< slots bound per depth
-  // (attr, bound value) pairs the block evaluator filters a depth's
-  // candidates on — per depth, because Backtrack recurses mid-loop.
-  std::vector<std::vector<std::pair<int, int>>> filter_storage_;
   HomSearchStats stats_;
 };
 

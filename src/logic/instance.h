@@ -183,12 +183,6 @@ class Instance {
   /// the arena. Persist ids across mutations, not refs.
   TupleRef tuple(int i) const { return store_[static_cast<std::size_t>(i)]; }
 
-  /// Borrowed view of attribute `attr` across all tuples (stride = arity).
-  /// The homomorphism search's block filter reads whole
-  /// candidate blocks through this instead of per-tuple TupleRefs.
-  /// Invalidated by AddTuple, like tuple().
-  ColumnSpan Column(int attr) const { return store_.Column(attr); }
-
   /// Posting-list length for (attr, value) without materializing the view —
   /// the most-constrained-first heuristic reads sizes for every (row, attr)
   /// pair on every search node, so this stays two loads and an add.

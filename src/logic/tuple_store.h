@@ -5,9 +5,7 @@
 // own std::vector puts a heap allocation and a pointer chase on that path.
 // TupleStore instead lays all components out in one row-major int32_t slab
 // — tuple id i occupies arena[i*arity .. (i+1)*arity) — and hands out
-// TupleRef views (pointer + arity) into it. One attribute across all tuples
-// is a constant-stride ColumnSpan over the same slab, which is what the
-// homomorphism search's block filter scans.
+// TupleRef views (pointer + arity) into it.
 //
 // The dedup structure is an open-addressing table of tuple *ids* (slab
 // offsets), not owning copies: a probe hashes the slab components in place,
@@ -70,16 +68,6 @@ class TupleRef {
   int arity_;
 };
 
-/// A borrowed view of one ATTRIBUTE across all stored tuples: the component
-/// of tuple `id` lives at data[id * stride], stride being the arity. The
-/// transpose of TupleRef — same slab, sliced the other way. This is what the
-/// homomorphism search's block filter scans with util/simd.h's EqMaskI32.
-/// Invalidated by Insert, like TupleRef.
-struct ColumnSpan {
-  const std::int32_t* data = nullptr;
-  std::ptrdiff_t stride = 1;
-};
-
 /// The arena. All tuples share one contiguous slab; a private
 /// open-addressing hash table over tuple ids provides O(1) dedup without a
 /// second copy of any tuple. Value semantics (copy/move) are the defaults —
@@ -94,14 +82,6 @@ class TupleStore {
   /// View of tuple `id` (0 <= id < size()). Invalidated by Insert.
   TupleRef operator[](std::size_t id) const {
     return TupleRef(arena_.data() + id * arity_, arity_);
-  }
-
-  /// View of attribute `attr` across all size() tuples (stride arity()).
-  /// Invalidated by Insert.
-  ColumnSpan Column(int attr) const {
-    if (arena_.empty()) return {};  // keep nullptr arithmetic out of UBSan
-    return ColumnSpan{arena_.data() + attr,
-                      static_cast<std::ptrdiff_t>(arity_)};
   }
 
   /// Inserts the row at `row` (arity() contiguous components). Returns

@@ -1,7 +1,6 @@
 #include "util/simd.h"
 
 #include <atomic>
-#include <cassert>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -20,11 +19,7 @@ SimdLevel DetectHardware() {
 #if TDLIB_SIMD_X86 && defined(__GNUC__)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAVX2;
 #endif
-#if TDLIB_SIMD_X86 && defined(__SSE2__)
-  return SimdLevel::kSSE2;
-#else
   return SimdLevel::kScalar;
-#endif
 }
 
 SimdLevel InitialLevel() {
@@ -33,43 +28,17 @@ SimdLevel InitialLevel() {
   return DetectHardware();
 }
 
-// Relaxed atomic: read on every kernel call (one load, always the same
+// Relaxed atomic: read on every hash call (one load, always the same
 // value after startup), written only by SetSimdLevelForTesting.
 std::atomic<SimdLevel>& ActiveLevelStorage() {
   static std::atomic<SimdLevel> level{InitialLevel()};
   return level;
 }
 
-// ---- Scalar reference kernels ----------------------------------------------
-//
-// These define the semantics; every vector path below must match them bit
-// for bit (tests/simd_test.cc compares across all supported levels).
-
-std::uint64_t EqMaskScalar(const std::int32_t* base, std::ptrdiff_t stride,
-                           std::size_t n, std::int32_t value) {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mask |= static_cast<std::uint64_t>(base[static_cast<std::ptrdiff_t>(i) *
-                                            stride] == value)
-            << i;
-  }
-  return mask;
-}
-
-std::uint64_t EqMaskGatherScalar(const std::int32_t* base,
-                                 std::ptrdiff_t stride,
-                                 const std::int32_t* ids, std::size_t n,
-                                 std::int32_t value) {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mask |= static_cast<std::uint64_t>(
-                base[static_cast<std::ptrdiff_t>(ids[i]) * stride] == value)
-            << i;
-  }
-  return mask;
-}
-
 // ---- Hash -------------------------------------------------------------------
+//
+// The scalar fold defines the semantics; the AVX2 path below must match it
+// bit for bit (tests/simd_test.cc compares across all supported levels).
 //
 // Position-mixed additive hash: mix(component, position) avalanches each
 // component together with its index, and the mixes are SUMMED — addition
@@ -107,101 +76,14 @@ std::uint64_t HashRowScalar(const std::int32_t* row, int arity) {
   return FinalizeHash(acc, arity);
 }
 
-// ---- SSE2 kernels -----------------------------------------------------------
-
-#if TDLIB_SIMD_X86 && defined(__SSE2__)
-
-std::uint64_t EqMaskSse2(const std::int32_t* base, std::size_t n,
-                         std::int32_t value) {
-  std::uint64_t mask = 0;
-  const __m128i needle = _mm_set1_epi32(value);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i block =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + i));
-    const int bits =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(block, needle)));
-    mask |= static_cast<std::uint64_t>(bits) << i;
-  }
-  if (i < n) mask |= EqMaskScalar(base + i, 1, n - i, value) << i;
-  return mask;
-}
-
-#endif  // SSE2
-
-// ---- AVX2 kernels -----------------------------------------------------------
+// ---- AVX2 kernel ------------------------------------------------------------
 //
-// Compiled with per-function target attributes so the TU (and the whole
-// library) builds without -mavx2; dispatch guarantees these only run on
+// Compiled with a per-function target attribute so the TU (and the whole
+// library) builds without -mavx2; dispatch guarantees it only runs on
 // hardware that has the instructions.
 
 #if TDLIB_SIMD_X86 && defined(__GNUC__)
 #define TDLIB_TARGET_AVX2 __attribute__((target("avx2")))
-
-TDLIB_TARGET_AVX2
-std::uint64_t EqMaskAvx2(const std::int32_t* base, std::size_t n,
-                         std::int32_t value) {
-  std::uint64_t mask = 0;
-  const __m256i needle = _mm256_set1_epi32(value);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i));
-    const int bits = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, needle)));
-    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits)) << i;
-  }
-  if (i < n) mask |= EqMaskScalar(base + i, 1, n - i, value) << i;
-  return mask;
-}
-
-TDLIB_TARGET_AVX2
-std::uint64_t EqMaskStridedAvx2(const std::int32_t* base,
-                                std::ptrdiff_t stride, std::size_t n,
-                                std::int32_t value) {
-  std::uint64_t mask = 0;
-  const __m256i needle = _mm256_set1_epi32(value);
-  const __m256i vstride = _mm256_set1_epi32(static_cast<int>(stride));
-  __m256i idx = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), vstride);
-  const __m256i step = _mm256_set1_epi32(static_cast<int>(8 * stride));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i block = _mm256_i32gather_epi32(base, idx, 4);
-    const int bits = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, needle)));
-    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits)) << i;
-    idx = _mm256_add_epi32(idx, step);
-  }
-  if (i < n) {
-    mask |= EqMaskScalar(base + static_cast<std::ptrdiff_t>(i) * stride,
-                         stride, n - i, value)
-            << i;
-  }
-  return mask;
-}
-
-TDLIB_TARGET_AVX2
-std::uint64_t EqMaskGatherAvx2(const std::int32_t* base, std::ptrdiff_t stride,
-                               const std::int32_t* ids, std::size_t n,
-                               std::int32_t value) {
-  std::uint64_t mask = 0;
-  const __m256i needle = _mm256_set1_epi32(value);
-  const __m256i vstride = _mm256_set1_epi32(static_cast<int>(stride));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    if (stride != 1) idx = _mm256_mullo_epi32(idx, vstride);
-    const __m256i block = _mm256_i32gather_epi32(base, idx, 4);
-    const int bits = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, needle)));
-    mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits)) << i;
-  }
-  if (i < n) mask |= EqMaskGatherScalar(base, stride, ids + i, n - i, value)
-                     << i;
-  return mask;
-}
 
 TDLIB_TARGET_AVX2
 std::uint64_t HashRowAvx2(const std::int32_t* row, int arity) {
@@ -239,14 +121,6 @@ std::uint64_t HashRowAvx2(const std::int32_t* row, int arity) {
 #undef TDLIB_TARGET_AVX2
 #endif  // AVX2
 
-// Gather indices are 32-bit lanes: an id * stride product past INT32_MAX
-// would wrap and load the wrong component. All call sites keep arenas well
-// under 2^31 int32s (ids are int), but the kernels guard anyway and fall
-// back to scalar on the (never-seen) overflow.
-bool GatherIndexFits(std::int64_t max_index, std::ptrdiff_t stride) {
-  return max_index * stride <= INT32_MAX;
-}
-
 }  // namespace
 
 SimdLevel ActiveSimdLevel() {
@@ -263,46 +137,9 @@ void SetSimdLevelForTesting(SimdLevel level) {
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kSSE2: return "sse2";
     case SimdLevel::kAVX2: return "avx2";
   }
   return "?";
-}
-
-std::uint64_t EqMaskI32(const std::int32_t* base, std::ptrdiff_t stride,
-                        std::size_t n, std::int32_t value) {
-  assert(n <= 64 && "EqMaskI32 blocks are at most 64 wide");
-  const SimdLevel level = ActiveSimdLevel();
-#if TDLIB_SIMD_X86 && defined(__GNUC__)
-  if (level == SimdLevel::kAVX2) {
-    if (stride == 1) return EqMaskAvx2(base, n, value);
-    if (GatherIndexFits(static_cast<std::int64_t>(n), stride)) {
-      return EqMaskStridedAvx2(base, stride, n, value);
-    }
-  }
-#endif
-#if TDLIB_SIMD_X86 && defined(__SSE2__)
-  if (level >= SimdLevel::kSSE2 && stride == 1) {
-    return EqMaskSse2(base, n, value);
-  }
-#endif
-  (void)level;
-  return EqMaskScalar(base, stride, n, value);
-}
-
-std::uint64_t EqMaskGatherI32(const std::int32_t* base, std::ptrdiff_t stride,
-                              const std::int32_t* ids, std::size_t n,
-                              std::int32_t value) {
-  assert(n <= 64 && "EqMaskGatherI32 blocks are at most 64 wide");
-  const SimdLevel level = ActiveSimdLevel();
-#if TDLIB_SIMD_X86 && defined(__GNUC__)
-  if (level == SimdLevel::kAVX2 && n > 0 &&
-      GatherIndexFits(ids[n - 1], stride)) {  // ids ascend at every call site
-    return EqMaskGatherAvx2(base, stride, ids, n, value);
-  }
-#endif
-  (void)level;
-  return EqMaskGatherScalar(base, stride, ids, n, value);
 }
 
 std::uint64_t HashRowI32(const std::int32_t* row, int arity) {

@@ -148,7 +148,6 @@ DualSolverConfig ExtremeConfig(std::uint64_t budget) {
   chase.match_slice_ids = budget;
   chase.record_trace = true;
   chase.use_delta = false;
-  chase.auto_burst = false;
   config.base_counterexample.max_candidates = budget;
   return config;
 }

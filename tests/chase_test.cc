@@ -200,73 +200,6 @@ TEST(Chase, GoalIsCheckedAfterEveryFire) {
   EXPECT_EQ(db.NumTuples(), 3u);
 }
 
-TEST(Chase, AutoBurstUncapsGeometricPumping) {
-  // On the pumping reduction every pass's delta is the majority of the
-  // instance (geometric growth), so auto_burst keeps every pass uncapped:
-  // the run must be byte-identical to a plain uncapped run.
-  Pumping pumping = MakePumping();
-  ChaseConfig uncapped;
-  uncapped.max_steps = 120;
-  uncapped.record_trace = true;
-  Instance reference = pumping.goal.body().Freeze();
-  ChaseResult reference_result = RunChase(&reference, pumping.deps, uncapped);
-
-  ChaseConfig tuned = uncapped;
-  tuned.auto_burst = true;
-  Instance instance = pumping.goal.body().Freeze();
-  ChaseResult result = RunChase(&instance, pumping.deps, tuned);
-
-  EXPECT_EQ(result.status, reference_result.status);
-  EXPECT_EQ(result.steps, reference_result.steps);
-  EXPECT_EQ(result.passes, reference_result.passes);
-  EXPECT_EQ(result.hom_nodes, reference_result.hom_nodes);
-  EXPECT_EQ(result.carried_passes, 0u);  // no pass was capped
-  EXPECT_EQ(instance.ToString(), reference.ToString());
-}
-
-TEST(Chase, AutoBurstCapsFlatGrowthAndPreservesTheFixpoint) {
-  // The zigzag reachability closure converges through passes with shrinking
-  // frontiers — flat growth, so auto_burst applies the bounded-burst cap
-  // (carried pending accumulates) while still reaching the same fixpoint
-  // SET of tuples as the uncapped run.
-  SchemaPtr schema = Ab();
-  DependencySet deps;
-  deps.Add(Parse(schema, "R(a,b) & R(a2,b) & R(a2,b2) => R(a,b2)"), "reach");
-  const int n = 14;
-  auto seed = [&] {
-    Instance inst(schema);
-    for (int v = 0; v <= n; ++v) {
-      inst.AddValue(0);
-      inst.AddValue(1);
-    }
-    for (int i = 0; i < n; ++i) {
-      inst.AddTuple({i, i});
-      inst.AddTuple({i + 1, i});
-    }
-    return inst;
-  };
-  ChaseConfig uncapped;
-  uncapped.max_steps = 0;
-  uncapped.max_tuples = 0;
-  Instance reference = seed();
-  ChaseResult reference_result = RunChase(&reference, deps, uncapped);
-  ASSERT_EQ(reference_result.status, ChaseStatus::kFixpoint);
-
-  ChaseConfig tuned = uncapped;
-  tuned.auto_burst = true;
-  tuned.max_fires_per_pass = 8;  // the flat-growth cap auto_burst applies
-  Instance instance = seed();
-  ChaseResult result = RunChase(&instance, deps, tuned);
-  EXPECT_EQ(result.status, ChaseStatus::kFixpoint);
-  // Full TDs invent no nulls, so the fixpoint is the closure as a SET; the
-  // burst cap may reorder insertions across passes, but never change it.
-  EXPECT_EQ(instance.NumTuples(), reference.NumTuples());
-  EXPECT_EQ(result.steps, reference_result.steps);
-  for (const Dependency& d : deps.items) EXPECT_TRUE(Satisfies(instance, d));
-  // The cap must actually have engaged on this workload.
-  EXPECT_GT(result.carried_passes, 0u);
-}
-
 TEST(Chase, StatusNames) {
   EXPECT_EQ(ChaseStatusName(ChaseStatus::kFixpoint), "fixpoint");
   EXPECT_EQ(ChaseStatusName(ChaseStatus::kGoal), "goal");

@@ -240,7 +240,7 @@ TEST(ChaseCheckpoint, CrossProductClosureParity) {
   CheckResumeParity(deps, seed, config, /*small=*/5, /*big=*/1000);
 }
 
-TEST(ChaseCheckpoint, AutoBurstAndSliceShapeGuardRefusesResume) {
+TEST(ChaseCheckpoint, SliceShapeGuardRefusesResume) {
   Pumping pumping = MakePumping();
   Instance instance = pumping.goal.body().Freeze();
   ChaseConfig config;
@@ -253,22 +253,9 @@ TEST(ChaseCheckpoint, AutoBurstAndSliceShapeGuardRefusesResume) {
   ChaseConfig bigger = config;
   bigger.max_steps = 100;
   EXPECT_TRUE(checkpoint.ResumableWith(bigger, instance, pumping.deps));
-  ChaseConfig auto_burst = bigger;
-  auto_burst.auto_burst = true;
-  EXPECT_FALSE(checkpoint.ResumableWith(auto_burst, instance, pumping.deps));
   ChaseConfig sliced = bigger;
   sliced.match_slice_ids = 7;
   EXPECT_FALSE(checkpoint.ResumableWith(sliced, instance, pumping.deps));
-}
-
-TEST(ChaseCheckpoint, ResumeParityUnderAutoBurst) {
-  // auto_burst retunes the cap per pass; the interrupted pass's cap rides
-  // in the checkpoint, so resume must still replay the uninterrupted run.
-  Pumping pumping = MakePumping();
-  Instance seed = pumping.goal.body().Freeze();
-  ChaseConfig config;
-  config.auto_burst = true;
-  CheckResumeParity(pumping.deps, seed, config, /*small=*/19, /*big=*/85);
 }
 
 TEST(ChaseCheckpoint, NonResumableStopLeavesNoCheckpoint) {
@@ -310,22 +297,24 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n"
+      "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
   // Old formats must be rejected, never resumed under a guessed shape:
   // tdckpt1 predates the match-strategy shape fields, tdckpt2 carries the
   // retired intersection flag (its hom_candidates may have been counted
   // with intersection on), tdckpt3 writes valuations per attribute (here
-  // one pending step over 2 attributes of one variable each), and tdckpt4
-  // carries the retired lazy-goal-check flag in its shape line. All texts
-  // are otherwise well formed.
+  // one pending step over 2 attributes of one variable each), tdckpt4
+  // carries the retired lazy-goal-check flag in its shape line, and
+  // tdckpt5 carries the retired burst auto-tune flag and per-pass fire cap.
+  // All texts are otherwise well formed.
   for (const char* old_format :
        {"tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n",
         "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n",
         "tdckpt3 1\n0 0 0\n1 1 0 0 1 0\n1 0 0 0 0 1 0\n"
         "1\n0\n2\n1 0\n1 0\n1 0\n0\n",
-        "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n"}) {
+        "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n",
+        "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n0\n0\n"}) {
     std::istringstream in(old_format);
     Result<ChaseCheckpoint> old = ChaseCheckpoint::Deserialize(in);
     ASSERT_FALSE(old.ok()) << old_format;
@@ -333,7 +322,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   }
   // The same checkpoint in the current format loads.
   std::istringstream current(
-      "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n0\n0\n");
+      "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   std::istringstream huge_store("tdstore1 2 18446744073709551615\n0 0\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_store).ok());
@@ -342,7 +331,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
 }
 
 TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
-  // A tdckpt5 checkpoint with pending steps writes each valuation as one
+  // A tdckpt6 checkpoint with pending steps writes each valuation as one
   // vector of TotalVars() slots, re-serializes to the same bytes, and
   // resumes exactly like the in-memory checkpoint it came from.
   Pumping pumping = MakePumping();
@@ -363,7 +352,7 @@ TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
   }
   std::ostringstream out;
   checkpoint.Serialize(out);
-  EXPECT_EQ(out.str().rfind("tdckpt5 1\n", 0), 0u);
+  EXPECT_EQ(out.str().rfind("tdckpt6 1\n", 0), 0u);
   std::istringstream in(out.str());
   Result<ChaseCheckpoint> restored = ChaseCheckpoint::Deserialize(in);
   ASSERT_TRUE(restored.ok());

@@ -249,11 +249,26 @@ TEST(ClusterWireTest, WellFormedTdf3FrameIsRejectedByItsMagic) {
       << decoded.error();
 }
 
+TEST(ClusterWireTest, JobPayloadFromThePreviousVersionIsRefused) {
+  // A job payload opens with its tag and its version, both little-endian
+  // u32s. A peer one payload version back (3) sends a config with two more
+  // fields, so the decoder must refuse it at the version, not misread it.
+  std::string payload = EncodeJobPayload(WireJob(MakeSmallJob("old peer")));
+  ASSERT_GE(payload.size(), 8u);
+  ASSERT_EQ(payload.substr(4, 4), std::string("\x04\0\0\0", 4));
+  payload[4] = 3;
+  Result<WireJob> decoded = DecodeJobPayload(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(decoded.error().find("unsupported version"), std::string::npos)
+      << decoded.error();
+}
+
 TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
   Job job = MakeSmallJob("round trip job");
   job.priority = 7;
   job.config.base_chase.hom_max_nodes = 12345;
-  job.config.base_chase.use_simd = false;
+  job.config.base_chase.use_delta = false;
   job.config.base_counterexample.max_candidates = 99;
 
   WireJob wire_job(job);
@@ -269,7 +284,7 @@ TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
   EXPECT_EQ(got.job.name, "round trip job");
   EXPECT_EQ(got.job.priority, 7);
   EXPECT_EQ(got.job.config.base_chase.hom_max_nodes, 12345u);
-  EXPECT_FALSE(got.job.config.base_chase.use_simd);
+  EXPECT_FALSE(got.job.config.base_chase.use_delta);
   EXPECT_EQ(got.job.config.base_counterexample.max_candidates, 99u);
   // The program may be canonically renamed in flight; the contract is that
   // every deterministic result byte survives, so compare solver outputs.
@@ -637,6 +652,20 @@ TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
   EXPECT_TRUE(PollUntil([&] { return router.Stats().worker_crashes >= 1; }));
 }
 
+// Every ClusterStats counter, for the failure message of an exact-count
+// check: a second worker death (say, a heartbeat timeout) then names its
+// cause.
+std::string Describe(const ClusterStats& s) {
+  std::ostringstream out;
+  out << "completed=" << s.completed << " cache_hits=" << s.cache_hits
+      << " migrated=" << s.migrated << " retries=" << s.retries
+      << " worker_crashes=" << s.worker_crashes
+      << " worker_restarts=" << s.worker_restarts
+      << " heartbeat_timeouts=" << s.heartbeat_timeouts
+      << " workers_up=" << s.workers_up;
+  return out.str();
+}
+
 // A worker dies holding a full window: the pumping job it was solving and
 // three jobs queued in its inbox. Only the one it was solving was lost
 // mid-run and is charged a retry; the queued ones re-route as if they had
@@ -671,8 +700,8 @@ TEST(ClusterRouterTest, CrashWithAFullWindowChargesOneRetry) {
         << jobs[i].name;
   }
   const ClusterStats stats = router.Stats();
-  EXPECT_EQ(stats.worker_crashes, 1);
-  EXPECT_EQ(stats.retries, 1);
+  EXPECT_EQ(stats.worker_crashes, 1) << Describe(stats);
+  EXPECT_EQ(stats.retries, 1) << Describe(stats);
 }
 
 // The worker runs its inbox in priority order, so the job a crash
@@ -708,8 +737,8 @@ TEST(ClusterRouterTest, CrashChargesTheJobTheWorkerWasSolving) {
   high_handle.Cancel();  // only takes hold if the crash was charged to low
   EXPECT_EQ(high_handle.Wait().status, JobStatus::kSkipped);
   const ClusterStats stats = router.Stats();
-  EXPECT_EQ(stats.worker_crashes, 1);
-  EXPECT_EQ(stats.retries, 0);
+  EXPECT_EQ(stats.worker_crashes, 1) << Describe(stats);
+  EXPECT_EQ(stats.retries, 0) << Describe(stats);
 }
 
 // A cancel frame for a job still in a worker's inbox takes it out and

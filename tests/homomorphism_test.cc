@@ -1,13 +1,10 @@
 // Tests for the homomorphism search engine, including the ablation knobs
-// (index, dynamic ordering, SIMD block filter) that the EXP-CHASE benches
-// sweep.
+// (index, dynamic ordering) that the EXP-CHASE benches sweep.
 #include "logic/homomorphism.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
-
-#include "util/rng.h"
 
 namespace tdlib {
 namespace {
@@ -145,88 +142,6 @@ TEST_F(HomTest, AblationKnobsAgreeOnCounts) {
   EXPECT_EQ(baseline, count_with(false, true));
   EXPECT_EQ(baseline, count_with(true, false));
   EXPECT_EQ(baseline, count_with(false, false));
-}
-
-TEST(SimdBlockFilter, ByteIdenticalToScalarOverRandomInstances) {
-  // use_simd swaps the candidate-evaluation implementation — block masks
-  // for per-tuple TryBindRow checks. It must leave EVERY counter equal,
-  // candidates included, with and without the index, over matching- and
-  // rejection-heavy workloads.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed * 50923);
-    SchemaPtr schema = MakeSchema({"A", "B", "C"});
-    Instance inst(schema);
-    const int domain = 5;
-    for (int attr = 0; attr < 3; ++attr) {
-      for (int v = 0; v < domain; ++v) inst.AddValue(attr);
-    }
-    for (int i = 0; i < 500; ++i) {
-      inst.AddTuple({static_cast<int>(rng.Below(domain)),
-                     static_cast<int>(rng.Below(domain)),
-                     static_cast<int>(rng.Below(domain))});
-    }
-    Tableau query(schema);
-    int a1 = query.NewVariable(0), a2 = query.NewVariable(0);
-    int b_shared = query.NewVariable(1);
-    int c1 = query.NewVariable(2), c_shared = query.NewVariable(2);
-    query.AddRow({a1, b_shared, c1});
-    query.AddRow({a2, b_shared, c_shared});
-    query.AddRow({a1, b_shared, c_shared});
-
-    for (bool use_index : {true, false}) {
-      auto run = [&](bool simd) {
-        HomSearchOptions options;
-        options.use_index = use_index;
-        options.use_simd = simd;
-        HomomorphismSearch search(query, inst, options);
-        std::vector<std::vector<int>> matches;
-        search.ForEach([&](const Valuation& v) {
-          matches.push_back(v.values);
-          return true;
-        });
-        return std::make_tuple(matches, search.stats());
-      };
-      auto [on_matches, on_stats] = run(true);
-      auto [off_matches, off_stats] = run(false);
-      const std::string tag = "seed " + std::to_string(seed) + " index " +
-                              std::to_string(use_index);
-      EXPECT_EQ(on_matches, off_matches) << tag;
-      EXPECT_EQ(on_stats.nodes, off_stats.nodes) << tag;
-      EXPECT_EQ(on_stats.candidates, off_stats.candidates) << tag;
-    }
-  }
-}
-
-TEST(SimdBlockFilter, EarlyStopCountsCandidatesExactly) {
-  // The subtle parity case: a visitor stopping mid-block. The scalar loop
-  // never reaches the ids after the stopping candidate, so the block path
-  // must not pre-charge them to the `candidates` counter.
-  Rng rng(99);
-  SchemaPtr schema = MakeSchema({"A", "B"});
-  Instance inst(schema);
-  const int domain = 4;
-  for (int attr = 0; attr < 2; ++attr) {
-    for (int v = 0; v < domain; ++v) inst.AddValue(attr);
-  }
-  for (int i = 0; i < 300; ++i) {
-    inst.AddTuple({static_cast<int>(rng.Below(domain)),
-                   static_cast<int>(rng.Below(domain))});
-  }
-  Tableau query(schema);
-  int a = query.NewVariable(0);
-  query.AddRow({a, query.NewVariable(1)});
-  query.AddRow({a, query.NewVariable(1)});
-  for (int stop_after : {1, 2, 5, 17}) {
-    auto run = [&](bool simd) {
-      HomSearchOptions options;
-      options.use_simd = simd;
-      HomomorphismSearch search(query, inst, options);
-      int remaining = stop_after;
-      search.ForEach([&](const Valuation&) { return --remaining > 0; });
-      return std::make_pair(search.stats().nodes, search.stats().candidates);
-    };
-    EXPECT_EQ(run(true), run(false)) << "stop_after=" << stop_after;
-  }
 }
 
 TEST(MapsInto, TableauContainment) {

@@ -206,28 +206,7 @@ TEST(InstanceStoreTest, ReserveThenBulkLoadStaysConsistent) {
   EXPECT_EQ(inst.CheckInvariants(), "");
 }
 
-// ---- Column views and wide rows ---------------------------------------------
-
-TEST(TupleStoreTest, ColumnSpanExposesEveryAttribute) {
-  // Column(attr) is the transpose view the block filter scans: stride arity
-  // over the row-major slab.
-  TupleStore store(3);
-  ColumnSpan empty = store.Column(1);
-  EXPECT_EQ(empty.data, nullptr);  // no arena yet: no pointer arithmetic
-  for (int i = 0; i < 50; ++i) {
-    std::int32_t row[] = {i, 100 + i, 200 + i};
-    store.Insert(row);
-  }
-  for (int attr = 0; attr < 3; ++attr) {
-    ColumnSpan col = store.Column(attr);
-    ASSERT_NE(col.data, nullptr);
-    EXPECT_EQ(col.stride, 3);
-    for (int id = 0; id < 50; ++id) {
-      EXPECT_EQ(col.data[id * col.stride], attr * 100 + id)
-          << "attr=" << attr << " id=" << id;
-    }
-  }
-}
+// ---- Wide rows --------------------------------------------------------------
 
 TEST(TupleStoreTest, WideAritySelfAliasingInsertAcrossDispatchLevels) {
   // Arity >= 8 takes the vectorized hash's wide path; the dedup table built
@@ -252,7 +231,7 @@ TEST(TupleStoreTest, WideAritySelfAliasingInsertAcrossDispatchLevels) {
     EXPECT_FALSE(inserted) << i;
     EXPECT_EQ(id, i);
   }
-  // The table must stay probeable with kernels capped at scalar: a single
+  // The table must stay probeable with the hash capped at scalar: a single
   // hash bit differing between levels would break every Find below.
   SetSimdLevelForTesting(SimdLevel::kScalar);
   EXPECT_EQ(store.CheckInvariants(), "");
