@@ -72,7 +72,6 @@
 //                     takes over when every worker is down
 //   --worker-cmd=PATH worker executable (default: $TDLIB_TDWORKER, else
 //                     "tdworker" next to this binary)
-//   --probe-steps=N   park-and-migrate probe budget (default 0 = off)
 //   --kill-worker-after=K  SIGKILL worker slot 0 after the K-th completion
 //                     (the crash-recovery smoke leg)
 //
@@ -148,7 +147,7 @@ int Usage() {
                "               [--serial] [--csv=PATH] [--metrics[=PATH]]\n"
                "               [--prom=PATH] [--trace=PATH] [--slow-log=S]\n"
                "               [--check-serial] [--workers=N] [--worker-cmd=PATH]\n"
-               "               [--probe-steps=N] [--kill-worker-after=K]\n"
+               "               [--kill-worker-after=K]\n"
                "               [file.td ...]\n";
   return 2;
 }
@@ -271,8 +270,6 @@ int RunBatch(int argc, char** argv) {
         cluster.num_workers = std::stoi(arg.substr(10));
       } else if (StartsWith(arg, "--worker-cmd=")) {
         cluster.worker_command = arg.substr(13);
-      } else if (StartsWith(arg, "--probe-steps=")) {
-        cluster.migration_probe_steps = std::stoull(arg.substr(14));
       } else if (StartsWith(arg, "--kill-worker-after=")) {
         kill_after = std::stoi(arg.substr(20));
       } else if (StartsWith(arg, "--")) {
@@ -415,7 +412,6 @@ int RunBatch(int argc, char** argv) {
       std::cout << "cluster: workers=" << cluster.num_workers
                 << " completed=" << stats.completed
                 << " cache_hits=" << stats.cache_hits
-                << " migrated=" << stats.migrated
                 << " retries=" << stats.retries
                 << " crashes=" << stats.worker_crashes
                 << " restarts=" << stats.worker_restarts

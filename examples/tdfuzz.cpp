@@ -14,9 +14,11 @@
 // Flags:
 //   --seed=N        stream seed (default 1); same seed = same stream,
 //                   bit for bit
-//   --rounds=N      rounds to run (default 1; 0 = endless, stop with
-//                   --seconds or a signal)
-//   --seconds=S     wall budget; finishes the current round, then stops
+//   --rounds=N      rounds to run (default 1, or endless when --seconds
+//                   is given; 0 = endless, stop with --seconds or a signal)
+//   --seconds=S     wall budget; finishes the current round, then stops.
+//                   Without --rounds it runs rounds until the budget is
+//                   spent; with --rounds=N it also stops after N rounds
 //   --cases=N       cases per round (default 6, cycling the three families)
 //   --threads=N     worker count for the thread-count axis (default 4)
 //   --steps=N       base chase step budget per solve (default 300)
@@ -34,6 +36,7 @@
 // 3 = unreadable replay file, 4 = malformed replay file.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,7 +55,9 @@ int Usage() {
                "              [--cases=N] [--threads=N] [--steps=N]\n"
                "              [--no-resume] [--no-service]\n"
                "              [--replay=FILE] [--repro-dir=DIR] [--metrics]\n"
-               "              [--inject-flip]\n";
+               "              [--inject-flip]\n"
+               "Without --rounds, one round, or with --seconds=S rounds "
+               "until S is spent.\n";
   return 2;
 }
 
@@ -73,7 +78,7 @@ std::string ReproFileName(const std::string& case_name) {
 
 int main(int argc, char** argv) {
   FuzzOptions options;
-  std::uint64_t rounds = 1;
+  std::optional<std::uint64_t> rounds;  // unset: see --rounds above
   double wall_budget_seconds = 0;
   std::string replay_path;
   std::string repro_dir = ".";
@@ -151,8 +156,11 @@ int main(int argc, char** argv) {
       divergences_found = static_cast<int>(divergences.size());
     }
   } else {
+    const std::uint64_t max_rounds =
+        rounds.value_or(wall_budget_seconds > 0 ? 0 : 1);
     Timer wall;
-    for (std::uint64_t round = 0; rounds == 0 || round < rounds; ++round) {
+    for (std::uint64_t round = 0; max_rounds == 0 || round < max_rounds;
+         ++round) {
       if (wall_budget_seconds > 0 &&
           wall.ElapsedSeconds() >= wall_budget_seconds) {
         std::cout << "wall budget reached after " << round << " round(s)\n";

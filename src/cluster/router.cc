@@ -62,9 +62,6 @@ struct RemoteRun {
   std::uint64_t key = 0;     ///< ring position (fingerprint low lane)
   bool begun = false;        ///< passed BeginRun; `config` is then valid
   DualSolverConfig config;
-  std::string session_text;  ///< parked checkpoint awaiting its resume
-  bool probed = false;       ///< a probe dispatch already happened
-  bool migrated = false;
   int crash_retries = 0;     ///< dispatches lost to worker deaths
 };
 using RunPtr = std::shared_ptr<RemoteRun>;
@@ -187,8 +184,7 @@ class WorkerSet final : public engine_internal::Backend {
   }
 
   /// A started run was cancelled: tell the worker holding it, or end it
-  /// here when it is between workers (requeued after a crash, or parked
-  /// for migration).
+  /// here when it is between workers (requeued after a crash).
   void Cancel(const std::shared_ptr<JobState>& state) override {
     Outbox out;
     {
@@ -226,7 +222,6 @@ class WorkerSet final : public engine_internal::Backend {
     ClusterStats s;
     s.completed = completed_.Get();
     s.cache_hits = cache_hits_.Get();
-    s.migrated = migrated_.Get();
     s.retries = retries_.Get();
     s.worker_crashes = worker_crashes_.Get();
     s.worker_restarts = worker_restarts_.Get();
@@ -298,9 +293,8 @@ class WorkerSet final : public engine_internal::Backend {
       }
     }
     // Every worker is permanently down: the service's own pool takes the
-    // run (a parked session is dropped; the run then starts afresh, which
-    // yields the same bytes). The pool outlives this backend, so the hand-
-    // off cannot be refused.
+    // run. The pool outlives this backend, so the hand-off cannot be
+    // refused.
     for (const RunPtr& run : out->local) {
       if (run->begun) {
         local_->EnqueueBegun(run->state, run->config, run->priority);
@@ -396,25 +390,12 @@ class WorkerSet final : public engine_internal::Backend {
     slot.running = wire_result.running_job_id != 0 ? wire_result.running_job_id
                    : slot.window.empty()           ? 0
                                                    : slot.window.front()->id;
-    if (wire_result.parked &&
-        !run->state->cancel.load(std::memory_order_relaxed)) {
-      // The probe stopped at a resumable checkpoint: migrate it. The probe
-      // result itself is never published — its counters describe the
-      // truncated run, not the full-budget run the caller asked for.
-      run->session_text = std::move(wire_result.session_text);
-      run->migrated = true;
-      Count("cluster.jobs_parked");
-      RouteMigration(run, slot.index, out);
-    } else {
-      completed_.Add();
-      if (wire_result.result.cache_source == CacheSource::kHit) {
-        cache_hits_.Add();
-      }
-      if (run->migrated) migrated_.Add();
-      wire_result.result.worker = slot.index;
-      out->terminals.push_back(
-          {run->state, std::move(wire_result.result), true});
+    completed_.Add();
+    if (wire_result.result.cache_source == CacheSource::kHit) {
+      cache_hits_.Add();
     }
+    wire_result.result.worker = slot.index;
+    out->terminals.push_back({run->state, std::move(wire_result.result), true});
     PumpSlot(slot, out);
   }
 
@@ -465,28 +446,16 @@ class WorkerSet final : public engine_internal::Backend {
     Route(run, out);
   }
 
-  /// Places a run: parked sessions go to the least-loaded healthy worker,
-  /// fresh runs follow the ring; with no worker up they wait in the global
-  /// pending pool (workers restarting) or run locally (all dead).
+  /// Places a run on its ring owner; with no worker up it waits in the
+  /// global pending pool (workers restarting) or runs locally (all dead).
   void Route(const RunPtr& run, Outbox* out) {
     if (all_dead_) {
       RunLocally(run, out);
       return;
     }
-    const int target = run->session_text.empty() ? ring_.Pick(run->key)
-                                                 : LeastLoadedUp(-1);
+    const int target = ring_.Pick(run->key);
     if (target < 0) {
       InsertByPriority(&pending_, run);  // a restart is pending
-      return;
-    }
-    InsertByPriority(&slots_[target].queue, run);
-    PumpSlot(slots_[target], out);
-  }
-
-  void RouteMigration(const RunPtr& run, int origin, Outbox* out) {
-    const int target = LeastLoadedUp(origin);
-    if (target < 0) {
-      Route(run, out);  // origin died meanwhile, or it is the only worker
       return;
     }
     InsertByPriority(&slots_[target].queue, run);
@@ -496,21 +465,6 @@ class WorkerSet final : public engine_internal::Backend {
   void RunLocally(const RunPtr& run, Outbox* out) {
     if (!run->begun) --queued_;
     out->local.push_back(run);
-  }
-
-  int LeastLoadedUp(int exclude) const {
-    int best = -1;
-    std::size_t best_load = 0;
-    for (const Slot& slot : slots_) {
-      if (slot.state != Slot::kUp || slot.index == exclude) continue;
-      const std::size_t load = slot.queue.size() + slot.window.size();
-      if (best < 0 || load < best_load) {
-        best = slot.index;
-        best_load = load;
-      }
-    }
-    if (best < 0 && exclude >= 0) return LeastLoadedUp(-1);
-    return best;
   }
 
   /// Sends queued runs until the slot's window is full.
@@ -540,17 +494,11 @@ class WorkerSet final : public engine_internal::Backend {
         }
         run->begun = true;
       }
-      const std::uint64_t probe_steps =
-          !run->probed && run->session_text.empty()
-              ? options_.migration_probe_steps
-              : 0;
-      run->probed = true;
       if (slot.window.empty()) slot.running = run->id;
       slot.window.push_back(run);
       Send(slot, FrameType::kJob,
-           EncodeJobPayload(run->id, probe_steps, run->priority,
-                            run->fingerprint, run->state->job, run->config,
-                            run->session_text),
+           EncodeJobPayload(run->id, run->priority, run->fingerprint,
+                            run->state->job, run->config),
            out);
     }
   }
@@ -845,7 +793,6 @@ class WorkerSet final : public engine_internal::Backend {
   // Always-on stats (mirrored into cluster.* counters).
   Stat completed_{"cluster.jobs_completed"};
   Stat cache_hits_{"cluster.cache_hits"};
-  Stat migrated_{"cluster.jobs_migrated"};
   Stat retries_{"cluster.jobs_retried"};
   Stat worker_crashes_{"cluster.worker_crashes"};
   Stat worker_restarts_{"cluster.worker_restarts"};

@@ -17,7 +17,10 @@
 // cache — from the one implementation in engine/service.cc; this layer
 // only runs them. Jobs are keyed on the canonical-form fingerprint
 // (cache/canonical.h), so isomorphic jobs consistently land on the same
-// worker and its result cache serves repeats as kHit.
+// worker and its result cache serves repeats as kHit. A run is sent once,
+// to its ring owner, with its full config, and one result answers it; only
+// a worker's death sends it again. A chase never moves between workers
+// part-way, so a remote ResumeWithBudget runs the new budgets from scratch.
 //
 // Threads. One mutex guards the scheduling state (slots, ring, queues).
 // No job is published and no socket is written while it is held: frames
@@ -57,11 +60,6 @@
 //                frame; the worker raises its solver's cancel flag, so even
 //                a pumping chase stops promptly, or answers a job still in
 //                its inbox as kCancelled at once;
-//   * migration— with migration_probe_steps set, a first dispatch runs a
-//                bounded probe; a chase that is still running at the probe
-//                budget parks its ChaseSession, which the router migrates
-//                to the least-loaded worker and resumes — byte-identical
-//                to an uninterrupted run by the PR-4 resume contract;
 //   * all down — when every slot is permanently dead, jobs run on the
 //                service's local backend.
 #ifndef TDLIB_CLUSTER_ROUTER_H_
@@ -108,10 +106,6 @@ struct ClusterOptions {
   double heartbeat_interval_seconds = 0.25;
   double heartbeat_timeout_seconds = 2.0;
 
-  /// When > 0: first dispatch of a job runs a probe with this chase-step
-  /// budget; a still-running chase parks and migrates (see file comment).
-  std::uint64_t migration_probe_steps = 0;
-
   /// Test hook forwarded to workers (WorkerOptions::hang_after_jobs).
   int hang_after_jobs = 0;
 };
@@ -138,7 +132,6 @@ struct ClusterSubmitOptions {
 struct ClusterStats {
   std::int64_t completed = 0;     ///< runs a worker answered
   std::int64_t cache_hits = 0;    ///< of those, served from a worker cache
-  std::int64_t migrated = 0;      ///< of those, resumed a parked chase
   std::int64_t retries = 0;       ///< re-dispatches after a worker death
   std::int64_t worker_crashes = 0;
   std::int64_t worker_restarts = 0;

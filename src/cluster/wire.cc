@@ -90,8 +90,10 @@ Result<bool> CheckHeader(const char* h, FrameType* type, std::uint32_t* length,
 constexpr std::uint32_t kJobPayloadTag = 0x626a6474;
 constexpr std::uint32_t kResultPayloadTag = 0x62726474;
 // Version 1 was the text form; version 3 added the result's running job;
-// version 4 dropped two retired chase config flags from the job's config.
-constexpr std::uint32_t kPayloadVersion = 4;
+// version 4 dropped two retired chase config flags from the job's config;
+// version 5 dropped the job's probe budget and session block and the
+// result's parked flag and session block.
+constexpr std::uint32_t kPayloadVersion = 5;
 
 // Appends fixed-width little-endian fields and length-prefixed strings.
 class ByteWriter {
@@ -344,17 +346,15 @@ Result<Frame> DecodeFrame(std::string_view bytes, std::size_t* consumed) {
   return frame;
 }
 
-std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
-                             int priority, const CacheFingerprint& fingerprint,
-                             const Job& job, const DualSolverConfig& config,
-                             std::string_view session_text) {
+std::string EncodeJobPayload(std::uint64_t job_id, int priority,
+                             const CacheFingerprint& fingerprint,
+                             const Job& job, const DualSolverConfig& config) {
   std::string payload;
-  payload.reserve(256 + job.name.size() + session_text.size());
+  payload.reserve(256 + job.name.size());
   ByteWriter out(&payload);
   out.U32(kJobPayloadTag);
   out.U32(kPayloadVersion);
   out.U64(job_id);
-  out.U64(probe_steps);
   out.I32(priority);
   // A deadline-clamped run config is not cacheable: whatever the caller
   // fingerprinted, the worker must not cache this run.
@@ -373,15 +373,13 @@ std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
     WriteDependency(dep, schema.arity(), &wire_ids, &out);
   }
   WriteDependency(job.goal, schema.arity(), &wire_ids, &out);
-  out.Bytes(session_text);
   return payload;
 }
 
 std::string EncodeJobPayload(const WireJob& wire_job) {
-  return EncodeJobPayload(wire_job.job_id, wire_job.probe_steps,
-                          wire_job.job.priority, wire_job.fingerprint,
-                          wire_job.job,
-                          wire_job.job.config, wire_job.session_text);
+  return EncodeJobPayload(wire_job.job_id, wire_job.job.priority,
+                          wire_job.fingerprint, wire_job.job,
+                          wire_job.job.config);
 }
 
 Result<WireJob> DecodeJobPayload(std::string_view payload) {
@@ -396,11 +394,10 @@ Result<WireJob> DecodeJobPayload(std::string_view payload) {
                             std::to_string(version));
   }
   std::uint64_t job_id = 0;
-  std::uint64_t probe_steps = 0;
   int priority = 0;
   CacheFingerprint fingerprint;
   std::string name;
-  if (!in.U64(&job_id) || !in.U64(&probe_steps) || !in.I32(&priority) ||
+  if (!in.U64(&job_id) || !in.I32(&priority) ||
       !in.Bool(&fingerprint.valid) || !in.U64(&fingerprint.hi) ||
       !in.U64(&fingerprint.lo) || !in.Bytes(&name)) {
     return Corrupt<WireJob>("job payload: bad header");
@@ -443,29 +440,23 @@ Result<WireJob> DecodeJobPayload(std::string_view payload) {
   }
   std::optional<Dependency> goal = ReadDependency(&in, schema);
   if (!goal.has_value()) return Corrupt<WireJob>("job payload: bad goal");
-  std::string session_text;
-  if (!in.Bytes(&session_text) || !in.AtEnd()) {
-    return Corrupt<WireJob>("job payload: bad session block");
-  }
+  if (!in.AtEnd()) return Corrupt<WireJob>("job payload: trailing bytes");
   WireJob wire_job(Job{std::move(name), std::move(dependencies),
                        std::move(*goal), config, priority});
   wire_job.job_id = job_id;
-  wire_job.probe_steps = probe_steps;
   wire_job.fingerprint = fingerprint;
-  wire_job.session_text = std::move(session_text);
   return wire_job;
 }
 
 std::string EncodeResultPayload(const WireResult& wire_result) {
   const JobResult& r = wire_result.result;
   std::string payload;
-  payload.reserve(128 + r.name.size() + wire_result.session_text.size());
+  payload.reserve(128 + r.name.size());
   ByteWriter out(&payload);
   out.U32(kResultPayloadTag);
   out.U32(kPayloadVersion);
   out.U64(wire_result.job_id);
   out.U64(wire_result.running_job_id);
-  out.Bool(wire_result.parked);
   out.U8(static_cast<std::uint8_t>(r.status));
   out.U8(static_cast<std::uint8_t>(r.verdict));
   out.U8(static_cast<std::uint8_t>(r.cache_source));
@@ -480,7 +471,6 @@ std::string EncodeResultPayload(const WireResult& wire_result) {
     out.F64(seconds);
   }
   out.Bytes(r.name);
-  out.Bytes(wire_result.session_text);
   return payload;
 }
 
@@ -499,7 +489,6 @@ Result<WireResult> DecodeResultPayload(std::string_view payload) {
   JobResult& r = wire_result.result;
   std::uint8_t status = 0, verdict = 0, cache_source = 0;
   if (!in.U64(&wire_result.job_id) || !in.U64(&wire_result.running_job_id) ||
-      !in.Bool(&wire_result.parked) ||
       !in.U8(&status) || !in.U8(&verdict) || !in.U8(&cache_source) ||
       !in.I32(&r.rounds_used) ||
       status > static_cast<int>(JobStatus::kCancelled) ||
@@ -520,9 +509,8 @@ Result<WireResult> DecodeResultPayload(std::string_view payload) {
       !in.F64(&r.checkpoint_seconds)) {
     return Corrupt<WireResult>("result payload: bad wall times");
   }
-  if (!in.Bytes(&r.name) || !in.Bytes(&wire_result.session_text) ||
-      !in.AtEnd()) {
-    return Corrupt<WireResult>("result payload: bad name or session");
+  if (!in.Bytes(&r.name) || !in.AtEnd()) {
+    return Corrupt<WireResult>("result payload: bad name");
   }
   return wire_result;
 }

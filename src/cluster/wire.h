@@ -22,9 +22,8 @@
 // renumbered densely per attribute in id order, so no attribute has more
 // variables than its dependency has rows. The router's 128-bit canonical
 // fingerprint rides along, so the worker neither parses text nor
-// fingerprints the job again. A parked chase travels as opaque ChaseSession text
-// (chase/implication.h), so a checkpoint that migrates between processes
-// resumes byte-for-byte by the resume contract.
+// fingerprints the job again. A job always travels whole and is answered by
+// one result; no chase state crosses the wire.
 //
 // Every decoder treats its input as untrusted: bad magic, an oversized
 // length, a hash mismatch, a truncated stream or a malformed payload all
@@ -53,10 +52,10 @@ enum class FrameType : std::uint8_t {
   kHello = 1,   ///< worker is up: "tdhello <pid> <kWireProtocolVersion>"
   kPing = 2,    ///< heartbeat probe (seq)
   kPong = 3,    ///< heartbeat answer (echoed seq)
-  kJob = 4,     ///< one job assignment (id, priority, config,
-                ///  dependencies, session); a worker holds a few at once
-                ///  and runs them in priority order, FIFO within one
-  kResult = 5,  ///< terminal or parked outcome of an assigned job
+  kJob = 4,     ///< one job assignment (id, priority, fingerprint, config,
+                ///  dependencies); a worker holds a few at once and runs
+                ///  them in priority order, FIFO within one
+  kResult = 5,  ///< terminal outcome of an assigned job
   kShutdown = 6, ///< drain and exit cleanly
   kCancel = 7   ///< stop an assigned job (decimal job id): a running one
                 ///  has its solver's cancel flag raised and answers with
@@ -64,10 +63,10 @@ enum class FrameType : std::uint8_t {
                 ///  worker's queue and is answered kCancelled at once
 };
 
-/// Largest payload a frame may declare. Parked sessions dominate frame
-/// sizes; 64 MiB is far above any instance the solver budgets admit, and
-/// low enough that a corrupted length field cannot provoke a huge
-/// allocation.
+/// Largest payload a frame may declare: a cap on an untrusted length, not
+/// a size any frame approaches (a job frame grows with its dependencies'
+/// rows, a result frame with the job name). 64 MiB is low enough that a
+/// corrupted length field cannot provoke a huge allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 /// Header size in bytes (see the file comment for the layout).
@@ -75,8 +74,9 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 
 /// The protocol version a worker announces in its hello (2: binary job and
 /// result payloads in TDF4 frames; 3: results name the running job; 4: the
-/// job config drops two retired chase flags).
-inline constexpr int kWireProtocolVersion = 4;
+/// job config drops two retired chase flags; 5: jobs and results drop the
+/// probe budget, the parked flag and the session block).
+inline constexpr int kWireProtocolVersion = 5;
 
 /// One decoded frame.
 struct Frame {
@@ -103,20 +103,11 @@ struct WireJob {
 
   std::uint64_t job_id = 0;
 
-  /// When > 0 (and no session rides along): the worker runs a single-round
-  /// probe with this chase-step budget first, and if the probe parks a
-  /// resumable checkpoint it returns kParked instead of solving to the end
-  /// — the router then migrates the checkpoint to a less-loaded worker.
-  std::uint64_t probe_steps = 0;
-
   /// FingerprintProblem(job.dependencies, job.goal, job.config) as the
   /// router computed it, or invalid (the worker then neither consults nor
   /// fills its cache). The encoder sends it invalid whenever the config is
   /// not cacheable.
   CacheFingerprint fingerprint;
-
-  /// ChaseSession text of a previously parked chase ("" = start fresh).
-  std::string session_text;
 
   Job job;
 };
@@ -130,12 +121,6 @@ struct WireResult {
   /// starts at once). The router charges a crash to this job.
   std::uint64_t running_job_id = 0;
 
-  /// True: the run stopped at a resumable checkpoint under the probe budget
-  /// and `session_text` carries it; `result` is then the PROBE result and
-  /// must not be published (its counters describe the truncated run).
-  bool parked = false;
-
-  std::string session_text;
   JobResult result;
 };
 
@@ -145,10 +130,9 @@ struct WireResult {
 /// invalid; it is sent invalid when `config` is not cacheable
 /// (CacheableConfig). The router encodes its queued runs through this
 /// directly; the WireJob overload forwards to it.
-std::string EncodeJobPayload(std::uint64_t job_id, std::uint64_t probe_steps,
-                             int priority, const CacheFingerprint& fingerprint,
-                             const Job& job, const DualSolverConfig& config,
-                             std::string_view session_text);
+std::string EncodeJobPayload(std::uint64_t job_id, int priority,
+                             const CacheFingerprint& fingerprint,
+                             const Job& job, const DualSolverConfig& config);
 
 /// Renders/parses a WireJob payload (for a FrameType::kJob frame). The
 /// decoded job keeps every variable id, row and config field; a variable

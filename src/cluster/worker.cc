@@ -10,7 +10,6 @@
 #include <mutex>
 #include <optional>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -61,8 +60,7 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
   config.base_chase.cancel = cancel;
   config.base_counterexample.cancel = cancel;
 
-  // The router fingerprinted the FULL config (a cached verdict replays the
-  // full run's deterministic bytes, never a probe's), or sent it invalid.
+  // The router fingerprinted the run's config, or sent it invalid.
   const CacheFingerprint& fingerprint = wire_job.fingerprint;
   CachedVerdict cached;
   if (fingerprint.valid && cache->Lookup(fingerprint, &cached)) {
@@ -71,45 +69,6 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
   }
 
   ChaseSession session;
-  if (!wire_job.session_text.empty()) {
-    std::istringstream iss(wire_job.session_text);
-    Result<ChaseSession> restored =
-        ChaseSession::Deserialize(job.goal.schema_ptr(), iss);
-    // A corrupt migrated session is not fatal: running from scratch under
-    // the full config produces the same bytes (resume is invisible); only
-    // the probe's work is lost.
-    if (restored.ok()) session = std::move(restored).value();
-  }
-
-  const std::uint64_t probe_steps = wire_job.probe_steps;
-  const bool try_probe =
-      probe_steps > 0 && !session.CanResume() &&
-      config.base_chase.deadline_seconds <= 0 &&
-      config.base_counterexample.deadline_seconds <= 0 &&
-      (config.base_chase.max_steps == 0 ||
-       probe_steps < config.base_chase.max_steps);
-  if (try_probe) {
-    DualSolverConfig probe_config = config;
-    probe_config.rounds = 1;
-    probe_config.base_chase.max_steps = probe_steps;
-    JobResult probe_result = RunJob(job, probe_config, &session);
-    if (probe_result.status == JobStatus::kCompleted &&
-        probe_result.verdict == DualVerdict::kUnknown && session.CanResume()) {
-      std::ostringstream oss;
-      session.Serialize(oss);
-      out.parked = true;
-      out.session_text = oss.str();
-      out.result = std::move(probe_result);  // informational only
-      return out;
-    }
-    // Any other probe outcome is discarded and the full config runs from
-    // scratch: a certificate reached under the probe budgets carries the
-    // truncated run's counters (and the probe's early counterexample round
-    // can even certify a different-but-sound verdict), so publishing it
-    // would break byte-parity with the serial reference.
-    session.Reset();
-  }
-
   out.result = RunJob(job, config, &session);
   // A cancelled run's counters describe where the cancel landed, not the
   // problem: never cache them.

@@ -6,15 +6,10 @@
 // worker exactly like a crash, reschedules the jobs it held, and restarts
 // the slot. There is no in-worker error recovery to get wrong.
 //
-// Execution preserves the engine's byte-identity contracts end to end:
-//   * a kJob frame carrying a parked ChaseSession resumes it, and the
-//     resumed result equals an uninterrupted run's bytes (PR-4 contract);
-//   * a probe dispatch (WireJob::probe_steps > 0) runs one round under the
-//     probe budget; if that parks a resumable checkpoint the worker returns
-//     kParked and the ROUTER migrates the session — the probe's own result
-//     is never published, because its counters describe the truncated run;
-//   * a worker-side ResultCache serves repeat isomorphic jobs as kHit,
-//     which consistent-hash affinity routing makes likely.
+// Each kJob frame runs to the end under the config it carries, through the
+// same RunJob as a local run, so its result has a local run's bytes. A
+// worker-side ResultCache serves repeat isomorphic jobs as kHit, which
+// consistent-hash affinity routing makes likely.
 #ifndef TDLIB_CLUSTER_WORKER_H_
 #define TDLIB_CLUSTER_WORKER_H_
 

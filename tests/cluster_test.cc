@@ -2,11 +2,11 @@
 // consistent-hash ring stability, socket fault sites, and — when a tdworker
 // binary is available (ctest exports TDLIB_TDWORKER) — real multi-process
 // legs: worker-cache affinity, kill-a-worker-mid-chase recovery, heartbeat
-// kills, checkpoint park/migrate/resume, the local backend taking over when
-// every worker is down, and exactly-once completion across crash/retry
-// races. What every front door must do (parity, cancel, deadlines,
-// priorities, shedding, resume) is tests/service_test.cc's suite,
-// parametrized over the local and the remote backend.
+// kills, the local backend taking over when every worker is down, and
+// exactly-once completion across crash/retry races. What every front door
+// must do (parity, cancel, deadlines, priorities, shedding, resume) is
+// tests/service_test.cc's suite, parametrized over the local and the
+// remote backend.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -250,18 +250,35 @@ TEST(ClusterWireTest, WellFormedTdf3FrameIsRejectedByItsMagic) {
 }
 
 TEST(ClusterWireTest, JobPayloadFromThePreviousVersionIsRefused) {
-  // A job payload opens with its tag and its version, both little-endian
-  // u32s. A peer one payload version back (3) sends a config with two more
-  // fields, so the decoder must refuse it at the version, not misread it.
-  std::string payload = EncodeJobPayload(WireJob(MakeSmallJob("old peer")));
-  ASSERT_GE(payload.size(), 8u);
-  ASSERT_EQ(payload.substr(4, 4), std::string("\x04\0\0\0", 4));
-  payload[4] = 3;
-  Result<WireJob> decoded = DecodeJobPayload(payload);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.code(), ErrorCode::kCorrupt);
-  EXPECT_NE(decoded.error().find("unsupported version"), std::string::npos)
-      << decoded.error();
+  // Job and result payloads open with their tag and their version, both
+  // little-endian u32s. A peer one payload version back (4) sends a probe
+  // budget and a session block in each job, and a parked flag and a session
+  // block in each result, so the decoders must refuse both at the version,
+  // not misread them.
+  const std::string current("\x05\0\0\0", 4);
+  std::string job = EncodeJobPayload(WireJob(MakeSmallJob("old peer")));
+  ASSERT_GE(job.size(), 8u);
+  ASSERT_EQ(job.substr(4, 4), current);
+  job[4] = 4;
+  Result<WireJob> decoded_job = DecodeJobPayload(job);
+  ASSERT_FALSE(decoded_job.ok());
+  EXPECT_EQ(decoded_job.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(decoded_job.error().find("unsupported version"), std::string::npos)
+      << decoded_job.error();
+
+  WireResult wire_result;
+  wire_result.job_id = 1;
+  wire_result.result.name = "old peer";
+  std::string result = EncodeResultPayload(wire_result);
+  ASSERT_GE(result.size(), 8u);
+  ASSERT_EQ(result.substr(4, 4), current);
+  result[4] = 4;
+  Result<WireResult> decoded_result = DecodeResultPayload(result);
+  ASSERT_FALSE(decoded_result.ok());
+  EXPECT_EQ(decoded_result.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(decoded_result.error().find("unsupported version"),
+            std::string::npos)
+      << decoded_result.error();
 }
 
 TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
@@ -273,14 +290,11 @@ TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
 
   WireJob wire_job(job);
   wire_job.job_id = 42;
-  wire_job.probe_steps = 17;
-  wire_job.session_text = "";
 
   Result<WireJob> decoded = DecodeJobPayload(EncodeJobPayload(wire_job));
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   const WireJob& got = decoded.value();
   EXPECT_EQ(got.job_id, 42u);
-  EXPECT_EQ(got.probe_steps, 17u);
   EXPECT_EQ(got.job.name, "round trip job");
   EXPECT_EQ(got.job.priority, 7);
   EXPECT_EQ(got.job.config.base_chase.hom_max_nodes, 12345u);
@@ -372,7 +386,7 @@ TEST(ClusterWireTest, ForwardedFingerprintMatchesTheSentConfig) {
 
   for (const DualSolverConfig& sent : {job.config, clamped}) {
     Result<WireJob> decoded = DecodeJobPayload(
-        EncodeJobPayload(3, 0, job.priority, key, job, sent, ""));
+        EncodeJobPayload(3, job.priority, key, job, sent));
     ASSERT_TRUE(decoded.ok()) << decoded.error();
     const WireJob& got = decoded.value();
     EXPECT_EQ(got.fingerprint,
@@ -389,8 +403,6 @@ TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
   WireResult wire_result;
   wire_result.job_id = 7;
   wire_result.running_job_id = 9;
-  wire_result.parked = true;
-  wire_result.session_text = "session bytes\nwith a newline";
   JobResult& r = wire_result.result;
   r.name = "a name with spaces";
   r.status = JobStatus::kCompleted;
@@ -411,8 +423,6 @@ TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
   const WireResult& got = decoded.value();
   EXPECT_EQ(got.job_id, 7u);
   EXPECT_EQ(got.running_job_id, 9u);
-  EXPECT_TRUE(got.parked);
-  EXPECT_EQ(got.session_text, wire_result.session_text);
   EXPECT_EQ(got.result.DeterministicSummary(), r.DeterministicSummary());
   EXPECT_EQ(got.result.cache_source, CacheSource::kHit);
   EXPECT_EQ(got.result.wall_seconds, r.wall_seconds);
@@ -658,7 +668,7 @@ TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
 std::string Describe(const ClusterStats& s) {
   std::ostringstream out;
   out << "completed=" << s.completed << " cache_hits=" << s.cache_hits
-      << " migrated=" << s.migrated << " retries=" << s.retries
+      << " retries=" << s.retries
       << " worker_crashes=" << s.worker_crashes
       << " worker_restarts=" << s.worker_restarts
       << " heartbeat_timeouts=" << s.heartbeat_timeouts
@@ -812,20 +822,6 @@ TEST(ClusterRouterTest, HungWorkerIsKilledByHeartbeatAndTheJobRecovers) {
     const ClusterStats s = router.Stats();
     return s.heartbeat_timeouts >= 1 && s.worker_crashes >= 1;
   }));
-}
-
-TEST(ClusterRouterTest, ParkedCheckpointMigratesAndResumesByteIdentically) {
-  SKIP_WITHOUT_WORKER();
-  ClusterOptions options = FastOptions(2);
-  options.migration_probe_steps = 500;  // park any chase still running here
-  ClusterRouter router(options);
-
-  const Job job = MakeGapJob("migrant", 0, /*max_steps=*/2000);
-  const JobResult r = router.Submit(job).Wait();
-  ASSERT_EQ(r.status, JobStatus::kCompleted);
-  EXPECT_GE(r.worker, 0);
-  EXPECT_EQ(r.DeterministicSummary(), RunJob(job).DeterministicSummary());
-  EXPECT_EQ(router.Stats().migrated, 1);
 }
 
 TEST(ClusterRouterTest, UnspawnableWorkersRunJobsOnTheLocalBackend) {

@@ -109,15 +109,11 @@ Corpus MakeCorpus() {
     job.config.rounds = 2;
     WireJob wire_job(std::move(job));
     wire_job.job_id = 9;
-    wire_job.probe_steps = 100;
-    wire_job.session_text = corpus.session_bytes;
     corpus.job_payload_bytes = EncodeJobPayload(wire_job);
     corpus.frame_bytes = EncodeFrame(FrameType::kJob, corpus.job_payload_bytes);
 
     WireResult wire_result;
     wire_result.job_id = 9;
-    wire_result.parked = true;
-    wire_result.session_text = corpus.session_bytes;
     wire_result.result.name = "corpus job";
     wire_result.result.status = JobStatus::kCompleted;
     wire_result.result.verdict = DualVerdict::kUnknown;

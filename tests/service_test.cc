@@ -4,7 +4,7 @@
 // both execution backends: the local thread pool, and worker processes
 // through ClusterRouter (src/cluster/router.h). The remote instances skip
 // unless TDLIB_TDWORKER names the tdworker binary (ctest exports it).
-// Remote-only behavior (wire, ring, crashes, hangs, migration) is
+// Remote-only behavior (wire, ring, crashes, hangs) is
 // tests/cluster_test.cc's.
 #include "engine/service.h"
 
