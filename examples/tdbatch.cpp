@@ -411,7 +411,6 @@ int RunBatch(int argc, char** argv) {
       const ClusterStats stats = router->Stats();
       std::cout << "cluster: workers=" << cluster.num_workers
                 << " completed=" << stats.completed
-                << " cache_hits=" << stats.cache_hits
                 << " retries=" << stats.retries
                 << " crashes=" << stats.worker_crashes
                 << " restarts=" << stats.worker_restarts

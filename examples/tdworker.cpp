@@ -8,9 +8,11 @@
 // Flags:
 //   --fd=N           inherited socket file descriptor (required)
 //   --threads=N      chase matching parallelism (default 1)
-//   --cache-bytes=N  worker-side result cache budget (default 16 MiB)
 //   --hang-after=N   test hook: stop answering heartbeats after N jobs
 //                    (simulates a wedged worker; default never)
+//
+// A worker keeps no result cache (the router's front door does the
+// caching), so it takes no cache budget: any other flag is a usage error.
 //
 // The TDLIB_FAULT environment variable arms the util/fault.h sites in this
 // process (e.g. TDLIB_FAULT="cluster.socket-read:3"), which is how the CI
@@ -49,9 +51,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--threads=", 0) == 0 &&
                ParseUint(arg.c_str() + 10, &value)) {
       options.threads = static_cast<int>(value);
-    } else if (arg.rfind("--cache-bytes=", 0) == 0 &&
-               ParseUint(arg.c_str() + 14, &value)) {
-      options.cache_bytes = static_cast<std::size_t>(value);
     } else if (arg.rfind("--hang-after=", 0) == 0 &&
                ParseUint(arg.c_str() + 13, &value)) {
       options.hang_after_jobs = static_cast<int>(value);

@@ -218,7 +218,9 @@ Result<int> SaveResultCacheFile(const std::string& path,
     return Result<int>::Error(ErrorCode::kUnknown,
                               "cannot save result-cache file: " + path);
   }
-  if (!SyncDirectory(DirectoryOf(path))) {
+  const bool dirsync_fails =
+      FaultInjectionEnabled() && ShouldInject(FaultSite::kStoreDirSync);
+  if (dirsync_fails || !SyncDirectory(DirectoryOf(path))) {
     return Result<int>::Error(
         ErrorCode::kUnknown,
         "result-cache file replaced but its directory not synced: " + path);

@@ -19,11 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include "cache/canonical.h"
-#include "cluster/ring.h"
+#include "cache/result_cache.h"
 #include "cluster/sender.h"
 #include "cluster/wire.h"
-#include "util/hash.h"
 #include "util/metrics.h"
 
 namespace tdlib {
@@ -56,17 +54,13 @@ struct RemoteRun {
   std::uint64_t generation = 0;
   int priority = 0;
   std::uint64_t id = 0;      ///< wire job id
-  /// The problem's fingerprint under the run's config before any deadline
-  /// clamp; forwarded to the worker, which then skips its own.
-  CacheFingerprint fingerprint;
-  std::uint64_t key = 0;     ///< ring position (fingerprint low lane)
   bool begun = false;        ///< passed BeginRun; `config` is then valid
   DualSolverConfig config;
   int crash_retries = 0;     ///< dispatches lost to worker deaths
 };
 using RunPtr = std::shared_ptr<RemoteRun>;
 
-/// Queues run in priority order, FIFO within a priority.
+/// Keeps `queue` in priority order, FIFO within a priority.
 void InsertByPriority(std::deque<RunPtr>* queue, RunPtr run) {
   auto it = queue->end();
   while (it != queue->begin() && (*(it - 1))->priority < run->priority) --it;
@@ -154,22 +148,6 @@ class WorkerSet final : public engine_internal::Backend {
     run->state = state;
     run->generation = generation;
     run->priority = priority;
-    // A dedup runner arrives fingerprinted; anything else is keyed here,
-    // under the config BeginRun will hand this generation (a resumed job
-    // runs with new budgets, not its Job's).
-    CacheFingerprint& fp = run->fingerprint;
-    fp = state->fingerprint;
-    if (!fp.valid) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      // A stale generation never passes BeginRun; it only needs a key.
-      if (state->run_generation == generation) {
-        fp = FingerprintProblem(state->job.dependencies, state->job.goal,
-                                state->config);
-      }
-    }
-    run->key = fp.valid ? fp.lo
-                        : HashBytes128(state->job.name.data(),
-                                       state->job.name.size()).lo;
     Outbox out;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -177,7 +155,8 @@ class WorkerSet final : public engine_internal::Backend {
       outstanding_.fetch_add(1, std::memory_order_relaxed);
       ++queued_;
       run->id = next_id_++;
-      Route(run, &out);
+      Requeue(run, &out);
+      Pump(&out);
     }
     Flush(&out);
     return true;
@@ -190,10 +169,7 @@ class WorkerSet final : public engine_internal::Backend {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!CancelAtWorker(state, &out)) {
-        RunPtr run = TakeBegun(state, &pending_);
-        for (std::size_t i = 0; run == nullptr && i < slots_.size(); ++i) {
-          run = TakeBegun(state, &slots_[i].queue);
-        }
+        RunPtr run = TakeBegun(state);
         if (run != nullptr) Stop(run, JobStatus::kCancelled, &out);
       }
     }
@@ -221,7 +197,6 @@ class WorkerSet final : public engine_internal::Backend {
   ClusterStats Stats() const {
     ClusterStats s;
     s.completed = completed_.Get();
-    s.cache_hits = cache_hits_.Get();
     s.retries = retries_.Get();
     s.worker_crashes = worker_crashes_.Get();
     s.worker_restarts = worker_restarts_.Get();
@@ -261,7 +236,6 @@ class WorkerSet final : public engine_internal::Backend {
     /// worker names it in each result; a run sent to an idle worker starts
     /// at once.
     std::uint64_t running = 0;
-    std::deque<RunPtr> queue;  ///< routed here, not yet sent
   };
 
   /// What a dead worker leaves to clean up once the lock is released.
@@ -333,13 +307,13 @@ class WorkerSet final : public engine_internal::Backend {
     return false;
   }
 
-  /// Removes and returns `state`'s begun run from `queue`, if it is there.
-  static RunPtr TakeBegun(const std::shared_ptr<JobState>& state,
-                          std::deque<RunPtr>* queue) {
-    for (auto it = queue->begin(); it != queue->end(); ++it) {
+  /// Removes and returns `state`'s begun run from the pending queue, if it
+  /// is there (requeued after a crash).
+  RunPtr TakeBegun(const std::shared_ptr<JobState>& state) {
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
       if ((*it)->state == state && (*it)->begun) {
         RunPtr run = std::move(*it);
-        queue->erase(it);
+        pending_.erase(it);
         return run;
       }
     }
@@ -349,7 +323,7 @@ class WorkerSet final : public engine_internal::Backend {
   /// Ends a run here without a worker's answer.
   static void Stop(const RunPtr& run, JobStatus status, Outbox* out) {
     JobResult result;
-    result.name = run->state->job.name;
+    result.name = run->state->job->name;
     result.status = status;
     out->terminals.push_back({run->state, std::move(result), true});
   }
@@ -368,15 +342,14 @@ class WorkerSet final : public engine_internal::Backend {
     slot.state = Slot::kUp;
     slot.last_pong = Clock::now();
     slot.last_ping = slot.last_pong;
-    ring_.Add(slot.index);
-    workers_healthy_gauge_->Set(ring_.size());
-    workers_up_.store(ring_.size(), std::memory_order_relaxed);
-    // Keys that fell into the global pending pool while no worker was up
-    // can be placed now.
-    std::deque<RunPtr> pending;
-    pending.swap(pending_);
-    for (RunPtr& run : pending) Route(run, out);
-    PumpSlot(slot, out);
+    SetWorkersUp(workers_up_.load(std::memory_order_relaxed) + 1);
+    Pump(out);
+  }
+
+  /// Workers that have said hello and not died since (guarded by mu_).
+  void SetWorkersUp(std::int64_t n) {
+    workers_healthy_gauge_->Set(n);
+    workers_up_.store(n, std::memory_order_relaxed);
   }
 
   void HandleResult(Slot& slot, WireResult& wire_result, Outbox* out) {
@@ -391,23 +364,20 @@ class WorkerSet final : public engine_internal::Backend {
                    : slot.window.empty()           ? 0
                                                    : slot.window.front()->id;
     completed_.Add();
-    if (wire_result.result.cache_source == CacheSource::kHit) {
-      cache_hits_.Add();
-    }
     wire_result.result.worker = slot.index;
     out->terminals.push_back({run->state, std::move(wire_result.result), true});
-    PumpSlot(slot, out);
+    Pump(out);
   }
 
-  /// Takes a dead worker off the ring and re-places its runs. Only the run
-  /// its solver was on was lost mid-run: that one takes the retry-counted
-  /// path. The rest waited in the worker's inbox (or had not reached it)
-  /// and re-route like queued runs.
+  /// Takes a dead worker out of the pull and requeues its runs. Only the
+  /// run its solver was on was lost mid-run: that one takes the
+  /// retry-counted path. The rest waited in the worker's inbox and go back
+  /// to the queue like runs never sent.
   Remains HandleWorkerDeath(Slot& slot, Outbox* out) {
     worker_crashes_.Add();
-    ring_.Remove(slot.index);
-    workers_healthy_gauge_->Set(ring_.size());
-    workers_up_.store(ring_.size(), std::memory_order_relaxed);
+    if (slot.state == Slot::kUp) {
+      SetWorkersUp(workers_up_.load(std::memory_order_relaxed) - 1);
+    }
     Remains remains{std::move(slot.reader), std::move(slot.sender), slot.fd,
                     slot.pid};
     slot.fd = -1;
@@ -418,18 +388,16 @@ class WorkerSet final : public engine_internal::Backend {
     window.swap(slot.window);
     const std::uint64_t running = slot.running;
     slot.running = 0;
-    std::deque<RunPtr> queued;
-    queued.swap(slot.queue);
     RetireOrRestart(slot, out);
 
     for (const RunPtr& run : window) {
       Recover(run, /*lost=*/run->id == running, out);
     }
-    for (RunPtr& run : queued) Route(run, out);
+    Pump(out);
     return remains;
   }
 
-  /// Re-places a run a dead worker held; a `lost` run is charged a retry.
+  /// Requeues a run a dead worker held; a `lost` run is charged a retry.
   void Recover(const RunPtr& run, bool lost, Outbox* out) {
     if (run->state->cancel.load(std::memory_order_relaxed)) {
       Stop(run, JobStatus::kCancelled, out);  // nobody wants the answer
@@ -443,23 +411,17 @@ class WorkerSet final : public engine_internal::Backend {
       }
       retries_.Add();
     }
-    Route(run, out);
+    Requeue(run, out);
   }
 
-  /// Places a run on its ring owner; with no worker up it waits in the
-  /// global pending pool (workers restarting) or runs locally (all dead).
-  void Route(const RunPtr& run, Outbox* out) {
+  /// Puts a run in the one pending queue, which the workers pull from
+  /// (Pump); once every slot is dead it goes to the local backend instead.
+  void Requeue(const RunPtr& run, Outbox* out) {
     if (all_dead_) {
       RunLocally(run, out);
-      return;
+    } else {
+      InsertByPriority(&pending_, run);
     }
-    const int target = ring_.Pick(run->key);
-    if (target < 0) {
-      InsertByPriority(&pending_, run);  // a restart is pending
-      return;
-    }
-    InsertByPriority(&slots_[target].queue, run);
-    PumpSlot(slots_[target], out);
   }
 
   void RunLocally(const RunPtr& run, Outbox* out) {
@@ -467,16 +429,31 @@ class WorkerSet final : public engine_internal::Backend {
     out->local.push_back(run);
   }
 
-  /// Sends queued runs until the slot's window is full.
-  void PumpSlot(Slot& slot, Outbox* out) {
-    while (slot.state == Slot::kUp && slot.window.size() < kWorkerWindow &&
-           !slot.queue.empty()) {
-      if (!slot.queue.front()->begun && !slot.window.empty() &&
-          BeginsOnIdleWorker(*slot.queue.front())) {
-        return;
+  /// The up worker with room in its window that takes the next run: the
+  /// one holding the fewest runs, so an idle worker goes first, and the
+  /// lowest slot index on a tie. With `idle_only`, only an idle worker.
+  Slot* PullingSlot(bool idle_only) {
+    Slot* best = nullptr;
+    for (Slot& slot : slots_) {
+      if (slot.state != Slot::kUp || slot.window.size() >= kWorkerWindow ||
+          (idle_only && !slot.window.empty())) {
+        continue;
       }
-      RunPtr run = std::move(slot.queue.front());
-      slot.queue.pop_front();
+      if (best == nullptr || slot.window.size() < best->window.size()) {
+        best = &slot;
+      }
+    }
+    return best;
+  }
+
+  /// Sends pending runs, in queue order, while some up worker has room.
+  void Pump(Outbox* out) {
+    while (!pending_.empty()) {
+      const RemoteRun& next = *pending_.front();
+      Slot* slot = PullingSlot(!next.begun && BeginsOnIdleWorker(next));
+      if (slot == nullptr) return;
+      RunPtr run = std::move(pending_.front());
+      pending_.pop_front();
       if (!run->begun) {
         // The remote analogue of a pool worker's pickup.
         --queued_;
@@ -494,11 +471,11 @@ class WorkerSet final : public engine_internal::Backend {
         }
         run->begun = true;
       }
-      if (slot.window.empty()) slot.running = run->id;
-      slot.window.push_back(run);
-      Send(slot, FrameType::kJob,
-           EncodeJobPayload(run->id, run->priority, run->fingerprint,
-                            run->state->job, run->config),
+      if (slot->window.empty()) slot->running = run->id;
+      slot->window.push_back(run);
+      Send(*slot, FrameType::kJob,
+           EncodeJobPayload(run->id, run->priority, *run->state->job,
+                            run->config),
            out);
     }
   }
@@ -529,10 +506,6 @@ class WorkerSet final : public engine_internal::Backend {
     slot.state = Slot::kDead;
     if (!AllSlotsDead()) return;
     all_dead_ = true;
-    for (Slot& other : slots_) {
-      for (RunPtr& run : other.queue) RunLocally(run, out);
-      other.queue.clear();
-    }
     for (RunPtr& run : pending_) RunLocally(run, out);
     pending_.clear();
   }
@@ -627,8 +600,6 @@ class WorkerSet final : public engine_internal::Backend {
     }
     args.push_back("--fd=" + std::to_string(fds[1]));
     args.push_back("--threads=" + std::to_string(options_.worker_threads));
-    args.push_back("--cache-bytes=" +
-                   std::to_string(options_.worker_cache_bytes));
     if (options_.hang_after_jobs > 0) {
       args.push_back("--hang-after=" +
                      std::to_string(options_.hang_after_jobs));
@@ -784,15 +755,13 @@ class WorkerSet final : public engine_internal::Backend {
   bool stopping_ = false;
   std::size_t queued_ = 0;  ///< outstanding runs not yet begun
   std::vector<Slot> slots_;
-  HashRing ring_;
-  std::deque<RunPtr> pending_;
+  std::deque<RunPtr> pending_;  ///< runs no worker holds, in priority order
   bool all_dead_ = false;
   std::deque<int> gone_;  ///< slots whose reader saw the worker die
   std::thread dispatcher_;
 
   // Always-on stats (mirrored into cluster.* counters).
   Stat completed_{"cluster.jobs_completed"};
-  Stat cache_hits_{"cluster.cache_hits"};
   Stat retries_{"cluster.jobs_retried"};
   Stat worker_crashes_{"cluster.worker_crashes"};
   Stat worker_restarts_{"cluster.worker_restarts"};
@@ -816,16 +785,17 @@ ClusterRouter::ClusterRouter(ClusterOptions options, ServiceOptions service) {
 
 namespace {
 
-ServiceOptions OneThreadLocalBackend() {
+ServiceOptions OneThreadLocalBackendWithCache() {
   ServiceOptions options;
   options.num_threads = 1;
+  options.result_cache = std::make_shared<ResultCache>();
   return options;
 }
 
 }  // namespace
 
 ClusterRouter::ClusterRouter(ClusterOptions options)
-    : ClusterRouter(std::move(options), OneThreadLocalBackend()) {}
+    : ClusterRouter(std::move(options), OneThreadLocalBackendWithCache()) {}
 
 ClusterRouter::~ClusterRouter() = default;
 

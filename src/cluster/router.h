@@ -6,26 +6,30 @@
 //   SolverService::Submit ── admission, cache, dedup (the service's own)
 //            │
 //            ▼
-//   WorkerSet::Enqueue ──ring──▶ worker 0  (tdworker process)
-//            │                   worker 1
-//            │                   ...
+//   WorkerSet::Enqueue ──▶ one pending queue ──pull──▶ worker 0  (tdworker)
+//            │                                         worker 1
+//            │                                         ...
 //            └──▶ local backend (the service's pool; only when every
 //                 worker is down)
 //
 // Jobs therefore get everything a local submission gets — JobHandle
 // Wait/Poll/Cancel, deadlines, priorities, ResumeWithBudget, the result
 // cache — from the one implementation in engine/service.cc; this layer
-// only runs them. Jobs are keyed on the canonical-form fingerprint
-// (cache/canonical.h), so isomorphic jobs consistently land on the same
-// worker and its result cache serves repeats as kHit. A run is sent once,
-// to its ring owner, with its full config, and one result answers it; only
-// a worker's death sends it again. A chase never moves between workers
-// part-way, so a remote ResumeWithBudget runs the new budgets from scratch.
+// only runs them. The front door's cache, when the service has one, is the
+// cluster's only cache: a repeat is a kHit, and an isomorphic job submitted
+// while another runs is coalesced onto it, before either reaches this
+// layer; workers cache nothing. Runs wait in one priority queue, and every worker that is up
+// pulls from it while its window has room: the worker holding the fewest
+// runs first (so an idle one goes first), the lowest slot index on a tie.
+// A run is sent once, with its full config, and one result answers it;
+// only a worker's death sends it again. A chase never moves between
+// workers part-way, so a remote ResumeWithBudget runs the new budgets from
+// scratch.
 //
-// Threads. One mutex guards the scheduling state (slots, ring, queues).
+// Threads. One mutex guards the scheduling state (slots, the queue).
 // No job is published and no socket is written while it is held: frames
 // are queued under it and written once it is released (cluster/sender.h).
-// Enqueue routes a run and writes its job frame on the submitting thread;
+// Enqueue queues a run and writes its job frame on the submitting thread;
 // Cancel and KillWorker run on the calling thread. Each worker has a reader
 // thread that handles that worker's hellos, pongs and results in place and
 // then sends it more jobs, and a writer thread that only writes what the
@@ -44,11 +48,12 @@
 //
 // Robustness model:
 //   * crash    — a worker's socket closing (or a corrupt frame from it)
-//                marks the slot down and requeues its jobs on a healthy
-//                worker: the one it was solving is charged a retry
-//                (bounded by max_retries, then published as kSkipped), the
-//                rest re-route freely; the process restarts under bounded
-//                exponential backoff until max_restarts is spent;
+//                marks the slot down and puts its jobs back in the queue
+//                for the healthy workers: the one it was solving is
+//                charged a retry (bounded by max_retries, then published
+//                as kSkipped), the rest go back freely; the process
+//                restarts under bounded exponential backoff until
+//                max_restarts is spent;
 //   * hang     — heartbeat pings every heartbeat_interval_seconds; a worker
 //                silent past heartbeat_timeout_seconds is SIGKILLed and
 //                takes the crash path;
@@ -65,7 +70,6 @@
 #ifndef TDLIB_CLUSTER_ROUTER_H_
 #define TDLIB_CLUSTER_ROUTER_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -85,11 +89,10 @@ struct ClusterOptions {
   int num_workers = 2;
 
   /// Worker executable. "" = $TDLIB_TDWORKER. Spawned as
-  /// `cmd --fd=N --threads=T --cache-bytes=B [--hang-after=K]`.
+  /// `cmd --fd=N --threads=T [--hang-after=K]`.
   std::string worker_command;
 
   int worker_threads = 1;
-  std::size_t worker_cache_bytes = 16u << 20;
 
   /// Crash retries per job before it is published as kSkipped (a dispatch
   /// lost to a worker death is re-dispatched this many times).
@@ -131,20 +134,23 @@ struct ClusterSubmitOptions {
 /// on). Admission and outcome totals are the service's engine.* metrics.
 struct ClusterStats {
   std::int64_t completed = 0;     ///< runs a worker answered
-  std::int64_t cache_hits = 0;    ///< of those, served from a worker cache
+  /// Always 0: workers keep no cache (the front door's hits are its
+  /// ResultCache's stats). Kept for callers that still read it.
+  std::int64_t cache_hits = 0;
   std::int64_t retries = 0;       ///< re-dispatches after a worker death
   std::int64_t worker_crashes = 0;
   std::int64_t worker_restarts = 0;
   std::int64_t heartbeat_timeouts = 0;
-  std::int64_t workers_up = 0;    ///< workers on the ring right now
+  std::int64_t workers_up = 0;    ///< workers up (said hello, not dead)
 };
 
 class ClusterRouter {
  public:
   /// Spawns the workers. `service` configures the front door as for any
   /// SolverService; its num_threads sizes the local backend, which runs
-  /// jobs only while every worker is down. The one-argument form uses a
-  /// one-thread local backend and no router-side cache.
+  /// jobs only while every worker is down, and it caches exactly when its
+  /// result_cache is set. The one-argument form uses a one-thread local
+  /// backend and a default ResultCache.
   explicit ClusterRouter(ClusterOptions options);
   ClusterRouter(ClusterOptions options, ServiceOptions service);
 

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/canonical.h"
 #include "util/fault.h"
 #include "util/hash.h"
 
@@ -92,8 +91,9 @@ constexpr std::uint32_t kResultPayloadTag = 0x62726474;
 // Version 1 was the text form; version 3 added the result's running job;
 // version 4 dropped two retired chase config flags from the job's config;
 // version 5 dropped the job's probe budget and session block and the
-// result's parked flag and session block.
-constexpr std::uint32_t kPayloadVersion = 5;
+// result's parked flag and session block; version 6 dropped the job's
+// canonical fingerprint.
+constexpr std::uint32_t kPayloadVersion = 6;
 
 // Appends fixed-width little-endian fields and length-prefixed strings.
 class ByteWriter {
@@ -347,7 +347,6 @@ Result<Frame> DecodeFrame(std::string_view bytes, std::size_t* consumed) {
 }
 
 std::string EncodeJobPayload(std::uint64_t job_id, int priority,
-                             const CacheFingerprint& fingerprint,
                              const Job& job, const DualSolverConfig& config) {
   std::string payload;
   payload.reserve(256 + job.name.size());
@@ -356,12 +355,6 @@ std::string EncodeJobPayload(std::uint64_t job_id, int priority,
   out.U32(kPayloadVersion);
   out.U64(job_id);
   out.I32(priority);
-  // A deadline-clamped run config is not cacheable: whatever the caller
-  // fingerprinted, the worker must not cache this run.
-  const bool fingerprint_valid = fingerprint.valid && CacheableConfig(config);
-  out.Bool(fingerprint_valid);
-  out.U64(fingerprint_valid ? fingerprint.hi : 0);
-  out.U64(fingerprint_valid ? fingerprint.lo : 0);
   out.Bytes(job.name);
   WriteConfig(config, &out);
   const Schema& schema = job.goal.schema();
@@ -378,8 +371,7 @@ std::string EncodeJobPayload(std::uint64_t job_id, int priority,
 
 std::string EncodeJobPayload(const WireJob& wire_job) {
   return EncodeJobPayload(wire_job.job_id, wire_job.job.priority,
-                          wire_job.fingerprint, wire_job.job,
-                          wire_job.job.config);
+                          wire_job.job, wire_job.job.config);
 }
 
 Result<WireJob> DecodeJobPayload(std::string_view payload) {
@@ -395,11 +387,8 @@ Result<WireJob> DecodeJobPayload(std::string_view payload) {
   }
   std::uint64_t job_id = 0;
   int priority = 0;
-  CacheFingerprint fingerprint;
   std::string name;
-  if (!in.U64(&job_id) || !in.I32(&priority) ||
-      !in.Bool(&fingerprint.valid) || !in.U64(&fingerprint.hi) ||
-      !in.U64(&fingerprint.lo) || !in.Bytes(&name)) {
+  if (!in.U64(&job_id) || !in.I32(&priority) || !in.Bytes(&name)) {
     return Corrupt<WireJob>("job payload: bad header");
   }
   DualSolverConfig config;
@@ -444,7 +433,6 @@ Result<WireJob> DecodeJobPayload(std::string_view payload) {
   WireJob wire_job(Job{std::move(name), std::move(dependencies),
                        std::move(*goal), config, priority});
   wire_job.job_id = job_id;
-  wire_job.fingerprint = fingerprint;
   return wire_job;
 }
 

@@ -20,9 +20,9 @@
 // dependency through Dependency::Builder, which validates it, and names
 // each variable by its id). Only variables that occur in a row are sent,
 // renumbered densely per attribute in id order, so no attribute has more
-// variables than its dependency has rows. The router's 128-bit canonical
-// fingerprint rides along, so the worker neither parses text nor
-// fingerprints the job again. A job always travels whole and is answered by
+// variables than its dependency has rows. The worker never parses text, and
+// it keeps no cache, so the job carries no fingerprint: the router's front
+// door does all the caching. A job always travels whole and is answered by
 // one result; no chase state crosses the wire.
 //
 // Every decoder treats its input as untrusted: bad magic, an oversized
@@ -40,7 +40,6 @@
 #include <string>
 #include <string_view>
 
-#include "cache/fingerprint.h"
 #include "engine/job.h"
 #include "util/status.h"
 
@@ -52,7 +51,7 @@ enum class FrameType : std::uint8_t {
   kHello = 1,   ///< worker is up: "tdhello <pid> <kWireProtocolVersion>"
   kPing = 2,    ///< heartbeat probe (seq)
   kPong = 3,    ///< heartbeat answer (echoed seq)
-  kJob = 4,     ///< one job assignment (id, priority, fingerprint, config,
+  kJob = 4,     ///< one job assignment (id, priority, config,
                 ///  dependencies); a worker holds a few at once and runs
                 ///  them in priority order, FIFO within one
   kResult = 5,  ///< terminal outcome of an assigned job
@@ -75,8 +74,9 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 /// The protocol version a worker announces in its hello (2: binary job and
 /// result payloads in TDF4 frames; 3: results name the running job; 4: the
 /// job config drops two retired chase flags; 5: jobs and results drop the
-/// probe budget, the parked flag and the session block).
-inline constexpr int kWireProtocolVersion = 5;
+/// probe budget, the parked flag and the session block; 6: jobs drop the
+/// canonical fingerprint).
+inline constexpr int kWireProtocolVersion = 6;
 
 /// One decoded frame.
 struct Frame {
@@ -102,13 +102,6 @@ struct WireJob {
   explicit WireJob(Job j) : job(std::move(j)) {}
 
   std::uint64_t job_id = 0;
-
-  /// FingerprintProblem(job.dependencies, job.goal, job.config) as the
-  /// router computed it, or invalid (the worker then neither consults nor
-  /// fills its cache). The encoder sends it invalid whenever the config is
-  /// not cacheable.
-  CacheFingerprint fingerprint;
-
   Job job;
 };
 
@@ -125,13 +118,10 @@ struct WireResult {
 };
 
 /// Renders a kJob payload for `job` run under `config` at `priority`
-/// (which replace job.config and job.priority on the wire). `fingerprint`
-/// must be FingerprintProblem(job.dependencies, job.goal, config) or
-/// invalid; it is sent invalid when `config` is not cacheable
-/// (CacheableConfig). The router encodes its queued runs through this
-/// directly; the WireJob overload forwards to it.
+/// (which replace job.config and job.priority on the wire). The router
+/// encodes its queued runs through this directly; the WireJob overload
+/// forwards to it.
 std::string EncodeJobPayload(std::uint64_t job_id, int priority,
-                             const CacheFingerprint& fingerprint,
                              const Job& job, const DualSolverConfig& config);
 
 /// Renders/parses a WireJob payload (for a FrameType::kJob frame). The

@@ -14,7 +14,6 @@
 #include <thread>
 #include <utility>
 
-#include "cache/result_cache.h"
 #include "cluster/wire.h"
 #include "engine/thread_pool.h"
 
@@ -49,7 +48,7 @@ class FrameWriter {
 /// and by the worker's abort (the stream turned corrupt, so a crash-only
 /// exit is not delayed by a long chase).
 WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
-                      ResultCache* cache, const std::atomic<bool>* cancel) {
+                      const std::atomic<bool>* cancel) {
   WireResult out;
   out.job_id = wire_job.job_id;
   const Job& job = wire_job.job;
@@ -60,23 +59,8 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
   config.base_chase.cancel = cancel;
   config.base_counterexample.cancel = cancel;
 
-  // The router fingerprinted the run's config, or sent it invalid.
-  const CacheFingerprint& fingerprint = wire_job.fingerprint;
-  CachedVerdict cached;
-  if (fingerprint.valid && cache->Lookup(fingerprint, &cached)) {
-    out.result = CachedVerdictToResult(cached, job.name);
-    return out;
-  }
-
   ChaseSession session;
   out.result = RunJob(job, config, &session);
-  // A cancelled run's counters describe where the cancel landed, not the
-  // problem: never cache them.
-  if (fingerprint.valid && out.result.status == JobStatus::kCompleted &&
-      !cancel->load(std::memory_order_relaxed)) {
-    cache->Insert(fingerprint, CachedVerdictFromResult(out.result, 0));
-    out.result.cache_source = CacheSource::kMiss;
-  }
   return out;
 }
 
@@ -85,7 +69,6 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
 int RunWorkerLoop(int fd, const WorkerOptions& options) {
   std::unique_ptr<ThreadPool> pool;
   if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
-  ResultCache cache(CacheOptions{options.cache_bytes, /*shards=*/4});
   FrameWriter writer(fd);
 
   // `cancel` is the running job's solver flag; `abort` marks the
@@ -125,7 +108,7 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
         if (!next.has_value()) return;
         wire_job.swap(next);
       }
-      WireResult result = ExecuteJob(*wire_job, pool.get(), &cache, &cancel);
+      WireResult result = ExecuteJob(*wire_job, pool.get(), &cancel);
       std::unique_lock<std::mutex> lock(mu);
       ++jobs_done;
       if (inbox.empty()) {

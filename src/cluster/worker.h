@@ -8,12 +8,11 @@
 //
 // Each kJob frame runs to the end under the config it carries, through the
 // same RunJob as a local run, so its result has a local run's bytes. A
-// worker-side ResultCache serves repeat isomorphic jobs as kHit, which
-// consistent-hash affinity routing makes likely.
+// worker keeps no result cache: the router's front door (the SolverService
+// it builds) serves repeats and coalesces isomorphic jobs before any of
+// them is sent.
 #ifndef TDLIB_CLUSTER_WORKER_H_
 #define TDLIB_CLUSTER_WORKER_H_
-
-#include <cstddef>
 
 namespace tdlib {
 
@@ -21,9 +20,6 @@ struct WorkerOptions {
   /// Chase matching parallelism inside this worker (1 = serial; the
   /// byte-identity guarantee holds at any value).
   int threads = 1;
-
-  /// Worker-side result cache budget.
-  std::size_t cache_bytes = 16u << 20;
 
   /// Test hook (tdworker --hang-after=N): after completing N jobs the
   /// worker stops answering heartbeat pings while keeping its socket open —

@@ -12,7 +12,7 @@ const std::string kEmptyName;
 }  // namespace
 
 const std::string& JobHandle::name() const {
-  return state_ != nullptr ? state_->job.name : kEmptyName;
+  return state_ != nullptr ? state_->job->name : kEmptyName;
 }
 
 JobResult JobHandle::Wait() const {
@@ -53,7 +53,7 @@ bool JobHandle::Cancel() const {
       state_->claimed = true;
       runner = std::move(state_->coalesce_runner);
       state_->coalesce_runner.reset();
-      cancelled.name = state_->job.name;
+      cancelled.name = state_->job->name;
       cancelled.status = JobStatus::kCancelled;
     }
   }

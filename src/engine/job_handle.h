@@ -59,10 +59,12 @@ struct ServiceCore;
 struct JobState {
   // Job has no default constructor (a Dependency is never empty), so the
   // state is born around its job.
-  explicit JobState(Job j) : job(std::move(j)), config(job.config) {}
+  explicit JobState(std::shared_ptr<const Job> j)
+      : job(std::move(j)), config(job->config) {}
 
   // Immutable after Submit.
-  Job job;                      ///< owned copy: the service outlives callers
+  std::shared_ptr<const Job> job;  ///< the submission's own copy, shared
+                                   ///  with its dedup runner
   int priority = 0;             ///< effective (override or Job::priority);
                                 ///  reused by ResumeWithBudget re-enqueues
   double deadline_seconds = 0;  ///< per-submission budget, from submit time
@@ -94,7 +96,9 @@ struct JobState {
                                      ///  never race a later resume's task
   JobResult result;
   DualSolverConfig config;          ///< budgets for the current/next run
-  ChaseSession session;             ///< resumable chase of THIS (D, D0)
+  /// Resumable chase of THIS (D, D0), made by the state's first local
+  /// run: a remote run, a cache hit or a coalesced waiter never needs one.
+  std::unique_ptr<ChaseSession> session;
   std::function<void(const JobResult&)> on_complete;
   Timer submit_timer;               ///< deadline epoch; reset on resume
   double queue_seconds = 0;         ///< this run's Submit-to-pickup wait:

@@ -130,7 +130,7 @@ Pickup BeginRun(const std::shared_ptr<JobState>& s, std::uint64_t generation,
     }
     return Pickup::kRun;
   }
-  stopped->name = s->job.name;
+  stopped->name = s->job->name;
   stopped->queue_seconds = elapsed;
   stopped->cache_source = s->cache_source;
   return Pickup::kStopped;
@@ -157,9 +157,8 @@ void FinishRun(const std::shared_ptr<JobState>& s, JobResult r) {
   // Stamped here: the solver returns a fresh JobResult.
   r.queue_seconds = s->queue_seconds;
   // Provenance stamp: kMiss on cache-filling runs (the dedup runner's copy
-  // is rewritten per waiter at fan-out anyway). Uncached runs keep what the
-  // solver reported — kNone locally, a worker's own cache provenance
-  // remotely.
+  // is rewritten per waiter at fan-out anyway). Uncached runs keep the
+  // solver's kNone on either backend.
   if (s->cache_source != CacheSource::kNone) r.cache_source = s->cache_source;
   PublishTerminal(s, r);
 }
@@ -201,7 +200,8 @@ void LocalBackend::Run(const std::shared_ptr<JobState>& s,
     TraceSpan run_span("job.run");
     // The session persists across runs of this state: a later
     // ResumeWithBudget continues this run's chase from its checkpoint.
-    r = RunJob(s->job, config, &s->session);
+    if (s->session == nullptr) s->session = std::make_unique<ChaseSession>();
+    r = RunJob(*s->job, config, s->session.get());
   }
   FinishRun(s, std::move(r));
 }
@@ -242,7 +242,7 @@ void FanOutToWaiters(const std::shared_ptr<JobState>& runner,
       waiter->claimed = true;  // fence concurrent Cancels out of this run
     }
     JobResult renamed = result;
-    renamed.name = waiter->job.name;
+    renamed.name = waiter->job->name;
     renamed.cache_source = waiter->cache_source;
     PublishTerminal(waiter, renamed);
   }
@@ -380,7 +380,7 @@ void DetachWaiter(const std::shared_ptr<JobState>& runner,
     if (!runner->started) {
       runner->claimed = true;
       publish = true;
-      cancelled.name = runner->job.name;
+      cancelled.name = runner->job->name;
       cancelled.status = JobStatus::kCancelled;
     }
   }
@@ -454,7 +454,8 @@ namespace {
 std::shared_ptr<engine_internal::JobState> MakeJobState(
     const std::shared_ptr<engine_internal::ServiceCore>& core, Job job,
     SubmitOptions* options, int priority) {
-  auto state = std::make_shared<engine_internal::JobState>(std::move(job));
+  auto state = std::make_shared<engine_internal::JobState>(
+      std::make_shared<const Job>(std::move(job)));
   state->priority = priority;
   state->deadline_seconds = options->deadline_seconds;
   state->skip_when = options->skip_when;
@@ -475,7 +476,7 @@ std::shared_ptr<engine_internal::JobState> MakeJobState(
 void PublishImmediate(const std::shared_ptr<engine_internal::JobState>& state,
                       JobStatus status) {
   JobResult result;
-  result.name = state->job.name;
+  result.name = state->job->name;
   result.status = status;
   engine_internal::PublishTerminal(state, result);
 }
@@ -525,7 +526,7 @@ bool TryServeFromCache(
   // cacheable, not safe to coalesce (waiters may hold different deadlines).
   if (state->deadline_seconds > 0) return false;
   const CacheFingerprint fp = FingerprintProblem(
-      state->job.dependencies, state->job.goal, state->config);
+      state->job->dependencies, state->job->goal, state->config);
   if (!fp.valid) return false;  // config itself uncacheable
   if (state->skip_when != nullptr &&
       state->skip_when->load(std::memory_order_relaxed)) {
@@ -535,7 +536,7 @@ bool TryServeFromCache(
   CachedVerdict verdict;
   if (cache->Lookup(fp, &verdict)) {
     engine_internal::PublishTerminal(
-        state, CachedVerdictToResult(verdict, state->job.name));
+        state, CachedVerdictToResult(verdict, state->job->name));
     return true;
   }
   // Miss: attach to the in-flight runner for this fingerprint, or create

@@ -29,7 +29,7 @@ constexpr std::string_view kSiteNames[kNumFaultSites] = {
     "cancel-fire",       "cancel-checkpoint", "cancel-resume",
     "deadline",          "checkpoint-corrupt", "fire-order-flip",
     "cluster.socket-read", "cluster.socket-write", "cluster.frame-corrupt",
-    "cache.store-rename",
+    "cache.store-rename", "cache.store-dirsync",
 };
 
 // Injection counters are registered lazily (the registry allocates per

@@ -55,9 +55,12 @@ enum class FaultSite {
                        ///  payload run through CorruptBytes before the wire
   kStoreRename,        ///< "cache.store-rename": result-cache save fails
                        ///  after the temp file is synced, before the rename
+  kStoreDirSync,       ///< "cache.store-dirsync": result-cache save fails
+                       ///  the fsync of the target's directory, after the
+                       ///  rename
 };
 inline constexpr int kNumFaultSites =
-    static_cast<int>(FaultSite::kStoreRename) + 1;
+    static_cast<int>(FaultSite::kStoreDirSync) + 1;
 
 /// Global gate. False until the first Arm*; DisarmAllFaults() restores it.
 bool FaultInjectionEnabled();

@@ -532,6 +532,52 @@ TEST(ResultCacheStore, FailedSaveKeepsTheOldFileAndLeavesNoTempFile) {
   fs::remove_all(dir);
 }
 
+// A save whose directory fsync fails has already renamed its file into
+// place: it reports the failure, yet the target loads whole with the new
+// entries and no temp file is left beside it.
+TEST(ResultCacheStore, FailedDirectorySyncKeepsTheNewFileAndLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tdlib_cache_dirsync_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "cache.bin").string();
+
+  CacheOptions options;
+  options.shards = 1;
+  ResultCache old_cache(options);
+  old_cache.Insert(Fp(1), Verdict(1));
+  Result<int> saved = SaveResultCacheFile(path, old_cache);
+  ASSERT_TRUE(saved.ok()) << saved.error();
+
+  ResultCache new_cache(options);
+  new_cache.Insert(Fp(3), Verdict(3));
+  new_cache.Insert(Fp(4), Verdict(4));
+  DisarmAllFaults();
+  ArmFault(FaultSite::kStoreDirSync, 1);
+  Result<int> failed = SaveResultCacheFile(path, new_cache);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), ErrorCode::kUnknown);
+  EXPECT_EQ(FaultInjectionCount(FaultSite::kStoreDirSync), 1u);
+  DisarmAllFaults();
+
+  ResultCache reloaded(options);
+  Result<int> loaded = LoadResultCacheFile(path, &reloaded);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(loaded.value(), 2);
+  CachedVerdict out;
+  EXPECT_FALSE(reloaded.Lookup(Fp(1), &out));
+  EXPECT_TRUE(reloaded.Lookup(Fp(3), &out));
+  EXPECT_TRUE(reloaded.Lookup(Fp(4), &out));
+
+  std::vector<std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"cache.bin"});
+  fs::remove_all(dir);
+}
+
 TEST(ResultCacheStore, SaveRemovesOrphanTempFilesOfDeadSavers) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /

@@ -1,12 +1,11 @@
 // The remote-only half of the cluster suite: wire protocol round trips,
-// consistent-hash ring stability, socket fault sites, and — when a tdworker
-// binary is available (ctest exports TDLIB_TDWORKER) — real multi-process
-// legs: worker-cache affinity, kill-a-worker-mid-chase recovery, heartbeat
-// kills, the local backend taking over when every worker is down, and
-// exactly-once completion across crash/retry races. What every front door
-// must do (parity, cancel, deadlines, priorities, shedding, resume) is
-// tests/service_test.cc's suite, parametrized over the local and the
-// remote backend.
+// socket fault sites, and — when a tdworker binary is available (ctest
+// exports TDLIB_TDWORKER) — real multi-process legs: kill-a-worker-mid-chase
+// recovery, heartbeat kills, the local backend taking over when every
+// worker is down, and exactly-once completion across crash/retry races.
+// What every front door must do (parity, cancel, deadlines, priorities,
+// shedding, resume, the result cache) is tests/service_test.cc's suite,
+// parametrized over the local and the remote backend.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,14 +15,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/canonical.h"
-#include "cluster/ring.h"
 #include "cluster/router.h"
 #include "cluster/sender.h"
 #include "cluster/wire.h"
@@ -180,7 +177,7 @@ ClusterOptions FastOptions(int workers) {
   return options;
 }
 
-// Polls until `n` workers are on the router's ring; false after 10 s.
+// Polls until `n` workers are up; false after 10 s.
 bool WaitForWorkersUp(const ClusterRouter& router, std::int64_t n) {
   for (int i = 0; i < 1000; ++i) {
     if (router.Stats().workers_up >= n) return true;
@@ -251,15 +248,14 @@ TEST(ClusterWireTest, WellFormedTdf3FrameIsRejectedByItsMagic) {
 
 TEST(ClusterWireTest, JobPayloadFromThePreviousVersionIsRefused) {
   // Job and result payloads open with their tag and their version, both
-  // little-endian u32s. A peer one payload version back (4) sends a probe
-  // budget and a session block in each job, and a parked flag and a session
-  // block in each result, so the decoders must refuse both at the version,
-  // not misread them.
-  const std::string current("\x05\0\0\0", 4);
+  // little-endian u32s. A peer one payload version back (5) sends a
+  // canonical fingerprint in each job, so the decoders must refuse its
+  // payloads at the version, not misread them.
+  const std::string current("\x06\0\0\0", 4);
   std::string job = EncodeJobPayload(WireJob(MakeSmallJob("old peer")));
   ASSERT_GE(job.size(), 8u);
   ASSERT_EQ(job.substr(4, 4), current);
-  job[4] = 4;
+  job[4] = 5;
   Result<WireJob> decoded_job = DecodeJobPayload(job);
   ASSERT_FALSE(decoded_job.ok());
   EXPECT_EQ(decoded_job.code(), ErrorCode::kCorrupt);
@@ -272,7 +268,7 @@ TEST(ClusterWireTest, JobPayloadFromThePreviousVersionIsRefused) {
   std::string result = EncodeResultPayload(wire_result);
   ASSERT_GE(result.size(), 8u);
   ASSERT_EQ(result.substr(4, 4), current);
-  result[4] = 4;
+  result[4] = 5;
   Result<WireResult> decoded_result = DecodeResultPayload(result);
   ASSERT_FALSE(decoded_result.ok());
   EXPECT_EQ(decoded_result.code(), ErrorCode::kCorrupt);
@@ -330,17 +326,14 @@ TEST(ClusterWireTest, JobPayloadRoundTripKeepsSummariesAndFingerprints) {
   for (const Job& job : jobs) {
     WireJob wire_job(job);
     wire_job.job_id = 5;
-    wire_job.fingerprint =
-        FingerprintProblem(job.dependencies, job.goal, job.config);
     Result<WireJob> decoded = DecodeJobPayload(EncodeJobPayload(wire_job));
     ASSERT_TRUE(decoded.ok()) << job.name << ": " << decoded.error();
     const Job& got = decoded.value().job;
     EXPECT_EQ(got.name, job.name);
     EXPECT_EQ(got.dependencies.items.size(), job.dependencies.items.size());
-    const CacheFingerprint refingerprinted =
-        FingerprintProblem(got.dependencies, got.goal, got.config);
-    EXPECT_EQ(refingerprinted, wire_job.fingerprint) << job.name;
-    EXPECT_EQ(decoded.value().fingerprint, wire_job.fingerprint) << job.name;
+    EXPECT_EQ(FingerprintProblem(got.dependencies, got.goal, got.config),
+              FingerprintProblem(job.dependencies, job.goal, job.config))
+        << job.name;
     EXPECT_EQ(CanonicalProblemText(got.dependencies, got.goal, got.config),
               CanonicalProblemText(job.dependencies, job.goal, job.config))
         << job.name;
@@ -355,48 +348,16 @@ TEST(ClusterWireTest, JobPayloadRoundTripKeepsSummariesAndFingerprints) {
 TEST(ClusterWireTest, UnusedDeclaredVariablesAreDroppedInFlight) {
   const Job job = MakeJobWithUnusedVariables("unused variables");
   ASSERT_EQ(job.goal.body().NumVars(0), 3);
-  WireJob wire_job(job);
-  wire_job.fingerprint =
-      FingerprintProblem(job.dependencies, job.goal, job.config);
-  Result<WireJob> decoded = DecodeJobPayload(EncodeJobPayload(wire_job));
+  Result<WireJob> decoded = DecodeJobPayload(EncodeJobPayload(WireJob(job)));
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   const Job& got = decoded.value().job;
   EXPECT_EQ(got.goal.body().NumVars(0), 1);
   EXPECT_EQ(got.dependencies.items[0].body().NumVars(0), 2);
   EXPECT_EQ(got.dependencies.items[0].body().NumVars(2), 2);
   EXPECT_EQ(FingerprintProblem(got.dependencies, got.goal, got.config),
-            wire_job.fingerprint);
+            FingerprintProblem(job.dependencies, job.goal, job.config));
   EXPECT_EQ(RunJob(got).DeterministicSummary(),
             RunJob(job).DeterministicSummary());
-}
-
-// The fingerprint a job frame carries is what the worker would compute
-// from the frame's own job and config, so the worker can skip computing
-// it: valid under the config the run carries, invalid once a deadline
-// clamp makes that config uncacheable.
-TEST(ClusterWireTest, ForwardedFingerprintMatchesTheSentConfig) {
-  const Job job = MakeSmallJob("forwarded");
-  const CacheFingerprint key =
-      FingerprintProblem(job.dependencies, job.goal, job.config);
-  ASSERT_TRUE(key.valid);
-
-  DualSolverConfig clamped = job.config;
-  ClampConfigToBudget(&clamped, 5.0);
-  ASSERT_FALSE(CacheableConfig(clamped));
-
-  for (const DualSolverConfig& sent : {job.config, clamped}) {
-    Result<WireJob> decoded = DecodeJobPayload(
-        EncodeJobPayload(3, job.priority, key, job, sent));
-    ASSERT_TRUE(decoded.ok()) << decoded.error();
-    const WireJob& got = decoded.value();
-    EXPECT_EQ(got.fingerprint,
-              FingerprintProblem(got.job.dependencies, got.job.goal,
-                                 got.job.config));
-    EXPECT_EQ(got.fingerprint,
-              FingerprintProblem(job.dependencies, job.goal, sent));
-    EXPECT_EQ(got.job.config.base_chase.deadline_seconds,
-              sent.base_chase.deadline_seconds);
-  }
 }
 
 TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
@@ -477,43 +438,6 @@ TEST(ClusterSenderTest, AWriteToAGonePeerReportsOnce) {
   ::close(fds[0]);
 }
 
-// ---- consistent-hash ring --------------------------------------------------
-
-TEST(ClusterRingTest, RemovalOnlyMovesTheDeadMembersKeys) {
-  HashRing ring;
-  for (int m = 0; m < 4; ++m) ring.Add(m);
-  std::vector<int> before(1000);
-  for (std::uint64_t k = 0; k < before.size(); ++k) {
-    before[k] = ring.Pick(k * 0x9e3779b97f4a7c15ULL);
-    EXPECT_GE(before[k], 0);
-  }
-  ring.Remove(2);
-  int moved = 0;
-  for (std::uint64_t k = 0; k < before.size(); ++k) {
-    const int now = ring.Pick(k * 0x9e3779b97f4a7c15ULL);
-    EXPECT_NE(now, 2);
-    if (before[k] != 2) {
-      // Keys that did not point at the dead member must not move at all —
-      // this is the property that keeps surviving worker caches warm.
-      EXPECT_EQ(now, before[k]) << "key " << k;
-    } else {
-      ++moved;
-    }
-  }
-  EXPECT_GT(moved, 0);
-  // All four members actually owned keys before the removal.
-  EXPECT_EQ(std::set<int>(before.begin(), before.end()).size(), 4u);
-}
-
-TEST(ClusterRingTest, EmptyRingPicksNobody) {
-  HashRing ring;
-  EXPECT_EQ(ring.Pick(123), -1);
-  ring.Add(5);
-  EXPECT_EQ(ring.Pick(123), 5);
-  ring.Remove(5);
-  EXPECT_EQ(ring.Pick(123), -1);
-}
-
 // ---- fault sites on the socket paths ---------------------------------------
 
 class ClusterFaultTest : public ::testing::Test {
@@ -579,47 +503,6 @@ TEST_F(ClusterFaultTest, CancelFrameIsPartOfTheVocabulary) {
 
 // ---- multi-process legs ----------------------------------------------------
 
-TEST(ClusterRouterTest, RepeatSubmissionIsServedFromTheWorkerCache) {
-  SKIP_WITHOUT_WORKER();
-  Job job = MakeSmallJob("repeat");
-  ClusterRouter router(FastOptions(2));
-  // Ring placement is stable only once both workers have joined: a job
-  // submitted while one is still starting goes to the other one.
-  ASSERT_TRUE(WaitForWorkersUp(router, 2));
-  const JobResult cold = router.Submit(job).Wait();
-  ASSERT_EQ(cold.status, JobStatus::kCompleted);
-  const JobResult warm = router.Submit(job).Wait();
-  ASSERT_EQ(warm.status, JobStatus::kCompleted);
-  // Consistent hashing sends the isomorphic repeat to the same worker,
-  // whose result cache replays it byte-identically.
-  EXPECT_EQ(warm.cache_source, CacheSource::kHit);
-  EXPECT_EQ(warm.worker, cold.worker);
-  EXPECT_EQ(warm.DeterministicSummary(), cold.DeterministicSummary());
-  EXPECT_GE(router.Stats().cache_hits, 1);
-}
-
-// A resumed run carries budgets its Job does not: the worker must cache it
-// under the resumed config's fingerprint, where a fresh submission of that
-// config finds it byte-identical to a from-scratch solve.
-TEST(ClusterRouterTest, ResumedRunIsCachedUnderItsOwnBudget) {
-  SKIP_WITHOUT_WORKER();
-  Job small = MakeGapJob("resumed", 0, 50);
-  Job big = small;
-  big.config.base_chase.max_steps = 400;
-  ClusterRouter router(FastOptions(1));
-  ASSERT_TRUE(WaitForWorkersUp(router, 1));
-  JobHandle handle = router.Submit(small);
-  ASSERT_EQ(handle.Wait().status, JobStatus::kCompleted);
-  ASSERT_TRUE(handle.ResumeWithBudget(big.config));
-  const JobResult resumed = handle.Wait();
-  ASSERT_EQ(resumed.status, JobStatus::kCompleted);
-  const JobResult fresh = router.Submit(big).Wait();
-  ASSERT_EQ(fresh.status, JobStatus::kCompleted);
-  EXPECT_EQ(fresh.cache_source, CacheSource::kHit);
-  EXPECT_EQ(fresh.DeterministicSummary(), RunJob(big).DeterministicSummary());
-  EXPECT_EQ(resumed.DeterministicSummary(), fresh.DeterministicSummary());
-}
-
 // A job with declared but unused variables is solved by a worker, as the
 // local backend solves it, and costs no worker.
 TEST(ClusterRouterTest, UnusedDeclaredVariablesGetARemoteVerdict) {
@@ -634,6 +517,36 @@ TEST(ClusterRouterTest, UnusedDeclaredVariablesGetARemoteVerdict) {
   const ClusterStats stats = router.Stats();
   EXPECT_EQ(stats.completed, 1);
   EXPECT_EQ(stats.worker_crashes, 0);
+}
+
+// Workers pull from one queue: with both workers up, the pump goes to the
+// lowest slot index, and every job after it to the idle worker instead of
+// waiting behind the pump, whatever its fingerprint.
+TEST(ClusterRouterTest, IdleWorkerPullsTheJobsBehindAPinnedOne) {
+  SKIP_WITHOUT_WORKER();
+  ClusterRouter router(FastOptions(2));
+  ASSERT_TRUE(WaitForWorkersUp(router, 2));
+  JobHandle pumping = router.Submit(MakePumpingJob());
+  std::vector<Job> jobs;
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < 4; ++i) {
+    jobs.push_back(MakeSmallJob("beside the pump " + std::to_string(i)));
+    jobs.back().config.base_chase.max_steps = 60 + i;  // its own fingerprint
+    handles.push_back(router.Submit(jobs.back()));
+    const JobHandle& handle = handles.back();
+    EXPECT_TRUE(PollUntil([&] { return handle.Poll().has_value(); },
+                          5.0 * kSanitizerScale))
+        << jobs.back().name;
+  }
+  EXPECT_FALSE(pumping.Poll().has_value());
+  EXPECT_TRUE(pumping.Cancel());
+  EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobResult r = handles[i].Wait();
+    EXPECT_EQ(r.worker, 1) << jobs[i].name;
+    EXPECT_EQ(r.DeterministicSummary(), RunJob(jobs[i]).DeterministicSummary())
+        << jobs[i].name;
+  }
 }
 
 TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
@@ -667,8 +580,7 @@ TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
 // cause.
 std::string Describe(const ClusterStats& s) {
   std::ostringstream out;
-  out << "completed=" << s.completed << " cache_hits=" << s.cache_hits
-      << " retries=" << s.retries
+  out << "completed=" << s.completed << " retries=" << s.retries
       << " worker_crashes=" << s.worker_crashes
       << " worker_restarts=" << s.worker_restarts
       << " heartbeat_timeouts=" << s.heartbeat_timeouts
@@ -735,10 +647,13 @@ TEST(ClusterRouterTest, CrashChargesTheJobTheWorkerWasSolving) {
   high.priority = 1;
   JobHandle low_handle = router.Submit(low);
   JobHandle high_handle = router.Submit(high);
-  // The pump's answer names the job the worker took up next, and reaches
-  // the router before the pump is published.
+  // The front door's cache makes each submission a waiter on a dedup run,
+  // so the cancelled pump is published at once; its run stops at the
+  // worker later. The worker's answer names the job it took up next, and
+  // the router counts that answer in the same step.
   EXPECT_TRUE(pumping.Cancel());
   EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+  ASSERT_TRUE(PollUntil([&] { return router.Stats().completed >= 1; }));
   router.KillWorker(0);
 
   const JobResult r = low_handle.Wait();

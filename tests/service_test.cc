@@ -4,8 +4,7 @@
 // both execution backends: the local thread pool, and worker processes
 // through ClusterRouter (src/cluster/router.h). The remote instances skip
 // unless TDLIB_TDWORKER names the tdworker binary (ctest exports it).
-// Remote-only behavior (wire, ring, crashes, hangs) is
-// tests/cluster_test.cc's.
+// Remote-only behavior (wire, crashes, hangs) is tests/cluster_test.cc's.
 #include "engine/service.h"
 
 #include <gtest/gtest.h>
@@ -38,9 +37,10 @@ namespace {
 enum class BackendKind { kLocal, kRemote };
 
 // One SolverService over the backend under test. Remote: one worker
-// process per local thread the test asks for (at most two), spawned and on
-// the ring before the test submits, so "the worker is busy" means the same
-// thing on both backends.
+// process per local thread the test asks for (at most two), spawned and up
+// before the test submits, so "the worker is busy" means the same thing on
+// both backends. Either way the service caches exactly when `options`
+// carries a result cache.
 class FrontDoor {
  public:
   FrontDoor(BackendKind kind, ServiceOptions options) {
@@ -154,6 +154,25 @@ Job SweepJob() {
   WorkloadOptions options;
   options.size = 1;
   return ReductionSweepWorkload(options)[0];
+}
+
+// `job` under the job name `name`, with every variable renamed: an
+// isomorph the result cache must treat as the same problem.
+Job Renamed(const Job& job, const std::string& name) {
+  Job copy = job;
+  copy.name = name;
+  for (Dependency& dep : copy.dependencies.items) {
+    dep = dep.RenameVariables("_" + name);
+  }
+  copy.goal = job.goal.RenameVariables("_" + name);
+  return copy;
+}
+
+ServiceOptions ThreadsWithCache(int n) {
+  ServiceOptions options;
+  options.num_threads = n;
+  options.result_cache = std::make_shared<ResultCache>();
+  return options;
 }
 
 // ---- Submit / Wait / Poll --------------------------------------------------
@@ -374,6 +393,37 @@ TEST_P(FrontDoorTest, QueuedJobReportsItsQueueWaitAndACacheHitReportsNone) {
   EXPECT_EQ(hit.queue_seconds, 0.0);
 }
 
+// The front door's cache is the only one on either backend. A job and a
+// renamed copy queued behind the pinned worker share one run; a third
+// renaming submitted after it is answered without a worker.
+TEST_P(FrontDoorTest, IsomorphicRepeatsCoalesceThenHitWithoutAWorker) {
+  auto door = Open(ThreadsWithCache(1));
+  JobHandle pumping = SubmitPinnedPumpingJob(&**door, MakePumpingJob());
+
+  const Job job = SweepJob();
+  const Job copy = Renamed(job, "copy");
+  const Job later = Renamed(job, "later");
+  JobHandle first = (*door)->Submit(job);
+  JobHandle second = (*door)->Submit(copy);
+  EXPECT_TRUE(pumping.Cancel());
+  const JobResult miss = first.Wait();
+  const JobResult coalesced = second.Wait();
+  EXPECT_EQ(miss.cache_source, CacheSource::kMiss);
+  EXPECT_EQ(coalesced.cache_source, CacheSource::kCoalesced);
+  if (GetParam() == BackendKind::kRemote) {
+    EXPECT_GE(miss.worker, 0);  // the one run went to the worker
+  }
+
+  const JobResult hit = (*door)->Submit(later).Wait();
+  EXPECT_EQ(hit.cache_source, CacheSource::kHit);
+  EXPECT_EQ(hit.worker, -1);
+  EXPECT_EQ(miss.DeterministicSummary(), RunJob(job).DeterministicSummary());
+  EXPECT_EQ(coalesced.DeterministicSummary(),
+            RunJob(copy).DeterministicSummary());
+  EXPECT_EQ(hit.DeterministicSummary(), RunJob(later).DeterministicSummary());
+  EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+}
+
 // ---- Per-submission deadlines ----------------------------------------------
 
 TEST_P(FrontDoorTest, ExpiredSubmissionDeadlineSkipsTheJob) {
@@ -550,6 +600,30 @@ TEST_P(FrontDoorTest, ResumeAfterCancelRunsAgainFromScratch) {
   JobResult scratch = RunJob(Job{"pumping", bounded.dependencies,
                                  bounded.goal, bounded.config, 0});
   EXPECT_EQ(resumed.DeterministicSummary(), scratch.DeterministicSummary());
+}
+
+// A resumed run carries budgets its Job does not, so it neither fills the
+// cache nor is served from it: a fresh submission at the resumed budget
+// is a miss and solves from scratch.
+TEST_P(FrontDoorTest, ResumedRunNeverFillsTheCache) {
+  ServiceOptions options = ThreadsWithCache(1);
+  const std::shared_ptr<ResultCache> cache = options.result_cache;
+  auto door = Open(options);
+  const Job small = MakeGapJob(/*chase_steps=*/50, /*rounds=*/1);
+  const Job big = MakeGapJob(/*chase_steps=*/400, /*rounds=*/1);
+  JobHandle handle = (*door)->Submit(small);
+  ASSERT_EQ(handle.Wait().cache_source, CacheSource::kMiss);
+  ASSERT_TRUE(handle.ResumeWithBudget(big.config));
+  const JobResult resumed = handle.Wait();
+  ASSERT_EQ(resumed.status, JobStatus::kCompleted);
+  EXPECT_EQ(resumed.cache_source, CacheSource::kNone);
+  EXPECT_EQ(cache->Stats().entries, 1);  // the small run's entry only
+
+  const JobResult fresh = (*door)->Submit(big).Wait();
+  ASSERT_EQ(fresh.status, JobStatus::kCompleted);
+  EXPECT_EQ(fresh.cache_source, CacheSource::kMiss);
+  EXPECT_EQ(fresh.DeterministicSummary(), RunJob(big).DeterministicSummary());
+  EXPECT_EQ(resumed.DeterministicSummary(), fresh.DeterministicSummary());
 }
 
 // ---- Local only: the retained ChaseSession ---------------------------------
