@@ -23,7 +23,11 @@ namespace tdlib {
 namespace {
 
 constexpr char kMagic[] = "tdlib-result-cache";
-constexpr int kVersion = 1;
+// Entries hold chase counters (hom_nodes, match_tasks), which depend on how
+// the chase schedules its matches. Version 2: a pass matches and fires one
+// dependency at a time, so a version-1 entry's counters are ones no current
+// run would produce; such files are refused and the warm start runs cold.
+constexpr int kVersion = 2;
 
 // Upper bound on a plausible entry count: far above any real cache (a
 // 4M-entry cache would model at 1 GiB) and far below anything that could

@@ -156,25 +156,12 @@ std::vector<int> FireStep(const Dependency& dep, Instance* instance,
 // byte-identical. Public (chase.h) because ChaseCheckpoint persists these.
 using PendingStep = PendingChaseStep;
 
-// Carried re-checks are batched: one task re-checks a contiguous chunk of
-// the (canonically ordered) carried list. A gap-regime chase can carry a
-// six-figure backlog, and a task per step would rebuild a head searcher —
-// a dozen allocations — for a two-node search; a chunk amortizes one
-// searcher per dependency run while still producing enough tasks to feed
-// every worker.
-constexpr std::size_t kCarriedChunk = 64;
-
-// One unit of a pass's matching phase: the re-check of one chunk of carried
-// steps, or one body search (a full/any-row scan, or one member
-// (dependency, seed row) of the semi-naive partition). Tasks are enumerated
-// in a fixed order, only read the instance, and write nothing but their own
-// MatchOutput slot — which is exactly what lets them run on pool workers.
+// One unit of a dependency's matching: one body search (a full/any-row
+// scan, or one member (seed row) of the semi-naive partition, possibly one
+// id slice of it). Tasks are enumerated in a fixed order, only read the
+// instance, and write nothing but their own MatchOutput slot — which is
+// exactly what lets them run on pool workers.
 struct MatchTask {
-  enum class Kind { kCarried, kSearch };
-  Kind kind;
-  int dep_index = -1;             // kSearch
-  std::size_t carried_begin = 0;  // kCarried: chunk [begin, end)
-  std::size_t carried_end = 0;
   // Body-search delta window, pre-resolved at task-list build time:
   // delta_begin < 0 = unrestricted scan, seed_row < 0 = any-row scan,
   // otherwise one partition member — possibly narrowed to the seed-row
@@ -194,53 +181,23 @@ struct MatchOutput {
   HomSearchStats stats;
 };
 
-// Executes one match task against the read-only `instance`. `base_options`
-// carries the run's node budget, deadline and (in pooled mode) the shared
-// cancel flag. Carried steps are moved out of *carried when still unfired
-// and unwitnessed; distinct tasks touch distinct carried slots.
-void RunMatchTask(const MatchTask& task, const DependencySet& deps,
-                  const Instance& instance,
-                  const HomSearchOptions& base_options,
-                  std::vector<PendingStep>* carried, MatchOutput* out) {
-  if (task.kind == MatchTask::Kind::kCarried) {
-    // Re-check the chunk in carry order (which is canonical order, so the
-    // kept steps land in *out already sorted). The carried list is grouped
-    // by dependency, so one head checker serves each run of same-dep steps.
-    std::optional<HeadChecker> head;
-    int head_dep = -1;
-    for (std::size_t ci = task.carried_begin; ci < task.carried_end; ++ci) {
-      PendingStep& step = (*carried)[ci];
-      const Dependency& dep = deps.items[step.dep_index];
-      if (head_dep != step.dep_index) {
-        head.emplace(dep, instance, base_options);
-        head_dep = step.dep_index;
-      }
-      // A fire since this step was collected may have witnessed it (the
-      // naive full scan drops those the same way).
-      if (!head->Witnessed(step.match, &out->stats)) {
-        out->pending.push_back(std::move(step));
-      }
-      if (out->stats.budget_hit) return;
-      // One clock read per re-check, unamortized: every re-check runs a
-      // head search too small for Backtrack's own 512-node cadence, and a
-      // bounded-burst pass with a huge carried backlog would otherwise
-      // overshoot the deadline by the entire backlog.
-      if (base_options.deadline != nullptr &&
-          base_options.deadline->Expired()) {
-        out->stats.budget_hit = true;
-        out->stats.deadline_hit = true;
-        return;
-      }
-    }
-    return;
-  }
-
-  const Dependency& dep = deps.items[task.dep_index];
+// Executes one body search of dependency `dep_index` against the read-only
+// `instance`, binding only ids < `id_end` (the pass-start instance).
+// `base_options` carries the run's node budget, deadline and (in pooled
+// mode) the shared cancel flag. The match-time witness filter reads the
+// whole current instance: a head witnessed there stays witnessed, since the
+// chase only adds tuples.
+void RunMatchTask(const MatchTask& task, int dep_index,
+                  const DependencySet& deps, const Instance& instance,
+                  std::size_t id_end, const HomSearchOptions& base_options,
+                  MatchOutput* out) {
+  const Dependency& dep = deps.items[dep_index];
   HomSearchOptions body_options = base_options;
   body_options.delta_begin = task.delta_begin;
   body_options.delta_seed_row = task.delta_seed_row;
   body_options.delta_seed_begin = task.slice_begin;
   body_options.delta_seed_end = task.slice_end;
+  body_options.id_end = static_cast<int>(id_end);
   HomomorphismSearch body_search(dep.body(), instance, body_options);
   // One reusable head checker for the whole body-match stream: this task
   // runs a head search per enumerated match, and rebuilding the search
@@ -252,7 +209,7 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   auto collect = [&](const Valuation& h) {
     if (!head.Witnessed(h, &out->stats)) {
       out->pending.push_back(
-          PendingStep{task.dep_index, h, body_search.row_tuples()});
+          PendingStep{dep_index, h, body_search.row_tuples()});
     }
     if (out->stats.budget_hit) return false;
     if (++matches_seen % kDeadlineCheckInterval == 0 &&
@@ -282,11 +239,11 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   };
   body_search.ForEach(collect);
   out->stats.MergeFrom(body_search.stats());
-  // End-of-task deadline read, mirroring the kCarried branch: a pass of
-  // many small member searches — each under Backtrack's 512-node and the
-  // stream's 256-match cadences — must still observe the wall clock at
-  // least once per task, or a serial matching phase could overshoot a
-  // clamped milliseconds-scale deadline by the whole task list.
+  // End-of-task deadline read: a pass of many small member searches — each
+  // under Backtrack's 512-node and the stream's 256-match cadences — must
+  // still observe the wall clock at least once per task, or a serial
+  // matching phase could overshoot a clamped milliseconds-scale deadline by
+  // the whole task list.
   if (!out->stats.budget_hit && base_options.deadline != nullptr &&
       base_options.deadline->Expired()) {
     out->stats.budget_hit = true;
@@ -294,82 +251,68 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   }
 }
 
-// Builds the pass's task list in the canonical task order: carried
-// re-checks first (in carry order), then per-dependency body searches (in
-// dependency order, partition members in seed-row order). The list is a
-// pure function of (config, delta_begin, carried size, instance size), so
-// serial and pooled runs execute the same searches.
-std::vector<MatchTask> BuildMatchTasks(const DependencySet& deps,
+// Builds one dependency's task list for a pass over the first `pass_start`
+// tuples, in the canonical order (partition members in seed-row order,
+// slices in id order). The list is a pure function of (config,
+// delta_begin, pass_start), so serial and pooled runs execute the same
+// searches.
+std::vector<MatchTask> BuildMatchTasks(const Dependency& dep,
                                        const ChaseConfig& config,
                                        std::size_t delta_begin,
-                                       std::size_t num_tuples,
-                                       std::size_t num_carried) {
+                                       std::size_t pass_start) {
   std::vector<MatchTask> tasks;
-  for (std::size_t ci = 0; ci < num_carried; ci += kCarriedChunk) {
-    MatchTask t;
-    t.kind = MatchTask::Kind::kCarried;
-    t.carried_begin = ci;
-    t.carried_end = std::min(ci + kCarriedChunk, num_carried);
-    tasks.push_back(t);
-  }
-  const bool nothing_new = config.use_delta && delta_begin >= num_tuples;
-  if (nothing_new) {
+  if (config.use_delta && delta_begin >= pass_start) {
     // Every match was enumerated in an earlier pass and is witnessed.
     return tasks;
   }
+  MatchTask t;
   // The partition pays one restricted search per body row; when the delta
   // is most of the instance (a pumping pass), those members cost more
   // together than the full scan they replace. Use the partition only while
   // the delta is the minority — the canonical fire order keeps results
   // identical whichever matcher ran.
   const bool partition = config.use_delta && delta_begin > 0 &&
-                         (num_tuples - delta_begin) * 2 <= num_tuples;
-  for (std::size_t di = 0; di < deps.items.size(); ++di) {
-    MatchTask t;
-    t.kind = MatchTask::Kind::kSearch;
-    t.dep_index = static_cast<int>(di);
-    if (partition) {
-      // Union of the semi-naive partition: seed row s in the delta, rows
-      // before s in the old region, rows after s unrestricted. Every
-      // delta-touching match is enumerated exactly once; all-old matches —
-      // already enumerated (and fired or witnessed) in the pass that saw
-      // their newest tuple — are skipped entirely.
-      t.delta_begin = static_cast<int>(delta_begin);
-      // Work stealing for few-member passes: a big delta is further cut
-      // into equal id slices of the seed row's window, so even a
-      // 1-dependency pass produces enough sub-tasks to feed every worker.
-      // The slicing depends only on (config, delta) — never on the pool —
-      // so serial and pooled runs execute the same searches.
-      const std::uint64_t delta_size =
-          static_cast<std::uint64_t>(num_tuples - delta_begin);
-      const bool sliced = config.match_slice_ids > 0 &&
-                          delta_size > config.match_slice_ids;
-      for (int s = 0; s < deps.items[di].body().num_rows(); ++s) {
-        t.delta_seed_row = s;
-        if (!sliced) {
-          tasks.push_back(t);
-          continue;
-        }
-        for (std::size_t lo = delta_begin; lo < num_tuples;
-             lo += config.match_slice_ids) {
-          MatchTask slice = t;
-          slice.slice_begin = static_cast<int>(lo);
-          slice.slice_end = static_cast<int>(
-              std::min<std::size_t>(lo + config.match_slice_ids, num_tuples));
-          tasks.push_back(slice);
-        }
+                         (pass_start - delta_begin) * 2 <= pass_start;
+  if (partition) {
+    // Union of the semi-naive partition: seed row s in the delta, rows
+    // before s in the old region, rows after s unrestricted. Every
+    // delta-touching match is enumerated exactly once; all-old matches —
+    // already enumerated (and fired or witnessed) in the pass that saw
+    // their newest tuple — are skipped entirely.
+    t.delta_begin = static_cast<int>(delta_begin);
+    // Work stealing for few-member passes: a big delta is further cut into
+    // equal id slices of the seed row's window, so even a 1-dependency pass
+    // produces enough sub-tasks to feed every worker. The slicing depends
+    // only on (config, delta) — never on the pool — so serial and pooled
+    // runs execute the same searches.
+    const std::uint64_t delta_size =
+        static_cast<std::uint64_t>(pass_start - delta_begin);
+    const bool sliced =
+        config.match_slice_ids > 0 && delta_size > config.match_slice_ids;
+    for (int s = 0; s < dep.body().num_rows(); ++s) {
+      t.delta_seed_row = s;
+      if (!sliced) {
+        tasks.push_back(t);
+        continue;
       }
-    } else if (config.use_delta && delta_begin > 0) {
-      // Majority delta: one pruned scan ("any row hits the delta") — never
-      // more nodes than naive, and the all-old matches' head checks are
-      // still skipped.
-      t.delta_begin = static_cast<int>(delta_begin);
-      t.delta_seed_row = -1;
-      tasks.push_back(t);
-    } else {
-      // Naive mode or the first pass: one unrestricted scan.
-      tasks.push_back(t);
+      for (std::size_t lo = delta_begin; lo < pass_start;
+           lo += config.match_slice_ids) {
+        MatchTask slice = t;
+        slice.slice_begin = static_cast<int>(lo);
+        slice.slice_end = static_cast<int>(
+            std::min<std::size_t>(lo + config.match_slice_ids, pass_start));
+        tasks.push_back(slice);
+      }
     }
+  } else if (config.use_delta && delta_begin > 0) {
+    // Majority delta: one pruned scan ("any row hits the delta") — never
+    // more nodes than naive, and the all-old matches' head checks are still
+    // skipped.
+    t.delta_begin = static_cast<int>(delta_begin);
+    tasks.push_back(t);
+  } else {
+    // Naive mode or the first pass: one unrestricted scan.
+    tasks.push_back(t);
   }
   return tasks;
 }
@@ -429,21 +372,31 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     return FaultInjectionEnabled() && ShouldInject(site);
   };
 
-  // Tuples with id >= delta_begin are "new" since the previous matching
-  // phase. 0 on the first pass, so pass 1 matches the whole seed instance
-  // in either mode.
+  // Tuples with id >= delta_begin are "new" since the previous pass. 0 on
+  // the first pass, so pass 1 matches the whole seed instance in either
+  // mode.
   std::size_t delta_begin = 0;
-
-  // Steps collected but not fired under max_fires_per_pass (delta mode
-  // only; the naive full re-match re-discovers them instead). Every entry
-  // touches a tuple that is old by now, so the delta enumeration below
-  // would never see it again.
-  std::vector<PendingStep> carried;
-
-  // The firing phase below runs over these; hoisted out of the loop so a
-  // checkpoint resume can re-enter the phase mid-pass.
-  std::vector<PendingStep> pending;
+  // The tuple count when the current pass began. Every body search of the
+  // pass binds only ids below it, so a dependency matched after earlier
+  // dependencies fired still sees the pass-start instance.
+  std::size_t pass_start = 0;
+  // The dependency the current pass matches next.
+  std::size_t next_dep = 0;
   std::uint64_t fired_this_pass = 0;
+
+  // Burst-cap backlog (delta mode only; the naive full re-match
+  // re-discovers it instead): steps collected but not fired. Every entry
+  // lies wholly below the pass start it was collected at, so the delta
+  // enumeration would never see it again. `carried` is the backlog the
+  // current pass entered with, in canonical order, consumed dependency by
+  // dependency from `carried_pos`; `next_carried` is the backlog it leaves.
+  std::vector<PendingStep> carried;
+  std::size_t carried_pos = 0;
+  std::vector<PendingStep> next_carried;
+
+  // The current dependency's steps, in canonical order; hoisted out of the
+  // loop so a checkpoint resume can re-enter a pass mid-dependency.
+  std::vector<PendingStep> batch;
   bool resuming = false;
 
   // Budgeted runs know their tuple ceiling up front; growing to it in one
@@ -459,13 +412,25 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       result.status = ChaseStatus::kCancelled;
       return result;
     }
-    // Continue the interrupted firing phase: the caller restored (or kept)
-    // the instance the checkpoint was taken against and verified
+    // Continue the interrupted pass: the caller restored (or kept) the
+    // instance the checkpoint was taken against and verified
     // ResumableWith. Counters continue, so the eventual ChaseResult is the
     // one an uninterrupted run would have produced.
     delta_begin = checkpoint->delta_begin;
+    pass_start = checkpoint->pass_start;
+    next_dep = checkpoint->next_dep;
     fired_this_pass = checkpoint->fired_this_pass;
-    pending = std::move(checkpoint->pending);
+    // `pending` is the interrupted dependency's unfired tail, then the
+    // unconsumed backlog (dependencies from next_dep on).
+    std::vector<PendingStep>& pending = checkpoint->pending;
+    auto tail_end = std::find_if(
+        pending.begin(), pending.end(), [&](const PendingStep& step) {
+          return static_cast<std::size_t>(step.dep_index) >= next_dep;
+        });
+    batch.assign(std::make_move_iterator(pending.begin()),
+                 std::make_move_iterator(tail_end));
+    carried.assign(std::make_move_iterator(tail_end),
+                   std::make_move_iterator(pending.end()));
     result.steps = checkpoint->steps;
     result.passes = checkpoint->passes;
     result.hom_nodes = checkpoint->hom_nodes;
@@ -486,9 +451,10 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
   }
 
   // Captures the resumable state right before a kStepLimit / kTupleLimit
-  // return: the not-yet-fired tail of the pending list plus the cumulative
-  // counters (result already includes the firing phase's hom nodes by the
-  // time this runs).
+  // return: the not-yet-fired tail of the batch, the unconsumed backlog and
+  // the cumulative counters (result already includes the firing phase's
+  // hom nodes by the time this runs). Fires only happen before the burst
+  // cap trips, so `next_carried` is always empty here.
   auto take_checkpoint = [&](std::size_t next_index) {
     if (checkpoint == nullptr) return;
     // A cancel racing the capture wins: the run is already stopping, and
@@ -505,11 +471,18 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     checkpoint->Reset();
     checkpoint->valid = true;
     checkpoint->delta_begin = delta_begin;
+    checkpoint->pass_start = pass_start;
+    checkpoint->next_dep = next_dep;
     checkpoint->fired_this_pass = fired_this_pass;
     checkpoint->pending.assign(
-        std::make_move_iterator(pending.begin() +
+        std::make_move_iterator(batch.begin() +
                                 static_cast<std::ptrdiff_t>(next_index)),
-        std::make_move_iterator(pending.end()));
+        std::make_move_iterator(batch.end()));
+    checkpoint->pending.insert(
+        checkpoint->pending.end(),
+        std::make_move_iterator(carried.begin() +
+                                static_cast<std::ptrdiff_t>(carried_pos)),
+        std::make_move_iterator(carried.end()));
     checkpoint->steps = result.steps;
     checkpoint->passes = result.passes;
     checkpoint->hom_nodes = result.hom_nodes;
@@ -525,167 +498,169 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     }
   };
 
-  while (true) {
-    if (resuming) {
-      // Skip the matching phase once: `pending` already holds the
-      // interrupted pass's unfired steps in canonical order.
-      resuming = false;
+  auto capped = [&] {
+    return config.max_fires_per_pass > 0 &&
+           fired_this_pass >= config.max_fires_per_pass;
+  };
+
+  // ---- Matching one dependency: read-only over the pass-start prefix -----
+  //
+  // Fills `batch` with dependency d's applicable steps in canonical order:
+  // its share of the backlog plus its fresh matches. The task list, and
+  // hence the set of searches, is identical in serial and pooled mode; only
+  // where each search runs differs. The collected valuations stay valid as
+  // tuples are only ever added. Returns false when the run must stop
+  // (result.status is set).
+  auto match_dependency = [&](std::size_t d) -> bool {
+    batch.clear();
+    // The backlog is in canonical order, so d's share is one run.
+    std::size_t carried_end = carried_pos;
+    while (carried_end < carried.size() &&
+           static_cast<std::size_t>(carried[carried_end].dep_index) <= d) {
+      ++carried_end;
+    }
+    std::vector<MatchTask> tasks =
+        BuildMatchTasks(deps.items[d], config, delta_begin, pass_start);
+    if (tasks.empty() && carried_end == carried_pos) return true;
+    if (cancelled()) {
+      result.status = ChaseStatus::kCancelled;
+      return false;
+    }
+    // Phase observation only: the span/watch read the clock (when armed)
+    // and publish when the phase ends; nothing below consults them.
+    TraceSpan match_span("chase.match");
+    StopWatch match_watch;
+    std::vector<MatchOutput> outputs(tasks.size());
+    result.match_tasks += tasks.size();
+    const int dep_index = static_cast<int>(d);
+    if (config.pool != nullptr && tasks.size() > 1) {
+      // Fan out. Tasks write only their own output slot; a budget/deadline
+      // trip in any task raises the shared cancel flag so sibling searches
+      // wind down instead of completing doomed work.
+      std::atomic<bool> cancel{false};
+      HomSearchOptions task_options = hom_options;
+      task_options.cancel = &cancel;
+      ParallelFor(
+          config.pool, tasks.size(),
+          [&](std::size_t i) {
+            // The dependency is already doomed once any sibling tripped;
+            // skipping outright (like the serial early break below) only
+            // changes budget-tripped runs, which are outside the parity
+            // guarantee.
+            if (cancel.load(std::memory_order_relaxed)) return;
+            RunMatchTask(tasks[i], dep_index, deps, *instance, pass_start,
+                         task_options, &outputs[i]);
+            if (outputs[i].stats.budget_hit) {
+              cancel.store(true, std::memory_order_relaxed);
+            }
+          },
+          kMatchTaskPriority);
     } else {
-      ++result.passes;
-      if (!carried.empty()) ++result.carried_passes;
-      // Phase observation only: the span/watch read the clock (when armed)
-      // and publish when the phase ends; nothing below consults them.
-      TraceSpan match_span("chase.match");
-      StopWatch match_watch;
-      std::size_t pass_start = instance->NumTuples();
-      if (cancelled() || injected(FaultSite::kCancelMatch)) {
-        result.status = ChaseStatus::kCancelled;
-        return result;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        RunMatchTask(tasks[i], dep_index, deps, *instance, pass_start,
+                     hom_options, &outputs[i]);
+        if (outputs[i].stats.budget_hit) break;  // remaining work is doomed
       }
-
-      // ---- Matching phase: read-only over the pass-start instance --------
-      //
-      // The task list, and hence the set of searches, is identical in serial
-      // and pooled mode; only where each search runs differs. The collected
-      // valuations stay valid as tuples are only ever added.
-      std::vector<MatchTask> tasks = BuildMatchTasks(deps, config, delta_begin,
-                                                     pass_start,
-                                                     carried.size());
-      std::vector<MatchOutput> outputs(tasks.size());
-      result.match_tasks += tasks.size();
-
-      if (config.pool != nullptr && tasks.size() > 1) {
-        // Fan out. Tasks write only their own output slot; a budget/deadline
-        // trip in any task raises the shared cancel flag so sibling searches
-        // wind down instead of completing doomed work.
-        std::atomic<bool> cancel{false};
-        HomSearchOptions task_options = hom_options;
-        task_options.cancel = &cancel;
-        ParallelFor(
-            config.pool, tasks.size(),
-            [&](std::size_t i) {
-              // The pass is already doomed once any sibling tripped; skipping
-              // outright (like the serial early break below) only changes
-              // budget-tripped runs, which are outside the parity guarantee.
-              if (cancel.load(std::memory_order_relaxed)) return;
-              RunMatchTask(tasks[i], deps, *instance, task_options, &carried,
-                           &outputs[i]);
-              if (outputs[i].stats.budget_hit) {
-                cancel.store(true, std::memory_order_relaxed);
-              }
-            },
-            kMatchTaskPriority);
-      } else {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-          RunMatchTask(tasks[i], deps, *instance, hom_options, &carried,
-                       &outputs[i]);
-          if (outputs[i].stats.budget_hit) break;  // remaining work is doomed
-        }
-      }
-      carried.clear();
-
-      // Aggregate per-task stats — the explicit sum-after-join that keeps
-      // HomSearchStats search-local (no shared counters between live
-      // searches).
-      HomSearchStats match_stats;
-      for (const MatchOutput& out : outputs) match_stats.MergeFrom(out.stats);
-      result.hom_nodes += match_stats.nodes;
-      result.hom_candidates += match_stats.candidates;
-      // Publish the phase: one timing read + a handful of gated counter
-      // adds, after the deterministic work is complete. Sits before the
-      // budget-trip returns so every matching phase — including a tripped
-      // one — is accounted exactly once.
-      const double match_elapsed = match_watch.ElapsedSeconds();
-      result.match_seconds += match_elapsed;
-      if (MetricsEnabled()) {
-        ChaseMetrics& m = GetChaseMetrics();
-        m.passes->Add(1);
-        m.match_tasks->Add(static_cast<std::int64_t>(tasks.size()));
-        m.hom_nodes->Add(static_cast<std::int64_t>(match_stats.nodes));
-        m.hom_candidates->Add(
-            static_cast<std::int64_t>(match_stats.candidates));
-        m.match_seconds->Observe(match_elapsed);
-      }
-      if (match_stats.budget_hit) {
-        result.status = limit_status(match_stats);
-        return result;
-      }
-      if (deadline.Expired()) {
-        result.status = ChaseStatus::kTimeout;
-        return result;
-      }
-
-      // Every dependency has now been matched against the first `pass_start`
-      // tuples; the next pass only needs to see what the fires below add.
-      delta_begin = pass_start;
-
-      // Merge the per-task buffers. Task order is canonical, but the
-      // sort+merge below is what actually fixes the fire order: entries
-      // with equal (dep_index, row_ids) are fully identical (the body image
-      // determines the valuation), so the merge order cannot leak into the
-      // result.
-      std::size_t total_pending = 0;
-      std::size_t carried_prefix = 0;
-      for (std::size_t i = 0; i < outputs.size(); ++i) {
-        total_pending += outputs[i].pending.size();
-        if (tasks[i].kind == MatchTask::Kind::kCarried) {
-          carried_prefix += outputs[i].pending.size();
-        }
-      }
-      pending.clear();
-      pending.reserve(total_pending);
-      for (MatchOutput& out : outputs) {
-        for (PendingStep& step : out.pending) {
-          pending.push_back(std::move(step));
-        }
-      }
-
-      if (pending.empty()) {
-        result.status = ChaseStatus::kFixpoint;
-        return result;
-      }
-
-      // Fire in canonical (dependency, body image) order. Decoupling the
-      // fire order from enumeration order is what makes the result —
-      // including the ids of invented nulls — a function of the *set* of
-      // applicable steps, identical across matching strategies and thread
-      // counts. The carried re-checks (a prefix of the task list) kept
-      // their steps in canonical order already, so only the freshly
-      // enumerated tail needs the O(n log n) sort; a gap-regime pass with a
-      // six-figure carried backlog and a handful of new matches pays one
-      // linear merge instead of re-sorting the whole backlog.
-      // FaultSite::kFireOrderFlip is the harness's deliberate bug: it
-      // reverses the body-image ordering for this pass's sort, exactly the
-      // kind of one-comparison mistake the differential fuzzer exists to
-      // catch (flipped fire order changes labeled-null invention order,
-      // which diverges the instance bytes). Evaluated once per pass — a
-      // strict weak ordering must not change mid-sort.
-      const bool flip_order = injected(FaultSite::kFireOrderFlip);
-      auto canonical = [flip_order](const PendingStep& a,
-                                    const PendingStep& b) {
-        if (a.dep_index != b.dep_index) {
-          return a.dep_index < b.dep_index;
-        }
-        return flip_order ? b.row_ids < a.row_ids : a.row_ids < b.row_ids;
-      };
-      if (flip_order) {
-        // The carried prefix was stored under the true ordering; a full
-        // re-sort keeps inplace_merge's sorted-halves precondition out of
-        // the picture while the injected comparator is live.
-        std::sort(pending.begin(), pending.end(), canonical);
-      } else {
-        std::sort(pending.begin() +
-                      static_cast<std::ptrdiff_t>(carried_prefix),
-                  pending.end(), canonical);
-        std::inplace_merge(pending.begin(),
-                           pending.begin() +
-                               static_cast<std::ptrdiff_t>(carried_prefix),
-                           pending.end(), canonical);
-      }
-      fired_this_pass = 0;
     }
 
-    // ---- Firing phase: serial, on the calling thread ---------------------
+    // Aggregate per-task stats — the explicit sum-after-join that keeps
+    // HomSearchStats search-local (no shared counters between live
+    // searches).
+    HomSearchStats match_stats;
+    for (const MatchOutput& out : outputs) match_stats.MergeFrom(out.stats);
+    result.hom_nodes += match_stats.nodes;
+    result.hom_candidates += match_stats.candidates;
+    // Publish the phase: one timing read + a handful of gated counter
+    // adds, after the deterministic work is complete. Sits before the
+    // budget-trip returns so every match — including a tripped one — is
+    // accounted exactly once.
+    const double match_elapsed = match_watch.ElapsedSeconds();
+    result.match_seconds += match_elapsed;
+    if (MetricsEnabled()) {
+      ChaseMetrics& m = GetChaseMetrics();
+      m.match_tasks->Add(static_cast<std::int64_t>(tasks.size()));
+      m.hom_nodes->Add(static_cast<std::int64_t>(match_stats.nodes));
+      m.hom_candidates->Add(static_cast<std::int64_t>(match_stats.candidates));
+      m.match_seconds->Observe(match_elapsed);
+    }
+    if (match_stats.budget_hit) {
+      result.status = limit_status(match_stats);
+      return false;
+    }
+    if (deadline.Expired()) {
+      result.status = ChaseStatus::kTimeout;
+      return false;
+    }
+
+    // The backlog run first, then the fresh matches. Task order is
+    // canonical, but the sort+merge below is what actually fixes the fire
+    // order: entries with equal (dep_index, row_ids) are fully identical
+    // (the body image determines the valuation), so the merge order cannot
+    // leak into the result. The backlog kept canonical order, so only the
+    // fresh tail needs the O(n log n) sort; a gap-regime backlog of
+    // thousands plus a handful of new matches pays one linear merge instead
+    // of re-sorting the whole backlog.
+    std::size_t fresh = 0;
+    for (const MatchOutput& out : outputs) fresh += out.pending.size();
+    batch.reserve(carried_end - carried_pos + fresh);
+    batch.insert(
+        batch.end(),
+        std::make_move_iterator(carried.begin() +
+                                static_cast<std::ptrdiff_t>(carried_pos)),
+        std::make_move_iterator(carried.begin() +
+                                static_cast<std::ptrdiff_t>(carried_end)));
+    carried_pos = carried_end;
+    const std::ptrdiff_t backlog = static_cast<std::ptrdiff_t>(batch.size());
+    for (MatchOutput& out : outputs) {
+      for (PendingStep& step : out.pending) batch.push_back(std::move(step));
+    }
+    // FaultSite::kFireOrderFlip is the harness's deliberate bug: it reverses
+    // the body-image ordering for this batch's sort, exactly the kind of
+    // one-comparison mistake the differential fuzzer exists to catch
+    // (flipped fire order changes labeled-null invention order, which
+    // diverges the instance bytes). Evaluated once per batch — a strict
+    // weak ordering must not change mid-sort.
+    const bool flip_order =
+        batch.size() > 1 && injected(FaultSite::kFireOrderFlip);
+    auto canonical = [flip_order](const PendingStep& a,
+                                  const PendingStep& b) {
+      if (a.dep_index != b.dep_index) return a.dep_index < b.dep_index;
+      return flip_order ? b.row_ids < a.row_ids : a.row_ids < b.row_ids;
+    };
+    if (flip_order) {
+      // The backlog was stored under the true ordering; a full re-sort
+      // keeps inplace_merge's sorted-halves precondition out of the
+      // picture while the injected comparator is live.
+      std::sort(batch.begin(), batch.end(), canonical);
+    } else {
+      std::sort(batch.begin() + backlog, batch.end(), canonical);
+      std::inplace_merge(batch.begin(), batch.begin() + backlog, batch.end(),
+                         canonical);
+    }
+    return true;
+  };
+
+  // ---- Firing one dependency's batch: serial, on the calling thread ------
+  //
+  // Returns false when the run must stop (result.status is set).
+  FireScratch fire_scratch;
+  // Burst cap: the batch from `pi` on waits for the next pass. The naive
+  // full re-match will re-discover it; the delta matcher would not (every
+  // entry lies below the pass start), so stash it.
+  auto carry_from = [&](std::size_t pi) {
+    if (!config.use_delta) return;
+    next_carried.insert(
+        next_carried.end(),
+        std::make_move_iterator(batch.begin() +
+                                static_cast<std::ptrdiff_t>(pi)),
+        std::make_move_iterator(batch.end()));
+  };
+  auto fire_batch = [&]() -> bool {
+    if (batch.empty()) return true;
+    if (capped()) {
+      carry_from(0);
+      return true;
+    }
     HomSearchStats fire_stats;
     TraceSpan fire_span("chase.fire");
     StopWatch fire_watch;
@@ -709,31 +684,23 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         m.fire_seconds->Observe(fire_elapsed);
       }
     };
-    // Pending is sorted by dependency, so one head checker serves each run
-    // of same-dependency steps; it reads the instance through a reference
-    // and therefore sees every tuple the intervening fires insert.
+    // One head checker per run of same-dependency steps; it reads the
+    // instance through a reference and therefore sees every tuple the
+    // intervening fires insert.
     std::optional<HeadChecker> fire_head;
     int fire_head_dep = -1;
-    FireScratch fire_scratch;
-    for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-      if (config.max_fires_per_pass > 0 &&
-          fired_this_pass >= config.max_fires_per_pass) {
-        // Burst cap: the rest of the pending set waits for the next pass.
-        // The naive full re-match will re-discover it; the delta matcher
-        // would not (every entry is old by then), so stash it.
-        if (config.use_delta) {
-          carried.assign(std::make_move_iterator(pending.begin() + pi),
-                         std::make_move_iterator(pending.end()));
-        }
+    for (std::size_t pi = 0; pi < batch.size(); ++pi) {
+      if (capped()) {
+        carry_from(pi);
         break;
       }
       if (cancelled() || injected(FaultSite::kCancelFire)) {
         // Between-fire cancel check: a cancelled job must not keep firing a
-        // huge pending burst to the end of the pass. No checkpoint — the
-        // caller asked the job to die, not to pause deterministically.
+        // huge batch to its end. No checkpoint — the caller asked the job
+        // to die, not to pause deterministically.
         flush_fire_stats();
         result.status = ChaseStatus::kCancelled;
-        return result;
+        return false;
       }
       // Graceful degradation for allocation failure: the between-fire
       // boundary is the one place the instance is in a well-defined state
@@ -745,15 +712,16 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         flush_fire_stats();
         result.status = ChaseStatus::kResourceExhausted;
         take_checkpoint(pi);
-        return result;
+        return false;
       }
-      PendingStep& step = pending[pi];
+      PendingStep& step = batch[pi];
       const Dependency& dep = deps.items[step.dep_index];
       if (fire_head_dep != step.dep_index) {
         fire_head.emplace(dep, *instance, hom_options);
         fire_head_dep = step.dep_index;
       }
-      // An earlier fire in this pass may have witnessed this head already.
+      // An earlier fire may have witnessed this head already; a backlog
+      // step meets its first check since an earlier pass here.
       bool witnessed = false;
       std::vector<int> new_ids;
       try {
@@ -770,14 +738,24 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         flush_fire_stats();
         result.status = ChaseStatus::kResourceExhausted;
         take_checkpoint(pi);
-        return result;
+        return false;
       }
       if (fire_stats.budget_hit) {
         flush_fire_stats();
         result.status = limit_status(fire_stats);
-        return result;
+        return false;
       }
-      if (witnessed) continue;
+      if (witnessed) {
+        // One clock read per skip, unamortized: each check is a head search
+        // too small for Backtrack's own 512-node cadence, and a capped run's
+        // backlog can hold thousands of them.
+        if (deadline.Expired()) {
+          flush_fire_stats();
+          result.status = ChaseStatus::kTimeout;
+          return false;
+        }
+        continue;
+      }
       ++result.steps;
       ++fired_this_pass;
       if (config.record_trace) {
@@ -788,27 +766,72 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       if (goal && goal(*instance)) {
         flush_fire_stats();
         result.status = ChaseStatus::kGoal;
-        return result;
+        return false;
       }
       if (config.max_steps > 0 && result.steps >= config.max_steps) {
         flush_fire_stats();
         result.status = ChaseStatus::kStepLimit;
         take_checkpoint(pi + 1);
-        return result;
+        return false;
       }
       if (config.max_tuples > 0 && instance->NumTuples() >= config.max_tuples) {
         flush_fire_stats();
         result.status = ChaseStatus::kTupleLimit;
         take_checkpoint(pi + 1);
-        return result;
+        return false;
       }
       if (deadline.Expired()) {
         flush_fire_stats();
         result.status = ChaseStatus::kTimeout;
-        return result;
+        return false;
       }
     }
     flush_fire_stats();
+    return true;
+  };
+
+  // A pass matches one dependency at a time, in dependency order, and fires
+  // its batch before matching the next. Each body search binds only ids
+  // below pass_start, so the batches hold exactly the steps a
+  // match-everything-then-fire pass would collect for that dependency, and
+  // canonical order puts every step of dependency d after those of d-1 in
+  // either scheme: the fired steps are the same. What changes is that a run
+  // stopped by its step/tuple budget or goal never matches the dependencies
+  // after the cut.
+  while (true) {
+    if (!resuming) {
+      ++result.passes;
+      if (!carried.empty()) ++result.carried_passes;
+      if (MetricsEnabled()) GetChaseMetrics().passes->Add(1);
+      if (cancelled() || injected(FaultSite::kCancelMatch)) {
+        result.status = ChaseStatus::kCancelled;
+        return result;
+      }
+      pass_start = instance->NumTuples();
+      next_dep = 0;
+      fired_this_pass = 0;
+    }
+    while (true) {
+      if (resuming) {
+        // `batch` already holds the interrupted dependency's unfired tail.
+        resuming = false;
+      } else {
+        if (next_dep == deps.items.size()) break;
+        if (!match_dependency(next_dep)) return result;
+        ++next_dep;
+      }
+      if (!fire_batch()) return result;
+    }
+    // Every dependency has now been matched against the first pass_start
+    // tuples; the next pass only needs to see what this one added.
+    delta_begin = pass_start;
+    carried.swap(next_carried);
+    next_carried.clear();
+    carried_pos = 0;
+    if (fired_this_pass == 0 && carried.empty()) {
+      result.status = ChaseStatus::kFixpoint;
+      return result;
+    }
   }
 }
 
@@ -825,6 +848,26 @@ std::string_view ChaseStatusName(ChaseStatus status) {
   }
   return "?";
 }
+
+namespace {
+
+// Pending is the interrupted dependency's tail (dep_index == next_dep - 1),
+// then the backlog of the later dependencies, in dependency order; RunChase
+// splits it at next_dep.
+bool PendingFitsResumePoint(const std::vector<PendingChaseStep>& pending,
+                            std::size_t next_dep) {
+  int prev_dep = 0;
+  for (const PendingChaseStep& step : pending) {
+    if (step.dep_index < prev_dep ||
+        static_cast<std::size_t>(step.dep_index) + 1 < next_dep) {
+      return false;
+    }
+    prev_dep = step.dep_index;
+  }
+  return true;
+}
+
+}  // namespace
 
 bool ChaseCheckpoint::BudgetsExceedProgress(const ChaseConfig& config,
                                             const Instance& instance) const {
@@ -853,7 +896,10 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
   // index deps/tuples/valuations unchecked — so a corrupt file must die
   // here, cleanly.
   const std::size_t num_tuples = instance.NumTuples();
-  if (delta_begin > num_tuples) return false;
+  if (delta_begin > pass_start || pass_start > num_tuples ||
+      next_dep > deps.items.size()) {
+    return false;
+  }
   // The valuation must hold one slot per variable of its dependency
   // (FireStep and the head-witness search index it by slot) and bind each
   // slot only to an existing value of that slot's attribute.
@@ -879,6 +925,7 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
     }
     return true;
   };
+  if (!PendingFitsResumePoint(pending, next_dep)) return false;
   for (const PendingChaseStep& step : pending) {
     if (!valid_match(step.dep_index, step.match) ||
         !valid_ids(step.row_ids)) {
@@ -945,14 +992,19 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
 // auto-tune flag and the per-pass fire cap: the cap is always
 // max_fires_per_pass, which the shape line already holds, so a tdckpt5 file
 // is rejected by the magic rather than parsed with its fields shifted.
-constexpr char kCheckpointMagic[] = "tdckpt6";
+// tdckpt7 adds the resume point inside a pass (pass_start, next_dep): a pass
+// matches and fires one dependency at a time, and a tdckpt6 pending list
+// holds every dependency's steps matched at once, which a resumed tdckpt7
+// run would fire in a different order from its own.
+constexpr char kCheckpointMagic[] = "tdckpt7";
 
 }  // namespace
 
 void ChaseCheckpoint::Serialize(std::ostream& os) const {
   os << kCheckpointMagic << ' ' << (valid ? 1 : 0) << '\n';
   if (!valid) return;
-  os << delta_begin << ' ' << fired_this_pass << '\n';
+  os << delta_begin << ' ' << pass_start << ' ' << next_dep << ' '
+     << fired_this_pass << '\n';
   os << steps << ' ' << passes << ' ' << hom_nodes << ' ' << hom_candidates
      << ' ' << match_tasks << ' ' << carried_passes << '\n';
   os << (use_delta ? 1 : 0) << ' ' << max_fires_per_pass << ' '
@@ -988,12 +1040,16 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   ckpt.valid = true;
   int use_delta_flag, record_trace_flag;
   std::size_t num_pending, num_trace;
-  if (!(is >> ckpt.delta_begin >> ckpt.fired_this_pass >> ckpt.steps >>
+  if (!(is >> ckpt.delta_begin >> ckpt.pass_start >> ckpt.next_dep >>
+        ckpt.fired_this_pass >> ckpt.steps >>
         ckpt.passes >> ckpt.hom_nodes >> ckpt.hom_candidates >>
         ckpt.match_tasks >> ckpt.carried_passes >> use_delta_flag >>
         ckpt.max_fires_per_pass >> ckpt.match_slice_ids >>
         record_trace_flag >> ckpt.hom_max_nodes >> num_pending)) {
     return corrupt("truncated counters/shape block");
+  }
+  if (ckpt.pass_start < ckpt.delta_begin) {
+    return corrupt("pass_start before delta_begin");
   }
   ckpt.use_delta = use_delta_flag != 0;
   ckpt.record_trace = record_trace_flag != 0;
@@ -1015,6 +1071,9 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
       return corrupt("truncated trace step");
     }
     ckpt.trace.push_back(std::move(step));
+  }
+  if (!PendingFitsResumePoint(ckpt.pending, ckpt.next_dep)) {
+    return corrupt("pending steps do not fit next_dep");
   }
   // Dependency/tuple/value id ranges are validated later by CompatibleWith
   // against the (deps, instance) the checkpoint is used with; here the

@@ -49,7 +49,7 @@ struct ChaseConfig {
 
   /// Delta-driven (semi-naive) matching: each pass re-matches a dependency
   /// body only against valuations that touch at least one tuple inserted
-  /// since the previous pass, plus the carried-over steps earlier passes
+  /// during the previous pass, plus the carried-over steps earlier passes
   /// collected but did not fire. Produces byte-identical instances, traces
   /// and statuses to the naive mode while doing asymptotically less
   /// re-matching per pass. Off = naive re-matching of the whole instance
@@ -61,8 +61,10 @@ struct ChaseConfig {
   /// an unbounded pass can fire tens of thousands of steps on a pumping
   /// instance — and it is the regime where delta matching pays most: with
   /// small per-pass deltas, naive full re-matching dominates the run.
-  /// Unfired steps are carried to the next pass (delta mode) or re-found by
-  /// the full re-match (naive mode); both modes stay byte-identical.
+  /// Once the cap trips, the pass fires nothing more but still matches its
+  /// remaining dependencies. Unfired steps are carried to the next pass,
+  /// where each joins its own dependency's batch (delta mode), or re-found
+  /// by the full re-match (naive mode); both modes stay byte-identical.
   std::uint64_t max_fires_per_pass = 0;
 
   /// Work stealing for few-member passes: split each semi-naive partition
@@ -75,17 +77,18 @@ struct ChaseConfig {
   /// status — stay byte-identical at any thread count, serial included.
   std::uint64_t match_slice_ids = 4096;
 
-  /// Optional thread pool for the matching phase. Each pass's match tasks —
-  /// carried-step re-checks plus one body search per dependency (or per
-  /// semi-naive partition member (dependency, seed row)) — are independent
-  /// read-only searches over the pass-start instance; with a pool they fan
-  /// out across workers, collect pending steps into per-task buffers, and
-  /// merge in the canonical (dependency, body-image) order, so the fired
-  /// steps — and therefore instances, traces and statuses — are
-  /// byte-identical to a serial run at ANY thread count. Null (the default)
-  /// is the serial fallback used by --naive-chase and single-thread
-  /// ablations. Firing, tracing and goal checks always stay on the calling
-  /// thread; the instance is never mutated while match tasks run. The
+  /// Optional thread pool for matching. A pass matches one dependency at a
+  /// time; that dependency's match tasks — one body search, or one per
+  /// semi-naive partition member (seed row) or seed-row slice — are
+  /// independent read-only searches over the pass-start prefix of the
+  /// instance. With a pool they fan out across workers, collect pending
+  /// steps into per-task buffers, and merge in the canonical (dependency,
+  /// body-image) order, so the fired steps — and therefore instances,
+  /// traces and statuses — are byte-identical to a serial run at ANY thread
+  /// count. Null (the default) is the serial fallback used by --naive-chase
+  /// and single-thread ablations. Firing, tracing and goal checks always
+  /// stay on the calling thread; the instance is never mutated while match
+  /// tasks run (it grows between one dependency's matching and the next). The
   /// byte-identity guarantee is scoped exactly like use_delta's: a binding
   /// hom_max_nodes or deadline_seconds can stop serial and pooled runs at
   /// different points (a budget trip in one task cancels its siblings
@@ -134,21 +137,21 @@ struct ChaseStep {
 struct ChaseResult {
   ChaseStatus status = ChaseStatus::kFixpoint;
   std::uint64_t steps = 0;          ///< fires
-  std::uint64_t passes = 0;         ///< full scans over the dependency set
+  std::uint64_t passes = 0;         ///< passes begun over the dependency set
   std::uint64_t hom_nodes = 0;      ///< total homomorphism search nodes
   std::uint64_t hom_candidates = 0; ///< candidate tuples tried across all
                                     ///  searches (what the index prunes)
   std::uint64_t match_tasks = 0;    ///< match-phase tasks (parallel units)
   std::uint64_t carried_passes = 0; ///< passes entered with carried pending
-                                    ///  steps (burst-cap backlog re-checks)
+                                    ///  steps (a burst-cap backlog)
   std::vector<ChaseStep> trace;     ///< populated when record_trace
 
   // Wall-clock phase breakdown (seconds). Measurement-only: excluded from
   // every determinism comparison, absent from the checkpoint format (a
   // resumed run restarts them at zero — they describe THIS run's wall time,
   // not the logical derivation), and never read back by the chase itself.
-  double match_seconds = 0;       ///< matching phases (enumeration + merge)
-  double fire_seconds = 0;        ///< firing phases (witness re-check + fire)
+  double match_seconds = 0;       ///< dependency matches (enumeration)
+  double fire_seconds = 0;        ///< batch fires (witness re-check + fire)
   double checkpoint_seconds = 0;  ///< checkpoint capture on budget stops
 
   std::string ToString() const;
@@ -168,13 +171,14 @@ struct PendingChaseStep {
 /// instance itself (the caller owns that; ChaseSession in chase/implication.h
 /// bundles the two, and Instance::Serialize persists the tuple arena).
 ///
-/// A checkpoint is taken exactly when a run stops DETERMINISTICALLY inside
-/// the firing phase — kStepLimit or kTupleLimit, the two budgets the dual
-/// solver's escalation rounds raise. Those stops happen between fires, with
-/// the instance in a well-defined state and the remaining pending steps in
-/// hand, so a resumed run replays the continuation of an uninterrupted run
-/// byte for byte: same tuples, same invented nulls, same trace, same
-/// cumulative counters. Nondeterministic stops (kTimeout, kHomBudget,
+/// A checkpoint is taken exactly when a run stops DETERMINISTICALLY while
+/// firing — kStepLimit or kTupleLimit, the two budgets the dual solver's
+/// escalation rounds raise. Those stops happen between fires, with the
+/// instance in a well-defined state and the remaining steps in hand, so a
+/// resumed run fires the rest of the interrupted dependency's batch, goes
+/// on matching the pass's later dependencies, and so replays the
+/// continuation of an uninterrupted run byte for byte: same tuples, same
+/// invented nulls, same trace, same cumulative counters. Nondeterministic stops (kTimeout, kHomBudget,
 /// kCancelled) cut homomorphism searches mid-stream and leave no checkpoint
 /// (valid stays false); resuming after one falls back to a fresh run.
 ///
@@ -184,11 +188,18 @@ struct PendingChaseStep {
 struct ChaseCheckpoint {
   bool valid = false;
 
-  // ---- Resume point (inside the firing phase of pass `passes`) ----------
+  // ---- Resume point (inside pass `passes`, while firing the batch of
+  //      dependency next_dep - 1) -----------------------------------------
   std::size_t delta_begin = 0;      ///< frontier: ids >= this are the delta
+  std::size_t pass_start = 0;       ///< tuple count when the pass began: its
+                                    ///  body searches bind only ids below it
+  std::size_t next_dep = 0;         ///< the dependency the pass matches next
   std::uint64_t fired_this_pass = 0;  ///< burst-cap progress within the pass
-  std::vector<PendingChaseStep> pending;  ///< still-unfired steps, canonical
-                                          ///  (dep, body-image) order
+  /// Still-unfired steps in canonical (dep, body-image) order: the
+  /// interrupted dependency's tail (dep_index == next_dep - 1), then the
+  /// burst-cap backlog of the dependencies not yet matched (dep_index >=
+  /// next_dep).
+  std::vector<PendingChaseStep> pending;
 
   // ---- Cumulative counters (ChaseResult so far) -------------------------
   std::uint64_t steps = 0;
@@ -213,7 +224,9 @@ struct ChaseCheckpoint {
 
   /// True iff this checkpoint belongs with (config-shape, instance, deps):
   /// it is valid, the config shape matches, and — because checkpoints may
-  /// arrive from disk — every pending and trace entry's dependency index,
+  /// arrive from disk — delta_begin <= pass_start <= the instance's tuple
+  /// count, next_dep <= the number of dependencies, pending has the shape
+  /// described above, and every pending and trace entry's dependency index,
   /// tuple ids and valuation are in range for the given dependency set and
   /// instance (a corrupt file fails here, not as an out-of-bounds access
   /// inside RunChase or a trace consumer). Budgets are NOT considered: a
@@ -254,16 +267,22 @@ using ChaseGoal = std::function<bool(const Instance&)>;
 
 /// Runs the (standard/restricted) chase of `instance` with `deps` in place.
 ///
-/// The pass strategy is breadth-first and fair: each pass enumerates all
-/// applicable (dependency, body-match) pairs against the pass-start instance,
-/// re-verifies applicability immediately before firing (an earlier fire in
-/// the same pass may have satisfied the head), then fires. Fixpoint is a
-/// pass with zero fires.
+/// The pass strategy is breadth-first and fair: a pass matches each
+/// dependency in turn, in dependency order, against the pass-start instance
+/// (its body searches bind only the tuples that existed when the pass
+/// began), and fires that dependency's steps before it matches the next.
+/// Applicability is re-verified immediately before each fire (an earlier
+/// fire in the same pass may have satisfied the head). A pass that fires
+/// nothing and carries nothing to the next is the fixpoint.
 ///
-/// Applicable steps collected in a pass are fired in canonical
-/// (dependency index, body image) order — the body image being the tuple
-/// ids the body rows map to — so the fire order is a function of the *set*
-/// of applicable steps, not of how the matcher enumerated them.
+/// A dependency's steps are fired in canonical body-image order — the body
+/// image being the tuple ids the body rows map to — so over the pass the
+/// fire order is (dependency index, body image): a function of the *set* of
+/// applicable steps, not of how the matcher enumerated them. Matching and
+/// firing dependency by dependency therefore fires exactly the steps, in
+/// exactly the order, that matching the whole pass first would; what it
+/// saves is that once the step budget, the tuple budget or the goal stops
+/// the run, the dependencies after the cut are never matched.
 ///
 /// With ChaseConfig::use_delta (the default), pass k only enumerates body
 /// matches touching a tuple inserted during pass k-1 (the semi-naive
@@ -280,7 +299,7 @@ using ChaseGoal = std::function<bool(const Instance&)>;
 /// deadline_seconds can stop them at different points (statuses may then
 /// differ, e.g. kHomBudget in one mode only).
 ///
-/// With ChaseConfig::pool set, the match tasks of each pass run
+/// With ChaseConfig::pool set, the match tasks of each dependency run
 /// concurrently on the pool while the instance is read-only; the canonical
 /// merge makes the result byte-identical to the serial run at any thread
 /// count (same budget-trip caveat as above). Firing is always serial.
@@ -290,7 +309,9 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
 /// Resumable variant. `checkpoint` is in/out:
 ///
 ///   * On entry, if checkpoint->valid, the run CONTINUES from it instead of
-///     starting a first pass — `instance` must be the very instance (or a
+///     starting a first pass — it fires the rest of the interrupted
+///     dependency's batch, then goes on matching the pass's later
+///     dependencies — and `instance` must be the very instance (or a
 ///     restored copy) the checkpoint was taken against, and the caller must
 ///     have verified checkpoint->ResumableWith(config, *instance, deps). The
 ///     checkpoint is consumed (valid flips false).

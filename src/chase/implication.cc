@@ -102,6 +102,11 @@ Result<ChaseSession> ChaseSession::Deserialize(const SchemaPtr& schema,
   Result<ChaseCheckpoint> ckpt = ChaseCheckpoint::Deserialize(is);
   if (!ckpt.ok()) return R::Error(ckpt.code(), "session: " + ckpt.error());
   session.checkpoint = std::move(ckpt).value();
+  if (session.instance.has_value() &&
+      session.checkpoint.pass_start > session.instance->NumTuples()) {
+    return R::Error(ErrorCode::kCorrupt,
+                    "session: checkpoint pass_start past the instance");
+  }
   return session;
 }
 

@@ -55,10 +55,14 @@ HomSearchStatus HomomorphismSearch::ForEach(
 }
 
 std::pair<int, int> HomomorphismSearch::RowIdBounds(int row_idx) const {
+  const int cap = options_.id_end >= 0 ? options_.id_end
+                                       : std::numeric_limits<int>::max();
   if (options_.delta_begin < 0 || options_.delta_seed_row < 0) {
-    return {0, std::numeric_limits<int>::max()};
+    return {0, cap};
   }
-  if (row_idx < options_.delta_seed_row) return {0, options_.delta_begin};
+  if (row_idx < options_.delta_seed_row) {
+    return {0, std::min(cap, options_.delta_begin)};
+  }
   if (row_idx == options_.delta_seed_row) {
     // The seed row binds the delta — or, when the chase sliced this
     // partition member into sub-tasks, one sub-range of it.
@@ -66,9 +70,9 @@ std::pair<int, int> HomomorphismSearch::RowIdBounds(int row_idx) const {
                                             : options_.delta_begin;
     int hi = options_.delta_seed_end >= 0 ? options_.delta_seed_end
                                           : std::numeric_limits<int>::max();
-    return {lo, hi};
+    return {lo, std::min(cap, hi)};
   }
-  return {0, std::numeric_limits<int>::max()};
+  return {0, cap};
 }
 
 int HomomorphismSearch::PickNextRow() const {
@@ -217,8 +221,9 @@ bool HomomorphismSearch::Backtrack(
     return true;
   }
   int row_idx = PickNextRow();
-  // The semi-naive partition as per-row id windows: candidate runs are
-  // ascending, so the window is one lower_bound plus an early break.
+  // The semi-naive partition and the id cap as per-row id windows:
+  // candidate runs are ascending, so the window is one lower_bound plus an
+  // early break.
   auto [min_id, max_id] = RowIdBounds(row_idx);
   const bool any_row_mode =
       options_.delta_begin >= 0 && options_.delta_seed_row < 0;

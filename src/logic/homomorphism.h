@@ -23,7 +23,9 @@
 // equal-range sub-tasks when a pass has fewer members than workers. The
 // chase unions the partition members (and slices) and fires in a canonical
 // order (chase/chase.h), which is how delta mode reproduces the naive chase
-// byte for byte.
+// byte for byte. An id cap (HomSearchOptions::id_end) further confines every
+// row to the first N tuples, which is how the chase matches a dependency
+// against its pass-start instance after earlier dependencies have fired.
 //
 // Concurrency: a HomomorphismSearch object is strictly single-thread — all
 // of its mutable state (valuation, row bookkeeping, scratch buffers, stats)
@@ -133,6 +135,16 @@ struct HomSearchOptions {
   int delta_seed_begin = -1;
   int delta_seed_end = -1;
 
+  /// Id cap: when >= 0, every row binds only tuples with id < id_end, on
+  /// top of any delta window above. The chase sets it to the pass-start
+  /// tuple count, so a body search run after earlier dependencies of the
+  /// same pass fired sees exactly the pass-start instance. The cap bounds
+  /// the candidate windows only: the most-constrained-first heuristic and
+  /// the candidate driver still measure whole posting lists (counting
+  /// below the cap explored fewer nodes on the reduction sweep but ran
+  /// slower). -1 (the default) = no cap.
+  int id_end = -1;
+
   /// Optional wall-clock deadline, checked every few hundred nodes inside
   /// Backtrack so one huge search cannot overshoot a caller's budget. On
   /// expiry the search reports kBudget (the space was not exhausted) and
@@ -213,7 +225,8 @@ class HomomorphismSearch {
                  bool* stopped);
   int PickNextRow() const;
   /// Tuple ids row `row_idx` may bind: [first, second). Encodes the delta
-  /// partition (and seed slices); {0, INT_MAX} when unrestricted.
+  /// partition (and seed slices) and the id cap; {0, INT_MAX} when
+  /// unrestricted.
   std::pair<int, int> RowIdBounds(int row_idx) const;
   /// Candidate ids in [min_id, max_id) for `row_idx`, either as borrowed
   /// index spans (which may run past max_id — the caller's iteration stops

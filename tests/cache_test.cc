@@ -463,22 +463,22 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.code(), ErrorCode::kCorrupt);
 
-  Result<int> absurd_count = load("tdlib-result-cache 1\n99999999999\nend\n");
+  Result<int> absurd_count = load("tdlib-result-cache 2\n99999999999\nend\n");
   ASSERT_FALSE(absurd_count.ok());
   EXPECT_EQ(absurd_count.code(), ErrorCode::kCorrupt);
 
   Result<int> bad_verdict = load(
-      "tdlib-result-cache 1\n1\n"
+      "tdlib-result-cache 2\n1\n"
       "00000000000000aa 00000000000000bb 7 1 2 3 4 5 6 7\nend\n");
   ASSERT_FALSE(bad_verdict.ok());
   EXPECT_EQ(bad_verdict.code(), ErrorCode::kCorrupt);
 
-  Result<int> truncated = load("tdlib-result-cache 1\n2\n"
+  Result<int> truncated = load("tdlib-result-cache 2\n2\n"
                                "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\n");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.code(), ErrorCode::kCorrupt);
 
-  Result<int> trailing = load("tdlib-result-cache 1\n0\nend\ngarbage\n");
+  Result<int> trailing = load("tdlib-result-cache 2\n0\nend\ngarbage\n");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.code(), ErrorCode::kCorrupt);
 
@@ -990,6 +990,44 @@ TEST(ServiceCache, WarmStartFromAStoreServesHitsAcrossServices) {
   JobResult warm = service.Submit(job).Wait();
   EXPECT_EQ(warm.cache_source, CacheSource::kHit);
   EXPECT_EQ(warm.DeterministicSummary(), fresh.DeterministicSummary());
+}
+
+TEST(ServiceCache, VersionOneStoreIsRefusedAndTheWarmStartRunsCold) {
+  // Version-1 entries carry counters of a chase that matched every
+  // dependency before firing; loading them would serve hom_nodes no
+  // current run reproduces.
+  Job job = MakePumpingJob("versioned", 400);
+  std::stringstream stream;
+  JobResult fresh;
+  {
+    ServiceOptions service_options;
+    service_options.num_threads = 1;
+    service_options.result_cache = std::make_shared<ResultCache>();
+    SolverService service(service_options);
+    fresh = service.Submit(job).Wait();
+    SaveResultCache(stream, *service_options.result_cache);
+  }
+  std::string text = stream.str();
+  const std::string current = "tdlib-result-cache 2\n";
+  ASSERT_EQ(text.rfind(current, 0), 0u);
+  std::istringstream version_one("tdlib-result-cache 1\n" +
+                                 text.substr(current.size()));
+
+  auto reloaded = std::make_shared<ResultCache>();
+  Result<int> loaded = LoadResultCache(version_one, reloaded.get());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(loaded.error().find("unsupported version"), std::string::npos)
+      << loaded.error();
+  EXPECT_EQ(reloaded->Stats().entries, 0);
+
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.result_cache = reloaded;
+  SolverService service(service_options);
+  JobResult cold = service.Submit(job).Wait();
+  EXPECT_EQ(cold.cache_source, CacheSource::kMiss);
+  EXPECT_EQ(cold.DeterministicSummary(), fresh.DeterministicSummary());
 }
 
 }  // namespace

@@ -297,7 +297,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n"
+      "tdckpt7 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
   // Old formats must be rejected, never resumed under a guessed shape:
@@ -305,16 +305,18 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // retired intersection flag (its hom_candidates may have been counted
   // with intersection on), tdckpt3 writes valuations per attribute (here
   // one pending step over 2 attributes of one variable each), tdckpt4
-  // carries the retired lazy-goal-check flag in its shape line, and
-  // tdckpt5 carries the retired burst auto-tune flag and per-pass fire cap.
-  // All texts are otherwise well formed.
+  // carries the retired lazy-goal-check flag in its shape line, tdckpt5
+  // carries the retired burst auto-tune flag and per-pass fire cap, and a
+  // tdckpt6 pending list holds a whole pass's matches with no resume point
+  // inside the pass. All texts are otherwise well formed.
   for (const char* old_format :
        {"tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n",
         "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n",
         "tdckpt3 1\n0 0 0\n1 1 0 0 1 0\n1 0 0 0 0 1 0\n"
         "1\n0\n2\n1 0\n1 0\n1 0\n0\n",
         "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n",
-        "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n0\n0\n"}) {
+        "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n0\n0\n",
+        "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n"}) {
     std::istringstream in(old_format);
     Result<ChaseCheckpoint> old = ChaseCheckpoint::Deserialize(in);
     ASSERT_FALSE(old.ok()) << old_format;
@@ -322,7 +324,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   }
   // The same checkpoint in the current format loads.
   std::istringstream current(
-      "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n");
+      "tdckpt7 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   std::istringstream huge_store("tdstore1 2 18446744073709551615\n0 0\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_store).ok());
@@ -331,7 +333,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
 }
 
 TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
-  // A tdckpt6 checkpoint with pending steps writes each valuation as one
+  // A tdckpt7 checkpoint with pending steps writes each valuation as one
   // vector of TotalVars() slots, re-serializes to the same bytes, and
   // resumes exactly like the in-memory checkpoint it came from.
   Pumping pumping = MakePumping();
@@ -352,7 +354,7 @@ TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
   }
   std::ostringstream out;
   checkpoint.Serialize(out);
-  EXPECT_EQ(out.str().rfind("tdckpt6 1\n", 0), 0u);
+  EXPECT_EQ(out.str().rfind("tdckpt7 1\n", 0), 0u);
   std::istringstream in(out.str());
   Result<ChaseCheckpoint> restored = ChaseCheckpoint::Deserialize(in);
   ASSERT_TRUE(restored.ok());
@@ -382,6 +384,181 @@ TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
                                           bigger, {}, &restored.value());
   ExpectSameResult(restored_resumed, resumed);
   EXPECT_EQ(restored_instance.ToString(), instance.ToString());
+}
+
+// A finite closure under two dependencies. With a burst cap, the steps of
+// the second wait as a backlog while the first fires, and since the run
+// ends at a fixpoint every backlog step is checked at last; a pumping
+// instance can instead carry a late dependency's backlog past any budget.
+struct Closure {
+  DependencySet deps;
+  Instance seed;
+};
+
+Closure MakeTwoWayClosure() {
+  SchemaPtr schema = MakeSchema({"A", "B"});
+  DependencySet deps;
+  for (const char* text : {"R(a,b) & R(a2,b2) => R(a,b2)",
+                           "R(a,b) & R(a2,b2) => R(a2,b)"}) {
+    Result<Dependency> dep = ParseDependency(schema, text);
+    EXPECT_TRUE(dep.ok());
+    deps.Add(std::move(dep).value(), text);
+  }
+  Instance seed(schema);
+  for (int i = 0; i < 5; ++i) seed.AddValue(0);
+  for (int i = 0; i < 5; ++i) seed.AddValue(1);
+  for (int i = 0; i < 5; ++i) seed.AddTuple({i, i});
+  return Closure{std::move(deps), std::move(seed)};
+}
+
+// A budget stop in the middle of a pass: the first dependencies of the
+// pass are matched and fired, the interrupted one has an unfired tail, and
+// a burst-cap backlog of later dependencies waits for its turn.
+struct MidPassStop {
+  std::uint64_t steps = 0;  ///< the step budget that stops there (0 = none)
+  Instance instance;
+  ChaseCheckpoint checkpoint;
+};
+
+MidPassStop FindMidPassStop(const Closure& closure, ChaseConfig config) {
+  for (std::uint64_t steps = 1; steps <= 100; ++steps) {
+    config.max_steps = steps;
+    MidPassStop stop{steps, closure.seed, {}};
+    if (RunChase(&stop.instance, closure.deps, config, {}, &stop.checkpoint)
+            .status != ChaseStatus::kStepLimit) {
+      continue;
+    }
+    const std::size_t next_dep = stop.checkpoint.next_dep;
+    bool tail = false;
+    bool backlog = false;
+    for (const PendingChaseStep& step : stop.checkpoint.pending) {
+      const std::size_t dep = static_cast<std::size_t>(step.dep_index);
+      tail = tail || dep + 1 == next_dep;
+      backlog = backlog || dep >= next_dep;
+    }
+    if (next_dep > 0 && next_dep < closure.deps.items.size() && tail &&
+        backlog && stop.checkpoint.delta_begin > 0) {
+      return stop;
+    }
+  }
+  return MidPassStop{0, closure.seed, {}};
+}
+
+TEST(ChaseCheckpoint, ResumeParityFromTheMiddleOfAPassWithABacklog) {
+  Closure closure = MakeTwoWayClosure();
+  ChaseConfig config;
+  config.max_fires_per_pass = 3;
+  config.record_trace = true;
+  MidPassStop stop = FindMidPassStop(closure, config);
+  ASSERT_GT(stop.steps, 0u) << "no mid-pass stop with a backlog found";
+  const std::uint64_t big = 1000;  // past the fixpoint
+
+  // Directly and through ChaseCheckpoint text.
+  CheckResumeParity(closure.deps, closure.seed, config, stop.steps, big);
+
+  // Through ChaseSession text.
+  ChaseConfig big_config = config;
+  big_config.max_steps = big;
+  Instance reference = closure.seed;
+  ChaseResult reference_result =
+      RunChase(&reference, closure.deps, big_config);
+  ASSERT_EQ(reference_result.status, ChaseStatus::kFixpoint);
+  ChaseSession session;
+  session.instance = stop.instance;
+  session.checkpoint = stop.checkpoint;
+  std::ostringstream out;
+  session.Serialize(out);
+  std::istringstream in(out.str());
+  Result<ChaseSession> restored =
+      ChaseSession::Deserialize(closure.seed.schema_ptr(), in);
+  ASSERT_TRUE(restored.ok()) << restored.error();
+  ASSERT_TRUE(restored.value().CanResume());
+  ASSERT_TRUE(restored.value().checkpoint.ResumableWith(
+      big_config, *restored.value().instance, closure.deps));
+  ChaseResult resumed =
+      RunChase(&*restored.value().instance, closure.deps, big_config, {},
+               &restored.value().checkpoint);
+  ExpectSameResult(resumed, reference_result);
+  EXPECT_EQ(restored.value().instance->ToString(), reference.ToString());
+}
+
+// Rewrites the resume-point line (delta_begin pass_start next_dep
+// fired_this_pass) of a serialized checkpoint.
+std::string WithResumePoint(const std::string& text, std::size_t pass_start,
+                            std::size_t next_dep) {
+  std::istringstream in(text);
+  std::string header, point, rest;
+  std::getline(in, header);
+  std::getline(in, point);
+  std::getline(in, rest, '\0');
+  std::istringstream fields(point);
+  std::size_t delta_begin, old_pass_start, old_next_dep, fired;
+  fields >> delta_begin >> old_pass_start >> old_next_dep >> fired;
+  std::ostringstream out;
+  out << header << '\n' << delta_begin << ' ' << pass_start << ' '
+      << next_dep << ' ' << fired << '\n' << rest;
+  return out.str();
+}
+
+TEST(ChaseCheckpoint, RefusesADamagedResumePoint) {
+  Closure closure = MakeTwoWayClosure();
+  ChaseConfig config;
+  config.max_fires_per_pass = 3;
+  MidPassStop stop = FindMidPassStop(closure, config);
+  ASSERT_GT(stop.steps, 0u);
+  const ChaseCheckpoint& ckpt = stop.checkpoint;
+  ChaseConfig bigger = config;
+  bigger.max_steps = stop.steps + 50;
+  ASSERT_TRUE(ckpt.ResumableWith(bigger, stop.instance, closure.deps));
+
+  std::ostringstream out;
+  ckpt.Serialize(out);
+  auto load = [](const std::string& text) {
+    std::istringstream in(text);
+    return ChaseCheckpoint::Deserialize(in);
+  };
+  ASSERT_TRUE(load(out.str()).ok());
+  // A pass cannot start before the delta it matches.
+  Result<ChaseCheckpoint> early =
+      load(WithResumePoint(out.str(), ckpt.delta_begin - 1, ckpt.next_dep));
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.code(), ErrorCode::kCorrupt);
+  // One dependency further on, the interrupted dependency's tail no longer
+  // fits the resume point.
+  Result<ChaseCheckpoint> later =
+      load(WithResumePoint(out.str(), ckpt.pass_start, ckpt.next_dep + 1));
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.code(), ErrorCode::kCorrupt);
+
+  // A session whose pass starts past its own instance is corrupt.
+  ChaseSession session;
+  session.instance = stop.instance;
+  session.checkpoint = ckpt;
+  std::ostringstream session_out;
+  session.Serialize(session_out);
+  const std::string session_text = session_out.str();
+  const std::string ckpt_text = out.str();
+  const std::size_t at = session_text.find(ckpt_text);
+  ASSERT_NE(at, std::string::npos);
+  std::istringstream past(
+      session_text.substr(0, at) +
+      WithResumePoint(ckpt_text, stop.instance.NumTuples() + 1,
+                      ckpt.next_dep));
+  Result<ChaseSession> past_session =
+      ChaseSession::Deserialize(closure.seed.schema_ptr(), past);
+  ASSERT_FALSE(past_session.ok());
+  EXPECT_EQ(past_session.code(), ErrorCode::kCorrupt);
+
+  // In memory, a resume point beyond the instance or the dependency set is
+  // refused before RunChase indexes it.
+  ChaseCheckpoint past_instance = ckpt;
+  past_instance.pass_start = stop.instance.NumTuples() + 1;
+  EXPECT_FALSE(past_instance.ResumableWith(bigger, stop.instance,
+                                           closure.deps));
+  ChaseCheckpoint past_deps = ckpt;
+  past_deps.pending.clear();
+  past_deps.next_dep = closure.deps.items.size() + 1;
+  EXPECT_FALSE(past_deps.ResumableWith(bigger, stop.instance, closure.deps));
 }
 
 TEST(ChaseCheckpoint, SerializeRoundTripsTheInvalidCheckpoint) {

@@ -106,9 +106,14 @@ Job MakeJobWithUnusedVariables(const std::string& name) {
 /// A deliberately long-running job: a gap-regime reduction instance whose
 /// chase side pumps forever, with the counterexample budget starved to one
 /// tuple so the verdict stays kUnknown and the run reliably consumes its
-/// whole step budget. Runtime grows with `pad` (~15ms at pad 0 up to
-/// ~150-250ms at pad 3 at 2000 steps in Release), so SIGKILL can land
-/// mid-chase.
+/// whole step budget. Runtime is a staircase in the budget, not a line
+/// (pad 0 runs 20 ms at 5500 steps and 2.2 s at 6000): in Release on a
+/// 4-vCPU x86 host it is ~12 ms at pad 0 and ~40 ms at pad 3 at 2000 steps,
+/// and ~90-125 ms at pad 3 at 10000 steps.
+/// A test that sleeps before killing the worker gives each such job a
+/// budget that runs at least 4x its sleep, so SIGKILL lands mid-chase with
+/// room to spare; the low-budget jobs queued behind a pump need no such
+/// margin.
 Job MakeGapJob(const std::string& name, int pad, std::uint64_t max_steps) {
   WorkloadOptions workload_options;
   workload_options.size = 3 * (pad + 1);
@@ -556,13 +561,13 @@ TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
   // byte-identical to the serial reference.
   std::vector<Job> jobs;
   for (int i = 0; i < 6; ++i) {
-    jobs.push_back(MakeGapJob("heavy-" + std::to_string(i), i % 4,
-                              /*max_steps=*/1990 + i));
+    jobs.push_back(MakeGapJob("heavy-" + std::to_string(i), 3,
+                              /*max_steps=*/10000 + i));
   }
   ClusterRouter router(FastOptions(2));
   std::vector<JobHandle> handles;
   for (const Job& job : jobs) handles.push_back(router.Submit(job));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   router.KillWorker(0);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobResult r = handles[i].Wait();
@@ -723,7 +728,7 @@ TEST(ClusterRouterTest, HungWorkerIsKilledByHeartbeatAndTheJobRecovers) {
   std::vector<Job> jobs;
   for (int i = 0; i < 4; ++i) {
     jobs.push_back(
-        MakeGapJob("hung-" + std::to_string(i), 3, /*max_steps=*/1990 + i));
+        MakeGapJob("hung-" + std::to_string(i), 3, /*max_steps=*/10000 + i));
   }
   std::vector<JobHandle> handles;
   for (const Job& job : jobs) handles.push_back(router.Submit(job));
@@ -760,11 +765,11 @@ TEST(ClusterRouterTest, LastWorkerDyingMidRunHandsTheRunToTheLocalBackend) {
   options.max_restarts = 0;  // the first crash retires the only slot
   ClusterRouter router(options);
   ASSERT_TRUE(WaitForWorkersUp(router, 1));
-  // The gap job runs ~0.15-0.25 s in Release; the kill lands mid-chase, so
-  // the run is lost after it started and finishes on the local backend.
-  const Job lost = MakeGapJob("lost", 3, /*max_steps=*/1990);
+  // The gap job runs ~0.1 s in Release; the kill lands mid-chase, so the
+  // run is lost after it started and finishes on the local backend.
+  const Job lost = MakeGapJob("lost", 3, /*max_steps=*/10000);
   JobHandle lost_handle = router.Submit(lost);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   router.KillWorker(0);
   const JobResult r = lost_handle.Wait();
   EXPECT_EQ(r.status, JobStatus::kCompleted);
@@ -802,8 +807,8 @@ TEST(ClusterRouterTest, CompletionCallbackFiresExactlyOncePerJob) {
   // submission and every job still completes.
   std::vector<Job> jobs;
   for (int i = 0; i < 6; ++i) {
-    jobs.push_back(MakeGapJob("ledger-" + std::to_string(i), i % 3,
-                              /*max_steps=*/1990 + i));
+    jobs.push_back(MakeGapJob("ledger-" + std::to_string(i), 3,
+                              /*max_steps=*/10000 + i));
   }
   std::atomic<int> callbacks{0};
   ClusterRouter router(FastOptions(2));
@@ -815,7 +820,7 @@ TEST(ClusterRouterTest, CompletionCallbackFiresExactlyOncePerJob) {
     };
     handles.push_back(router.Submit(job, std::move(submit)));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   router.KillWorker(1);
   for (JobHandle& handle : handles) {
     EXPECT_EQ(handle.Wait().status, JobStatus::kCompleted);
