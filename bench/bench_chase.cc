@@ -14,7 +14,6 @@
 #include "chase/chase.h"
 #include "chase/implication.h"
 #include "core/parser.h"
-#include "engine/thread_pool.h"
 #include "engine/workload.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -407,137 +406,6 @@ void BM_LayoutZigzag(benchmark::State& state) {
   state.counters["hom_candidates"] = static_cast<double>(hom_candidates);
 }
 BENCHMARK(BM_LayoutZigzag);
-
-// ---- Parallel match phase: the threads axis ---------------------------------
-//
-// The BM_ChaseParallel* family is split into BENCH_chase_parallel.json by
-// run_benchmarks.sh (filter: BM_ChaseParallel). Each series sweeps pool
-// width with thread_count = 0 meaning the serial fallback (null pool).
-// Determinism contract on display: fired_steps, hom_nodes and match_tasks
-// MUST be identical across the whole threads axis — wall time is the only
-// counter allowed to move. A recap script failure on that parity is a
-// correctness regression, not a perf regression. On a single-core host all
-// widths measure the same wall time; the parity columns still validate the
-// merge logic under real pool scheduling.
-
-// Builds a pool of `threads` workers, or null for the serial fallback.
-std::unique_ptr<ThreadPool> MakePool(int threads) {
-  if (threads <= 0) return nullptr;
-  return std::make_unique<ThreadPool>(threads);
-}
-
-void BM_ChaseParallelCrossProduct(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int n = 32;
-  SchemaPtr schema = MakeSchema({"A", "B"});
-  DependencySet deps;
-  deps.Add(std::move(
-               ParseDependency(schema, "R(a,b) & R(a2,b2) => R(a,b2)"))
-               .value(),
-           "cross");
-  std::unique_ptr<ThreadPool> pool = MakePool(threads);
-  ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-  config.pool = pool.get();
-  std::uint64_t steps = 0;
-  std::uint64_t hom_nodes = 0;
-  std::uint64_t match_tasks = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Instance inst = SeedInstance(schema, n, std::max(2, n / 2), 42);
-    state.ResumeTiming();
-    ChaseResult result = RunChase(&inst, deps, config);
-    benchmark::DoNotOptimize(result.steps);
-    steps = result.steps;
-    hom_nodes = result.hom_nodes;
-    match_tasks = result.match_tasks;
-  }
-  state.counters["threads"] = threads;
-  state.counters["fired_steps"] = static_cast<double>(steps);
-  state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
-  state.counters["match_tasks"] = static_cast<double>(match_tasks);
-}
-BENCHMARK(BM_ChaseParallelCrossProduct)->ArgsProduct({{0, 1, 2, 4, 8}});
-
-void BM_ChaseParallelZigzag(benchmark::State& state) {
-  // The fixpoint-heavy regime: many small partition members per pass, the
-  // shape that benefits most from fanning members across workers.
-  const int threads = static_cast<int>(state.range(0));
-  const int n = 32;
-  SchemaPtr schema = MakeSchema({"A", "B"});
-  DependencySet deps;
-  deps.Add(std::move(ParseDependency(
-               schema, "R(a,b) & R(a2,b) & R(a2,b2) => R(a,b2)"))
-               .value(),
-           "reach");
-  std::unique_ptr<ThreadPool> pool = MakePool(threads);
-  ChaseConfig config = UnboundedConfig(/*use_delta=*/true);
-  config.pool = pool.get();
-  std::uint64_t hom_nodes = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t match_tasks = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Instance inst(schema);
-    inst.Reserve(static_cast<std::size_t>(n) * n, n + 1);
-    for (int v = 0; v <= n; ++v) {
-      inst.AddValue(0);
-      inst.AddValue(1);
-    }
-    for (int i = 0; i < n; ++i) {
-      inst.AddTuple({i, i});
-      inst.AddTuple({i + 1, i});
-    }
-    state.ResumeTiming();
-    ChaseResult result = RunChase(&inst, deps, config);
-    benchmark::DoNotOptimize(result.steps);
-    steps = result.steps;
-    hom_nodes = result.hom_nodes;
-    match_tasks = result.match_tasks;
-  }
-  state.counters["threads"] = threads;
-  state.counters["fired_steps"] = static_cast<double>(steps);
-  state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
-  state.counters["match_tasks"] = static_cast<double>(match_tasks);
-}
-BENCHMARK(BM_ChaseParallelZigzag)->ArgsProduct({{0, 1, 2, 4, 8}});
-
-void BM_ChaseParallelReductionSweep(benchmark::State& state) {
-  // The paper's own gadget instances with the chase fanned out per job —
-  // the headline series for this axis, capped (production regime) and
-  // uncapped.
-  const int threads = static_cast<int>(state.range(0));
-  const std::uint64_t fire_cap = static_cast<std::uint64_t>(state.range(1));
-  WorkloadOptions options;
-  options.size = 12;
-  std::vector<Job> jobs = ReductionSweepWorkload(options);
-  std::unique_ptr<ThreadPool> pool = MakePool(threads);
-  std::uint64_t hom_nodes = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t match_tasks = 0;
-  for (auto _ : state) {
-    hom_nodes = 0;
-    steps = 0;
-    match_tasks = 0;
-    for (const Job& job : jobs) {
-      ChaseConfig config = job.config.base_chase;
-      config.max_fires_per_pass = fire_cap;
-      config.pool = pool.get();
-      ImplicationResult r = ChaseImplies(job.dependencies, job.goal, config);
-      benchmark::DoNotOptimize(r.verdict);
-      hom_nodes += r.chase.hom_nodes;
-      steps += r.chase.steps;
-      match_tasks += r.chase.match_tasks;
-    }
-  }
-  state.counters["jobs"] = static_cast<double>(jobs.size());
-  state.counters["threads"] = threads;
-  state.counters["fire_cap"] = static_cast<double>(fire_cap);
-  state.counters["fired_steps"] = static_cast<double>(steps);
-  state.counters["hom_nodes"] = static_cast<double>(hom_nodes);
-  state.counters["match_tasks"] = static_cast<double>(match_tasks);
-}
-BENCHMARK(BM_ChaseParallelReductionSweep)
-    ->ArgsProduct({{0, 1, 2, 4, 8}, {0, 64}});
 
 }  // namespace
 }  // namespace tdlib

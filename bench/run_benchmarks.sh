@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite and leaves machine-readable perf records
-# (BENCH_chase.json, BENCH_chase_parallel.json, BENCH_cache.json,
-# BENCH_cluster.json) so successive PRs accumulate a trajectory of the
-# deterministic counters and isolated kernels. End-to-end throughput and
-# latency are perfbench's (perfbench/README.md).
+# (BENCH_chase.json, BENCH_cache.json, BENCH_cluster.json) so successive
+# changes accumulate a trajectory of the deterministic counters and isolated
+# kernels. End-to-end throughput and latency are perfbench's
+# (perfbench/README.md).
 #
-#   bench/run_benchmarks.sh [build-dir] [chase-out.json] \
-#                           [chase-parallel-out.json] [cache-out.json] \
+#   bench/run_benchmarks.sh [build-dir] [chase-out.json] [cache-out.json] \
 #                           [cluster-out.json]
 #
 # The build dir must already contain bench/bench_chase, bench/bench_cache
@@ -16,9 +15,8 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 CHASE_OUT="${2:-BENCH_chase.json}"
-CHASE_PARALLEL_OUT="${3:-BENCH_chase_parallel.json}"
-CACHE_OUT="${4:-BENCH_cache.json}"
-CLUSTER_OUT="${5:-BENCH_cluster.json}"
+CACHE_OUT="${3:-BENCH_cache.json}"
+CLUSTER_OUT="${4:-BENCH_cluster.json}"
 
 # Stamps a bench JSON with provenance metadata (git sha, UTC date, host
 # thread count) under a "tdlib_meta" key, so the BENCH_* trajectory stays
@@ -73,12 +71,9 @@ run_bench() {
   echo "wrote $out"
 }
 
-# One binary, two records: the serial series (naive-vs-delta, observability
-# and the BM_Layout* matcher timings) and the BM_ChaseParallel* threads
-# axis. Five repetitions each, so wall times carry a median and cv.
-run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" '-BM_ChaseParallel' 5
-run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_PARALLEL_OUT" \
-  'BM_ChaseParallel' 5
+# The chase record: naive-vs-delta, observability and the BM_Layout*
+# matcher timings. Five repetitions, so wall times carry a median and cv.
+run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" "" 5
 # The result-cache record: raw LRU probe cost and the cold-vs-warm sweep
 # (acceptance target: warm >= 10x cold, byte-identical to serial). Five
 # repetitions, so fp_us_per_job and the sweep rates carry a median and cv.
@@ -89,15 +84,14 @@ export TDLIB_TDWORKER="$BUILD_DIR/examples/tdworker"
 run_bench "$BUILD_DIR/bench/bench_cluster" "$CLUSTER_OUT" "" 5
 
 # Console recap of the headline series. Best-effort without python3, but
-# when python3 exists the parallel parity check at the bottom is a hard
-# failure — identical fired_steps/hom_nodes across thread counts is the
-# chase's determinism contract, not a perf number.
+# when python3 exists its parity checks are hard failures — identical work
+# with observability on and off, and cache and cluster results identical to
+# the serial solver, are determinism contracts, not perf numbers.
 if ! command -v python3 > /dev/null; then
   echo "python3 not found; skipping recap + parity check"
   exit 0
 fi
-python3 - "$CHASE_OUT" "$CHASE_PARALLEL_OUT" "$CACHE_OUT" "$CLUSTER_OUT" \
-  <<'EOF'
+python3 - "$CHASE_OUT" "$CACHE_OUT" "$CLUSTER_OUT" <<'EOF'
 import json, sys
 
 # Repeated records hold one row per repetition plus mean/median/stddev/cv
@@ -170,45 +164,13 @@ if 0 in obs_modes and 1 in obs_modes:
     if not obs_ok:
         sys.exit(1)
 
-# Parallel recap: per family, median wall time vs threads (threads=0 =
-# serial fallback) plus a hard determinism check — fired_steps/hom_nodes/
-# match_tasks must be identical along the whole threads axis, repetition by
-# repetition.
-par = json.load(open(sys.argv[2]))
-groups = {}
-for b in repetition_rows(par):
-    if "threads" not in b:
-        continue
-    key = (b["name"].split("/")[0],
-           tuple(sorted((k, v) for k, v in b.items()
-                        if k in ("jobs", "fire_cap"))))
-    groups.setdefault(key, {}).setdefault(int(b["threads"]), []).append(b)
-ok = True
-for (family, key), cells in sorted(groups.items()):
-    runs = [b for threads in sorted(cells) for b in cells[threads]]
-    base = runs[0]
-    extras = " ".join(f"{k}={int(v)}" for k, v in key)
-    times = " ".join(
-        f"t{threads}={median_time(par, cells[threads][0]) / 1e6:.2f}ms"
-        for threads in sorted(cells))
-    print(f"{family:<34} {extras:<18} {times}")
-    for b in runs[1:]:
-        for field in ("fired_steps", "hom_nodes", "match_tasks"):
-            if b.get(field) != base.get(field):
-                ok = False
-                print(f"  PARITY VIOLATION {family} threads="
-                      f"{int(b['threads'])}: {field} {base.get(field)} != "
-                      f"{b.get(field)}")
-if not ok:
-    sys.exit(1)
-
 # Cache recap: warm-vs-cold sweep throughput. Byte-identity of every
 # cache-served sweep repetition is the HARD check (identical_to_serial
 # straight from the bench, which compares against RunSerial); the rates and
 # fp_us_per_job are the medians over the repetitions, with their cv. The 10x
 # warm speedup target prints a WARN when missed but does not gate (wall
 # times on a shared box are too noisy for a hard perf gate).
-cache = json.load(open(sys.argv[3]))
+cache = json.load(open(sys.argv[2]))
 sweep_runs, sweep_median, sweep_cv = {}, {}, {}
 for b in cache.get("benchmarks", []):
     if b["name"].split("/")[0] != "BM_CacheWarmSweep":
@@ -245,7 +207,7 @@ if 0 in sweep_runs and 1 in sweep_runs:
 # reference is the HARD check, repetition by repetition — a cluster that
 # answers differently from the serial solver after a crash is broken. The
 # rates print as medians over the repetitions.
-cluster = json.load(open(sys.argv[4]))
+cluster = json.load(open(sys.argv[3]))
 cluster_ok = True
 medians = {b["run_name"]: b for b in cluster.get("benchmarks", [])
            if b.get("aggregate_name") == "median"}

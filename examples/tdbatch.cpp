@@ -30,10 +30,6 @@
 //   --naive-chase     disable delta-driven matching (ablation baseline;
 //                     verdicts are identical, the chase just re-matches
 //                     the whole instance every pass)
-//   --serial-chase    keep each job's chase matching phase on its own
-//                     thread (disable lending the service pool to the
-//                     chase; results are byte-identical, this is the
-//                     ablation baseline for chase-level parallelism)
 //   --no-resume       make escalation rounds re-run the chase from scratch
 //                     instead of resuming the previous round's checkpoint
 //                     (ablation baseline; results are byte-identical, the
@@ -141,7 +137,7 @@ int Usage() {
                "               [--seed=N] [--threads=N] [--rounds=N]\n"
                "               [--chase-steps=N] [--max-tuples=N]\n"
                "               [--deadline=S] [--stream] [--naive-chase]\n"
-               "               [--serial-chase] [--no-resume]\n"
+               "               [--no-resume]\n"
                "               [--cache[=BYTES]] [--no-cache]\n"
                "               [--cache-file=PATH] [--stop-on-refutation]\n"
                "               [--serial] [--csv=PATH] [--metrics[=PATH]]\n"
@@ -188,7 +184,6 @@ int RunBatch(int argc, char** argv) {
   std::string family = "reduction-sweep";
   WorkloadOptions workload;
   int num_threads = 0;
-  bool chase_parallelism = true;
   bool stop_on_refutation = false;
   double deadline_seconds = 0;
   bool serial = false;
@@ -233,8 +228,6 @@ int RunBatch(int argc, char** argv) {
         stream = true;
       } else if (arg == "--naive-chase") {
         workload.solver.base_chase.use_delta = false;
-      } else if (arg == "--serial-chase") {
-        chase_parallelism = false;
       } else if (arg == "--no-resume") {
         workload.solver.resume_chase = false;
       } else if (arg == "--cache") {
@@ -350,7 +343,6 @@ int RunBatch(int argc, char** argv) {
     // one-argument form).
     service_options.num_threads =
         cluster.num_workers > 0 && num_threads == 0 ? 1 : num_threads;
-    service_options.chase_parallelism = chase_parallelism;
     service_options.slow_log_seconds = slow_log_seconds;
     service_options.result_cache = cache;
     // One front door either way: with --workers the same service runs its

@@ -1,8 +1,8 @@
 // tdfuzz: the differential fuzzing front end (src/fuzz/).
 //
 // Generates endless deterministic rounds of implication questions, solves
-// each under every engine axis (naive/delta, thread count,
-// checkpoint/resume, serial/service, cached/fresh) and
+// each under every engine axis (naive/delta, checkpoint/resume,
+// serial/service, cached/fresh) and
 // cross-checks the results under each axis's invariance class. On a
 // divergence it delta-debugs the case down to a minimal job and writes a
 // replayable repro program.
@@ -20,7 +20,6 @@
 //                   Without --rounds it runs rounds until the budget is
 //                   spent; with --rounds=N it also stops after N rounds
 //   --cases=N       cases per round (default 6, cycling the three families)
-//   --threads=N     worker count for the thread-count axis (default 4)
 //   --steps=N       base chase step budget per solve (default 300)
 //   --no-resume     skip the checkpoint/resume axis
 //   --no-service    skip the serial-vs-service axis
@@ -52,7 +51,7 @@ namespace {
 
 int Usage() {
   std::cerr << "usage: tdfuzz [--seed=N] [--rounds=N] [--seconds=S]\n"
-               "              [--cases=N] [--threads=N] [--steps=N]\n"
+               "              [--cases=N] [--steps=N]\n"
                "              [--no-resume] [--no-service]\n"
                "              [--replay=FILE] [--repro-dir=DIR] [--metrics]\n"
                "              [--inject-flip]\n"
@@ -95,8 +94,6 @@ int main(int argc, char** argv) {
         wall_budget_seconds = std::stod(arg.substr(10));
       } else if (StartsWith(arg, "--cases=")) {
         options.cases_per_round = std::stoi(arg.substr(8));
-      } else if (StartsWith(arg, "--threads=")) {
-        options.threads = std::stoi(arg.substr(10));
       } else if (StartsWith(arg, "--steps=")) {
         options.base_steps = std::stoull(arg.substr(8));
       } else if (arg == "--no-resume") {

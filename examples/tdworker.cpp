@@ -7,12 +7,13 @@
 //
 // Flags:
 //   --fd=N           inherited socket file descriptor (required)
-//   --threads=N      chase matching parallelism (default 1)
 //   --hang-after=N   test hook: stop answering heartbeats after N jobs
 //                    (simulates a wedged worker; default never)
 //
 // A worker keeps no result cache (the router's front door does the
-// caching), so it takes no cache budget: any other flag is a usage error.
+// caching), so it takes no cache budget, and it runs each job's chase
+// serially, so it takes no thread count: any other flag, --cache-bytes and
+// --threads included, is a usage error.
 //
 // The TDLIB_FAULT environment variable arms the util/fault.h sites in this
 // process (e.g. TDLIB_FAULT="cluster.socket-read:3"), which is how the CI
@@ -48,9 +49,6 @@ int main(int argc, char** argv) {
     std::uint64_t value = 0;
     if (arg.rfind("--fd=", 0) == 0 && ParseUint(arg.c_str() + 5, &value)) {
       fd = static_cast<int>(value);
-    } else if (arg.rfind("--threads=", 0) == 0 &&
-               ParseUint(arg.c_str() + 10, &value)) {
-      options.threads = static_cast<int>(value);
     } else if (arg.rfind("--hang-after=", 0) == 0 &&
                ParseUint(arg.c_str() + 13, &value)) {
       options.hang_after_jobs = static_cast<int>(value);

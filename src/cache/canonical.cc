@@ -34,10 +34,10 @@ class CanonicalEncoder {
     // Every deterministic budget and matching-strategy knob: they all either
     // steer the verdict (rounds, steps, tuples) or the counters the cached
     // DeterministicSummary must reproduce (use_delta splits hom_nodes
-    // differently, max_fires_per_pass moves pass boundaries,
-    // match_slice_ids changes match_tasks). Deadlines are excluded because
-    // CacheableConfig already rejects them; pool/cancel are runtime wiring
-    // with byte-identical output by the engine's parallelism contract.
+    // differently, max_fires_per_pass moves pass boundaries). Deadlines are
+    // excluded because CacheableConfig already rejects them; the cancel
+    // flag is runtime wiring. Retired knobs keep their old defaults as
+    // literals, so fingerprints did not move when they went.
     const ChaseConfig& chase = config.base_chase;
     const CounterexampleConfig& cex = config.base_counterexample;
     Text("cfg ");
@@ -51,7 +51,7 @@ class CanonicalEncoder {
     Field(chase.use_delta ? 1 : 0, ' ');
     Field(chase.max_fires_per_pass, ' ');
     Field(0, ' ');  // the retired burst auto-tune flag's old default
-    Field(chase.match_slice_ids, ' ');
+    Field(4096, ' ');  // the retired match_slice_ids' old default
     Field(1, ' ');  // the retired intersection flag: keeps old fingerprints
     Field(1, ' ');  // the retired block-filter flag's old default
     Field(cex.max_tuples, ' ');

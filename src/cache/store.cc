@@ -27,7 +27,9 @@ constexpr char kMagic[] = "tdlib-result-cache";
 // the chase schedules its matches. Version 2: a pass matches and fires one
 // dependency at a time, so a version-1 entry's counters are ones no current
 // run would produce; such files are refused and the warm start runs cold.
-constexpr int kVersion = 2;
+// Version 3: matching no longer slices a partition member's seed rows, which
+// a version-2 entry's match_tasks may have counted.
+constexpr int kVersion = 3;
 
 // Upper bound on a plausible entry count: far above any real cache (a
 // 4M-entry cache would model at 1 GiB) and far below anything that could

@@ -9,7 +9,7 @@
 // start with a diagnosable error, never to wrong verdicts or a crash
 // (tests/serialization_corrupt_test.cc sweeps single-byte damage over it).
 //
-//   tdlib-result-cache 2
+//   tdlib-result-cache 3
 //   <count>
 //   <hi hex> <lo hex> <verdict> <rounds> <steps> <passes> <hom> <match>
 //       <carried> <cands>          (one line per entry, count times)

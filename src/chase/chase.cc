@@ -1,7 +1,6 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
 #include <new>
 #include <ostream>
@@ -11,7 +10,6 @@
 #include "core/satisfaction.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 #include "util/trace_span.h"
 
@@ -55,12 +53,6 @@ ChaseMetrics& GetChaseMetrics() {
   }();
   return *m;
 }
-
-// Match tasks run ahead of queued job-level work when the pool is shared
-// with engine/BatchSolver: a pass cannot finish until its slowest member
-// search does, so letting members jump the queue shortens the pass's
-// critical path without adding threads.
-constexpr int kMatchTaskPriority = 1 << 20;
 
 // One pass over a pumped instance can enumerate an enormous stream of body
 // matches (each with a head-witness sub-search), so waiting for the end of
@@ -151,52 +143,34 @@ std::vector<int> FireStep(const Dependency& dep, Instance* instance,
 // One collected applicable step. `row_ids` is the body image — the tuple id
 // each body row maps to under `match`, in tableau row order. It is the
 // canonical sort key that makes the fire order independent of how matches
-// were enumerated (full scan, semi-naive partition, any interleaving of
-// concurrent tasks), which is what keeps naive/delta and serial/pooled runs
-// byte-identical. Public (chase.h) because ChaseCheckpoint persists these.
+// were enumerated (full scan or semi-naive partition), which is what keeps
+// naive and delta runs byte-identical. Public (chase.h) because
+// ChaseCheckpoint persists these.
 using PendingStep = PendingChaseStep;
 
-// One unit of a dependency's matching: one body search (a full/any-row
-// scan, or one member (seed row) of the semi-naive partition, possibly one
-// id slice of it). Tasks are enumerated in a fixed order, only read the
-// instance, and write nothing but their own MatchOutput slot — which is
-// exactly what lets them run on pool workers.
+// One body search of a dependency's matching: a full or any-row scan, or
+// one member (seed row) of the semi-naive partition. delta_begin < 0 =
+// unrestricted scan, delta_seed_row < 0 = any-row scan.
 struct MatchTask {
-  // Body-search delta window, pre-resolved at task-list build time:
-  // delta_begin < 0 = unrestricted scan, seed_row < 0 = any-row scan,
-  // otherwise one partition member — possibly narrowed to the seed-row
-  // slice [slice_begin, slice_end) when the member was split into
-  // sub-tasks (slice_begin < 0 = the whole delta).
   int delta_begin = -1;
   int delta_seed_row = -1;
-  int slice_begin = -1;
-  int slice_end = -1;
 };
 
-// Per-task buffer: the steps this task found applicable plus its search
-// counters. Stats are summed across tasks after the join — HomSearchStats
-// is search-local, never shared between live searches.
-struct MatchOutput {
-  std::vector<PendingStep> pending;
-  HomSearchStats stats;
-};
-
-// Executes one body search of dependency `dep_index` against the read-only
-// `instance`, binding only ids < `id_end` (the pass-start instance).
-// `base_options` carries the run's node budget, deadline and (in pooled
-// mode) the shared cancel flag. The match-time witness filter reads the
-// whole current instance: a head witnessed there stays witnessed, since the
-// chase only adds tuples.
+// Executes one body search of dependency `dep_index` against `instance`,
+// binding only ids < `id_end` (the pass-start instance), and appends the
+// applicable steps it finds to `pending` and its search counters to
+// `stats`. `base_options` carries the run's node budget, deadline and
+// cancel flag. The match-time witness filter reads the whole current
+// instance: a head witnessed there stays witnessed, since the chase only
+// adds tuples.
 void RunMatchTask(const MatchTask& task, int dep_index,
                   const DependencySet& deps, const Instance& instance,
                   std::size_t id_end, const HomSearchOptions& base_options,
-                  MatchOutput* out) {
+                  std::vector<PendingStep>* pending, HomSearchStats* stats) {
   const Dependency& dep = deps.items[dep_index];
   HomSearchOptions body_options = base_options;
   body_options.delta_begin = task.delta_begin;
   body_options.delta_seed_row = task.delta_seed_row;
-  body_options.delta_seed_begin = task.slice_begin;
-  body_options.delta_seed_end = task.slice_end;
   body_options.id_end = static_cast<int>(id_end);
   HomomorphismSearch body_search(dep.body(), instance, body_options);
   // One reusable head checker for the whole body-match stream: this task
@@ -207,23 +181,14 @@ void RunMatchTask(const MatchTask& task, int dep_index,
   // the backtracker — no per-row FindTuple on the hot path.
   std::uint64_t matches_seen = 0;
   auto collect = [&](const Valuation& h) {
-    if (!head.Witnessed(h, &out->stats)) {
-      out->pending.push_back(
-          PendingStep{dep_index, h, body_search.row_tuples()});
+    if (!head.Witnessed(h, stats)) {
+      pending->push_back(PendingStep{dep_index, h, body_search.row_tuples()});
     }
-    if (out->stats.budget_hit) return false;
+    if (stats->budget_hit) return false;
     if (++matches_seen % kDeadlineCheckInterval == 0 &&
         base_options.deadline != nullptr && base_options.deadline->Expired()) {
-      out->stats.budget_hit = true;
-      out->stats.deadline_hit = true;
-      return false;
-    }
-    // A sibling's budget trip must stop this task even when its searches
-    // are all smaller than Backtrack's own cancel cadence (512 nodes); one
-    // relaxed load per match is noise next to the head search above.
-    if (base_options.cancel != nullptr &&
-        base_options.cancel->load(std::memory_order_relaxed)) {
-      out->stats.budget_hit = true;
+      stats->budget_hit = true;
+      stats->deadline_hit = true;
       return false;
     }
     // The job-level cancel flag rides the same per-match cadence, so a
@@ -231,31 +196,28 @@ void RunMatchTask(const MatchTask& task, int dep_index,
     // smaller than Backtrack's own check interval.
     if (base_options.job_cancel != nullptr &&
         base_options.job_cancel->load(std::memory_order_relaxed)) {
-      out->stats.budget_hit = true;
-      out->stats.cancel_hit = true;
+      stats->budget_hit = true;
+      stats->cancel_hit = true;
       return false;
     }
     return true;
   };
   body_search.ForEach(collect);
-  out->stats.MergeFrom(body_search.stats());
+  stats->MergeFrom(body_search.stats());
   // End-of-task deadline read: a pass of many small member searches — each
   // under Backtrack's 512-node and the stream's 256-match cadences — must
-  // still observe the wall clock at least once per task, or a serial
-  // matching phase could overshoot a clamped milliseconds-scale deadline by
-  // the whole task list.
-  if (!out->stats.budget_hit && base_options.deadline != nullptr &&
+  // still observe the wall clock at least once per task, or the matching
+  // phase could overshoot a clamped milliseconds-scale deadline by the
+  // whole task list.
+  if (!stats->budget_hit && base_options.deadline != nullptr &&
       base_options.deadline->Expired()) {
-    out->stats.budget_hit = true;
-    out->stats.deadline_hit = true;
+    stats->budget_hit = true;
+    stats->deadline_hit = true;
   }
 }
 
 // Builds one dependency's task list for a pass over the first `pass_start`
-// tuples, in the canonical order (partition members in seed-row order,
-// slices in id order). The list is a pure function of (config,
-// delta_begin, pass_start), so serial and pooled runs execute the same
-// searches.
+// tuples, in the canonical order (partition members in seed-row order).
 std::vector<MatchTask> BuildMatchTasks(const Dependency& dep,
                                        const ChaseConfig& config,
                                        std::size_t delta_begin,
@@ -280,29 +242,9 @@ std::vector<MatchTask> BuildMatchTasks(const Dependency& dep,
     // already enumerated (and fired or witnessed) in the pass that saw
     // their newest tuple — are skipped entirely.
     t.delta_begin = static_cast<int>(delta_begin);
-    // Work stealing for few-member passes: a big delta is further cut into
-    // equal id slices of the seed row's window, so even a 1-dependency pass
-    // produces enough sub-tasks to feed every worker. The slicing depends
-    // only on (config, delta) — never on the pool — so serial and pooled
-    // runs execute the same searches.
-    const std::uint64_t delta_size =
-        static_cast<std::uint64_t>(pass_start - delta_begin);
-    const bool sliced =
-        config.match_slice_ids > 0 && delta_size > config.match_slice_ids;
     for (int s = 0; s < dep.body().num_rows(); ++s) {
       t.delta_seed_row = s;
-      if (!sliced) {
-        tasks.push_back(t);
-        continue;
-      }
-      for (std::size_t lo = delta_begin; lo < pass_start;
-           lo += config.match_slice_ids) {
-        MatchTask slice = t;
-        slice.slice_begin = static_cast<int>(lo);
-        slice.slice_end = static_cast<int>(
-            std::min<std::size_t>(lo + config.match_slice_ids, pass_start));
-        tasks.push_back(slice);
-      }
+      tasks.push_back(t);
     }
   } else if (config.use_delta && delta_begin > 0) {
     // Majority delta: one pruned scan ("any row hits the delta") — never
@@ -506,11 +448,10 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
   // ---- Matching one dependency: read-only over the pass-start prefix -----
   //
   // Fills `batch` with dependency d's applicable steps in canonical order:
-  // its share of the backlog plus its fresh matches. The task list, and
-  // hence the set of searches, is identical in serial and pooled mode; only
-  // where each search runs differs. The collected valuations stay valid as
-  // tuples are only ever added. Returns false when the run must stop
-  // (result.status is set).
+  // its share of the backlog, then its fresh matches, appended task by task
+  // and stopping at the first budget trip. The collected valuations stay
+  // valid as tuples are only ever added. Returns false when the run must
+  // stop (result.status is set).
   auto match_dependency = [&](std::size_t d) -> bool {
     batch.clear();
     // The backlog is in canonical order, so d's share is one run.
@@ -526,48 +467,25 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       result.status = ChaseStatus::kCancelled;
       return false;
     }
+    batch.insert(
+        batch.end(),
+        std::make_move_iterator(carried.begin() +
+                                static_cast<std::ptrdiff_t>(carried_pos)),
+        std::make_move_iterator(carried.begin() +
+                                static_cast<std::ptrdiff_t>(carried_end)));
+    carried_pos = carried_end;
+    const std::ptrdiff_t backlog = static_cast<std::ptrdiff_t>(batch.size());
     // Phase observation only: the span/watch read the clock (when armed)
     // and publish when the phase ends; nothing below consults them.
     TraceSpan match_span("chase.match");
     StopWatch match_watch;
-    std::vector<MatchOutput> outputs(tasks.size());
     result.match_tasks += tasks.size();
-    const int dep_index = static_cast<int>(d);
-    if (config.pool != nullptr && tasks.size() > 1) {
-      // Fan out. Tasks write only their own output slot; a budget/deadline
-      // trip in any task raises the shared cancel flag so sibling searches
-      // wind down instead of completing doomed work.
-      std::atomic<bool> cancel{false};
-      HomSearchOptions task_options = hom_options;
-      task_options.cancel = &cancel;
-      ParallelFor(
-          config.pool, tasks.size(),
-          [&](std::size_t i) {
-            // The dependency is already doomed once any sibling tripped;
-            // skipping outright (like the serial early break below) only
-            // changes budget-tripped runs, which are outside the parity
-            // guarantee.
-            if (cancel.load(std::memory_order_relaxed)) return;
-            RunMatchTask(tasks[i], dep_index, deps, *instance, pass_start,
-                         task_options, &outputs[i]);
-            if (outputs[i].stats.budget_hit) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-          },
-          kMatchTaskPriority);
-    } else {
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        RunMatchTask(tasks[i], dep_index, deps, *instance, pass_start,
-                     hom_options, &outputs[i]);
-        if (outputs[i].stats.budget_hit) break;  // remaining work is doomed
-      }
-    }
-
-    // Aggregate per-task stats — the explicit sum-after-join that keeps
-    // HomSearchStats search-local (no shared counters between live
-    // searches).
     HomSearchStats match_stats;
-    for (const MatchOutput& out : outputs) match_stats.MergeFrom(out.stats);
+    for (const MatchTask& task : tasks) {
+      RunMatchTask(task, static_cast<int>(d), deps, *instance, pass_start,
+                   hom_options, &batch, &match_stats);
+      if (match_stats.budget_hit) break;  // remaining work is doomed
+    }
     result.hom_nodes += match_stats.nodes;
     result.hom_candidates += match_stats.candidates;
     // Publish the phase: one timing read + a handful of gated counter
@@ -592,28 +510,14 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       return false;
     }
 
-    // The backlog run first, then the fresh matches. Task order is
-    // canonical, but the sort+merge below is what actually fixes the fire
-    // order: entries with equal (dep_index, row_ids) are fully identical
-    // (the body image determines the valuation), so the merge order cannot
-    // leak into the result. The backlog kept canonical order, so only the
-    // fresh tail needs the O(n log n) sort; a gap-regime backlog of
-    // thousands plus a handful of new matches pays one linear merge instead
-    // of re-sorting the whole backlog.
-    std::size_t fresh = 0;
-    for (const MatchOutput& out : outputs) fresh += out.pending.size();
-    batch.reserve(carried_end - carried_pos + fresh);
-    batch.insert(
-        batch.end(),
-        std::make_move_iterator(carried.begin() +
-                                static_cast<std::ptrdiff_t>(carried_pos)),
-        std::make_move_iterator(carried.begin() +
-                                static_cast<std::ptrdiff_t>(carried_end)));
-    carried_pos = carried_end;
-    const std::ptrdiff_t backlog = static_cast<std::ptrdiff_t>(batch.size());
-    for (MatchOutput& out : outputs) {
-      for (PendingStep& step : out.pending) batch.push_back(std::move(step));
-    }
+    // The sort+merge below fixes the fire order: entries with equal
+    // (dep_index, row_ids) are fully identical (the body image determines
+    // the valuation), so enumeration order cannot leak into the result. The
+    // backlog kept canonical order, so only the fresh tail needs the
+    // O(n log n) sort; a gap-regime backlog of thousands plus a handful of
+    // new matches pays one linear merge instead of re-sorting the whole
+    // backlog.
+    //
     // FaultSite::kFireOrderFlip is the harness's deliberate bug: it reverses
     // the body-image ordering for this batch's sort, exactly the kind of
     // one-comparison mistake the differential fuzzer exists to catch
@@ -886,7 +790,6 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
   // run would no longer replay an uninterrupted one.
   if (use_delta != config.use_delta ||
       max_fires_per_pass != config.max_fires_per_pass ||
-      match_slice_ids != config.match_slice_ids ||
       record_trace != config.record_trace ||
       hom_max_nodes != config.hom_max_nodes) {
     return false;
@@ -944,7 +847,6 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
 void ChaseCheckpoint::CaptureShape(const ChaseConfig& config) {
   use_delta = config.use_delta;
   max_fires_per_pass = config.max_fires_per_pass;
-  match_slice_ids = config.match_slice_ids;
   record_trace = config.record_trace;
   hom_max_nodes = config.hom_max_nodes;
 }
@@ -978,7 +880,8 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
 }
 
 // tdckpt2 added the interrupted pass's fire cap, hom_candidates and the
-// match-strategy shape fields (the burst auto-tune flag, match_slice_ids).
+// match-strategy shape fields (the burst auto-tune flag, the seed-row slice
+// width).
 // tdckpt3 dropped the shape flag of the removed candidate intersection: a
 // tdckpt2 hom_candidates total may have been counted with intersection on,
 // so older files are rejected rather than resumed with a counter no
@@ -995,8 +898,11 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
 // tdckpt7 adds the resume point inside a pass (pass_start, next_dep): a pass
 // matches and fires one dependency at a time, and a tdckpt6 pending list
 // holds every dependency's steps matched at once, which a resumed tdckpt7
-// run would fire in a different order from its own.
-constexpr char kCheckpointMagic[] = "tdckpt7";
+// run would fire in a different order from its own. tdckpt8 drops the
+// seed-row slice width from the shape line: matching no longer slices a
+// partition member's seed rows, and a tdckpt7 match_tasks total may have
+// counted slices, so older files are rejected by the magic.
+constexpr char kCheckpointMagic[] = "tdckpt8";
 
 }  // namespace
 
@@ -1008,8 +914,7 @@ void ChaseCheckpoint::Serialize(std::ostream& os) const {
   os << steps << ' ' << passes << ' ' << hom_nodes << ' ' << hom_candidates
      << ' ' << match_tasks << ' ' << carried_passes << '\n';
   os << (use_delta ? 1 : 0) << ' ' << max_fires_per_pass << ' '
-     << match_slice_ids << ' ' << (record_trace ? 1 : 0) << ' '
-     << hom_max_nodes << '\n';
+     << (record_trace ? 1 : 0) << ' ' << hom_max_nodes << '\n';
   os << pending.size() << '\n';
   for (const PendingChaseStep& step : pending) {
     os << step.dep_index << '\n';
@@ -1044,8 +949,7 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
         ckpt.fired_this_pass >> ckpt.steps >>
         ckpt.passes >> ckpt.hom_nodes >> ckpt.hom_candidates >>
         ckpt.match_tasks >> ckpt.carried_passes >> use_delta_flag >>
-        ckpt.max_fires_per_pass >> ckpt.match_slice_ids >>
-        record_trace_flag >> ckpt.hom_max_nodes >> num_pending)) {
+        ckpt.max_fires_per_pass >> record_trace_flag >> ckpt.hom_max_nodes >> num_pending)) {
     return corrupt("truncated counters/shape block");
   }
   if (ckpt.pass_start < ckpt.delta_begin) {

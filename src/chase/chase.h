@@ -25,7 +25,6 @@
 #include "core/dependency.h"
 #include "logic/homomorphism.h"
 #include "logic/instance.h"
-#include "util/executor.h"
 #include "util/status.h"
 
 namespace tdlib {
@@ -66,35 +65,6 @@ struct ChaseConfig {
   /// where each joins its own dependency's batch (delta mode), or re-found
   /// by the full re-match (naive mode); both modes stay byte-identical.
   std::uint64_t max_fires_per_pass = 0;
-
-  /// Work stealing for few-member passes: split each semi-naive partition
-  /// member's seed-row delta range into sub-tasks of this many tuple ids
-  /// (0 = never split). A pass over one wide dependency produces only
-  /// |body rows| partition members — fewer than the pool on a big delta —
-  /// so slicing is what lets even 1-dependency chases use all cores. The
-  /// slicing is a pure function of (config, delta), NOT of the pool width,
-  /// so hom_nodes/match_tasks — and with them every instance, trace and
-  /// status — stay byte-identical at any thread count, serial included.
-  std::uint64_t match_slice_ids = 4096;
-
-  /// Optional thread pool for matching. A pass matches one dependency at a
-  /// time; that dependency's match tasks — one body search, or one per
-  /// semi-naive partition member (seed row) or seed-row slice — are
-  /// independent read-only searches over the pass-start prefix of the
-  /// instance. With a pool they fan out across workers, collect pending
-  /// steps into per-task buffers, and merge in the canonical (dependency,
-  /// body-image) order, so the fired steps — and therefore instances,
-  /// traces and statuses — are byte-identical to a serial run at ANY thread
-  /// count. Null (the default) is the serial fallback used by --naive-chase
-  /// and single-thread ablations. Firing, tracing and goal checks always
-  /// stay on the calling thread; the instance is never mutated while match
-  /// tasks run (it grows between one dependency's matching and the next). The
-  /// byte-identity guarantee is scoped exactly like use_delta's: a binding
-  /// hom_max_nodes or deadline_seconds can stop serial and pooled runs at
-  /// different points (a budget trip in one task cancels its siblings
-  /// through a shared atomic flag, so hom_nodes and statuses may then
-  /// diverge).
-  TaskExecutor* pool = nullptr;
 
   /// Optional cooperative cancel flag (the engine's JobHandle::Cancel routes
   /// here). Observed inside every homomorphism search on the amortized
@@ -141,7 +111,9 @@ struct ChaseResult {
   std::uint64_t hom_nodes = 0;      ///< total homomorphism search nodes
   std::uint64_t hom_candidates = 0; ///< candidate tuples tried across all
                                     ///  searches (what the index prunes)
-  std::uint64_t match_tasks = 0;    ///< match-phase tasks (parallel units)
+  std::uint64_t match_tasks = 0;    ///< body searches run (one per
+                                    ///  semi-naive partition member, or
+                                    ///  one scan)
   std::uint64_t carried_passes = 0; ///< passes entered with carried pending
                                     ///  steps (a burst-cap backlog)
   std::vector<ChaseStep> trace;     ///< populated when record_trace
@@ -213,12 +185,9 @@ struct ChaseCheckpoint {
   // ---- Config shape the checkpoint was taken under ----------------------
   // Resuming under a different shape would diverge from an uninterrupted
   // run; ResumableWith refuses and the caller starts fresh instead.
-  // max_fires_per_pass moves pass boundaries, and match_slice_ids — though
-  // invisible in the chase's output bytes — changes the cumulative
-  // counters, which a resumed run must reproduce exactly.
+  // max_fires_per_pass moves pass boundaries.
   bool use_delta = true;
   std::uint64_t max_fires_per_pass = 0;
-  std::uint64_t match_slice_ids = 0;
   bool record_trace = false;
   std::uint64_t hom_max_nodes = 0;
 
@@ -299,10 +268,9 @@ using ChaseGoal = std::function<bool(const Instance&)>;
 /// deadline_seconds can stop them at different points (statuses may then
 /// differ, e.g. kHomBudget in one mode only).
 ///
-/// With ChaseConfig::pool set, the match tasks of each dependency run
-/// concurrently on the pool while the instance is read-only; the canonical
-/// merge makes the result byte-identical to the serial run at any thread
-/// count (same budget-trip caveat as above). Firing is always serial.
+/// Matching and firing both run on the calling thread: one body search per
+/// partition member (or one scan), in order, stopping at the first budget
+/// trip.
 ChaseResult RunChase(Instance* instance, const DependencySet& deps,
                      const ChaseConfig& config, const ChaseGoal& goal = {});
 

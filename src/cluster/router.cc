@@ -599,7 +599,6 @@ class WorkerSet final : public engine_internal::Backend {
       return;
     }
     args.push_back("--fd=" + std::to_string(fds[1]));
-    args.push_back("--threads=" + std::to_string(options_.worker_threads));
     if (options_.hang_after_jobs > 0) {
       args.push_back("--hang-after=" +
                      std::to_string(options_.hang_after_jobs));

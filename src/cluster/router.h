@@ -89,9 +89,12 @@ struct ClusterOptions {
   int num_workers = 2;
 
   /// Worker executable. "" = $TDLIB_TDWORKER. Spawned as
-  /// `cmd --fd=N --threads=T [--hang-after=K]`.
+  /// `cmd --fd=N [--hang-after=K]`.
   std::string worker_command;
 
+  /// Ignored: a worker runs each job's chase serially and takes no thread
+  /// count. Kept only for callers that still set it; it goes with the
+  /// cluster's compatibility layer (ClusterRouter and its option types).
   int worker_threads = 1;
 
   /// Crash retries per job before it is published as kSkipped (a dispatch

@@ -92,8 +92,9 @@ constexpr std::uint32_t kResultPayloadTag = 0x62726474;
 // version 4 dropped two retired chase config flags from the job's config;
 // version 5 dropped the job's probe budget and session block and the
 // result's parked flag and session block; version 6 dropped the job's
-// canonical fingerprint.
-constexpr std::uint32_t kPayloadVersion = 6;
+// canonical fingerprint; version 7 dropped the chase's seed-row slice width
+// from the job's config.
+constexpr std::uint32_t kPayloadVersion = 7;
 
 // Appends fixed-width little-endian fields and length-prefixed strings.
 class ByteWriter {
@@ -194,7 +195,6 @@ void WriteConfig(const DualSolverConfig& config, ByteWriter* out) {
   out->Bool(chase.record_trace);
   out->Bool(chase.use_delta);
   out->U64(chase.max_fires_per_pass);
-  out->U64(chase.match_slice_ids);
   out->I32(cex.max_tuples);
   out->U64(cex.max_candidates);
   out->F64(cex.deadline_seconds);
@@ -208,7 +208,6 @@ bool ReadConfig(ByteReader* in, DualSolverConfig* config) {
          in->F64(&chase.deadline_seconds) && in->U64(&chase.hom_max_nodes) &&
          in->Bool(&chase.record_trace) && in->Bool(&chase.use_delta) &&
          in->U64(&chase.max_fires_per_pass) &&
-         in->U64(&chase.match_slice_ids) &&
          in->I32(&cex.max_tuples) && in->U64(&cex.max_candidates) &&
          in->F64(&cex.deadline_seconds);
 }

@@ -75,8 +75,9 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 /// result payloads in TDF4 frames; 3: results name the running job; 4: the
 /// job config drops two retired chase flags; 5: jobs and results drop the
 /// probe budget, the parked flag and the session block; 6: jobs drop the
-/// canonical fingerprint).
-inline constexpr int kWireProtocolVersion = 6;
+/// canonical fingerprint; 7: the job config drops the chase's seed-row
+/// slice width).
+inline constexpr int kWireProtocolVersion = 7;
 
 /// One decoded frame.
 struct Frame {

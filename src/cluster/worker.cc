@@ -6,7 +6,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <cstdlib>
@@ -15,7 +14,6 @@
 #include <utility>
 
 #include "cluster/wire.h"
-#include "engine/thread_pool.h"
 
 namespace tdlib {
 namespace {
@@ -47,14 +45,13 @@ class FrameWriter {
 /// Solves one wire job. `cancel` is raised by a kCancel frame for this job
 /// and by the worker's abort (the stream turned corrupt, so a crash-only
 /// exit is not delayed by a long chase).
-WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
+WireResult ExecuteJob(const WireJob& wire_job,
                       const std::atomic<bool>* cancel) {
   WireResult out;
   out.job_id = wire_job.job_id;
   const Job& job = wire_job.job;
 
   DualSolverConfig config = job.config;
-  config.base_chase.pool = pool;
   config.cancel = cancel;
   config.base_chase.cancel = cancel;
   config.base_counterexample.cancel = cancel;
@@ -67,8 +64,6 @@ WireResult ExecuteJob(const WireJob& wire_job, TaskExecutor* pool,
 }  // namespace
 
 int RunWorkerLoop(int fd, const WorkerOptions& options) {
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
   FrameWriter writer(fd);
 
   // `cancel` is the running job's solver flag; `abort` marks the
@@ -108,7 +103,7 @@ int RunWorkerLoop(int fd, const WorkerOptions& options) {
         if (!next.has_value()) return;
         wire_job.swap(next);
       }
-      WireResult result = ExecuteJob(*wire_job, pool.get(), &cancel);
+      WireResult result = ExecuteJob(*wire_job, &cancel);
       std::unique_lock<std::mutex> lock(mu);
       ++jobs_done;
       if (inbox.empty()) {

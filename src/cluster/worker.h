@@ -17,10 +17,6 @@
 namespace tdlib {
 
 struct WorkerOptions {
-  /// Chase matching parallelism inside this worker (1 = serial; the
-  /// byte-identity guarantee holds at any value).
-  int threads = 1;
-
   /// Test hook (tdworker --hang-after=N): after completing N jobs the
   /// worker stops answering heartbeat pings while keeping its socket open —
   /// a wedged process, which the router must detect by pong timeout and

@@ -34,7 +34,7 @@ SatisfactionResult CheckSatisfaction(const Dependency& dep,
   SatisfactionResult result;
   // Per-call stats aggregation: each search owns its HomSearchStats and the
   // counters are summed here after each search finishes (the same
-  // sum-after-join discipline the parallel chase uses).
+  // discipline the chase's match phase uses).
   HomSearchStats stats;
 
   HomomorphismSearch body_search(dep.body(), instance, options);

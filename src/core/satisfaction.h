@@ -47,7 +47,7 @@ struct SatisfactionResult {
 /// search is the body match with every existential variable unbound (body
 /// and head share one variable space, so the slots line up). Shared by
 /// satisfaction checking and the chase's match/fire phases. Strictly
-/// single-thread like the search it wraps; concurrent match tasks each own
+/// single-thread like the search it wraps; concurrent callers each own
 /// their checker (per-caller scratch, nothing shared). Reuse is invisible
 /// in the counters: the same searches explore the same nodes. Reads the
 /// instance through a reference, so it observes tuples inserted between

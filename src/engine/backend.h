@@ -70,11 +70,10 @@ Pickup BeginRun(const std::shared_ptr<JobState>& state,
 /// cache provenance, then calls PublishTerminal.
 void FinishRun(const std::shared_ptr<JobState>& state, JobResult result);
 
-/// Runs jobs on a ThreadPool in this process. The pool is also lent to
-/// each job's chase (ChaseConfig::pool) when chase_parallelism is on.
+/// Runs jobs on a ThreadPool in this process, one job per worker.
 class LocalBackend final : public Backend {
  public:
-  LocalBackend(int num_threads, bool chase_parallelism);
+  explicit LocalBackend(int num_threads);
 
   bool Enqueue(const std::shared_ptr<JobState>& state,
                std::uint64_t generation, int priority) override;
@@ -93,7 +92,6 @@ class LocalBackend final : public Backend {
   void Run(const std::shared_ptr<JobState>& state, DualSolverConfig config);
 
   ThreadPool pool_;
-  bool chase_parallelism_;
 };
 
 }  // namespace engine_internal

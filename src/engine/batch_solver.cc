@@ -82,11 +82,9 @@ BatchSummary BatchSolver::Run(const std::vector<Job>& jobs) {
     // deadline becomes every submission's deadline (they are all submitted
     // at batch start, so the epochs coincide), the batch cancel flag
     // becomes every submission's admission gate, and early stop is an
-    // on_complete callback that closes the gate. The service lends its
-    // pool to each job's chase exactly as the old batch loop did.
+    // on_complete callback that closes the gate.
     ServiceOptions service_options;
     service_options.num_threads = options_.num_threads;
-    service_options.chase_parallelism = options_.chase_parallelism;
     SolverService service(service_options);
     summary.num_threads = service.num_threads();
 
@@ -130,7 +128,7 @@ BatchSummary RunSerial(const std::vector<Job>& jobs,
   bool cancelled = false;
 
   for (const Job& job : jobs) {
-    // The reference mode is serial at every level: no job pool, no chase
+    // The reference mode runs every job on the calling thread, with no
     // pool. Pooled runs must reproduce its results byte for byte. The
     // deadline arithmetic is the service's own (ClampConfigToBudget), so
     // both modes express identical budget semantics.

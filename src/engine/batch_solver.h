@@ -57,18 +57,6 @@ struct BatchOptions {
   /// Cancel outstanding jobs once any job returns kRefutedFinite or
   /// kRefutedByFixpoint.
   bool stop_on_first_refutation = false;
-
-  /// Lend the batch pool to each job's chase as ChaseConfig::pool, so the
-  /// chase's per-pass match tasks can fan out on idle workers. One pool
-  /// serves both levels — the worker count is fixed, so nesting can never
-  /// oversubscribe the machine; it only changes who drains the queue.
-  /// Chase tasks are submitted at high priority (they gate a running job's
-  /// critical path) and only when the queue is shallower than the pool
-  /// (util/parallel.h's work-count heuristic): with more queued jobs than
-  /// workers, job-level parallelism already saturates the pool and the
-  /// chase stays serial per job. Results are byte-identical either way;
-  /// this knob exists for ablations (tdbatch --serial-chase).
-  bool chase_parallelism = true;
 };
 
 /// Everything a batch run produced.

@@ -66,7 +66,7 @@ struct JobResult {
   std::uint64_t chase_steps = 0;
   std::uint64_t chase_passes = 0;
   std::uint64_t hom_nodes = 0;
-  std::uint64_t match_tasks = 0;     ///< match-phase tasks (parallel units)
+  std::uint64_t match_tasks = 0;     ///< chase body searches run
   std::uint64_t carried_passes = 0;  ///< passes with burst-cap carried steps
 
   // Model-search-side statistics (last attempt).

@@ -163,9 +163,8 @@ void FinishRun(const std::shared_ptr<JobState>& s, JobResult r) {
   PublishTerminal(s, r);
 }
 
-LocalBackend::LocalBackend(int num_threads, bool chase_parallelism)
-    : pool_(ResolveThreads(num_threads)),
-      chase_parallelism_(chase_parallelism) {}
+LocalBackend::LocalBackend(int num_threads)
+    : pool_(ResolveThreads(num_threads)) {}
 
 // Tasks capture `this`, not the service: they only run inside the pool's
 // lifetime, which is inside this backend's — capturing a shared_ptr to the
@@ -194,7 +193,6 @@ void LocalBackend::Run(const std::shared_ptr<JobState>& s,
                        DualSolverConfig config) {
   // Scope every span the solver stack opens below under this job.
   TraceJobScope job_scope(s->trace_id);
-  config.base_chase.pool = chase_parallelism_ ? &pool_ : nullptr;
   JobResult r;
   {
     TraceSpan run_span("job.run");
@@ -394,7 +392,7 @@ void DetachWaiter(const std::shared_ptr<JobState>& runner,
 ServiceCore::ServiceCore(const ServiceOptions& opts,
                          const RemoteBackendFactory& remote_factory)
     : options(opts),
-      local(opts.num_threads, opts.chase_parallelism),
+      local(opts.num_threads),
       remote(remote_factory ? remote_factory(&local) : nullptr),
       backend(remote != nullptr ? remote.get() : &local) {}
 

@@ -20,12 +20,11 @@
 //
 // Execution model: the service decides WHETHER and WHEN a job runs; a
 // backend (engine/backend.h) decides WHERE. The default backend is one
-// fixed-width ThreadPool that serves job-level parallelism and (via
-// ChaseConfig::pool) chase-level match fan-out, exactly as the batch engine
-// did — nested ParallelFor cannot deadlock and the pool never
-// oversubscribes. ClusterRouter (cluster/router.h) builds the same service
-// over worker processes instead, keeping that pool as the fallback for when
-// every worker is down. Submit never blocks on solver work.
+// fixed-width ThreadPool that runs one job per worker, each job's chase
+// serially on that worker, so the pool never oversubscribes. ClusterRouter
+// (cluster/router.h) builds the same service over worker processes
+// instead, keeping that pool as the fallback for when every worker is
+// down. Submit never blocks on solver work.
 //
 // Lifetime: the destructor waits for every submitted job to reach a
 // terminal state (queued jobs still run). Handles are shared state and
@@ -54,10 +53,6 @@ class ResultCache;
 struct ServiceOptions {
   /// Worker count; 0 = std::thread::hardware_concurrency().
   int num_threads = 0;
-
-  /// Lend the pool to each job's chase as ChaseConfig::pool (see
-  /// BatchOptions::chase_parallelism — same mechanism, same byte-identity).
-  bool chase_parallelism = true;
 
   /// Slow log: a job whose submit-to-terminal wall time reaches this many
   /// seconds emits a one-line phase breakdown (queue/match/fire/checkpoint)

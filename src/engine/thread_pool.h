@@ -1,10 +1,12 @@
 // A fixed-size worker pool with a priority work queue.
 //
-// The engine layer runs many independent (D, D0) dual-solver jobs at once;
-// the pool is deliberately minimal: a lock-guarded queue, a fixed set of
-// workers started in the constructor, and a graceful drain-then-join
-// shutdown. Tasks are plain std::function<void()> thunks — all solver
-// plumbing (budgets, deadlines, cancellation) lives in batch_solver.
+// The engine's LocalBackend runs many independent (D, D0) dual-solver jobs
+// at once, one job per worker; each job's chase runs serially on the worker
+// that picked it up. The pool is deliberately minimal: a lock-guarded
+// queue, a fixed set of workers started in the constructor, and a graceful
+// drain-then-join shutdown. Tasks are plain std::function<void()> thunks —
+// all solver plumbing (budgets, deadlines, cancellation) lives in the
+// service (engine/service.cc).
 //
 // Thread-safety: Submit and Shutdown may be called from any thread.
 // Tasks must not call Submit on the pool that runs them after Shutdown has
@@ -13,6 +15,7 @@
 #define TDLIB_ENGINE_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -20,23 +23,17 @@
 #include <thread>
 #include <vector>
 
-#include "util/executor.h"
-
 namespace tdlib {
 
 /// Fixed-size thread pool. Workers start immediately; the destructor (or an
 /// explicit Shutdown) drains the queue and joins every worker.
-///
-/// Implements util/TaskExecutor so lower layers (the chase's parallel match
-/// phase) can borrow the pool through ChaseConfig::pool without the layering
-/// inversion of including engine headers.
-class ThreadPool : public TaskExecutor {
+class ThreadPool {
  public:
   /// Starts `num_threads` workers (values < 1 are clamped to 1).
   explicit ThreadPool(int num_threads);
 
   /// Drains and joins (equivalent to Shutdown()).
-  ~ThreadPool() override;
+  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -44,7 +41,7 @@ class ThreadPool : public TaskExecutor {
   /// Enqueues a task. Higher `priority` runs first; ties run in submission
   /// order (the queue is stable). Returns false iff the pool is shutting
   /// down, in which case the task is dropped.
-  bool Submit(std::function<void()> task, int priority = 0) override;
+  bool Submit(std::function<void()> task, int priority = 0);
 
   /// Stops accepting tasks, runs everything already queued, and joins all
   /// workers. Idempotent; safe to call concurrently with Submit. The first
@@ -56,10 +53,10 @@ class ThreadPool : public TaskExecutor {
   /// keeps accepting tasks afterwards (unlike Shutdown).
   void WaitIdle();
 
-  int num_threads() const override { return num_threads_; }
+  int num_threads() const { return num_threads_; }
 
   /// Tasks currently queued (not yet picked up by a worker).
-  std::size_t QueueDepth() const override;
+  std::size_t QueueDepth() const;
 
  private:
   struct Entry {

@@ -14,7 +14,6 @@
 #include "cache/result_cache.h"
 #include "chase/dual_solver.h"
 #include "engine/service.h"
-#include "engine/thread_pool.h"
 #include "fuzz/fuzz.h"
 #include "util/fault.h"
 #include "util/metrics.h"
@@ -207,12 +206,6 @@ std::vector<FuzzDivergence> CheckJobAcrossAxes(const Job& job,
     DualSolverConfig naive = reference_config;
     naive.base_chase.use_delta = false;
     check("naive", run_variant(naive), AxisClass::kSemanticsAndFireStream);
-  }
-  {
-    ThreadPool pool(options.threads > 0 ? options.threads : 2);
-    DualSolverConfig pooled = reference_config;
-    pooled.base_chase.pool = &pool;
-    check("threads", run_variant(pooled), AxisClass::kFullIdentity);
   }
 
   if (options.check_resume) {

@@ -2,12 +2,12 @@
 // implication).
 //
 // The engine promises a family of semantics-preserving equivalences: delta
-// vs naive matching, any thread count, checkpoint/resume, the service and
-// the cache — each leaves a documented slice of the output (verdicts,
-// instances, traces, counters) byte-identical.
+// vs naive matching, checkpoint/resume, the service and the cache — each
+// leaves a documented slice of the output (verdicts, instances, traces,
+// counters) byte-identical.
 // Those promises are this library's substitute for an external oracle: TD
 // implication is undecidable (the paper's main result), so no reference
-// implementation can say what the right answer IS — but six
+// implementation can say what the right answer IS — but five
 // configurations of the same solver can still be required to AGREE.
 //
 // The harness generates endless deterministic streams of implication
@@ -42,9 +42,6 @@ struct FuzzOptions {
 
   /// Cases generated per round (cycling through the three families).
   int cases_per_round = 6;
-
-  /// Worker count for the thread-count axis (the reference is serial).
-  int threads = 4;
 
   /// Round-0 chase step budget of every solve; the dual solver's escalation
   /// doubles it once (rounds = 2). Small by design: divergences in fire
@@ -105,8 +102,7 @@ struct RunDigest {
 /// One detected disagreement between the reference run and a variant.
 struct FuzzDivergence {
   std::string case_name;
-  std::string axis;    ///< "naive", "threads", "resume", "service",
-                       ///  "cache"
+  std::string axis;    ///< "naive", "resume", "service", "cache"
   std::string detail;  ///< first differing field, with both values
 };
 

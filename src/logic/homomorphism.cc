@@ -64,13 +64,7 @@ std::pair<int, int> HomomorphismSearch::RowIdBounds(int row_idx) const {
     return {0, std::min(cap, options_.delta_begin)};
   }
   if (row_idx == options_.delta_seed_row) {
-    // The seed row binds the delta — or, when the chase sliced this
-    // partition member into sub-tasks, one sub-range of it.
-    int lo = options_.delta_seed_begin >= 0 ? options_.delta_seed_begin
-                                            : options_.delta_begin;
-    int hi = options_.delta_seed_end >= 0 ? options_.delta_seed_end
-                                          : std::numeric_limits<int>::max();
-    return {lo, std::min(cap, hi)};
+    return {options_.delta_begin, cap};  // the seed row binds the delta
   }
   return {0, cap};
 }
@@ -188,18 +182,12 @@ bool HomomorphismSearch::Backtrack(
   }
   // Amortized wall-clock / cancel check: a single pumped search can run for
   // seconds, so waiting for the caller to look at the clock between
-  // searches lets a deadline overshoot arbitrarily. The cancel flag rides
-  // the same cadence — it is how a concurrent sibling search's budget trip
-  // winds this one down.
+  // searches lets a deadline overshoot arbitrarily. The job's cancel flag
+  // rides the same cadence.
   if ((stats_.nodes & 0x1FF) == 0x1FF) {
     if (options_.deadline != nullptr && options_.deadline->Expired()) {
       stats_.budget_hit = true;
       stats_.deadline_hit = true;
-      return false;
-    }
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
-      stats_.budget_hit = true;
       return false;
     }
     if (options_.job_cancel != nullptr &&

@@ -17,22 +17,18 @@
 // member of the standard semi-naive partition of the delta-touching matches
 // — seed row in the delta, earlier rows in the old region, later rows
 // unrestricted — so that re-matching after an insertion batch costs time
-// proportional to the batch, not the instance. The seed row's id window can
-// further be narrowed to a sub-slice of the delta (delta_seed_begin/_end),
-// which is how the chase splits one partition member into several
-// equal-range sub-tasks when a pass has fewer members than workers. The
-// chase unions the partition members (and slices) and fires in a canonical
-// order (chase/chase.h), which is how delta mode reproduces the naive chase
-// byte for byte. An id cap (HomSearchOptions::id_end) further confines every
-// row to the first N tuples, which is how the chase matches a dependency
-// against its pass-start instance after earlier dependencies have fired.
+// proportional to the batch, not the instance. The chase unions the
+// partition members and fires in a canonical order (chase/chase.h), which
+// is how delta mode reproduces the naive chase byte for byte. An id cap
+// (HomSearchOptions::id_end) further confines every row to the first N
+// tuples, which is how the chase matches a dependency against its
+// pass-start instance after earlier dependencies have fired.
 //
 // Concurrency: a HomomorphismSearch object is strictly single-thread — all
 // of its mutable state (valuation, row bookkeeping, scratch buffers, stats)
 // lives in the object. Any number of searches may run concurrently over the
 // SAME target instance as long as no thread mutates it (see the concurrent-
-// read contract in logic/instance.h); the parallel chase runs one search
-// object per task and aggregates HomSearchStats after the join.
+// read contract in logic/instance.h).
 #ifndef TDLIB_LOGIC_HOMOMORPHISM_H_
 #define TDLIB_LOGIC_HOMOMORPHISM_H_
 
@@ -69,9 +65,8 @@ struct Valuation {
 /// Counters one search produced. Search-local by design: every
 /// HomomorphismSearch owns exactly one HomSearchStats and nothing else ever
 /// writes it, so concurrent searches race on nothing. Aggregation across
-/// searches (the chase's per-pass totals) is an explicit MergeFrom of
-/// per-task copies after the tasks have joined — never two searches
-/// pointing at one struct.
+/// searches (the chase's per-dependency totals) is an explicit MergeFrom
+/// once a search has finished — never two searches pointing at one struct.
 struct HomSearchStats {
   std::uint64_t nodes = 0;       ///< search-tree nodes explored
   std::uint64_t candidates = 0;  ///< candidate tuples tried against a row
@@ -88,9 +83,8 @@ struct HomSearchStats {
     cancel_hit = cancel_hit || other.cancel_hit;
   }
 };
-// Plain counters only: no pointers, no atomics, nothing shareable. If this
-// ever grows a reference to shared state, the parallel chase's sum-after-
-// join aggregation breaks — keep it trivially copyable.
+// Plain counters only: no pointers, no atomics, nothing shareable — keep it
+// trivially copyable.
 static_assert(std::is_trivially_copyable<HomSearchStats>::value,
               "HomSearchStats must stay per-search value data");
 
@@ -126,15 +120,6 @@ struct HomSearchOptions {
   int delta_begin = -1;
   int delta_seed_row = -1;
 
-  /// Optional narrowing of the seed row's id window to
-  /// [delta_seed_begin, delta_seed_end) instead of [delta_begin, +inf).
-  /// Meaningful only in partition mode (delta_seed_row >= 0); -1 leaves the
-  /// respective end unbounded. The chase's work-stealing slices use this to
-  /// cut one partition member into disjoint sub-ranges whose union is
-  /// exactly the member.
-  int delta_seed_begin = -1;
-  int delta_seed_end = -1;
-
   /// Id cap: when >= 0, every row binds only tuples with id < id_end, on
   /// top of any delta window above. The chase sets it to the pass-start
   /// tuple count, so a body search run after earlier dependencies of the
@@ -153,21 +138,12 @@ struct HomSearchOptions {
   /// share one Deadline object.
   const Deadline* deadline = nullptr;
 
-  /// Optional cooperative cancel flag, checked on the same amortized cadence
-  /// as the deadline. This is how a budget trip in one of the chase's
-  /// concurrent match tasks binds across all of them: the tripping task sets
-  /// the shared flag and every sibling search winds down within a few
-  /// hundred nodes, reporting kBudget. Null (the default) disables the
-  /// check; the flag must outlive the search.
-  const std::atomic<bool>* cancel = nullptr;
-
-  /// Optional job-level cancel flag, checked on the same cadence as `cancel`
-  /// but with distinct reporting: a trip here sets stats.cancel_hit, which
-  /// lets callers (the chase, and through it the engine's JobHandle::Cancel)
-  /// tell a user-requested cancellation apart from an ordinary budget stop.
-  /// `cancel` stays reserved for the chase's sibling-trip propagation — the
-  /// two flags have different owners and different lifetimes, so they ride
-  /// as separate pointers. Null disables; must outlive the search.
+  /// Optional job-level cancel flag, checked on the same amortized cadence
+  /// as the deadline. A trip reports kBudget and sets stats.cancel_hit,
+  /// which lets callers (the chase, and through it the engine's
+  /// JobHandle::Cancel) tell a user-requested cancellation apart from an
+  /// ordinary budget stop. Null (the default) disables the check; the flag
+  /// must outlive the search.
   const std::atomic<bool>* job_cancel = nullptr;
 };
 
@@ -225,7 +201,7 @@ class HomomorphismSearch {
                  bool* stopped);
   int PickNextRow() const;
   /// Tuple ids row `row_idx` may bind: [first, second). Encodes the delta
-  /// partition (and seed slices) and the id cap; {0, INT_MAX} when
+  /// partition and the id cap; {0, INT_MAX} when
   /// unrestricted.
   std::pair<int, int> RowIdBounds(int row_idx) const;
   /// Candidate ids in [min_id, max_id) for `row_idx`, either as borrowed

@@ -31,11 +31,9 @@
 // the hash table in place; TuplesWith only reads the CSR slab and tails).
 // Any number of threads may therefore call const members concurrently AS
 // LONG AS no thread mutates the instance (AddTuple, AddValue, InternValue,
-// Reserve, CompactIndex). The parallel chase leans on exactly this: its
-// match tasks share one instance read-only, and every mutation (firing,
-// index rebuilds) happens serially between matching phases. Mutations must
-// be fenced from reads by the caller (the chase's task join provides the
-// fence).
+// Reserve, CompactIndex). Mutations must be fenced from reads by the
+// caller; the chase mutates (fires, rebuilds the index) only between body
+// searches, never during one.
 #ifndef TDLIB_LOGIC_INSTANCE_H_
 #define TDLIB_LOGIC_INSTANCE_H_
 

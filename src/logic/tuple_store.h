@@ -19,8 +19,8 @@
 // CheckInvariants) perform pure reads — Find probes the slot table in place
 // and never touches the mutable `scratch_` staging row (only Insert does).
 // Concurrent const calls from many threads are safe while no thread calls
-// Insert/Reserve; writers must be externally fenced from readers. This is
-// the foundation of the chase's read-only parallel match phase.
+// Insert/Reserve; writers must be externally fenced from readers. Instance's
+// concurrent-read contract (logic/instance.h) builds on this.
 #ifndef TDLIB_LOGIC_TUPLE_STORE_H_
 #define TDLIB_LOGIC_TUPLE_STORE_H_
 

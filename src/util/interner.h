@@ -17,9 +17,8 @@ namespace tdlib {
 ///
 /// Thread-safety: all members may be called concurrently. The name -> id
 /// map is sharded by string hash with one mutex per shard, so concurrent
-/// Intern/Lookup calls on different names proceed in parallel — the chase's
-/// parallel match phase made the old single global mutex the one
-/// write-shared structure every worker could serialize on. The id -> name
+/// Intern/Lookup calls on different names proceed in parallel instead of
+/// serializing on one global mutex. The id -> name
 /// side stays global (ids must be dense across shards) behind its own
 /// mutex, but its critical sections are a deque push_back or an index read;
 /// the string hashing and map probing — the actual work — happen under the

@@ -81,7 +81,7 @@ class Timer {
 ///
 /// Thread-safe for concurrent Expired() calls: both members are immutable
 /// after construction and each call reads the monotonic clock afresh. The
-/// chase shares one Deadline across all of a pass's parallel match tasks.
+/// chase shares one Deadline across all of a run's searches.
 class Deadline {
  public:
   explicit Deadline(double budget_seconds) : budget_(budget_seconds) {}

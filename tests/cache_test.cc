@@ -145,7 +145,6 @@ DualSolverConfig ExtremeConfig(std::uint64_t budget) {
   chase.max_tuples = budget;
   chase.hom_max_nodes = budget;
   chase.max_fires_per_pass = budget;
-  chase.match_slice_ids = budget;
   chase.record_trace = true;
   chase.use_delta = false;
   config.base_counterexample.max_candidates = budget;
@@ -317,9 +316,9 @@ TEST(Canonical, StreamedFingerprintEqualsHashOfTheText) {
   }
 }
 
-// Fingerprints are persisted (warm-start files) and place jobs on the
-// router's ring, so the encoding must never drift without a version bump.
-// These values were recorded before the streaming encoder replaced the
+// Fingerprints are persisted (warm-start files) and key the result cache,
+// so the encoding must never drift without a version bump. The tiny and
+// pump values were recorded before the streaming encoder replaced the
 // text-building one.
 TEST(Canonical, GoldenFingerprintsAreStable) {
   SchemaPtr schema = MakeSchema({"A", "B"});
@@ -340,7 +339,7 @@ TEST(Canonical, GoldenFingerprintsAreStable) {
   const DualSolverConfig extreme =
       ExtremeConfig(std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(FingerprintProblem(eid, eid_goal, extreme).ToHex(),
-            "ae2ffea94547ca1d4c409dc1f57fca3d");
+            "228cad69f41ebf02ade828a227697546");
 }
 
 // ---- LRU -------------------------------------------------------------------
@@ -463,22 +462,22 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.code(), ErrorCode::kCorrupt);
 
-  Result<int> absurd_count = load("tdlib-result-cache 2\n99999999999\nend\n");
+  Result<int> absurd_count = load("tdlib-result-cache 3\n99999999999\nend\n");
   ASSERT_FALSE(absurd_count.ok());
   EXPECT_EQ(absurd_count.code(), ErrorCode::kCorrupt);
 
   Result<int> bad_verdict = load(
-      "tdlib-result-cache 2\n1\n"
+      "tdlib-result-cache 3\n1\n"
       "00000000000000aa 00000000000000bb 7 1 2 3 4 5 6 7\nend\n");
   ASSERT_FALSE(bad_verdict.ok());
   EXPECT_EQ(bad_verdict.code(), ErrorCode::kCorrupt);
 
-  Result<int> truncated = load("tdlib-result-cache 2\n2\n"
+  Result<int> truncated = load("tdlib-result-cache 3\n2\n"
                                "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\n");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.code(), ErrorCode::kCorrupt);
 
-  Result<int> trailing = load("tdlib-result-cache 2\n0\nend\ngarbage\n");
+  Result<int> trailing = load("tdlib-result-cache 3\n0\nend\ngarbage\n");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.code(), ErrorCode::kCorrupt);
 
@@ -994,8 +993,9 @@ TEST(ServiceCache, WarmStartFromAStoreServesHitsAcrossServices) {
 
 TEST(ServiceCache, VersionOneStoreIsRefusedAndTheWarmStartRunsCold) {
   // Version-1 entries carry counters of a chase that matched every
-  // dependency before firing; loading them would serve hom_nodes no
-  // current run reproduces.
+  // dependency before firing, and version-2 entries match_tasks that may
+  // count seed-row slices; loading either would serve counters no current
+  // run reproduces.
   Job job = MakePumpingJob("versioned", 400);
   std::stringstream stream;
   JobResult fresh;
@@ -1008,18 +1008,20 @@ TEST(ServiceCache, VersionOneStoreIsRefusedAndTheWarmStartRunsCold) {
     SaveResultCache(stream, *service_options.result_cache);
   }
   std::string text = stream.str();
-  const std::string current = "tdlib-result-cache 2\n";
+  const std::string current = "tdlib-result-cache 3\n";
   ASSERT_EQ(text.rfind(current, 0), 0u);
-  std::istringstream version_one("tdlib-result-cache 1\n" +
-                                 text.substr(current.size()));
 
   auto reloaded = std::make_shared<ResultCache>();
-  Result<int> loaded = LoadResultCache(version_one, reloaded.get());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorrupt);
-  EXPECT_NE(loaded.error().find("unsupported version"), std::string::npos)
-      << loaded.error();
-  EXPECT_EQ(reloaded->Stats().entries, 0);
+  for (const char* old_header :
+       {"tdlib-result-cache 1\n", "tdlib-result-cache 2\n"}) {
+    std::istringstream old_store(old_header + text.substr(current.size()));
+    Result<int> loaded = LoadResultCache(old_store, reloaded.get());
+    ASSERT_FALSE(loaded.ok()) << old_header;
+    EXPECT_EQ(loaded.code(), ErrorCode::kCorrupt);
+    EXPECT_NE(loaded.error().find("unsupported version"), std::string::npos)
+        << loaded.error();
+    EXPECT_EQ(reloaded->Stats().entries, 0);
+  }
 
   ServiceOptions service_options;
   service_options.num_threads = 1;

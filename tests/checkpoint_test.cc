@@ -240,24 +240,6 @@ TEST(ChaseCheckpoint, CrossProductClosureParity) {
   CheckResumeParity(deps, seed, config, /*small=*/5, /*big=*/1000);
 }
 
-TEST(ChaseCheckpoint, SliceShapeGuardRefusesResume) {
-  Pumping pumping = MakePumping();
-  Instance instance = pumping.goal.body().Freeze();
-  ChaseConfig config;
-  config.max_steps = 10;
-  ChaseCheckpoint checkpoint;
-  ChaseResult r = RunChase(&instance, pumping.deps, config, {}, &checkpoint);
-  ASSERT_EQ(r.status, ChaseStatus::kStepLimit);
-  ASSERT_TRUE(checkpoint.valid);
-
-  ChaseConfig bigger = config;
-  bigger.max_steps = 100;
-  EXPECT_TRUE(checkpoint.ResumableWith(bigger, instance, pumping.deps));
-  ChaseConfig sliced = bigger;
-  sliced.match_slice_ids = 7;
-  EXPECT_FALSE(checkpoint.ResumableWith(sliced, instance, pumping.deps));
-}
-
 TEST(ChaseCheckpoint, NonResumableStopLeavesNoCheckpoint) {
   Pumping pumping = MakePumping();
   Instance instance = pumping.goal.body().Freeze();
@@ -297,7 +279,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt7 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0\n"
+      "tdckpt8 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
   // Old formats must be rejected, never resumed under a guessed shape:
@@ -306,9 +288,10 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // with intersection on), tdckpt3 writes valuations per attribute (here
   // one pending step over 2 attributes of one variable each), tdckpt4
   // carries the retired lazy-goal-check flag in its shape line, tdckpt5
-  // carries the retired burst auto-tune flag and per-pass fire cap, and a
+  // carries the retired burst auto-tune flag and per-pass fire cap, a
   // tdckpt6 pending list holds a whole pass's matches with no resume point
-  // inside the pass. All texts are otherwise well formed.
+  // inside the pass, and tdckpt7 carries the retired seed-row slice width
+  // in its shape line. All texts are otherwise well formed.
   for (const char* old_format :
        {"tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n",
         "tdckpt2 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 1 0 1 0\n0\n0\n",
@@ -316,7 +299,8 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
         "1\n0\n2\n1 0\n1 0\n1 0\n0\n",
         "tdckpt4 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n",
         "tdckpt5 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 0\n0\n0\n",
-        "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n"}) {
+        "tdckpt6 1\n0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n",
+        "tdckpt7 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n"}) {
     std::istringstream in(old_format);
     Result<ChaseCheckpoint> old = ChaseCheckpoint::Deserialize(in);
     ASSERT_FALSE(old.ok()) << old_format;
@@ -324,7 +308,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   }
   // The same checkpoint in the current format loads.
   std::istringstream current(
-      "tdckpt7 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0\n0\n0\n");
+      "tdckpt8 1\n0 0 0 0\n0 0 0 0 0 0\n1 0 0 0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   std::istringstream huge_store("tdstore1 2 18446744073709551615\n0 0\n");
   EXPECT_FALSE(TupleStore::Deserialize(huge_store).ok());
@@ -333,7 +317,7 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
 }
 
 TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
-  // A tdckpt7 checkpoint with pending steps writes each valuation as one
+  // A tdckpt8 checkpoint with pending steps writes each valuation as one
   // vector of TotalVars() slots, re-serializes to the same bytes, and
   // resumes exactly like the in-memory checkpoint it came from.
   Pumping pumping = MakePumping();
@@ -354,7 +338,7 @@ TEST(ChaseCheckpoint, FlatValuationsRoundTripAndAreValidated) {
   }
   std::ostringstream out;
   checkpoint.Serialize(out);
-  EXPECT_EQ(out.str().rfind("tdckpt7 1\n", 0), 0u);
+  EXPECT_EQ(out.str().rfind("tdckpt8 1\n", 0), 0u);
   std::istringstream in(out.str());
   Result<ChaseCheckpoint> restored = ChaseCheckpoint::Deserialize(in);
   ASSERT_TRUE(restored.ok());

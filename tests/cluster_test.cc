@@ -253,33 +253,42 @@ TEST(ClusterWireTest, WellFormedTdf3FrameIsRejectedByItsMagic) {
 
 TEST(ClusterWireTest, JobPayloadFromThePreviousVersionIsRefused) {
   // Job and result payloads open with their tag and their version, both
-  // little-endian u32s. A peer one payload version back (5) sends a
-  // canonical fingerprint in each job, so the decoders must refuse its
+  // little-endian u32s. A peer one payload version back (6) sends the
+  // chase's seed-row slice width in each job config, and one two back (5)
+  // also a canonical fingerprint, so the decoders must refuse their
   // payloads at the version, not misread them.
-  const std::string current("\x06\0\0\0", 4);
-  std::string job = EncodeJobPayload(WireJob(MakeSmallJob("old peer")));
-  ASSERT_GE(job.size(), 8u);
-  ASSERT_EQ(job.substr(4, 4), current);
-  job[4] = 5;
-  Result<WireJob> decoded_job = DecodeJobPayload(job);
-  ASSERT_FALSE(decoded_job.ok());
-  EXPECT_EQ(decoded_job.code(), ErrorCode::kCorrupt);
-  EXPECT_NE(decoded_job.error().find("unsupported version"), std::string::npos)
-      << decoded_job.error();
+  const std::string current("\x07\0\0\0", 4);
+  const std::string job_bytes =
+      EncodeJobPayload(WireJob(MakeSmallJob("old peer")));
+  ASSERT_GE(job_bytes.size(), 8u);
+  ASSERT_EQ(job_bytes.substr(4, 4), current);
 
   WireResult wire_result;
   wire_result.job_id = 1;
   wire_result.result.name = "old peer";
-  std::string result = EncodeResultPayload(wire_result);
-  ASSERT_GE(result.size(), 8u);
-  ASSERT_EQ(result.substr(4, 4), current);
-  result[4] = 5;
-  Result<WireResult> decoded_result = DecodeResultPayload(result);
-  ASSERT_FALSE(decoded_result.ok());
-  EXPECT_EQ(decoded_result.code(), ErrorCode::kCorrupt);
-  EXPECT_NE(decoded_result.error().find("unsupported version"),
-            std::string::npos)
-      << decoded_result.error();
+  const std::string result_bytes = EncodeResultPayload(wire_result);
+  ASSERT_GE(result_bytes.size(), 8u);
+  ASSERT_EQ(result_bytes.substr(4, 4), current);
+
+  for (char old_version : {5, 6}) {
+    std::string job = job_bytes;
+    job[4] = old_version;
+    Result<WireJob> decoded_job = DecodeJobPayload(job);
+    ASSERT_FALSE(decoded_job.ok()) << int{old_version};
+    EXPECT_EQ(decoded_job.code(), ErrorCode::kCorrupt);
+    EXPECT_NE(decoded_job.error().find("unsupported version"),
+              std::string::npos)
+        << decoded_job.error();
+
+    std::string result = result_bytes;
+    result[4] = old_version;
+    Result<WireResult> decoded_result = DecodeResultPayload(result);
+    ASSERT_FALSE(decoded_result.ok()) << int{old_version};
+    EXPECT_EQ(decoded_result.code(), ErrorCode::kCorrupt);
+    EXPECT_NE(decoded_result.error().find("unsupported version"),
+              std::string::npos)
+        << decoded_result.error();
+  }
 }
 
 TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {

@@ -12,7 +12,6 @@
 
 #include "engine/thread_pool.h"
 #include "engine/workload.h"
-#include "util/parallel.h"
 
 namespace tdlib {
 namespace {
@@ -125,45 +124,6 @@ TEST(ThreadPool, TiesDrainInSubmissionOrder) {
   cv.notify_all();
   pool.Shutdown();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-// ---- ParallelFor over the pool ---------------------------------------------
-
-TEST(ParallelFor, EveryIndexRunsExactlyOnceOnAPool) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 200;
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  ParallelFor(&pool, kN, [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ParallelFor, NestedFanOutFromPoolWorkersDoesNotDeadlock) {
-  // The chase's exact usage pattern: outer tasks run on pool workers and
-  // each fans out its own inner loop on the SAME pool. With 2 workers and
-  // 4 outer tasks all nesting, a submit-and-block scheme would deadlock;
-  // the caller-drains-the-cursor scheme must complete every index.
-  ThreadPool pool(2);
-  constexpr std::size_t kOuter = 4;
-  constexpr std::size_t kInner = 50;
-  std::atomic<int> total{0};
-  ParallelFor(&pool, kOuter, [&](std::size_t) {
-    ParallelFor(&pool, kInner, [&](std::size_t) { ++total; },
-                /*priority=*/1000);
-  });
-  EXPECT_EQ(total.load(), static_cast<int>(kOuter * kInner));
-}
-
-TEST(ParallelFor, WritesAreVisibleAfterReturn) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 64;
-  std::vector<std::uint64_t> out(kN, 0);  // plain (non-atomic) slots
-  ParallelFor(&pool, kN, [&](std::size_t i) { out[i] = i * i; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(out[i], i * i);
-  }
 }
 
 // ---- BatchSolver vs serial -------------------------------------------------

@@ -26,7 +26,6 @@ FuzzOptions FastOptions() {
   FuzzOptions options;
   options.seed = 1;
   options.cases_per_round = 3;  // one case per family
-  options.threads = 2;
   options.base_steps = 150;
   return options;
 }

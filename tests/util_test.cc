@@ -11,7 +11,6 @@
 #include "util/csv_writer.h"
 #include "util/hash.h"
 #include "util/interner.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -80,20 +79,6 @@ TEST(Interner, RoundTrip) {
   EXPECT_EQ(interner.Lookup("gamma"), -1);
   EXPECT_TRUE(interner.Contains("alpha"));
   EXPECT_FALSE(interner.Contains("gamma"));
-}
-
-TEST(ParallelFor, NullPoolRunsSeriallyInIndexOrder) {
-  // The serial fallback is the contract --naive-chase and single-thread
-  // ablations rely on: no pool, no threads, plain in-order loop.
-  std::vector<std::size_t> order;
-  ParallelFor(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelFor, ZeroTasksIsANoop) {
-  bool ran = false;
-  ParallelFor(nullptr, 0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
 }
 
 TEST(Interner, ConcurrentInterningYieldsDenseUniqueIds) {
